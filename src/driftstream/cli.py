@@ -1,10 +1,10 @@
 """Command-line entry point.
 
-Subcommands: run (full pipeline), synth (generate a corpus), replay (drive
-an archive through a single job), report (stats tables from an archive),
-keywords (active keyword set at a point in time), clusters (inspect a run's
-cluster export). Exit codes: 0 success, 2 validation error, 3 runtime
-error.
+Subcommands: run (full pipeline), synth (generate a corpus), replay (parse
+an archive, optionally appending its posts to a durable log), report (stats
+tables from an archive), keywords (active keyword set at a point in time),
+clusters (inspect a run's cluster export). Exit codes: 0 success, 2
+validation error, 3 runtime error.
 """
 
 from __future__ import annotations
@@ -17,13 +17,14 @@ from pathlib import Path
 import yaml
 
 from .analytics.tables import emit_report
-from .core.job import JobSpec, JobStartupError, execute_job
+from .core.log import DurableLog
+from .core.records import StreamRecord
 from .keywords import KeywordSet
 from .pipeline.config import ConfigError, load_config
 from .pipeline.runner import run_pipeline
-from .sources.posts import Rejection, parse_post
+from .sources.archive import Speed, parse_speed, posts_from_archive
 from .sources.synthetic import SyntheticConfig, SyntheticConfigError, generate_synthetic
-from .timeutil import TimestampError, format_timestamp, month_key, parse_timestamp
+from .timeutil import Clock, TimestampError, format_timestamp, month_key, parse_timestamp
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -42,7 +43,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if args.out_dir is not None:
         config.out_dir = args.out_dir
     if args.speed is not None:
-        config.speed = args.speed if args.speed == "max" else float(args.speed)
+        config.speed = args.speed
     if args.until is not None:
         try:
             config.until = parse_timestamp(args.until)
@@ -82,27 +83,35 @@ def _cmd_synth(args: argparse.Namespace) -> int:
 
 
 def _cmd_replay(args: argparse.Namespace) -> int:
-    speed = args.speed if args.speed == "max" else float(args.speed)
-    emit = {"kind": "null"}
+    log = None
     if args.out:
-        from .core.log import DurableLog
-
-        emit = {"kind": "log", "log": DurableLog(args.out)}
-    spec = JobSpec(
-        name="replay",
-        ingest={"kind": "archive", "path": args.archive, "speed": speed},
-        emit=emit,
-    )
+        try:
+            log = DurableLog(args.out)
+        except OSError as exc:
+            print(f"replay: --out: {exc}", file=sys.stderr)
+            return EXIT_VALIDATION
+    clock = Clock()
+    records = 0
     try:
-        report = execute_job(spec)
-    except JobStartupError as exc:
-        print(f"replay failed to start: {exc}", file=sys.stderr)
+        for post in posts_from_archive(args.archive, speed=args.speed):
+            records += 1
+            if log is None:
+                continue
+            record = StreamRecord(
+                payload=post.to_payload(), event_time=post.created_at, ingest_time=clock.now()
+            )
+            try:
+                log.append(record)
+            except OSError as exc:
+                print(f"replay failed: {exc}", file=sys.stderr)
+                return EXIT_RUNTIME
+    except OSError as exc:
+        print(f"replay: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    print(
-        json.dumps(
-            {"records_in": report.records_in, "records_out": report.records_out, "errors": report.errors}
-        )
-    )
+    finally:
+        if log is not None:
+            log.close()
+    print(json.dumps({"records_in": records, "records_out": records, "errors": 0}))
     return EXIT_OK
 
 
@@ -110,18 +119,13 @@ def _cmd_report(args: argparse.Namespace) -> int:
     months: dict[str, int] = {}
     languages: dict[str, int] = {}
     try:
-        f = open(args.archive, "rb")
+        for post in posts_from_archive(args.archive):
+            month = month_key(post.created_at)
+            months[month] = months.get(month, 0) + 1
+            languages[post.lang] = languages.get(post.lang, 0) + 1
     except OSError as exc:
         print(f"report: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    with f:
-        for line in f:
-            parsed = parse_post(line.rstrip(b"\n"))
-            if isinstance(parsed, Rejection):
-                continue
-            month = month_key(parsed.created_at)
-            months[month] = months.get(month, 0) + 1
-            languages[parsed.lang] = languages.get(parsed.lang, 0) + 1
     paths = emit_report({"month": months, "language": languages}, [], args.out)
     for path in paths:
         print(path)
@@ -176,6 +180,13 @@ def _cmd_clusters(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _speed_arg(value: str) -> Speed:
+    try:
+        return parse_speed(value)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="driftstream",
@@ -187,7 +198,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--config", required=True)
     run.add_argument("--seed", type=int)
     run.add_argument("--out-dir")
-    run.add_argument("--speed")
+    run.add_argument("--speed", type=_speed_arg)
     run.add_argument("--until", help="stop at this simulated time (ISO-8601)")
     run.set_defaults(func=_cmd_run)
 
@@ -196,9 +207,9 @@ def build_parser() -> argparse.ArgumentParser:
     synth.add_argument("--out", required=True)
     synth.set_defaults(func=_cmd_synth)
 
-    replay = sub.add_parser("replay", help="replay an archive through a job")
+    replay = sub.add_parser("replay", help="replay an archive, optionally into a durable log")
     replay.add_argument("--archive", required=True)
-    replay.add_argument("--speed", default="max")
+    replay.add_argument("--speed", type=_speed_arg, default="max")
     replay.add_argument("--out", help="durable log directory to append into")
     replay.set_defaults(func=_cmd_replay)
 

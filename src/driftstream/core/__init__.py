@@ -1,28 +1,13 @@
-from .job import JobQueue, JobReport, JobSpec, JobStartupError, execute_job, register_sink, register_source
-from .log import DurableLog, LogAppendError, append_record, replay_from
-from .processors import Chain, chain, filter_processor, map_processor
+from .log import DurableLog, LogAppendError
 from .records import StreamRecord
 from .store import SharedStore
 from .windows import WindowAssignment, assign_window
 
 __all__ = [
-    "Chain",
     "DurableLog",
-    "JobQueue",
-    "JobReport",
-    "JobSpec",
-    "JobStartupError",
     "LogAppendError",
     "SharedStore",
     "StreamRecord",
     "WindowAssignment",
-    "append_record",
     "assign_window",
-    "chain",
-    "execute_job",
-    "filter_processor",
-    "map_processor",
-    "register_sink",
-    "register_source",
-    "replay_from",
 ]

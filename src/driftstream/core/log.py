@@ -1,10 +1,10 @@
 """Single-node durable append-only log with offset replay.
 
-Stands in for an external durable message broker at desk scale: jobs append
-records and any consumer can replay from an arbitrary offset. Records are
-length-prefixed and checksummed; recovery truncates a torn tail (partial
-frame from a crash mid-append) back to the last valid record, so a replay
-never surfaces a corrupt or partial record.
+Stands in for an external durable message broker at desk scale: ``replay
+--out`` appends the archive's posts and any consumer can replay from an
+arbitrary offset. Records are length-prefixed and checksummed; recovery
+truncates a torn tail (partial frame from a crash mid-append) back to the
+last valid record, so a replay never surfaces a corrupt or partial record.
 
 Layout: one directory per log. Segments are ``{base_offset:020d}.seg`` with
 a sidecar ``.idx`` holding one u64 frame position per record. The index is
@@ -178,11 +178,3 @@ class DurableLog:
 
     def __exit__(self, *exc) -> None:
         self.close()
-
-
-def append_record(log: DurableLog, record: StreamRecord) -> int:
-    return log.append(record)
-
-
-def replay_from(log: DurableLog, offset: int = 0) -> Iterator[StreamRecord]:
-    return log.replay_from(offset)

@@ -1,4 +1,4 @@
-"""The record envelope that flows between jobs."""
+"""The record envelope stored in the durable log."""
 
 from __future__ import annotations
 
@@ -9,7 +9,7 @@ from typing import Any, Optional
 
 @dataclass
 class StreamRecord:
-    """One unit of data moving through an ingest-process-emit job.
+    """One record of the durable log.
 
     ``payload`` is any JSON-serializable structure; ``offset`` is assigned
     by the durable log on append (-1 until then).

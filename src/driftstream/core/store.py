@@ -1,8 +1,8 @@
 """Shared key-value store with per-key TTL expiry.
 
-Jobs use this to share state (promoted keywords, recent matched post ids,
-the location cache). Safe for concurrent access from multiple jobs; each
-put/get is atomic per key.
+Pipeline stages use this to share state (promoted keywords, recent matched
+post ids, the location cache). Safe for concurrent access from multiple
+threads; each put/get is atomic per key.
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""Stateful drift job: sliding-window scoring plus promotion on each slide.
+"""Stateful drift stage: sliding-window scoring plus promotion on each slide.
 
 Posts are observed into slide-sized buckets; whenever event time crosses a
 slide boundary, the buckets spanning the scoring window are merged, scored

@@ -1,4 +1,4 @@
-"""Annotated post record produced by the enrichment jobs."""
+"""Annotated post record produced by the enrichment stages."""
 
 from __future__ import annotations
 

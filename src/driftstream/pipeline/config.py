@@ -1,4 +1,4 @@
-"""Pipeline configuration: one declarative file wiring every job.
+"""Pipeline configuration: one declarative file wiring every stage.
 
 YAML or JSON, with environment-variable overrides for scalar fields
 (DRIFTSTREAM_SEED, DRIFTSTREAM_ARCHIVE, DRIFTSTREAM_OUT_DIR,
@@ -18,6 +18,7 @@ import yaml
 
 from ..keywords import DEFAULT_SEED_KEYWORDS
 from ..misinfo.keywords import DEFAULT_MISINFO_SEEDS
+from ..sources.archive import parse_speed
 from ..timeutil import DAY, HOUR, MINUTE, TimestampError, parse_timestamp
 
 DEFAULT_AUTHORITATIVE_SOURCES = (
@@ -27,23 +28,6 @@ DEFAULT_AUTHORITATIVE_SOURCES = (
     "nytimes.com",
     "cnn.com",
 )
-
-# The standard topology: the seven collection/tagging jobs plus the drift
-# and corroboration jobs. Every entry is instantiable from config alone.
-DEFAULT_TOPOLOGY = (
-    {"name": "ingest", "kind": "archive_ingest"},
-    {"name": "extract", "kind": "metadata_extract"},
-    {"name": "sentiment", "kind": "sentiment"},
-    {"name": "misinfo_sources", "kind": "misinfo_sources"},
-    {"name": "misinfo_extract", "kind": "misinfo_extract"},
-    {"name": "misinfo_filter", "kind": "misinfo_filter"},
-    {"name": "authoritative", "kind": "authoritative_tag"},
-    {"name": "drift", "kind": "drift_adapt"},
-    {"name": "corroborate", "kind": "cluster_corroborate"},
-)
-
-KNOWN_JOB_KINDS = {entry["kind"] for entry in DEFAULT_TOPOLOGY}
-
 
 class ConfigError(ValueError):
     def __init__(self, errors: list[str]):
@@ -113,7 +97,6 @@ class PipelineConfig:
     evidence_feed: Optional[str] = None
     case_feed: Optional[str] = None
     max_lag_days: int = 21
-    topology: tuple[dict, ...] = DEFAULT_TOPOLOGY
 
 
 def _get(data: dict, key: str, default):
@@ -160,15 +143,11 @@ def parse_config(data: dict, base_dir: Optional[Path] = None) -> PipelineConfig:
             errors.append(f"archive: file not found: {archive}")
 
     out_dir = env.get("DRIFTSTREAM_OUT_DIR", _get(data, "out_dir", "reports"))
-    speed = env.get("DRIFTSTREAM_SPEED", _get(data, "speed", "max"))
-    if speed != "max":
-        try:
-            speed = float(speed)
-            if speed <= 0:
-                raise ValueError
-        except (TypeError, ValueError):
-            errors.append(f"speed: must be a positive number or 'max', got {speed!r}")
-            speed = "max"
+    try:
+        speed = parse_speed(env.get("DRIFTSTREAM_SPEED", _get(data, "speed", "max")))
+    except ValueError as exc:
+        errors.append(f"speed: {exc}")
+        speed = "max"
 
     kw = data.get("keywords", {}) or {}
     keywords = KeywordConfig(
@@ -266,20 +245,6 @@ def parse_config(data: dict, base_dir: Optional[Path] = None) -> PipelineConfig:
     elif until is not None:
         until = float(until)
 
-    topology = tuple(_get(data, "topology", list(DEFAULT_TOPOLOGY)))
-    seen_names = set()
-    for i, job in enumerate(topology):
-        name = job.get("name")
-        if not name:
-            errors.append(f"topology[{i}].name: required")
-        elif name in seen_names:
-            errors.append(f"topology[{i}].name: duplicate job name {name!r}")
-        seen_names.add(name)
-        if job.get("kind") not in KNOWN_JOB_KINDS:
-            errors.append(
-                f"topology[{i}].kind: unknown job kind {job.get('kind')!r}"
-            )
-
     if errors:
         raise ConfigError(errors)
 
@@ -298,7 +263,6 @@ def parse_config(data: dict, base_dir: Optional[Path] = None) -> PipelineConfig:
         evidence_feed=evidence_feed,
         case_feed=case_feed,
         max_lag_days=int(_get(data, "max_lag_days", 21)),
-        topology=topology,
     )
 
 

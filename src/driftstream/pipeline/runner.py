@@ -1,8 +1,7 @@
-"""Deterministic single-process executor for the default topology.
+"""Deterministic single-process pipeline runner.
 
-Jobs conceptually run as independent units linked by queues; at desk scale
-the runner advances them in lockstep, record by record and window by
-window, driven purely by event time. That makes two runs over the same
+The runner advances every stage in lockstep, record by record and window
+by window, driven purely by event time. That makes two runs over the same
 archive, config, and seed byte-identical — the property the report-bundle
 determinism contract depends on. The simulated clock follows the stream's
 event time; no wall-clock value ever reaches an output file.
@@ -18,12 +17,11 @@ from __future__ import annotations
 
 import csv
 import json
-import threading
 import time
 from collections import Counter, deque
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional, Union
+from typing import Optional
 
 from ..analytics.correlation import CorrelationResult, correlate_regions, daily_series
 from ..analytics.tables import emit_report
@@ -50,7 +48,8 @@ from ..keywords import KeywordSet
 from ..misinfo.keywords import MisinfoKeywordSet, refresh_misinfo_keywords
 from ..misinfo.piggyback import detect_piggyback, observe_misinfo_cooccurrence
 from ..misinfo.tagging import AuthoritativeSourceList, tag_authoritative, tag_misinformation_window
-from ..sources.posts import Post, Rejection, parse_post
+from ..sources.archive import posts_from_archive
+from ..sources.posts import Post
 from ..timeutil import DAY, ManualClock, day_key, month_key
 from .config import PipelineConfig
 
@@ -155,13 +154,6 @@ class PipelineRunner:
 
     # -- per-record path ------------------------------------------------------
 
-    def process_line(self, line: Union[bytes, str]) -> None:
-        parsed = parse_post(line)
-        if isinstance(parsed, Rejection):
-            self.rejections[parsed.reason] += 1
-            return
-        self.ingest_post(parsed)
-
     def ingest_post(self, parsed: Post) -> None:
         self.counters["records_in"] += 1
         self._advance_watermark(parsed.created_at)
@@ -208,7 +200,7 @@ class PipelineRunner:
         interval = self.config.misinfo.refresh_interval
         self._next_refresh = (now // interval + 1) * interval
 
-    # -- windowed jobs ----------------------------------------------------------
+    # -- windowed stages --------------------------------------------------------
 
     def _flush_minute_windows(self, upto: Optional[float]) -> None:
         if not self._minute_buffers:
@@ -324,7 +316,7 @@ class PipelineRunner:
 
     # -- run ----------------------------------------------------------------------
 
-    def run(self, stop_signal: Optional[threading.Event] = None) -> RunResult:
+    def run(self) -> RunResult:
         config = self.config
         started = time.monotonic()
 
@@ -335,26 +327,10 @@ class PipelineRunner:
                 else:
                     self.counters["case_reports_skipped"] += 1
 
-        speed = config.speed
-        paced = speed != "max"
-        last_event: Optional[float] = None
-        with open(config.archive, "rb") as f:
-            for raw_line in f:
-                if stop_signal is not None and stop_signal.is_set():
-                    self.counters["stopped_early"] = 1
-                    break
-                parsed = parse_post(raw_line.rstrip(b"\n"))
-                if isinstance(parsed, Rejection):
-                    self.rejections[parsed.reason] += 1
-                    continue
-                if config.until is not None and parsed.created_at > config.until:
-                    break
-                if paced and last_event is not None:
-                    gap = (parsed.created_at - last_event) / float(speed)
-                    if gap > 0:
-                        time.sleep(gap)
-                last_event = parsed.created_at
-                self.ingest_post(parsed)
+        for post in posts_from_archive(config.archive, self.rejections, config.speed):
+            if config.until is not None and post.created_at > config.until:
+                break
+            self.ingest_post(post)
 
         # end of stream: close everything still buffered
         self._flush_minute_windows(upto=None)
@@ -469,6 +445,6 @@ class PipelineRunner:
         }
 
 
-def run_pipeline(config: PipelineConfig, stop_signal: Optional[threading.Event] = None) -> RunResult:
+def run_pipeline(config: PipelineConfig) -> RunResult:
     runner = PipelineRunner(config)
-    return runner.run(stop_signal=stop_signal)
+    return runner.run()

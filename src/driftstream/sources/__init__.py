@@ -1,4 +1,4 @@
-from .archive import ArchiveSource, posts_from_archive, replay_archive
+from .archive import posts_from_archive
 from .posts import Post, Rejection, parse_post
 from .synthetic import (
     DriftTermSchedule,
@@ -10,7 +10,6 @@ from .synthetic import (
 )
 
 __all__ = [
-    "ArchiveSource",
     "DriftTermSchedule",
     "GeneratedCorpus",
     "Post",
@@ -21,5 +20,4 @@ __all__ = [
     "load_ground_truth",
     "parse_post",
     "posts_from_archive",
-    "replay_archive",
 ]

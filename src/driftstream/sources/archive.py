@@ -5,71 +5,51 @@ from __future__ import annotations
 import time
 from collections import Counter
 from pathlib import Path
-from typing import Iterator, Optional, Union
+from typing import Any, Iterator, Optional, Union
 
-from ..core.job import register_source
-from ..core.records import StreamRecord
-from ..timeutil import Clock
 from .posts import Post, Rejection, parse_post
 
 Speed = Union[float, str]  # multiplier, or "max" for as-fast-as-consumed
 
 
-class ArchiveSource:
-    """Iterates an archive file in order, emitting one record per valid line.
+def parse_speed(value: Any) -> Speed:
+    """``"max"`` or a positive float; ``ValueError`` for anything else."""
+    if value == "max":
+        return value
+    try:
+        speed = float(value)
+    except (TypeError, ValueError):
+        speed = 0.0
+    if not speed > 0:  # also rejects NaN
+        raise ValueError(f"must be a positive number or 'max', got {value!r}")
+    return speed
 
-    Parse rejections are counted (by reason) and skipped. At a numeric
-    speed, inter-record gaps are event-time deltas divided by the speed; at
-    "max" the file is drained as fast as the consumer accepts.
+
+def posts_from_archive(
+    path: str | Path,
+    rejections: Optional[Counter] = None,
+    speed: Speed = "max",
+) -> Iterator[Post]:
+    """The valid posts of an archive file, in file order.
+
+    Rejected lines are skipped and, when ``rejections`` is given, counted
+    there by reason. At a numeric speed, the pause before each post is its
+    event-time gap from the previous post divided by the speed; at "max"
+    the file is drained as fast as the consumer accepts.
     """
-
-    def __init__(self, path: str | Path, speed: Speed = "max", clock: Optional[Clock] = None):
-        self.path = Path(path)
-        if not self.path.is_file():
-            raise FileNotFoundError(f"archive not found: {self.path}")
-        if speed != "max" and (not isinstance(speed, (int, float)) or speed <= 0):
-            raise ValueError(f"speed must be a positive number or 'max', got {speed!r}")
-        self.speed = speed
-        self.clock = clock or Clock()
-        self.emitted = 0
-        self.rejections: Counter = Counter()
-
-    def __iter__(self) -> Iterator[StreamRecord]:
-        previous_event: Optional[float] = None
-        with open(self.path, "rb") as f:
-            for line in f:
-                parsed = parse_post(line.rstrip(b"\n"))
-                if isinstance(parsed, Rejection):
-                    self.rejections[parsed.reason] += 1
-                    continue
-                if self.speed != "max" and previous_event is not None:
-                    gap = (parsed.created_at - previous_event) / float(self.speed)
-                    if gap > 0:
-                        time.sleep(gap)
-                previous_event = parsed.created_at
-                self.emitted += 1
-                yield StreamRecord(
-                    payload=parsed.to_payload(),
-                    key=None,
-                    event_time=parsed.created_at,
-                    ingest_time=self.clock.now(),
-                )
-
-
-def replay_archive(path: str | Path, speed: Speed = "max", clock: Optional[Clock] = None) -> ArchiveSource:
-    return ArchiveSource(path, speed=speed, clock=clock)
-
-
-def posts_from_archive(path: str | Path) -> Iterator[Post]:
-    """Parsed posts only, no stream envelope; rejections silently skipped."""
-    with open(Path(path), "rb") as f:
+    speed = parse_speed(speed)
+    paced = speed != "max"
+    previous_event: Optional[float] = None
+    with open(path, "rb") as f:
         for line in f:
             parsed = parse_post(line.rstrip(b"\n"))
-            if isinstance(parsed, Post):
-                yield parsed
-
-
-register_source(
-    "archive",
-    lambda desc: iter(ArchiveSource(desc["path"], speed=desc.get("speed", "max"))),
-)
+            if isinstance(parsed, Rejection):
+                if rejections is not None:
+                    rejections[parsed.reason] += 1
+                continue
+            if paced and previous_event is not None:
+                gap = (parsed.created_at - previous_event) / speed
+                if gap > 0:
+                    time.sleep(gap)
+            previous_event = parsed.created_at
+            yield parsed

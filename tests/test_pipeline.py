@@ -1,4 +1,4 @@
-"""Config validation, the topology runner, and the CLI surface."""
+"""Config validation, the pipeline runner, and the CLI surface."""
 
 from __future__ import annotations
 
@@ -73,36 +73,17 @@ class TestConfigValidation:
         fields = {e.split(":")[0] for e in err.value.errors}
         assert {"seed", "archive", "drift.scorer", "clusters.min_size"} <= fields
 
-    def test_unknown_topology_kind_rejected(self, tmp_path):
-        archive = tmp_path / "a.jsonl"
-        archive.write_text("")
-        with pytest.raises(ConfigError) as err:
-            parse_config(
-                {
-                    "seed": 1,
-                    "archive": str(archive),
-                    "topology": [{"name": "x", "kind": "quantum"}],
-                }
-            )
-        assert any("topology[0].kind" in e for e in err.value.errors)
+    def test_legacy_topology_key_ignored(self, tmp_path):
+        corpus = _fixture_corpus(tmp_path, minutes=5, rate=20)
+        data = _base_config(tmp_path, corpus, topology=[{"name": "x", "kind": "quantum"}])
+        assert parse_config(data) == parse_config(_base_config(tmp_path, corpus))
 
-    def test_default_topology_instantiable_from_config(self, tmp_path, monkeypatch):
+    def test_default_config_wires_every_stage(self, tmp_path):
         corpus = _fixture_corpus(tmp_path, minutes=5, rate=20)
         config = parse_config(_base_config(tmp_path, corpus))
-        assert [j["kind"] for j in config.topology] == [
-            "archive_ingest",
-            "metadata_extract",
-            "sentiment",
-            "misinfo_sources",
-            "misinfo_extract",
-            "misinfo_filter",
-            "authoritative_tag",
-            "drift_adapt",
-            "cluster_corroborate",
-        ]
         from driftstream.pipeline.runner import PipelineRunner
 
-        runner = PipelineRunner(config)  # construction wires every job kind
+        runner = PipelineRunner(config)
         assert runner.drift is not None
         assert runner.misinfo_set is not None
 
@@ -321,6 +302,60 @@ class TestCli:
 
     def test_replay_missing_archive_exits_2(self, tmp_path):
         assert main(["replay", "--archive", str(tmp_path / "ghost.jsonl")]) == 2
+
+    def test_report_missing_archive_exits_2(self, tmp_path):
+        ghost = str(tmp_path / "ghost.jsonl")
+        assert main(["report", "--archive", ghost, "--out", str(tmp_path / "tables")]) == 2
+
+    @pytest.mark.parametrize("command", ["run", "replay"])
+    @pytest.mark.parametrize("speed", ["abc", "0", "-2"])
+    def test_bad_speed_flag_exits_2(self, capsys, command, speed):
+        required = {"run": ["--config", "c.yaml"], "replay": ["--archive", "a.jsonl"]}[command]
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, *required, "--speed", speed])
+        assert exit_info.value.code == 2
+        assert "--speed" in capsys.readouterr().err
+
+    def test_replay_out_round_trip(self, tmp_path, capsys):
+        from driftstream.core.log import DurableLog
+        from driftstream.sources.posts import Post, parse_post
+
+        corpus = _fixture_corpus(tmp_path, minutes=3, rate=20)
+        lines = corpus.archive_path.read_bytes().splitlines()
+        lines[1:1] = [b"", b"{broken", b'{"id": 1, "text": "no timestamp"}']
+        archive = tmp_path / "mixed.jsonl"
+        archive.write_bytes(b"\n".join(lines) + b"\n")
+        expected = [p for p in map(parse_post, lines) if isinstance(p, Post)]
+        assert 0 < len(expected) == len(lines) - 3
+
+        log_dir = tmp_path / "log"
+        assert main(["replay", "--archive", str(archive), "--out", str(log_dir)]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out == {"records_in": len(expected), "records_out": len(expected), "errors": 0}
+        with DurableLog(log_dir) as log:
+            records = list(log.replay_from(0))
+        assert [r.offset for r in records] == list(range(len(expected)))
+        assert [r.payload for r in records] == [p.to_payload() for p in expected]
+        assert [r.event_time for r in records] == [p.created_at for p in expected]
+
+    def test_replay_out_naming_a_file_exits_2(self, tmp_path, capsys):
+        corpus = _fixture_corpus(tmp_path, minutes=1, rate=5)
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        assert main(["replay", "--archive", str(corpus.archive_path), "--out", str(taken)]) == 2
+        assert "--out" in capsys.readouterr().err
+
+    def test_replay_append_failure_exits_3(self, tmp_path, monkeypatch, capsys):
+        from driftstream.core.log import DurableLog, LogAppendError
+
+        def fail(self, record):
+            raise LogAppendError("disk full")
+
+        monkeypatch.setattr(DurableLog, "append", fail)
+        corpus = _fixture_corpus(tmp_path, minutes=1, rate=5)
+        out = str(tmp_path / "log")
+        assert main(["replay", "--archive", str(corpus.archive_path), "--out", out]) == 3
+        assert "disk full" in capsys.readouterr().err
 
     def test_report_command_writes_tables(self, tmp_path):
         corpus = _fixture_corpus(tmp_path, minutes=5, rate=30)

@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import json
+from collections import Counter
 
 import pytest
 
+from driftstream.sources import archive as archive_module
 from driftstream.sources.posts import Post, Rejection, parse_post
-from driftstream.sources.archive import posts_from_archive, replay_archive
+from driftstream.sources.archive import posts_from_archive
 from driftstream.sources.synthetic import (
     DriftTermSchedule,
     SyntheticConfig,
@@ -88,11 +90,10 @@ class TestReplayArchive:
             json.dumps({"created_at": "2020-03-01T00:00:00Z", "id": 2, "text": "ok"}),
         ]
         archive.write_text("\n".join(lines) + "\n")
-        source = replay_archive(archive, speed="max")
-        records = list(source)
-        assert len(records) == 2
-        assert source.emitted == 2
-        assert source.rejections == {"empty": 1, "bad_json": 1}
+        rejections = Counter()
+        posts = list(posts_from_archive(archive, rejections, speed="max"))
+        assert [p.id for p in posts] == [1233829273691049984, 2]
+        assert rejections == {"empty": 1, "bad_json": 1}
 
     def test_double_replay_identical(self, tmp_path):
         archive = tmp_path / "a.jsonl"
@@ -103,19 +104,21 @@ class TestReplayArchive:
             )
             + "\n"
         )
-        first = [r.payload for r in replay_archive(archive)]
-        second = [r.payload for r in replay_archive(archive)]
+        first = [p.to_payload() for p in posts_from_archive(archive)]
+        second = [p.to_payload() for p in posts_from_archive(archive)]
+        assert len(first) == 10
         assert first == second
 
     def test_missing_file_is_startup_error(self, tmp_path):
         with pytest.raises(FileNotFoundError):
-            replay_archive(tmp_path / "nope.jsonl")
+            list(posts_from_archive(tmp_path / "nope.jsonl"))
 
     def test_bad_speed_rejected(self, tmp_path):
         archive = tmp_path / "a.jsonl"
         archive.write_text("\n")
-        with pytest.raises(ValueError):
-            replay_archive(archive, speed=0)
+        for speed in (0, -2, "abc", float("nan")):
+            with pytest.raises(ValueError):
+                list(posts_from_archive(archive, speed=speed))
 
     def test_emitted_count_matches_offline_parse_oracle(self, tmp_path):
         corpus = generate_synthetic(
@@ -127,8 +130,24 @@ class TestReplayArchive:
             for line in f:
                 if isinstance(parse_post(line.rstrip(b"\n")), Post):
                     oracle += 1
-        source = replay_archive(corpus.archive_path, speed="max")
-        assert sum(1 for _ in source) == oracle == corpus.post_count
+        assert sum(1 for _ in posts_from_archive(corpus.archive_path)) == oracle == corpus.post_count
+
+    def test_pacing_sleeps_event_gap_over_speed(self, tmp_path, monkeypatch):
+        archive = tmp_path / "a.jsonl"
+        archive.write_text(
+            "\n".join(
+                json.dumps({"created_at": f"2020-03-01T00:00:{10 * i:02d}Z", "id": i, "text": "x"})
+                for i in range(4)
+            )
+            + "\n"
+        )
+        sleeps: list[float] = []
+        monkeypatch.setattr(archive_module.time, "sleep", sleeps.append)
+        assert len(list(posts_from_archive(archive, speed=2))) == 4
+        assert sleeps == [5.0, 5.0, 5.0]
+        sleeps.clear()
+        assert len(list(posts_from_archive(archive, speed="max"))) == 4
+        assert sleeps == []
 
 
 class TestSyntheticGenerator:
