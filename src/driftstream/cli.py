@@ -83,6 +83,11 @@ def _cmd_synth(args: argparse.Namespace) -> int:
 
 
 def _cmd_replay(args: argparse.Namespace) -> int:
+    try:
+        open(args.archive, "rb").close()  # before --out creates a log
+    except OSError as exc:
+        print(f"replay: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
     log = None
     if args.out:
         try:

@@ -6,10 +6,9 @@ arbitrary offset. Records are length-prefixed and checksummed; recovery
 truncates a torn tail (partial frame from a crash mid-append) back to the
 last valid record, so a replay never surfaces a corrupt or partial record.
 
-Layout: one directory per log. Segments are ``{base_offset:020d}.seg`` with
-a sidecar ``.idx`` holding one u64 frame position per record. The index is
-an optimization only; the segment scan is the source of truth and the last
-segment's index is rebuilt on open.
+Layout: one directory per log, holding only segments named
+``{base_offset:020d}.seg``. Opening the log scans every segment to rebuild
+the in-memory frame positions that replay seeks by; there is no index file.
 """
 
 from __future__ import annotations
@@ -24,9 +23,7 @@ from typing import Iterator
 from .records import StreamRecord
 
 FRAME_HEADER = struct.Struct("<II")  # body length, crc32(body)
-INDEX_ENTRY = struct.Struct("<Q")
 SEGMENT_SUFFIX = ".seg"
-INDEX_SUFFIX = ".idx"
 DEFAULT_SEGMENT_BYTES = 64 * 1024 * 1024
 
 
@@ -49,22 +46,19 @@ class DurableLog:
         self.sync = sync
         self.truncated_bytes = 0  # torn tail dropped during last recovery
         self._lock = threading.Lock()
-        # base offset -> (record count, [frame positions])
-        self._segments: dict[int, tuple[int, list[int]]] = {}
+        # base offset -> frame position of each record in that segment
+        self._segments: dict[int, list[int]] = {}
         self._recover()
         bases = sorted(self._segments)
         self._active_base = bases[-1] if bases else 0
         if not bases:
-            self._segments[0] = (0, [])
+            self._segments[0] = []
         self._writer = open(self._segment_path(self._active_base), "ab")
 
     # -- recovery ----------------------------------------------------------
 
     def _segment_path(self, base: int) -> Path:
         return self.path / f"{base:020d}{SEGMENT_SUFFIX}"
-
-    def _index_path(self, base: int) -> Path:
-        return self.path / f"{base:020d}{INDEX_SUFFIX}"
 
     def _recover(self) -> None:
         bases = sorted(
@@ -79,8 +73,7 @@ class DurableLog:
                     self.truncated_bytes = size - valid_end
                     with open(self._segment_path(base), "r+b") as f:
                         f.truncate(valid_end)
-                self._write_index(base, positions)
-            self._segments[base] = (len(positions), positions)
+            self._segments[base] = positions
 
     def _scan_segment(self, seg_path: Path) -> tuple[list[int], int]:
         """Frame positions of all valid records and the end of the valid prefix."""
@@ -102,16 +95,11 @@ class DurableLog:
             pos = body_end
         return positions, pos
 
-    def _write_index(self, base: int, positions: list[int]) -> None:
-        with open(self._index_path(base), "wb") as f:
-            for p in positions:
-                f.write(INDEX_ENTRY.pack(p))
-
     # -- append ------------------------------------------------------------
 
     @property
     def next_offset(self) -> int:
-        return sum(count for count, _ in self._segments.values())
+        return sum(len(positions) for positions in self._segments.values())
 
     def append(self, record: StreamRecord) -> int:
         """Append and make durable; the returned offset is the ack.
@@ -122,7 +110,7 @@ class DurableLog:
         body = record.to_bytes()
         frame = FRAME_HEADER.pack(len(body), zlib.crc32(body)) + body
         with self._lock:
-            if self._writer.tell() >= self.segment_bytes and self._segments[self._active_base][0] > 0:
+            if self._writer.tell() >= self.segment_bytes and self._segments[self._active_base]:
                 self._roll()
             position = self._writer.tell()
             try:
@@ -132,18 +120,15 @@ class DurableLog:
                     os.fsync(self._writer.fileno())
             except OSError as exc:
                 raise LogAppendError(f"append to {self.path} failed: {exc}") from exc
-            count, positions = self._segments[self._active_base]
+            positions = self._segments[self._active_base]
             positions.append(position)
-            self._segments[self._active_base] = (count + 1, positions)
-            with open(self._index_path(self._active_base), "ab") as idx:
-                idx.write(INDEX_ENTRY.pack(position))
-            return self._active_base + count
+            return self._active_base + len(positions) - 1
 
     def _roll(self) -> None:
         self._writer.close()
         new_base = self.next_offset
         self._active_base = new_base
-        self._segments[new_base] = (0, [])
+        self._segments[new_base] = []
         self._writer = open(self._segment_path(new_base), "ab")
 
     # -- replay ------------------------------------------------------------
@@ -153,7 +138,8 @@ class DurableLog:
         if offset < 0:
             raise ValueError(f"offset must be non-negative, got {offset}")
         for base in sorted(self._segments):
-            count, positions = self._segments[base]
+            positions = self._segments[base]
+            count = len(positions)
             if count == 0 or base + count <= offset:
                 continue
             start = max(offset - base, 0)

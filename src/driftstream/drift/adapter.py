@@ -1,10 +1,16 @@
-"""Stateful drift stage: sliding-window scoring plus promotion on each slide.
+"""Stateful drift stage: one sliding window for promotion and piggyback.
 
-Posts are observed into slide-sized buckets; whenever event time crosses a
-slide boundary, the buckets spanning the scoring window are merged, scored
-and promotion runs. Promoted entries land in the shared KeywordSet
-immediately, so the ingest filter picks them up for subsequent records —
-propagation within one slide interval.
+Posts are observed into slide-sized buckets, each post counted once against
+both pair sides (topic seeds and misinformation tags). Whenever event time
+crosses a slide boundary, the buckets spanning the scoring window are
+merged, scored and promotion runs. Promoted entries land in the shared
+KeywordSet immediately, so the ingest filter picks them up for subsequent
+records — propagation within one slide interval. The closed slide's
+trending terms are then checked for riding the misinformation vocabulary.
+
+Piggyback sees only slides that held posts: its window and its trending
+history skip the empty slides of a gap, which promotion's window keeps. The
+final flush evaluates promotion only.
 """
 
 from __future__ import annotations
@@ -15,8 +21,10 @@ from typing import Optional
 
 from ..enrich.model import EnrichedPost
 from ..keywords import KeywordSet
+from ..misinfo.keywords import MisinfoKeywordSet
 from .cooccurrence import CooccurrenceStats, observe_post
 from .promotion import PromotionPolicy, promote_keywords
+from .trending import detect_trending
 
 
 @dataclass
@@ -43,6 +51,9 @@ class _Bucket:
 
 
 class DriftAdapter:
+    """``policy=None`` counts and detects piggyback but never promotes;
+    ``misinfo=None`` skips piggyback detection."""
+
     def __init__(
         self,
         keywords: KeywordSet,
@@ -51,55 +62,70 @@ class DriftAdapter:
         slide: float = 600.0,
         tracked_phrases: tuple[str, ...] = (),
         trending_history: int = 6,
+        misinfo: Optional[MisinfoKeywordSet] = None,
+        trending_k: int = 10,
+        piggyback_threshold: float = 0.7,
     ):
         if slide <= 0 or window_length <= 0:
             raise ValueError("window_length and slide must be positive")
         if window_length % slide != 0:
             raise ValueError("window_length must be a multiple of slide")
         self.keywords = keywords
-        self.policy = policy or PromotionPolicy()
+        self.policy = policy
         self.window_length = window_length
         self.slide = slide
         self.tracked_phrases = tracked_phrases
-        self.buckets_per_window = int(window_length // slide)
-        self._buckets: deque[_Bucket] = deque()
+        self.misinfo = misinfo
+        self.trending_k = trending_k
+        self.piggyback_threshold = piggyback_threshold
+        buckets_per_window = int(window_length // slide)
+        self._buckets: deque[_Bucket] = deque(maxlen=buckets_per_window)
+        self._piggyback_buckets: deque[_Bucket] = deque(maxlen=buckets_per_window)
+        self._trending_history: deque[Counter] = deque(maxlen=trending_history)
         self._current: Optional[_Bucket] = None
         self.audit: list[PromotionEvent] = []
-        self.window_history: deque[Counter] = deque(maxlen=trending_history)
+        self.piggyback: list[dict] = []  # {"window_end", "candidates"} per flagged slide
 
-    def _bucket_index(self, event_time: float) -> int:
-        return int(event_time // self.slide)
+    def _new_bucket(self, index: int) -> _Bucket:
+        return _Bucket(index, CooccurrenceStats(self.window_length, self.tracked_phrases))
 
     def observe(self, enriched: EnrichedPost) -> list[PromotionEvent]:
         """Observe one post; returns promotions triggered by a slide rollover."""
-        index = self._bucket_index(enriched.post.created_at)
+        index = int(enriched.post.created_at // self.slide)
         events: list[PromotionEvent] = []
         if self._current is None:
-            self._current = _Bucket(index, CooccurrenceStats(self.window_length, self.tracked_phrases))
+            self._current = self._new_bucket(index)
         elif index > self._current.index:
             events = self._advance_to(index)
         observe_post(self._current.stats, enriched, self.keywords)
         return events
 
     def _advance_to(self, index: int) -> list[PromotionEvent]:
+        """Close every slide before ``index``, the empty ones of a gap included."""
         events: list[PromotionEvent] = []
-        while self._current is not None and self._current.index < index:
-            closed = self._current
-            self._buckets.append(closed)
-            self.window_history.append(Counter(closed.stats.term_counts))
-            while len(self._buckets) > self.buckets_per_window:
-                self._buckets.popleft()
+        while self._current.index < index:
+            closed = self._close_current()
             events.extend(self._evaluate(closed.index))
-            next_index = closed.index + 1
-            self._current = _Bucket(
-                next_index, CooccurrenceStats(self.window_length, self.tracked_phrases)
-            )
+            if closed.stats.total_posts:
+                self._detect_piggyback(closed)
         return events
 
-    def _evaluate(self, closed_index: int) -> list[PromotionEvent]:
+    def _close_current(self) -> _Bucket:
+        closed = self._current
+        self._buckets.append(closed)
+        self._current = self._new_bucket(closed.index + 1)
+        return closed
+
+    def _merged(self, buckets: deque[_Bucket]) -> CooccurrenceStats:
         merged = CooccurrenceStats(self.window_length, self.tracked_phrases)
-        for bucket in self._buckets:
+        for bucket in buckets:
             merged.merge(bucket.stats)
+        return merged
+
+    def _evaluate(self, closed_index: int) -> list[PromotionEvent]:
+        if self.policy is None:
+            return []
+        merged = self._merged(self._buckets)
         window_end = (closed_index + 1) * self.slide
         window_start = window_end - self.window_length
         now = window_end
@@ -117,8 +143,25 @@ class DriftAdapter:
         self.audit.extend(events)
         return events
 
+    def _detect_piggyback(self, closed: _Bucket) -> None:
+        # misinfo.piggyback imports this package, so it is bound on use
+        from ..misinfo.piggyback import detect_piggyback
+
+        self._piggyback_buckets.append(closed)
+        self._trending_history.append(closed.stats.term_counts)
+        if self.misinfo is None or len(self._trending_history) < 2:
+            return
+        trending = detect_trending(list(self._trending_history), self.trending_k)
+        merged = self._merged(self._piggyback_buckets)
+        candidates = detect_piggyback(
+            trending, self.misinfo, merged.misinfo_side(), threshold=self.piggyback_threshold
+        )
+        if candidates:
+            window_end = (closed.index + 1) * self.slide
+            self.piggyback.append({"window_end": window_end, "candidates": sorted(candidates)})
+
     def flush(self) -> list[PromotionEvent]:
-        """Close the open bucket at stream end and run a final evaluation."""
+        """Close the open bucket at stream end and run a final promotion."""
         if self._current is None:
             return []
-        return self._advance_to(self._current.index + 1)
+        return self._evaluate(self._close_current().index)

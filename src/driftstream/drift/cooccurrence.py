@@ -1,9 +1,11 @@
-"""Co-occurrence counting between candidate terms and the seed keywords.
+"""Co-occurrence counting between candidate terms and two pair sides.
 
 New vocabulary (a drifting topic, an emerging rumor) tends to appear first
 alongside the original topic keywords and only later on its own. These
 windowed counts capture that association so candidates can be scored and
-promoted while the association is still strong.
+promoted while the association is still strong. The same pass also pairs
+each term with the post's misinformation tags, the side piggyback detection
+scores against.
 
 Pair counts are taken against the original seed entries only: a term
 already promoted does not count toward its own seed side, otherwise
@@ -30,22 +32,32 @@ class CooccurrenceStats:
     pair_counts: Counter = field(default_factory=Counter)  # n(t, seeds)
     total_posts: int = 0  # N
     seed_posts: int = 0  # n(seeds)
+    misinfo_pair_counts: Counter = field(default_factory=Counter)  # n(t, misinfo)
+    misinfo_posts: int = 0  # n(misinfo): posts carrying a misinformation term
 
     def merge(self, other: "CooccurrenceStats") -> None:
         self.term_counts.update(other.term_counts)
         self.pair_counts.update(other.pair_counts)
+        self.misinfo_pair_counts.update(other.misinfo_pair_counts)
         self.total_posts += other.total_posts
         self.seed_posts += other.seed_posts
+        self.misinfo_posts += other.misinfo_posts
 
-    def reset(self) -> None:
-        self.term_counts.clear()
-        self.pair_counts.clear()
-        self.total_posts = 0
-        self.seed_posts = 0
+    def misinfo_side(self) -> "CooccurrenceStats":
+        """A view that pairs terms with misinformation posts instead of seeds."""
+        return CooccurrenceStats(
+            self.window_length,
+            self.tracked_phrases,
+            term_counts=self.term_counts,
+            pair_counts=self.misinfo_pair_counts,
+            total_posts=self.total_posts,
+            seed_posts=self.misinfo_posts,
+        )
 
 
 def observe_post(stats: CooccurrenceStats, enriched: EnrichedPost, seeds: KeywordSet) -> None:
-    """Count one post's candidate terms, pairing them with seed matches.
+    """Count one post's candidate terms, pairing them with seed matches and
+    with the post's misinformation tags.
 
     Each distinct term counts once per post (document frequency), which is
     what the association scores expect.
@@ -63,13 +75,17 @@ def observe_post(stats: CooccurrenceStats, enriched: EnrichedPost, seeds: Keywor
             seed_matched = True
             break
 
+    tagged = bool(enriched.misinfo_terms)
+
     stats.total_posts += 1
-    if seed_matched:
-        stats.seed_posts += 1
+    stats.seed_posts += seed_matched
+    stats.misinfo_posts += tagged
     for term in candidates:
         stats.term_counts[term] += 1
         if seed_matched:
             stats.pair_counts[term] += 1
+        if tagged:
+            stats.misinfo_pair_counts[term] += 1
 
 
 def score_candidate(stats: CooccurrenceStats, term: str, scorer: str = "pmi") -> float:

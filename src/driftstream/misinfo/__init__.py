@@ -4,7 +4,7 @@ from .keywords import (
     extract_misinfo_terms,
     refresh_misinfo_keywords,
 )
-from .piggyback import detect_piggyback, observe_misinfo_cooccurrence
+from .piggyback import detect_piggyback
 from .tagging import (
     AuthoritativeSourceList,
     WindowTagReport,
@@ -19,7 +19,6 @@ __all__ = [
     "WindowTagReport",
     "detect_piggyback",
     "extract_misinfo_terms",
-    "observe_misinfo_cooccurrence",
     "refresh_misinfo_keywords",
     "tag_authoritative",
     "tag_misinformation_window",

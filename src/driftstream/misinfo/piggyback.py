@@ -4,6 +4,10 @@ New rumor campaigns often attach themselves to terms already circulating.
 A trending term that co-occurs strongly with the known misinformation
 vocabulary is a candidate — surfaced for review, never auto-promoted,
 because a feedback loop in this set is worse than a missed term.
+
+The counts come from the drift stage's slide window
+(``CooccurrenceStats.misinfo_side``), which also runs this rule on each
+slide close.
 """
 
 from __future__ import annotations
@@ -11,33 +15,9 @@ from __future__ import annotations
 from typing import Sequence
 
 from ..drift.cooccurrence import CooccurrenceStats, score_candidate
-from ..enrich.model import EnrichedPost
-from ..keywords import tokenize
 from .keywords import MisinfoKeywordSet
 
 DEFAULT_PIGGYBACK_THRESHOLD = 0.7
-
-
-def observe_misinfo_cooccurrence(stats: CooccurrenceStats, enriched: EnrichedPost) -> None:
-    """Count candidate terms against misinformation-tagged posts.
-
-    The "seed side" here is whether the post carried any known
-    misinformation term, so score_candidate measures association with the
-    misinformation vocabulary instead of the topic seeds.
-    """
-    text = enriched.post.text
-    candidates = set(tokenize(text))
-    if stats.tracked_phrases:
-        lowered = text.lower()
-        candidates.update(p for p in stats.tracked_phrases if p in lowered)
-    tagged = bool(enriched.misinfo_terms)
-    stats.total_posts += 1
-    if tagged:
-        stats.seed_posts += 1
-    for term in candidates:
-        stats.term_counts[term] += 1
-        if tagged:
-            stats.pair_counts[term] += 1
 
 
 def detect_piggyback(
@@ -47,7 +27,10 @@ def detect_piggyback(
     threshold: float = DEFAULT_PIGGYBACK_THRESHOLD,
     scorer: str = "pmi",
 ) -> list[str]:
-    """Trending terms whose misinfo co-occurrence clears the threshold."""
+    """Trending terms whose misinfo co-occurrence clears the threshold.
+
+    ``stats`` pairs terms with misinformation-tagged posts on its seed side.
+    """
     if not len(keyword_set):
         return []
     candidates = []

@@ -104,12 +104,6 @@ def _get(data: dict, key: str, default):
     return default if value is None else value
 
 
-def _minutes(data: dict, key: str, default_seconds: float) -> float:
-    if key in data and data[key] is not None:
-        return float(data[key]) * MINUTE
-    return default_seconds
-
-
 def parse_config(data: dict, base_dir: Optional[Path] = None) -> PipelineConfig:
     """Build and validate a PipelineConfig from parsed file data."""
     errors: list[str] = []
@@ -120,6 +114,16 @@ def parse_config(data: dict, base_dir: Optional[Path] = None) -> PipelineConfig:
             return None
         path = Path(p)
         return str(path if path.is_absolute() else base / path)
+
+    def number(section: dict, name: str, default, convert=float):
+        """``convert`` of the field ``name`` (``default`` when unset); a value
+        that does not convert is reported by name and ``default`` stands in."""
+        value = _get(section, name.rpartition(".")[2], default)
+        try:
+            return convert(value)
+        except (TypeError, ValueError):
+            errors.append(f"{name}: must be a number, got {value!r}")
+            return default
 
     env = os.environ
     seed = env.get("DRIFTSTREAM_SEED", data.get("seed"))
@@ -154,7 +158,7 @@ def parse_config(data: dict, base_dir: Optional[Path] = None) -> PipelineConfig:
         seeds=tuple(_get(kw, "seeds", list(DEFAULT_SEED_KEYWORDS))),
         match_mode=_get(kw, "match_mode", "substring"),
         tracked_phrases=tuple(_get(kw, "tracked_phrases", [])),
-        retweet_ttl=float(_get(kw, "retweet_ttl_hours", 24)) * HOUR,
+        retweet_ttl=number(kw, "keywords.retweet_ttl_hours", 24) * HOUR,
     )
     if keywords.match_mode not in ("substring", "token"):
         errors.append(f"keywords.match_mode: must be substring or token, got {keywords.match_mode!r}")
@@ -164,12 +168,12 @@ def parse_config(data: dict, base_dir: Optional[Path] = None) -> PipelineConfig:
     dr = data.get("drift", {}) or {}
     drift = DriftConfig(
         enabled=bool(_get(dr, "enabled", True)),
-        window=_minutes(dr, "window_minutes", 60 * MINUTE),
-        slide=_minutes(dr, "slide_minutes", 10 * MINUTE),
-        min_count=int(_get(dr, "min_count", 25)),
-        min_score=float(_get(dr, "min_score", 0.7)),
+        window=number(dr, "drift.window_minutes", 60) * MINUTE,
+        slide=number(dr, "drift.slide_minutes", 10) * MINUTE,
+        min_count=number(dr, "drift.min_count", 25, int),
+        min_score=number(dr, "drift.min_score", 0.7),
         scorer=_get(dr, "scorer", "pmi"),
-        trending_k=int(_get(dr, "trending_k", 10)),
+        trending_k=number(dr, "drift.trending_k", 10, int),
     )
     if drift.scorer not in ("pmi", "jaccard"):
         errors.append(f"drift.scorer: must be pmi or jaccard, got {drift.scorer!r}")
@@ -186,7 +190,7 @@ def parse_config(data: dict, base_dir: Optional[Path] = None) -> PipelineConfig:
         gazetteer_file=resolve(en.get("gazetteer_file")),
         sentiment_lexicon_file=resolve(en.get("sentiment_lexicon_file")),
         group_lexicons_file=resolve(en.get("group_lexicons_file")),
-        location_cache_ttl=float(_get(en, "location_cache_ttl_days", 7)) * DAY,
+        location_cache_ttl=number(en, "enrichment.location_cache_ttl_days", 7) * DAY,
     )
     for name in ("gazetteer_file", "sentiment_lexicon_file", "group_lexicons_file"):
         path = getattr(enrichment, name)
@@ -199,9 +203,9 @@ def parse_config(data: dict, base_dir: Optional[Path] = None) -> PipelineConfig:
         sources=tuple(
             {**src, "path": resolve(src.get("path"))} for src in _get(mi, "sources", [])
         ),
-        refresh_interval=_minutes(mi, "refresh_interval_minutes", 60 * MINUTE),
-        window=float(_get(mi, "window_seconds", 60)),
-        piggyback_threshold=float(_get(mi, "piggyback_threshold", 0.7)),
+        refresh_interval=number(mi, "misinfo.refresh_interval_minutes", 60) * MINUTE,
+        window=number(mi, "misinfo.window_seconds", 60),
+        piggyback_threshold=number(mi, "misinfo.piggyback_threshold", 0.7),
         tombstones=tuple(_get(mi, "tombstones", [])),
     )
     if misinfo.window <= 0:
@@ -214,10 +218,10 @@ def parse_config(data: dict, base_dir: Optional[Path] = None) -> PipelineConfig:
 
     cl = data.get("clusters", {}) or {}
     clusters = ClusterConfig(
-        window=_minutes(cl, "window_minutes", 60 * MINUTE),
-        min_size=int(_get(cl, "min_size", 3)),
-        lag_tolerance=float(_get(cl, "lag_tolerance_days", 14)) * DAY,
-        eta=float(_get(cl, "eta", 0.5)),
+        window=number(cl, "clusters.window_minutes", 60) * MINUTE,
+        min_size=number(cl, "clusters.min_size", 3, int),
+        lag_tolerance=number(cl, "clusters.lag_tolerance_days", 14) * DAY,
+        eta=number(cl, "clusters.eta", 0.5),
     )
     if clusters.min_size < 1:
         errors.append("clusters.min_size: must be >= 1")
@@ -243,7 +247,9 @@ def parse_config(data: dict, base_dir: Optional[Path] = None) -> PipelineConfig:
             errors.append(f"until: {exc}")
             until = None
     elif until is not None:
-        until = float(until)
+        until = number(data, "until", None)
+
+    max_lag_days = number(data, "max_lag_days", 21, int)
 
     if errors:
         raise ConfigError(errors)
@@ -262,7 +268,7 @@ def parse_config(data: dict, base_dir: Optional[Path] = None) -> PipelineConfig:
         authoritative=authoritative,
         evidence_feed=evidence_feed,
         case_feed=case_feed,
-        max_lag_days=int(_get(data, "max_lag_days", 21)),
+        max_lag_days=max_lag_days,
     )
 
 

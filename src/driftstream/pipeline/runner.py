@@ -8,9 +8,11 @@ event time; no wall-clock value ever reaches an output file.
 
 Dataflow per record: parse -> clean/relevance -> locations -> sentiment ->
 topic groups -> authoritative tag -> minute-window misinformation tagging.
-Tagged windows then feed drift adaptation, piggyback detection, cluster
-formation, and the analytics counters. Evidence is applied after stream
-exhaustion, in arrival order, with retroactive correction.
+Tagged windows then feed the drift stage, cluster formation and the
+analytics counters. The drift stage owns the one slide window: it counts
+each post once and, on every slide close, runs keyword promotion and then
+piggyback detection. Evidence is applied after stream exhaustion, in
+arrival order, with retroactive correction.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from __future__ import annotations
 import csv
 import json
 import time
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
@@ -30,9 +32,7 @@ from ..corroboration.clusters import cluster_features, form_clusters
 from ..corroboration.evidence import ClusterStore, MatchRule, load_evidence_feed
 from ..corroboration.team import default_team
 from ..drift.adapter import DriftAdapter
-from ..drift.cooccurrence import CooccurrenceStats
 from ..drift.promotion import PromotionPolicy
-from ..drift.trending import detect_trending
 from ..enrich.clean import clean_post
 from ..enrich.locations import (
     Gazetteer,
@@ -46,7 +46,6 @@ from ..enrich.sentiment import DEFAULT_SENTIMENT_LEXICON, load_sentiment_lexicon
 from ..enrich.topics import DEFAULT_GROUP_LEXICONS, assign_topic_groups, load_group_lexicons
 from ..keywords import KeywordSet
 from ..misinfo.keywords import MisinfoKeywordSet, refresh_misinfo_keywords
-from ..misinfo.piggyback import detect_piggyback, observe_misinfo_cooccurrence
 from ..misinfo.tagging import AuthoritativeSourceList, tag_authoritative, tag_misinformation_window
 from ..sources.archive import posts_from_archive
 from ..sources.posts import Post
@@ -78,6 +77,17 @@ class _DayKeyCache:
         return hit
 
 
+def _pop_ready(
+    buffers: dict[float, list[EnrichedPost]], length: float, upto: Optional[float]
+) -> list[list[EnrichedPost]]:
+    """Remove the buffered windows that end by ``upto`` (all of them when
+    ``upto`` is None) and return their posts, oldest window first."""
+    if not buffers:
+        return []
+    ready = sorted(start for start in buffers if upto is None or start + length <= upto)
+    return [buffers.pop(start) for start in ready]
+
+
 class PipelineRunner:
     def __init__(self, config: PipelineConfig):
         self.config = config
@@ -86,23 +96,24 @@ class PipelineRunner:
         self.keywords = KeywordSet(
             seeds=config.keywords.seeds, match_mode=config.keywords.match_mode
         )
-        self.drift = (
-            DriftAdapter(
-                self.keywords,
-                policy=PromotionPolicy(
-                    min_count=config.drift.min_count,
-                    min_score=config.drift.min_score,
-                    scorer=config.drift.scorer,
-                ),
-                window_length=config.drift.window,
-                slide=config.drift.slide,
-                tracked_phrases=config.keywords.tracked_phrases,
-            )
-            if config.drift.enabled
-            else None
-        )
         self.misinfo_set = MisinfoKeywordSet(
             seeds=config.misinfo.seeds, tombstones=config.misinfo.tombstones
+        )
+        self.drift = DriftAdapter(
+            self.keywords,
+            policy=PromotionPolicy(
+                min_count=config.drift.min_count,
+                min_score=config.drift.min_score,
+                scorer=config.drift.scorer,
+            )
+            if config.drift.enabled
+            else None,
+            window_length=config.drift.window,
+            slide=config.drift.slide,
+            tracked_phrases=config.keywords.tracked_phrases,
+            misinfo=self.misinfo_set,
+            trending_k=config.drift.trending_k,
+            piggyback_threshold=config.misinfo.piggyback_threshold,
         )
         self.authoritative = AuthoritativeSourceList(config.authoritative)
         gaz_names = list(config.enrichment.gazetteer)
@@ -135,14 +146,9 @@ class PipelineRunner:
         self._cluster_buffers: dict[float, list[EnrichedPost]] = {}
         self._watermark: Optional[float] = None
         self._next_refresh: Optional[float] = None
-        self._pb_slide_index: Optional[int] = None
-        self._pb_stats: deque = deque(maxlen=int(config.drift.window // config.drift.slide))
-        self._pb_current: Optional[CooccurrenceStats] = None
-        self._pb_history: deque[Counter] = deque(maxlen=6)
 
         # outputs
         self.window_rows: list[tuple] = []
-        self.piggyback_rows: list[dict] = []
         self.counters: Counter = Counter()
         self.rejections: Counter = Counter()
         self._day_cache = _DayKeyCache()
@@ -203,16 +209,8 @@ class PipelineRunner:
     # -- windowed stages --------------------------------------------------------
 
     def _flush_minute_windows(self, upto: Optional[float]) -> None:
-        if not self._minute_buffers:
-            return
         length = self.config.misinfo.window
-        ready = sorted(
-            start
-            for start in self._minute_buffers
-            if upto is None or start + length <= upto
-        )
-        for start in ready:
-            posts = self._minute_buffers.pop(start)
+        for posts in _pop_ready(self._minute_buffers, length, upto):
             tagged_posts, report = tag_misinformation_window(
                 posts, self.misinfo_set, window_length=length
             )
@@ -230,10 +228,7 @@ class PipelineRunner:
 
     def _route_tagged(self, enriched: EnrichedPost) -> None:
         created = enriched.post.created_at
-        if self.drift is not None:
-            promotions = self.drift.observe(enriched)
-            self.counters["promoted_terms"] += len(promotions)
-        self._observe_piggyback(enriched)
+        self.counters["promoted_terms"] += len(self.drift.observe(enriched))
 
         if enriched.relevance and enriched.locations and not enriched.misinfo_terms:
             cluster_start = (
@@ -253,56 +248,9 @@ class PipelineRunner:
             for location in enriched.locations:
                 self.social_day_counts.setdefault(location, Counter())[day_epoch] += 1
 
-    def _observe_piggyback(self, enriched: EnrichedPost) -> None:
-        slide = self.config.drift.slide
-        index = int(enriched.post.created_at // slide)
-        if self._pb_current is None:
-            self._pb_slide_index = index
-            self._pb_current = CooccurrenceStats(
-                self.config.drift.window, self.config.keywords.tracked_phrases
-            )
-        elif index > self._pb_slide_index:
-            self._roll_piggyback()
-            self._pb_slide_index = index
-            self._pb_current = CooccurrenceStats(
-                self.config.drift.window, self.config.keywords.tracked_phrases
-            )
-        observe_misinfo_cooccurrence(self._pb_current, enriched)
-
-    def _roll_piggyback(self) -> None:
-        closed = self._pb_current
-        closed_index = self._pb_slide_index
-        self._pb_stats.append(closed)
-        self._pb_history.append(Counter(closed.term_counts))
-        if len(self._pb_history) < 2:
-            return
-        merged = CooccurrenceStats(self.config.drift.window)
-        for stats in self._pb_stats:
-            merged.merge(stats)
-        trending = detect_trending(list(self._pb_history), self.config.drift.trending_k)
-        candidates = detect_piggyback(
-            trending,
-            self.misinfo_set,
-            merged,
-            threshold=self.config.misinfo.piggyback_threshold,
-        )
-        if candidates:
-            window_end = (closed_index + 1) * self.config.drift.slide
-            self.piggyback_rows.append(
-                {"window_end": window_end, "candidates": sorted(candidates)}
-            )
-
     def _flush_cluster_windows(self, upto: Optional[float]) -> None:
-        if not self._cluster_buffers:
-            return
         length = self.config.clusters.window
-        ready = sorted(
-            start
-            for start in self._cluster_buffers
-            if upto is None or start + length <= upto
-        )
-        for start in ready:
-            posts = self._cluster_buffers.pop(start)
+        for posts in _pop_ready(self._cluster_buffers, length, upto):
             clusters = form_clusters(
                 posts,
                 window_length=length,
@@ -334,9 +282,7 @@ class PipelineRunner:
 
         # end of stream: close everything still buffered
         self._flush_minute_windows(upto=None)
-        if self.drift is not None:
-            promotions = self.drift.flush()
-            self.counters["promoted_terms"] += len(promotions)
+        self.counters["promoted_terms"] += len(self.drift.flush())
         self._flush_cluster_windows(upto=None)
 
         if config.evidence_feed:
@@ -389,14 +335,13 @@ class PipelineRunner:
 
         audit_path = out / "keywords.jsonl"
         with open(audit_path, "w", encoding="utf-8") as f:
-            if self.drift is not None:
-                for event in self.drift.audit:
-                    f.write(json.dumps(event.to_json_obj(), sort_keys=True) + "\n")
+            for event in self.drift.audit:
+                f.write(json.dumps(event.to_json_obj(), sort_keys=True) + "\n")
         paths.append(audit_path)
 
         piggyback_path = out / "piggyback.jsonl"
         with open(piggyback_path, "w", encoding="utf-8") as f:
-            for row in self.piggyback_rows:
+            for row in self.drift.piggyback:
                 f.write(json.dumps(row, sort_keys=True) + "\n")
         paths.append(piggyback_path)
 

@@ -17,6 +17,7 @@ from driftstream.drift.cooccurrence import (
 from driftstream.drift.promotion import PromotionPolicy, promote_keywords
 from driftstream.drift.trending import detect_trending, rising_ratios
 from driftstream.keywords import KeywordEntry, KeywordSet, match_keywords
+from driftstream.misinfo.keywords import MisinfoKeywordSet
 
 from conftest import make_enriched
 
@@ -339,6 +340,43 @@ class TestDriftAdapter:
             solo_stats, PromotionPolicy(min_count=25, min_score=0.7), keywords, now=1.0
         )
         assert keywords.entries["facemask"].active is True
+
+    def test_piggyback_skips_empty_slides_and_the_final_flush(self):
+        keywords = KeywordSet(seeds=("pandemic",))
+        adapter = DriftAdapter(keywords, None, 1200.0, 600.0, misinfo=MisinfoKeywordSet())
+
+        def post(i, t, rumor=False):
+            text = "miraclecure plandemic" if rumor else "weather coffee"
+            return make_enriched(post_id=i, text=text, created_at=t, relevance=False,
+                                 misinfo_terms={"plandemic"} if rumor else set())
+
+        for i in range(6):
+            adapter.observe(post(i, float(i)))  # slide 0
+        for i in range(3):  # slide 4, after three empty slides
+            adapter.observe(post(10 + i, 2400.0 + i, rumor=True))
+            adapter.observe(post(20 + i, 2410.0 + i))
+        assert adapter.piggyback == []
+        adapter.observe(post(30, 3000.0))  # opens slide 5
+        # window = slides 0 and 4: N=12, n(misinfo)=n(t)=n(t, misinfo)=3 -> lift 4,
+        # score 0.8; counting the empty slides instead would leave N=6, score 0.67
+        assert adapter.piggyback == [{"window_end": 3000.0, "candidates": ["miraclecure"]}]
+        adapter.observe(post(31, 3001.0))
+        adapter.flush()  # slides 4-5 would score 0.73, but flush runs promotion only
+        assert len(adapter.piggyback) == 1
+        assert adapter.audit == []  # no policy, no promotion
+
+    def test_misinfo_package_imports_on_its_own(self):
+        # misinfo.piggyback imports drift, whose adapter runs piggyback detection
+        import os
+        import subprocess
+        import sys
+
+        import driftstream
+
+        src = os.path.dirname(os.path.dirname(driftstream.__file__))
+        env = {**os.environ, "PYTHONPATH": src}
+        for module in ("driftstream.misinfo", "driftstream.misinfo.piggyback", "driftstream.drift"):
+            subprocess.run([sys.executable, "-c", f"import {module}"], env=env, check=True)
 
     def test_audit_records_promotions(self):
         keywords = KeywordSet(seeds=("pandemic",))

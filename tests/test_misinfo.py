@@ -7,13 +7,14 @@ from collections import Counter
 
 import pytest
 
-from driftstream.drift.cooccurrence import CooccurrenceStats
+from driftstream.drift.cooccurrence import CooccurrenceStats, observe_post
+from driftstream.keywords import KeywordSet
 from driftstream.misinfo.keywords import (
     MisinfoKeywordSet,
     extract_misinfo_terms,
     refresh_misinfo_keywords,
 )
-from driftstream.misinfo.piggyback import detect_piggyback, observe_misinfo_cooccurrence
+from driftstream.misinfo.piggyback import detect_piggyback
 from driftstream.misinfo.tagging import (
     AuthoritativeSourceList,
     tag_authoritative,
@@ -220,8 +221,8 @@ class TestPiggyback:
     def _stats(self, posts):
         stats = CooccurrenceStats()
         for post in posts:
-            observe_misinfo_cooccurrence(stats, post)
-        return stats
+            observe_post(stats, post, KeywordSet())
+        return stats.misinfo_side()
 
     def test_co_trending_term_detected(self):
         keyword_set = MisinfoKeywordSet()  # bioweapon, plandemic

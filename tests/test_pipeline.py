@@ -73,6 +73,43 @@ class TestConfigValidation:
         fields = {e.split(":")[0] for e in err.value.errors}
         assert {"seed", "archive", "drift.scorer", "clusters.min_size"} <= fields
 
+    def test_non_numeric_fields_named_with_exit_2(self, tmp_path, capsys):
+        corpus = _fixture_corpus(tmp_path, minutes=5, rate=20)
+        data = _base_config(
+            tmp_path,
+            corpus,
+            keywords={"retweet_ttl_hours": "abc"},
+            drift={"min_count": "abc", "window_minutes": "x", "trending_k": "2.5"},
+            enrichment={"gazetteer": GAZETTEER, "location_cache_ttl_days": [7]},
+            misinfo={"window_seconds": "q", "piggyback_threshold": "high"},
+            clusters={"eta": "abc", "min_size": {"n": 3}},
+            until=[1],
+            max_lag_days="many",
+        )
+        with pytest.raises(ConfigError) as err:
+            parse_config(data)
+        assert sorted(e.split(":")[0] for e in err.value.errors) == [
+            "clusters.eta",
+            "clusters.min_size",
+            "drift.min_count",
+            "drift.trending_k",
+            "drift.window_minutes",
+            "enrichment.location_cache_ttl_days",
+            "keywords.retweet_ttl_hours",
+            "max_lag_days",
+            "misinfo.piggyback_threshold",
+            "misinfo.window_seconds",
+            "until",
+        ]
+        assert "drift.min_count: must be a number, got 'abc'" in err.value.errors
+
+        path = tmp_path / "bad.yaml"
+        path.write_text(yaml.safe_dump(data))
+        assert main(["run", "--config", str(path)]) == 2
+        stderr = capsys.readouterr().err
+        assert "misinfo.window_seconds: must be a number, got 'q'" in stderr
+        assert "keywords.retweet_ttl_hours" in stderr
+
     def test_legacy_topology_key_ignored(self, tmp_path):
         corpus = _fixture_corpus(tmp_path, minutes=5, rate=20)
         data = _base_config(tmp_path, corpus, topology=[{"name": "x", "kind": "quantum"}])
@@ -265,6 +302,110 @@ class TestRunnerIntegration:
         assert first["undefined_reason"] == "insufficient_overlap"
 
 
+# (10-minute slide, posts, text) of the piggyback archive. Slides 2-3 and 6-7
+# are empty; the misinfo-seed posts carry new terms and a tracked phrase.
+PIGGYBACK_SLIDES = [
+    (0, 8, "coronavirus update weather news"),
+    (0, 2, "plandemic truth coronavirus"),
+    (1, 8, "coronavirus update weather news"),
+    (1, 2, "plandemic truth coronavirus"),
+    (4, 6, "coronavirus update weather news"),
+    (4, 4, "plandemic miraclecure, stay home now"),
+    (5, 6, "covid lockdown weather"),
+    (5, 3, "bioweapon miraclecure stay home"),
+    (8, 6, "coronavirus update news"),
+    (8, 4, "plandemic colloidal silver, stay home"),
+    (9, 5, "coronavirus weather lockdown"),
+    (9, 3, "bioweapon colloidal silver"),
+    (10, 6, "pandemic masks weather"),
+    (10, 3, "plandemic ivermectin stay home"),
+    (11, 6, "pandemic masks weather news"),
+    (11, 2, "plandemic ivermectin colloidal"),
+    (12, 3, "coronavirus weather"),
+]
+
+
+def _piggyback_archive(path):
+    """Write the piggyback archive: posts 20 s apart within each slide, plus
+    one post that arrives two minutes late across a slide boundary."""
+    lines = []
+    for slide in sorted({s for s, _, _ in PIGGYBACK_SLIDES}):
+        rows = [(n, text) for s, n, text in PIGGYBACK_SLIDES if s == slide]
+        t = T0 + 600 * slide + 5
+        for n, text in rows:
+            for _ in range(n):
+                lines.append({"created_at": t, "text": text})
+                t += 20
+    lines.insert(
+        next(i for i, row in enumerate(lines) if row["created_at"] >= T0 + 600 * 9 + 60),
+        {"created_at": T0 + 600 * 9 - 60, "text": "plandemic miraclecure late stay home"},
+    )
+    path.write_text(
+        "".join(
+            json.dumps(
+                {"id": i + 1, "created_at": format_timestamp(row["created_at"]),
+                 "text": row["text"], "lang": "en"}
+            )
+            + "\n"
+            for i, row in enumerate(lines)
+        )
+    )
+    return path
+
+
+def _piggyback_config(tmp_path, enabled):
+    return parse_config(
+        {
+            "seed": 1,
+            "archive": str(_piggyback_archive(tmp_path / "piggyback.jsonl")),
+            "out_dir": str(tmp_path / "reports"),
+            "keywords": {"tracked_phrases": ["stay home"]},
+            "drift": {"enabled": enabled, "min_count": 3, "window_minutes": 30, "slide_minutes": 10},
+        }
+    )
+
+
+class TestPiggybackOutput:
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_piggyback_jsonl_matches_golden(self, tmp_path, enabled):
+        from pathlib import Path
+
+        result = run_pipeline(_piggyback_config(tmp_path, enabled))
+        golden = Path(__file__).parent / "data" / "golden_piggyback.jsonl"
+        assert (result.out_dir / "piggyback.jsonl").read_bytes() == golden.read_bytes()
+        assert (result.summary["promoted_terms"] > 0) == enabled
+
+    def test_tokenize_runs_once_per_observed_post(self, tmp_path, monkeypatch):
+        import sys
+
+        import driftstream.keywords
+        from driftstream.drift.adapter import DriftAdapter
+
+        calls = {"tokenize": 0, "observe": 0}
+        original_tokenize = driftstream.keywords.tokenize
+        original_observe = DriftAdapter.observe
+
+        def tokenize(*args, **kwargs):
+            calls["tokenize"] += 1
+            return original_tokenize(*args, **kwargs)
+
+        def observe(self, enriched):
+            calls["observe"] += 1
+            return original_observe(self, enriched)
+
+        # bound by name in each module that uses it
+        for name, module in list(sys.modules.items()):
+            if name.startswith("driftstream") and getattr(module, "tokenize", None) is original_tokenize:
+                monkeypatch.setattr(module, "tokenize", tokenize)
+        monkeypatch.setattr(DriftAdapter, "observe", observe)
+
+        # no gazetteer, so no cluster forms and tokenizes on its own
+        result = run_pipeline(_piggyback_config(tmp_path, enabled=True))
+        assert result.summary["clusters"] == 0
+        assert calls["observe"] == result.summary["records_in"] > 0
+        assert calls["tokenize"] == calls["observe"]
+
+
 class TestCli:
     def test_synth_then_run_exit_zero(self, tmp_path, capsys):
         synth_config = tmp_path / "synth.yaml"
@@ -302,6 +443,9 @@ class TestCli:
 
     def test_replay_missing_archive_exits_2(self, tmp_path):
         assert main(["replay", "--archive", str(tmp_path / "ghost.jsonl")]) == 2
+        out = tmp_path / "log"
+        assert main(["replay", "--archive", str(tmp_path / "ghost.jsonl"), "--out", str(out)]) == 2
+        assert not out.exists()
 
     def test_report_missing_archive_exits_2(self, tmp_path):
         ghost = str(tmp_path / "ghost.jsonl")
