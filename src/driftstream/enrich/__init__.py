@@ -9,8 +9,18 @@ from .locations import (
     normalize_location,
 )
 from .model import TOPIC_GROUPS, EnrichedPost
-from .sentiment import DEFAULT_SENTIMENT_LEXICON, load_sentiment_lexicon, score_sentiment
-from .topics import DEFAULT_GROUP_LEXICONS, assign_topic_groups, load_group_lexicons
+from .sentiment import (
+    DEFAULT_SENTIMENT_LEXICON,
+    compile_sentiment_lexicon,
+    load_sentiment_lexicon,
+    score_sentiment,
+)
+from .topics import (
+    DEFAULT_GROUP_LEXICONS,
+    assign_topic_groups,
+    compile_group_lexicons,
+    load_group_lexicons,
+)
 
 __all__ = [
     "CaseReport",
@@ -23,6 +33,8 @@ __all__ = [
     "absorb_authoritative_locations",
     "assign_topic_groups",
     "clean_post",
+    "compile_group_lexicons",
+    "compile_sentiment_lexicon",
     "extract_locations",
     "load_case_reports",
     "load_group_lexicons",

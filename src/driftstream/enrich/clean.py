@@ -17,12 +17,15 @@ def clean_post(
     raw: Post,
     keywords: KeywordSet,
     recent_matches=None,
+    lowered: Optional[str] = None,
 ) -> Optional[EnrichedPost]:
-    """EnrichedPost shell with relevance tagged, or None for a discard."""
-    text = raw.text.strip()
-    if not text:
+    """EnrichedPost shell with relevance tagged, or None for a discard.
+
+    ``lowered`` is ``raw.text`` lowercased, when the caller already has it.
+    """
+    if not raw.text.strip():
         return None
-    matched = match_keywords(raw, keywords, recent_matches)
+    matched = match_keywords(raw, keywords, recent_matches, lowered)
     return EnrichedPost(
         post=raw,
         relevance=bool(matched),

@@ -30,19 +30,20 @@ def normalize_location(name: str) -> str:
 
 class Gazetteer:
     def __init__(self, names: Iterable[str] = (), region_codes: Optional[dict] = None):
-        self.names: set[str] = set()
+        unique: dict[str, None] = {}
         self.region_codes: dict[str, str] = {}
         codes = region_codes or {}
         for name in names:
             normalized = normalize_location(name)
             if not normalized:
                 raise ValueError("gazetteer names must be non-empty")
-            self.names.add(normalized)
+            unique[normalized] = None
             if name in codes:
                 self.region_codes[normalized] = codes[name]
+        self.names: tuple[str, ...] = tuple(unique)
 
-    def lookup(self, text: str) -> set[str]:
-        lowered = text.lower()
+    def lookup(self, lowered: str) -> set[str]:
+        """Names found in ``lowered``, a post text already lowercased."""
         return {name for name in self.names if name in lowered}
 
     def __len__(self) -> int:
@@ -84,14 +85,14 @@ class LocationCache:
                 if last_seen <= now and now - last_seen <= self.ttl
             }
 
-    def match(self, text: str, now: float) -> set[str]:
-        lowered = text.lower()
+    def match(self, lowered: str, now: float) -> set[str]:
+        """Live entries found in ``lowered``, a post text already lowercased."""
         ttl = self.ttl
         with self._lock:
             return {
                 loc
                 for loc, (last_seen, _) in self._entries.items()
-                if last_seen <= now and now - last_seen <= ttl and loc in lowered
+                if loc in lowered and last_seen <= now and now - last_seen <= ttl
             }
 
     def __len__(self) -> int:
@@ -99,20 +100,21 @@ class LocationCache:
 
 
 def extract_locations(
-    text: str,
+    lowered: str,
     gazetteer: Gazetteer,
     cache: LocationCache,
     now: float,
 ) -> list[str]:
-    """Locations mentioned in ``text``: gazetteer hits plus live cache hits.
+    """Locations mentioned in ``lowered`` (a post text already lowercased):
+    gazetteer hits plus live cache hits.
 
     Every gazetteer hit is written back to the cache so subsequent short
     texts can match it there.
     """
-    gazetteer_hits = gazetteer.lookup(text)
+    gazetteer_hits = gazetteer.lookup(lowered)
     for hit in gazetteer_hits:
         cache.insert(hit, now, origin="extracted")
-    cache_hits = cache.match(text, now)
+    cache_hits = cache.match(lowered, now)
     return sorted(gazetteer_hits | cache_hits)
 
 

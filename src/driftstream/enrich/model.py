@@ -7,6 +7,7 @@ from dataclasses import dataclass, field
 from ..sources.posts import Post
 
 TOPIC_GROUPS = ("deaths_hospitalizations", "positive_tests", "symptomatic")
+_KNOWN_GROUPS = frozenset(TOPIC_GROUPS)
 
 
 @dataclass
@@ -21,7 +22,7 @@ class EnrichedPost:
     authoritative: bool = False
 
     def __post_init__(self):
-        unknown = self.topic_groups - set(TOPIC_GROUPS)
+        unknown = self.topic_groups - _KNOWN_GROUPS
         if unknown:
             raise ValueError(f"unknown topic groups: {sorted(unknown)}")
         if not -1.0 <= self.sentiment <= 1.0:

@@ -10,6 +10,8 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
+from ..keywords import CompiledLexicon
+
 DEFAULT_SENTIMENT_LEXICON = {
     "good": 0.5,
     "great": 0.8,
@@ -28,15 +30,22 @@ DEFAULT_SENTIMENT_LEXICON = {
 }
 
 
-def score_sentiment(text: str, lexicon: dict[str, float]) -> float:
+def compile_sentiment_lexicon(weights: dict[str, float]) -> CompiledLexicon:
+    """``(term, weight)`` pairs in lexicon order, for ``score_sentiment``."""
+    return CompiledLexicon(weights.items())
+
+
+def score_sentiment(lowered: str, lexicon: CompiledLexicon) -> float:
     """Clamped sum of matched term weights; 0.0 when nothing matches.
 
     Lexicon terms are expected lowercase (the loader normalizes); matching
-    is against the lowercased text, so it stays case-insensitive.
+    is against ``lowered``, the post text already lowercased, so it stays
+    case-insensitive. Each term counts its non-overlapping occurrences.
     """
-    lowered = text.lower()
+    if lexicon.any_term.search(lowered) is None:
+        return 0.0
     total = 0.0
-    for term, weight in lexicon.items():
+    for term, weight in lexicon.pairs:
         occurrences = lowered.count(term)
         if occurrences:
             total += occurrences * weight

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
+from ..keywords import CompiledLexicon
 from .model import TOPIC_GROUPS
 
 # Editable defaults, not ground truth; override via a lexicon file.
@@ -15,19 +16,24 @@ DEFAULT_GROUP_LEXICONS: dict[str, tuple[str, ...]] = {
 }
 
 
-def assign_topic_groups(text: str, group_lexicons: dict[str, tuple[str, ...]]) -> set[str]:
-    """Groups whose lexicon has at least one case-insensitive hit in ``text``.
+def compile_group_lexicons(group_lexicons: dict[str, tuple[str, ...]]) -> CompiledLexicon:
+    """One flat tuple of ``(term, group)`` pairs, for ``assign_topic_groups``."""
+    return CompiledLexicon(
+        (term, group) for group, terms in group_lexicons.items() for term in terms
+    )
+
+
+def assign_topic_groups(lowered: str, lexicon: CompiledLexicon) -> set[str]:
+    """Groups whose lexicon has at least one hit in ``lowered``, the post
+    text already lowercased.
 
     Groups are not mutually exclusive; a post about a hospitalization after
     a positive test belongs to both. Lexicon terms are expected lowercase
     (the loader normalizes).
     """
-    lowered = text.lower()
-    return {
-        group
-        for group, terms in group_lexicons.items()
-        if any(term in lowered for term in terms)
-    }
+    if lexicon.any_term.search(lowered) is None:
+        return set()
+    return {group for term, group in lexicon.pairs if term in lowered}
 
 
 def load_group_lexicons(path: str | Path) -> dict[str, tuple[str, ...]]:

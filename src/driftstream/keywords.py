@@ -4,6 +4,8 @@ A KeywordSet holds seed topic terms plus entries promoted later (learned
 from drift, misinformation feeds, authoritative reports). Matching is
 case-insensitive; the default mode is substring, with a token mode for
 precision experiments. Multilingual terms are plain configuration strings.
+Matchers take the post text lowercased once by the caller, and each
+lexicon is compiled once per change rather than once per post.
 """
 
 from __future__ import annotations
@@ -36,6 +38,24 @@ DEFAULT_STOPWORDS = frozenset(
     after also because while where which against does going only other such
     """.split()
 )
+
+
+class CompiledLexicon:
+    """A lexicon's ``(term, value)`` pairs, compiled once for per-post scans.
+
+    ``pairs`` keeps the given order, so a sum over it adds up in that order.
+    ``any_term`` is one alternation of the terms (escaped, longest first):
+    its ``search`` finds a match exactly when some term is a substring of
+    the text, and never for an empty lexicon, so a scan can skip a text
+    that holds no term.
+    """
+
+    __slots__ = ("pairs", "any_term")
+
+    def __init__(self, pairs: Iterable[tuple[str, object]]):
+        self.pairs = tuple(pairs)
+        ordered = sorted((term for term, _ in self.pairs), key=len, reverse=True)
+        self.any_term = re.compile("|".join(map(re.escape, ordered)) if ordered else "(?!)")
 
 
 def tokenize(text: str, stopwords: frozenset[str] = DEFAULT_STOPWORDS) -> list[str]:
@@ -82,12 +102,17 @@ class KeywordSet:
         for term in seeds:
             entry = KeywordEntry(term=term, origin="seed", first_seen=first_seen)
             self.entries[entry.term] = entry
+        self._compile()
+
+    def _compile(self) -> None:
+        self._active = tuple(t for t, e in self.entries.items() if e.active)
 
     def add(self, entry: KeywordEntry) -> bool:
         """Add an entry; seeds are never displaced. Returns True if new."""
         if entry.term in self.entries:
             return False
         self.entries[entry.term] = entry
+        self._compile()
         return True
 
     def __contains__(self, term: str) -> bool:
@@ -97,22 +122,19 @@ class KeywordSet:
         return len(self.entries)
 
     def active_terms(self) -> list[str]:
-        return sorted(t for t, e in self.entries.items() if e.active)
+        return sorted(self._active)
 
     def seed_terms(self) -> list[str]:
         return sorted(t for t, e in self.entries.items() if e.origin == "seed")
 
-    def match(self, text: str) -> set[str]:
-        """Active entries matching ``text``, case-insensitively."""
-        lowered = text.lower()
+    def match(self, lowered: str) -> set[str]:
+        """Active entries matching ``lowered``, a post text already lowercased."""
         if self.match_mode == "substring":
-            return {t for t, e in self.entries.items() if e.active and t in lowered}
+            return {t for t in self._active if t in lowered}
         tokens = TOKEN_RE.findall(lowered)
         token_set = set(tokens)
         hits = set()
-        for term, entry in self.entries.items():
-            if not entry.active:
-                continue
+        for term in self._active:
             parts = term.split()
             if len(parts) == 1:
                 if parts[0] in token_set:
@@ -127,14 +149,19 @@ def _contains_phrase(tokens: list[str], parts: list[str]) -> bool:
     return any(tokens[i : i + n] == parts for i in range(len(tokens) - n + 1))
 
 
-def match_keywords(post, keywords: KeywordSet, recent_matches=None) -> set[str]:
+def match_keywords(
+    post, keywords: KeywordSet, recent_matches=None, lowered: Optional[str] = None
+) -> set[str]:
     """Terms of ``keywords`` that ``post`` matches.
 
-    A retweet of a post that matched is itself a match (inheriting the
+    ``lowered`` is the post's text lowercased, when the caller already has
+    it. A retweet of a post that matched is itself a match (inheriting the
     original's terms) when ``recent_matches`` — a SharedStore-backed view of
     recently matched post ids — knows the original.
     """
-    matched = keywords.match(post.text)
+    if lowered is None:
+        lowered = post.text.lower()
+    matched = keywords.match(lowered)
     if not matched and recent_matches is not None and post.is_retweet_of is not None:
         inherited = recent_matches.get(f"match:{post.is_retweet_of}")
         if inherited:

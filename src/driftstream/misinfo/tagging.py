@@ -71,7 +71,7 @@ def tag_misinformation_window(
     else:
         window = assign_window(0.0, window_length)
 
-    snapshot = keyword_set.active_terms()
+    snapshot = tuple(keyword_set.active_terms())
     report = WindowTagReport(window=window)
     for post in posts:
         report.posts_in += 1

@@ -104,6 +104,24 @@ def _get(data: dict, key: str, default):
     return default if value is None else value
 
 
+class _Fractional(ValueError):
+    """A number where an integer is required."""
+
+
+def _integer(value) -> int:
+    """``value`` as an int: an int, an integral float, or a string of either.
+
+    A fraction raises ``_Fractional``; anything else that is not a number
+    raises ``TypeError`` or ``ValueError`` from the conversion.
+    """
+    if isinstance(value, int):
+        return int(value)
+    number = float(value)
+    if not number.is_integer():
+        raise _Fractional(value)
+    return int(number)
+
+
 def parse_config(data: dict, base_dir: Optional[Path] = None) -> PipelineConfig:
     """Build and validate a PipelineConfig from parsed file data."""
     errors: list[str] = []
@@ -121,9 +139,11 @@ def parse_config(data: dict, base_dir: Optional[Path] = None) -> PipelineConfig:
         value = _get(section, name.rpartition(".")[2], default)
         try:
             return convert(value)
+        except _Fractional:
+            errors.append(f"{name}: must be an integer, got {value!r}")
         except (TypeError, ValueError):
             errors.append(f"{name}: must be a number, got {value!r}")
-            return default
+        return default
 
     env = os.environ
     seed = env.get("DRIFTSTREAM_SEED", data.get("seed"))
@@ -170,10 +190,10 @@ def parse_config(data: dict, base_dir: Optional[Path] = None) -> PipelineConfig:
         enabled=bool(_get(dr, "enabled", True)),
         window=number(dr, "drift.window_minutes", 60) * MINUTE,
         slide=number(dr, "drift.slide_minutes", 10) * MINUTE,
-        min_count=number(dr, "drift.min_count", 25, int),
+        min_count=number(dr, "drift.min_count", 25, _integer),
         min_score=number(dr, "drift.min_score", 0.7),
         scorer=_get(dr, "scorer", "pmi"),
-        trending_k=number(dr, "drift.trending_k", 10, int),
+        trending_k=number(dr, "drift.trending_k", 10, _integer),
     )
     if drift.scorer not in ("pmi", "jaccard"):
         errors.append(f"drift.scorer: must be pmi or jaccard, got {drift.scorer!r}")
@@ -219,7 +239,7 @@ def parse_config(data: dict, base_dir: Optional[Path] = None) -> PipelineConfig:
     cl = data.get("clusters", {}) or {}
     clusters = ClusterConfig(
         window=number(cl, "clusters.window_minutes", 60) * MINUTE,
-        min_size=number(cl, "clusters.min_size", 3, int),
+        min_size=number(cl, "clusters.min_size", 3, _integer),
         lag_tolerance=number(cl, "clusters.lag_tolerance_days", 14) * DAY,
         eta=number(cl, "clusters.eta", 0.5),
     )
@@ -249,7 +269,7 @@ def parse_config(data: dict, base_dir: Optional[Path] = None) -> PipelineConfig:
     elif until is not None:
         until = number(data, "until", None)
 
-    max_lag_days = number(data, "max_lag_days", 21, int)
+    max_lag_days = number(data, "max_lag_days", 21, _integer)
 
     if errors:
         raise ConfigError(errors)

@@ -8,6 +8,10 @@ event time; no wall-clock value ever reaches an output file.
 
 Dataflow per record: parse -> clean/relevance -> locations -> sentiment ->
 topic groups -> authoritative tag -> minute-window misinformation tagging.
+Each post's text is lowercased once per post on ingest, and that one
+lowered string feeds keyword matching, locations, sentiment and topic
+groups; misinformation tagging lowercases each post once more when its
+window closes. Lexicons are compiled once per change, not once per post.
 Tagged windows then feed the drift stage, cluster formation and the
 analytics counters. The drift stage owns the one slide window: it counts
 each post once and, on every slide close, runs keyword promotion and then
@@ -42,8 +46,18 @@ from ..enrich.locations import (
     load_case_reports,
 )
 from ..enrich.model import EnrichedPost
-from ..enrich.sentiment import DEFAULT_SENTIMENT_LEXICON, load_sentiment_lexicon, score_sentiment
-from ..enrich.topics import DEFAULT_GROUP_LEXICONS, assign_topic_groups, load_group_lexicons
+from ..enrich.sentiment import (
+    DEFAULT_SENTIMENT_LEXICON,
+    compile_sentiment_lexicon,
+    load_sentiment_lexicon,
+    score_sentiment,
+)
+from ..enrich.topics import (
+    DEFAULT_GROUP_LEXICONS,
+    assign_topic_groups,
+    compile_group_lexicons,
+    load_group_lexicons,
+)
 from ..keywords import KeywordSet
 from ..misinfo.keywords import MisinfoKeywordSet, refresh_misinfo_keywords
 from ..misinfo.tagging import AuthoritativeSourceList, tag_authoritative, tag_misinformation_window
@@ -126,15 +140,16 @@ class PipelineRunner:
         self.gazetteer = Gazetteer(gaz_names)
         self.location_cache = LocationCache(ttl=config.enrichment.location_cache_ttl)
         self.store.put("location_cache", self.location_cache)
-        self.sentiment_lexicon = (
+        # Both lexicons are fixed for a run, so each is compiled here once.
+        self.sentiment_lexicon = compile_sentiment_lexicon(
             load_sentiment_lexicon(config.enrichment.sentiment_lexicon_file)
             if config.enrichment.sentiment_lexicon_file
-            else dict(DEFAULT_SENTIMENT_LEXICON)
+            else DEFAULT_SENTIMENT_LEXICON
         )
-        self.group_lexicons = (
+        self.group_lexicons = compile_group_lexicons(
             load_group_lexicons(config.enrichment.group_lexicons_file)
             if config.enrichment.group_lexicons_file
-            else dict(DEFAULT_GROUP_LEXICONS)
+            else DEFAULT_GROUP_LEXICONS
         )
         self.team = default_team(config.keywords.seeds, eta=config.clusters.eta)
         self.cluster_store = ClusterStore(
@@ -163,7 +178,8 @@ class PipelineRunner:
     def ingest_post(self, parsed: Post) -> None:
         self.counters["records_in"] += 1
         self._advance_watermark(parsed.created_at)
-        enriched = clean_post(parsed, self.keywords, self.store)
+        lowered = parsed.text.lower()
+        enriched = clean_post(parsed, self.keywords, self.store, lowered)
         if enriched is None:
             self.counters["discarded"] += 1
             return
@@ -175,10 +191,10 @@ class PipelineRunner:
                 ttl=self.config.keywords.retweet_ttl,
             )
         enriched.locations = extract_locations(
-            parsed.text, self.gazetteer, self.location_cache, now=parsed.created_at
+            lowered, self.gazetteer, self.location_cache, now=parsed.created_at
         )
-        enriched.sentiment = score_sentiment(parsed.text, self.sentiment_lexicon)
-        enriched.topic_groups = assign_topic_groups(parsed.text, self.group_lexicons)
+        enriched.sentiment = score_sentiment(lowered, self.sentiment_lexicon)
+        enriched.topic_groups = assign_topic_groups(lowered, self.group_lexicons)
         tag_authoritative(enriched, self.authoritative)
         if enriched.authoritative:
             self.counters["authoritative"] += 1

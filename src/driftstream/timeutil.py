@@ -21,8 +21,18 @@ class TimestampError(ValueError):
     pass
 
 
+# The last string parse_timestamp parsed and its epoch. Archives are in
+# near time order, so consecutive posts often share a timestamp string. The
+# mapping is pure and the pair is replaced whole, so every caller may share it.
+_last_parsed: tuple[object, float] = (None, 0.0)
+
+
 def parse_timestamp(value: str) -> float:
     """Parse a legacy or ISO-8601 timestamp string to UTC epoch seconds."""
+    global _last_parsed
+    last = _last_parsed
+    if type(value) is str and value == last[0]:
+        return last[1]
     if not isinstance(value, str) or not value.strip():
         raise TimestampError(f"empty or non-string timestamp: {value!r}")
     text = value.strip()
@@ -38,7 +48,10 @@ def parse_timestamp(value: str) -> float:
             raise TimestampError(f"unparseable timestamp: {value!r}") from None
     if dt.tzinfo is None:
         dt = dt.replace(tzinfo=timezone.utc)
-    return dt.timestamp()
+    epoch = dt.timestamp()
+    if type(value) is str:
+        _last_parsed = (value, epoch)
+    return epoch
 
 
 def format_timestamp(epoch: float) -> str:

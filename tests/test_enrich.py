@@ -15,8 +15,8 @@ from driftstream.enrich.locations import (
     extract_locations,
     normalize_location,
 )
-from driftstream.enrich.sentiment import score_sentiment
-from driftstream.enrich.topics import assign_topic_groups
+from driftstream.enrich.sentiment import compile_sentiment_lexicon, score_sentiment
+from driftstream.enrich.topics import assign_topic_groups, compile_group_lexicons
 from driftstream.keywords import KeywordSet
 from driftstream.timeutil import DAY
 
@@ -49,7 +49,7 @@ class TestLocations:
     def test_gazetteer_hit_returned_and_cached(self):
         gazetteer = Gazetteer(["california"])
         cache = LocationCache(ttl=7 * DAY)
-        hits = extract_locations("spread in California", gazetteer, cache, now=0.0)
+        hits = extract_locations("spread in california", gazetteer, cache, now=0.0)
         assert hits == ["california"]
         assert cache.unexpired(0.0) == {"california": "extracted"}
 
@@ -60,7 +60,7 @@ class TestLocations:
         gazetteer = Gazetteer(["california"])
         cache = LocationCache(ttl=7 * DAY)
         cache.insert("sturgis", now=0.0, origin="authoritative")
-        hits = extract_locations("Sturgis rally crowds", gazetteer, cache, now=3600.0)
+        hits = extract_locations("sturgis rally crowds", gazetteer, cache, now=3600.0)
         assert hits == ["sturgis"]
 
     def test_expired_cache_entry_never_matches(self):
@@ -127,20 +127,23 @@ class TestLocations:
 
 class TestSentiment:
     def test_no_lexicon_terms_scores_zero(self):
-        assert score_sentiment("completely neutral text", {"good": 1.0}) == 0.0
+        lexicon = compile_sentiment_lexicon({"good": 1.0})
+        assert score_sentiment("completely neutral text", lexicon) == 0.0
 
     def test_sum_is_clamped(self):
-        assert score_sentiment("good good", {"good": 1.0}) == 1.0
-        assert score_sentiment("bad bad bad", {"bad": -0.7}) == -1.0
+        assert score_sentiment("good good", compile_sentiment_lexicon({"good": 1.0})) == 1.0
+        assert score_sentiment("bad bad bad", compile_sentiment_lexicon({"bad": -0.7})) == -1.0
 
     def test_occurrences_accumulate_before_clamp(self):
-        assert score_sentiment("good then bad", {"good": 0.5, "bad": -0.2}) == pytest.approx(0.3)
+        lexicon = compile_sentiment_lexicon({"good": 0.5, "bad": -0.2})
+        assert score_sentiment("good then bad", lexicon) == pytest.approx(0.3)
 
     def test_against_independent_recount(self):
         # reimplementation oracle: regex-count every term, sum, clamp
         import re
 
         lexicon = {"good": 0.5, "bad": -0.4, "fear": -0.3, "hope": 0.6}
+        compiled = compile_sentiment_lexicon(lexicon)
         rng = random.Random(17)
         words = ["good", "bad", "fear", "hope", "virus", "day", "city"]
         for _ in range(200):
@@ -151,7 +154,7 @@ class TestSentiment:
                 expected += weight * len(re.findall(re.escape(term), text.lower()))
             expected = max(-1.0, min(1.0, expected))
 
-            assert score_sentiment(text, lexicon) == pytest.approx(expected)
+            assert score_sentiment(text.lower(), compiled) == pytest.approx(expected)
 
 
 class TestTopicGroups:
@@ -160,17 +163,18 @@ class TestTopicGroups:
         "positive_tests": ("positive", "tested positive", "diagnosed"),
         "symptomatic": ("fever", "cough", "symptoms"),
     }
+    COMPILED = compile_group_lexicons(LEXICONS)
 
     def test_positive_test_text(self):
-        assert assign_topic_groups("tested positive yesterday", self.LEXICONS) == {
+        assert assign_topic_groups("tested positive yesterday", self.COMPILED) == {
             "positive_tests"
         }
 
     def test_empty_text_no_groups(self):
-        assert assign_topic_groups("", self.LEXICONS) == set()
+        assert assign_topic_groups("", self.COMPILED) == set()
 
     def test_multi_group_text(self):
-        groups = assign_topic_groups("hospitalized after positive test", self.LEXICONS)
+        groups = assign_topic_groups("hospitalized after positive test", self.COMPILED)
         assert groups == {"deaths_hospitalizations", "positive_tests"}
 
     def test_matches_brute_force_scan_on_corpus(self, tmp_path):
@@ -188,4 +192,4 @@ class TestTopicGroups:
                 for group, terms in self.LEXICONS.items()
                 if any(t in lowered for t in terms)
             }
-            assert assign_topic_groups(post.text, self.LEXICONS) == oracle
+            assert assign_topic_groups(lowered, self.COMPILED) == oracle

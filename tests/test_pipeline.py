@@ -110,6 +110,44 @@ class TestConfigValidation:
         assert "misinfo.window_seconds: must be a number, got 'q'" in stderr
         assert "keywords.retweet_ttl_hours" in stderr
 
+    def test_integer_fields_reject_fractions_with_exit_2(self, tmp_path, capsys):
+        corpus = _fixture_corpus(tmp_path, minutes=5, rate=20)
+        integral = parse_config(
+            _base_config(
+                tmp_path,
+                corpus,
+                drift={"min_count": 3.0, "trending_k": "4"},
+                clusters={"min_size": 3},
+            )
+        )
+        assert (integral.drift.min_count, integral.drift.trending_k) == (3, 4)
+        assert integral.clusters.min_size == 3
+        assert all(
+            type(v) is int
+            for v in (integral.drift.min_count, integral.drift.trending_k, integral.clusters.min_size)
+        )
+
+        data = _base_config(
+            tmp_path,
+            corpus,
+            drift={"min_count": 2.5, "trending_k": "2.5"},
+            clusters={"min_size": 1.9},
+        )
+        with pytest.raises(ConfigError) as err:
+            parse_config(data)
+        assert sorted(err.value.errors) == [
+            "clusters.min_size: must be an integer, got 1.9",
+            "drift.min_count: must be an integer, got 2.5",
+            "drift.trending_k: must be an integer, got '2.5'",
+        ]
+
+        path = tmp_path / "fractional.yaml"
+        path.write_text(yaml.safe_dump(data))
+        assert main(["run", "--config", str(path)]) == 2
+        stderr = capsys.readouterr().err
+        assert "drift.min_count: must be an integer, got 2.5" in stderr
+        assert "clusters.min_size: must be an integer, got 1.9" in stderr
+
     def test_legacy_topology_key_ignored(self, tmp_path):
         corpus = _fixture_corpus(tmp_path, minutes=5, rate=20)
         data = _base_config(tmp_path, corpus, topology=[{"name": "x", "kind": "quantum"}])

@@ -17,7 +17,7 @@ from driftstream.sources.synthetic import (
     generate_synthetic,
     load_ground_truth,
 )
-from driftstream.timeutil import parse_timestamp
+from driftstream.timeutil import TimestampError, parse_timestamp
 
 
 SAMPLE_LINE = json.dumps(
@@ -78,6 +78,40 @@ class TestParsePost:
         )
         post = parse_post(line)
         assert post.is_retweet_of == 7
+
+
+class TestTimestampMemo:
+    """parse_timestamp remembers its last string; the answers must not change."""
+
+    ISO = "2020-02-29T18:59:56Z"
+    LEGACY = "Sun Mar 01 00:00:00 +0000 2020"
+    ISO_EPOCH = 1583002796.0
+    LEGACY_EPOCH = 1583020800.0
+
+    def test_repeated_string_gives_same_epoch(self):
+        assert [parse_timestamp(self.ISO) for _ in range(3)] == [self.ISO_EPOCH] * 3
+
+    def test_alternating_iso_and_legacy(self):
+        for _ in range(3):
+            assert parse_timestamp(self.ISO) == self.ISO_EPOCH
+            assert parse_timestamp(self.LEGACY) == self.LEGACY_EPOCH
+            assert parse_timestamp(self.LEGACY) == self.LEGACY_EPOCH
+
+    def test_bad_string_after_good_raises_every_time(self):
+        assert parse_timestamp(self.ISO) == self.ISO_EPOCH
+        for bad in ("yesterday-ish", "yesterday-ish", "   ", "   "):
+            with pytest.raises(TimestampError):
+                parse_timestamp(bad)
+        assert parse_timestamp(self.ISO) == self.ISO_EPOCH
+
+    @pytest.mark.parametrize("created_at", [[ISO], {"t": ISO}, 1583020800])
+    def test_non_string_created_at_is_bad_timestamp(self, created_at):
+        good = json.dumps({"created_at": self.ISO, "id": 5, "text": "x"})
+        bad = json.dumps({"created_at": created_at, "id": 6, "text": "x"})
+        assert parse_post(good).created_at == self.ISO_EPOCH
+        for _ in range(2):
+            assert parse_post(bad).reason == "bad_timestamp"
+        assert parse_post(good).created_at == self.ISO_EPOCH
 
 
 class TestReplayArchive:
