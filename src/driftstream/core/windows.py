@@ -21,8 +21,8 @@ class WindowAssignment:
         return self.window_start <= event_time < self.window_end
 
 
-def assign_window(event_time: float, length: float = DEFAULT_WINDOW_LENGTH) -> WindowAssignment:
-    """Map an event time onto its tumbling window.
+def window_start(event_time: float, length: float = DEFAULT_WINDOW_LENGTH) -> float:
+    """Start of the tumbling window that holds ``event_time``.
 
     window_start = floor(event_time / length) * length, so a timestamp on a
     boundary belongs to the window it opens. Windows of a fixed length
@@ -34,7 +34,10 @@ def assign_window(event_time: float, length: float = DEFAULT_WINDOW_LENGTH) -> W
     # second-resolution streams; use integer math when both are integral to
     # dodge float rounding at large epochs.
     if float(event_time).is_integer() and float(length).is_integer():
-        start = float((int(event_time) // int(length)) * int(length))
-    else:
-        start = math.floor(event_time / length) * length
-    return WindowAssignment(window_start=start, window_length=float(length))
+        return float((int(event_time) // int(length)) * int(length))
+    return math.floor(event_time / length) * length
+
+
+def assign_window(event_time: float, length: float = DEFAULT_WINDOW_LENGTH) -> WindowAssignment:
+    """Map an event time onto its tumbling window (see ``window_start``)."""
+    return WindowAssignment(window_start(event_time, length), float(length))

@@ -12,7 +12,7 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from typing import Iterable
 
-from ..core.windows import WindowAssignment, assign_window
+from ..core.windows import WindowAssignment, window_start
 from ..enrich.model import EnrichedPost
 from ..keywords import tokenize
 
@@ -92,20 +92,20 @@ def form_clusters(
     for post in posts:
         if not post.locations or post.misinfo_terms:
             continue
-        window = assign_window(post.post.created_at, window_length)
+        start = window_start(post.post.created_at, window_length)
         for location in post.locations:
-            groups[(location, window.window_start)].append(post)
+            groups[(location, start)].append(post)
 
     clusters = []
-    for (location, window_start), members in sorted(groups.items()):
+    for (location, start), members in sorted(groups.items()):
         unique: dict[int, EnrichedPost] = {p.post.id: p for p in members}
         if len(unique) < min_cluster_size:
             continue
-        window = WindowAssignment(window_start, window_length)
+        window = WindowAssignment(start, window_length)
         member_list = [unique[i] for i in sorted(unique)]
         clusters.append(
             EventCluster(
-                id=f"{location.replace(' ', '_')}:{int(window_start)}",
+                id=f"{location.replace(' ', '_')}:{int(start)}",
                 location=location,
                 window=window,
                 post_ids=set(unique),

@@ -7,13 +7,15 @@ the evidence multiset, arrival order can never change the outcome, and once
 evidence stops arriving the status is settled for good.
 
 Late evidence (the news article written days after the event) re-matches
-against every historical cluster; every status flip is logged and also
-drives one weight update of the teamed classifier, signed by the kind of
-evidence that caused the flip.
+against the historical clusters at its location, which the store indexes
+as clusters are added; every status flip is logged and also drives one
+weight update of the teamed classifier, signed by the kind of evidence that
+caused the flip.
 """
 
 from __future__ import annotations
 
+import bisect
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -127,9 +129,16 @@ class ClusterStore:
         self.features: dict[str, ClusterFeatures] = {}
         self.evidence: dict[str, Evidence] = {}
         self.change_log: list[StatusChange] = []
+        # normalized location -> sorted ids of the clusters there
+        self._ids_by_location: dict[str, list[str]] = {}
 
     def add_cluster(self, cluster: EventCluster, features: Optional[ClusterFeatures] = None) -> None:
+        index = self._ids_by_location
+        previous = self.clusters.get(cluster.id)
+        if previous is not None:
+            index[normalize_location(previous.location)].remove(cluster.id)
         self.clusters[cluster.id] = cluster
+        bisect.insort(index.setdefault(normalize_location(cluster.location), []), cluster.id)
         if features is not None:
             self.features[cluster.id] = features
 
@@ -153,16 +162,18 @@ def retroactive_correct(
     rule: Optional[MatchRule] = None,
     classifier: Optional[TeamedClassifier] = None,
 ) -> list[StatusChange]:
-    """Apply late evidence to all historical clusters; returns the flips.
+    """Apply late evidence to the historical clusters; returns the flips.
 
-    Each flip also updates the classifier weights (when one is wired in):
-    supporting evidence counts as a +1 outcome for the members' recorded
-    votes on that cluster, contradicting as -1.
+    Only clusters at the evidence's location can match, so only those are
+    tried, in id order like a scan of every cluster. Each flip also updates
+    the classifier weights (when one is wired in): supporting evidence
+    counts as a +1 outcome for the members' recorded votes on that cluster,
+    contradicting as -1.
     """
     rule = rule or store.rule
     store.evidence.setdefault(new_evidence.id, new_evidence)
     changes: list[StatusChange] = []
-    for cluster_id in sorted(store.clusters):
+    for cluster_id in store._ids_by_location.get(new_evidence.location, ()):
         cluster = store.clusters[cluster_id]
         if not attach_evidence(cluster, new_evidence, rule):
             continue

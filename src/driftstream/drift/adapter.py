@@ -1,12 +1,15 @@
 """Stateful drift stage: one sliding window for promotion and piggyback.
 
 Posts are observed into slide-sized buckets, each post counted once against
-both pair sides (topic seeds and misinformation tags). Whenever event time
-crosses a slide boundary, the buckets spanning the scoring window are
-merged, scored and promotion runs. Promoted entries land in the shared
-KeywordSet immediately, so the ingest filter picks them up for subsequent
-records — propagation within one slide interval. The closed slide's
-trending terms are then checked for riding the misinformation vocabulary.
+both pair sides (topic seeds and misinformation tags). Each window keeps a
+running sum of its buckets: when a slide closes, its bucket is merged in
+and the bucket it evicts from a full window is subtracted, so the sum
+always equals a fresh merge of the window's buckets. Whenever event time
+crosses a slide boundary, promotion scores that sum. Promoted entries land
+in the shared KeywordSet immediately, so the ingest filter picks them up
+for subsequent records — propagation within one slide interval. The closed
+slide's trending terms are then checked for riding the misinformation
+vocabulary.
 
 Piggyback sees only slides that held posts: its window and its trending
 history skip the empty slides of a gap, which promotion's window keeps. The
@@ -15,7 +18,7 @@ final flush evaluates promotion only.
 
 from __future__ import annotations
 
-from collections import Counter, deque
+from collections import deque
 from dataclasses import dataclass
 from typing import Optional
 
@@ -24,7 +27,7 @@ from ..keywords import KeywordSet
 from ..misinfo.keywords import MisinfoKeywordSet
 from .cooccurrence import CooccurrenceStats, observe_post
 from .promotion import PromotionPolicy, promote_keywords
-from .trending import detect_trending
+from .trending import TrendingHistory
 
 
 @dataclass
@@ -48,6 +51,14 @@ class PromotionEvent:
 class _Bucket:
     index: int
     stats: CooccurrenceStats
+
+
+def _slide(buckets: deque[_Bucket], total: CooccurrenceStats, bucket: _Bucket) -> None:
+    """Append ``bucket`` to a window and keep ``total`` its sum."""
+    if len(buckets) == buckets.maxlen:
+        total.subtract(buckets[0].stats)
+    buckets.append(bucket)
+    total.merge(bucket.stats)
 
 
 class DriftAdapter:
@@ -80,14 +91,19 @@ class DriftAdapter:
         self.piggyback_threshold = piggyback_threshold
         buckets_per_window = int(window_length // slide)
         self._buckets: deque[_Bucket] = deque(maxlen=buckets_per_window)
+        self._window_stats = self._new_stats()  # the sum of _buckets
         self._piggyback_buckets: deque[_Bucket] = deque(maxlen=buckets_per_window)
-        self._trending_history: deque[Counter] = deque(maxlen=trending_history)
+        self._piggyback_stats = self._new_stats()  # the sum of _piggyback_buckets
+        self._trending = TrendingHistory(trending_history)
         self._current: Optional[_Bucket] = None
         self.audit: list[PromotionEvent] = []
         self.piggyback: list[dict] = []  # {"window_end", "candidates"} per flagged slide
 
+    def _new_stats(self) -> CooccurrenceStats:
+        return CooccurrenceStats(self.window_length, self.tracked_phrases)
+
     def _new_bucket(self, index: int) -> _Bucket:
-        return _Bucket(index, CooccurrenceStats(self.window_length, self.tracked_phrases))
+        return _Bucket(index, self._new_stats())
 
     def observe(self, enriched: EnrichedPost) -> list[PromotionEvent]:
         """Observe one post; returns promotions triggered by a slide rollover."""
@@ -112,12 +128,13 @@ class DriftAdapter:
 
     def _close_current(self) -> _Bucket:
         closed = self._current
-        self._buckets.append(closed)
+        _slide(self._buckets, self._window_stats, closed)
         self._current = self._new_bucket(closed.index + 1)
         return closed
 
     def _merged(self, buckets: deque[_Bucket]) -> CooccurrenceStats:
-        merged = CooccurrenceStats(self.window_length, self.tracked_phrases)
+        """A fresh merge of ``buckets``: the oracle for the running sums."""
+        merged = self._new_stats()
         for bucket in buckets:
             merged.merge(bucket.stats)
         return merged
@@ -125,11 +142,10 @@ class DriftAdapter:
     def _evaluate(self, closed_index: int) -> list[PromotionEvent]:
         if self.policy is None:
             return []
-        merged = self._merged(self._buckets)
         window_end = (closed_index + 1) * self.slide
         window_start = window_end - self.window_length
         now = window_end
-        promoted = promote_keywords(merged, self.policy, self.keywords, now)
+        promoted = promote_keywords(self._window_stats, self.policy, self.keywords, now)
         events = [
             PromotionEvent(
                 term=e.term,
@@ -147,14 +163,15 @@ class DriftAdapter:
         # misinfo.piggyback imports this package, so it is bound on use
         from ..misinfo.piggyback import detect_piggyback
 
-        self._piggyback_buckets.append(closed)
-        self._trending_history.append(closed.stats.term_counts)
-        if self.misinfo is None or len(self._trending_history) < 2:
+        _slide(self._piggyback_buckets, self._piggyback_stats, closed)
+        self._trending.push(closed.stats.term_counts)
+        if self.misinfo is None or len(self._trending) < 2:
             return
-        trending = detect_trending(list(self._trending_history), self.trending_k)
-        merged = self._merged(self._piggyback_buckets)
         candidates = detect_piggyback(
-            trending, self.misinfo, merged.misinfo_side(), threshold=self.piggyback_threshold
+            self._trending.top(self.trending_k),
+            self.misinfo,
+            self._piggyback_stats.misinfo_side(),
+            threshold=self.piggyback_threshold,
         )
         if candidates:
             window_end = (closed.index + 1) * self.slide

@@ -43,6 +43,17 @@ class CooccurrenceStats:
         self.seed_posts += other.seed_posts
         self.misinfo_posts += other.misinfo_posts
 
+    def subtract(self, other: "CooccurrenceStats") -> None:
+        """Take back counts that ``merge`` added. A term whose count reaches
+        zero is deleted, so the result iterates and ``get``s exactly like a
+        fresh merge of the remaining stats."""
+        subtract_counts(self.term_counts, other.term_counts)
+        subtract_counts(self.pair_counts, other.pair_counts)
+        subtract_counts(self.misinfo_pair_counts, other.misinfo_pair_counts)
+        self.total_posts -= other.total_posts
+        self.seed_posts -= other.seed_posts
+        self.misinfo_posts -= other.misinfo_posts
+
     def misinfo_side(self) -> "CooccurrenceStats":
         """A view that pairs terms with misinformation posts instead of seeds."""
         return CooccurrenceStats(
@@ -53,6 +64,17 @@ class CooccurrenceStats:
             total_posts=self.total_posts,
             seed_posts=self.misinfo_posts,
         )
+
+
+def subtract_counts(counts: Counter, other: Counter) -> None:
+    """``counts -= other`` for counts that include ``other``; keys that
+    reach zero are deleted."""
+    for term, n in other.items():
+        left = counts[term] - n
+        if left:
+            counts[term] = left
+        else:
+            del counts[term]
 
 
 def observe_post(stats: CooccurrenceStats, enriched: EnrichedPost, seeds: KeywordSet) -> None:

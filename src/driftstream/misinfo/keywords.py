@@ -37,7 +37,8 @@ class MisinfoKeywordSet:
     ):
         self.entries: dict[str, KeywordEntry] = {}
         self.source_version: dict[str, float] = {}
-        self.tombstones = {t.strip().lower() for t in tombstones}
+        self.tombstones = frozenset(t.strip().lower() for t in tombstones)
+        self.active: tuple[str, ...] = ()  # sorted active terms, rebuilt on every add
         self.skipped_sources = 0
         self.missing_sections = 0
         for term in seeds:
@@ -48,14 +49,16 @@ class MisinfoKeywordSet:
         if entry.term in self.entries:
             return False
         self.entries[entry.term] = entry
+        if entry.term not in self.tombstones:
+            self.active = tuple(sorted(self.active + (entry.term,)))
         return True
 
     def active_terms(self) -> list[str]:
-        return sorted(t for t in self.entries if t not in self.tombstones)
+        return list(self.active)
 
     def match(self, text: str) -> set[str]:
         lowered = text.lower()
-        return {t for t in self.active_terms() if t in lowered}
+        return {t for t in self.active if t in lowered}
 
     def __contains__(self, term: str) -> bool:
         return term.strip().lower() in self.entries

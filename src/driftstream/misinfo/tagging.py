@@ -13,7 +13,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-from ..core.windows import WindowAssignment, assign_window
+from ..core.windows import WindowAssignment, assign_window, window_start
 from ..enrich.model import EnrichedPost
 from .keywords import MisinfoKeywordSet
 
@@ -61,17 +61,13 @@ def tag_misinformation_window(
     All posts must fall in the same window. The keyword snapshot is taken
     once at entry, so a concurrent refresh lands in the next window.
     """
-    if posts:
-        window = assign_window(posts[0].post.created_at, window_length)
-        for p in posts:
-            if assign_window(p.post.created_at, window_length) != window:
-                raise ValueError(
-                    f"post {p.post.id} falls outside window starting at {window.window_start}"
-                )
-    else:
-        window = assign_window(0.0, window_length)
+    window = assign_window(posts[0].post.created_at if posts else 0.0, window_length)
+    start = window.window_start
+    for p in posts:
+        if window_start(p.post.created_at, window_length) != start:
+            raise ValueError(f"post {p.post.id} falls outside window starting at {start}")
 
-    snapshot = tuple(keyword_set.active_terms())
+    snapshot = keyword_set.active
     report = WindowTagReport(window=window)
     for post in posts:
         report.posts_in += 1

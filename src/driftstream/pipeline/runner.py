@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import time
 from collections import Counter
 from dataclasses import dataclass, field
@@ -161,6 +162,7 @@ class PipelineRunner:
         self._cluster_buffers: dict[float, list[EnrichedPost]] = {}
         self._watermark: Optional[float] = None
         self._next_refresh: Optional[float] = None
+        self._next_sweep: Optional[float] = None
 
         # outputs
         self.window_rows: list[tuple] = []
@@ -211,6 +213,8 @@ class PipelineRunner:
         self.clock.set(event_time)
         if self._next_refresh is None or event_time >= self._next_refresh:
             self._refresh_misinfo(event_time)
+        if self._next_sweep is None or event_time >= self._next_sweep:
+            self._sweep_store(event_time)
         self._flush_minute_windows(upto=event_time)
         self._flush_cluster_windows(upto=event_time)
 
@@ -221,6 +225,15 @@ class PipelineRunner:
         self.counters["misinfo_terms_added"] += len(added)
         interval = self.config.misinfo.refresh_interval
         self._next_refresh = (now // interval + 1) * interval
+
+    def _sweep_store(self, now: float) -> None:
+        """Drop expired retweet-closure entries each time the watermark
+        crosses a multiple of the TTL, so live entries stay within two TTLs
+        of their puts. Expired entries read as absent, so no output changes."""
+        if self._next_sweep is not None:
+            self.store.sweep()
+        ttl = self.config.keywords.retweet_ttl
+        self._next_sweep = (now // ttl + 1) * ttl if ttl > 0 else math.inf
 
     # -- windowed stages --------------------------------------------------------
 

@@ -7,10 +7,23 @@ files may carry either the legacy social format ("Sat Feb 29 18:59:56
 
 from __future__ import annotations
 
+import re
 import time
-from datetime import datetime, timezone
+from datetime import datetime, timedelta, timezone
 
 LEGACY_FORMAT = "%a %b %d %H:%M:%S %z %Y"
+
+# The canonical spelling of LEGACY_FORMAT ("Sat Feb 29 18:59:56 +0000
+# 2020"), parsed without strptime. Any other spelling that strptime accepts
+# (lowercase names, a one-digit day, a colon in the offset) takes strptime.
+_MONTHS = {name: number for number, name in enumerate(
+    "Jan Feb Mar Apr May Jun Jul Aug Sep Oct Nov Dec".split(), 1
+)}
+_LEGACY_RE = re.compile(
+    r"(?:Mon|Tue|Wed|Thu|Fri|Sat|Sun) "
+    rf"({'|'.join(_MONTHS)}) ([0-9]{{2}}) "
+    r"([0-9]{2}):([0-9]{2}):([0-9]{2}) ([+-])([0-9]{2})([0-5][0-9]) ([0-9]{4})"
+)
 
 MINUTE = 60.0
 HOUR = 3600.0
@@ -43,7 +56,7 @@ def parse_timestamp(value: str) -> float:
         dt = datetime.fromisoformat(iso)
     except ValueError:
         try:
-            dt = datetime.strptime(text, LEGACY_FORMAT)
+            dt = parse_legacy(text)
         except ValueError:
             raise TimestampError(f"unparseable timestamp: {value!r}") from None
     if dt.tzinfo is None:
@@ -52,6 +65,23 @@ def parse_timestamp(value: str) -> float:
     if type(value) is str:
         _last_parsed = (value, epoch)
     return epoch
+
+
+def parse_legacy(text: str) -> datetime:
+    """``datetime.strptime(text, LEGACY_FORMAT)``, without strptime for the
+    canonical spelling. Like strptime, it ignores the weekday name."""
+    match = _LEGACY_RE.fullmatch(text)
+    if match is not None:
+        month, day, hour, minute, second, sign, off_hours, off_minutes, year = match.groups()
+        offset = timedelta(hours=int(off_hours), minutes=int(off_minutes))
+        try:
+            return datetime(
+                int(year), _MONTHS[month], int(day), int(hour), int(minute), int(second),
+                tzinfo=timezone(-offset if sign == "-" else offset),
+            )
+        except ValueError:
+            pass  # strptime raises its own error for the same string
+    return datetime.strptime(text, LEGACY_FORMAT)
 
 
 def format_timestamp(epoch: float) -> str:

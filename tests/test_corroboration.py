@@ -12,11 +12,17 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from driftstream.core.windows import assign_window
-from driftstream.corroboration.clusters import cluster_features, form_clusters
+from driftstream.corroboration.clusters import (
+    ClusterFeatures,
+    EventCluster,
+    cluster_features,
+    form_clusters,
+)
 from driftstream.corroboration.evidence import (
     ClusterStore,
     Evidence,
     MatchRule,
+    StatusChange,
     attach_evidence,
     resolve_status,
     retroactive_correct,
@@ -262,6 +268,101 @@ class TestRetroactiveCorrect:
         settled = cluster.status
         # re-resolving with the same evidence set is a fixed point
         assert resolve_status(cluster, store.evidence) == settled
+
+
+def _scan_every_cluster(store, ev, classifier):
+    """ingest_evidence as a scan of every cluster in id order."""
+    store.evidence[ev.id] = ev
+    changes = []
+    for cluster_id in sorted(store.clusters):
+        cluster = store.clusters[cluster_id]
+        if not attach_evidence(cluster, ev, store.rule):
+            continue
+        old, new = cluster.status, resolve_status(cluster, store.evidence)
+        if new == old:
+            continue
+        cluster.status = new
+        changes.append(StatusChange(cluster_id, old, new, ev.id))
+        features = store.features.get(cluster_id)
+        if features is not None:
+            outcome = 1 if ev.kind == "supporting" else -1
+            classifier.update(classifier.member_votes(features), outcome)
+    store.change_log.extend(changes)
+    return changes
+
+
+# spellings that normalize to three places, plus one no cluster has
+PLACES = ("Sturgis", " sturgis", "New  York", "new york", "madrid", "Lombardy")
+cluster_specs = st.lists(
+    st.tuples(
+        st.integers(0, 9),  # id: a repeated id re-adds (replaces) the cluster
+        st.sampled_from(PLACES[:5]),
+        st.integers(0, 72),  # window start, hours after T0
+        st.sets(st.sampled_from(("rally", "virus", "crowd")), max_size=2),
+        st.integers(1, 9),  # size
+    ),
+    max_size=25,
+)
+evidence_specs = st.lists(
+    st.tuples(
+        st.sampled_from(("supporting", "contradicting")),
+        st.sampled_from(PLACES),
+        st.integers(-24, 96),  # hours after T0
+        st.sets(st.sampled_from(("rally", "virus", "crowd", "flood")), min_size=1, max_size=2),
+    ),
+    max_size=20,
+)
+
+
+class TestLocationIndex:
+    """retroactive_correct tries only the clusters at the evidence's location."""
+
+    @given(cluster_specs, evidence_specs)
+    def test_same_flips_and_weights_as_a_scan_of_every_cluster(self, clusters, evidence):
+        stores = []
+        for _ in range(2):
+            store = ClusterStore(rule=MatchRule(lag_tolerance=DAY))
+            for n, place, hours, terms, size in clusters:
+                start = T0 + hours * HOUR
+                cluster = EventCluster(
+                    id=f"c{n}", location=place, window=assign_window(start, HOUR),
+                    post_ids=set(range(size)), topic_terms=set(terms),
+                )
+                store.add_cluster(cluster, ClusterFeatures(size, 1, 0.5, frozenset(terms)))
+            stores.append((store, default_team(("rally",), eta=0.5)))
+        (indexed, team), (scanned, oracle_team) = stores
+        for i, (kind, place, hours, terms) in enumerate(evidence):
+            ev = Evidence(id=f"ev-{i}", kind=kind, source="who.int", location=place,
+                          time=T0 + hours * HOUR, terms=set(terms))
+            assert indexed.ingest_evidence(ev, classifier=team) == _scan_every_cluster(
+                scanned, ev, oracle_team
+            )
+        assert indexed.change_log == scanned.change_log
+        assert team.raw_weights == oracle_team.raw_weights
+        assert indexed.export() == scanned.export()
+
+    def test_re_added_cluster_moves_to_its_new_location(self, monkeypatch):
+        import driftstream.corroboration.evidence as evidence_module
+
+        tried = []
+
+        def counting_attach(cluster, ev, rule=None):
+            tried.append((cluster.id, ev.id))
+            return attach_evidence(cluster, ev, rule)
+
+        monkeypatch.setattr(evidence_module, "attach_evidence", counting_attach)
+        store = ClusterStore(rule=MatchRule(lag_tolerance=14 * DAY))
+        cluster, _ = _cluster("sturgis")
+        store.add_cluster(cluster)
+        moved = EventCluster(id=cluster.id, location="Madrid", window=cluster.window,
+                             post_ids=set(cluster.post_ids), topic_terms=set(cluster.topic_terms))
+        store.add_cluster(moved)
+        assert store.ingest_evidence(_evidence("ev-1", location="sturgis")) == []
+        changes = store.ingest_evidence(_evidence("ev-2", location="madrid"))
+        assert [(c.cluster_id, c.new_status) for c in changes] == [(cluster.id, "corroborated")]
+        assert cluster.evidence_ids == set()
+        # each item is tried once, against the one cluster at its location
+        assert tried == [(cluster.id, "ev-2")]
 
 
 class TestTeamedClassifier:

@@ -6,6 +6,8 @@ import math
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from driftstream.drift.adapter import DriftAdapter
 from driftstream.drift.cooccurrence import (
@@ -15,7 +17,7 @@ from driftstream.drift.cooccurrence import (
     score_candidate,
 )
 from driftstream.drift.promotion import PromotionPolicy, promote_keywords
-from driftstream.drift.trending import detect_trending, rising_ratios
+from driftstream.drift.trending import TrendingHistory, detect_trending, rising_ratios
 from driftstream.keywords import KeywordEntry, KeywordSet, match_keywords
 from driftstream.misinfo.keywords import MisinfoKeywordSet
 
@@ -391,3 +393,108 @@ class TestDriftAdapter:
         assert "facemask" in terms
         event = next(e for e in adapter.audit if e.term == "facemask")
         assert event.window_end - event.window_start == 600.0
+
+
+# -- running window sums equal a fresh merge --------------------------------------
+
+WORDS = ("pandemic", "facemask", "plandemic", "coffee", "weather", "rally", "stay home")
+
+
+class _CheckedAdapter(DriftAdapter):
+    """Checks both running sums against ``_merged`` after every slide close."""
+
+    checks = 0
+
+    def _evaluate(self, closed_index):
+        _assert_sum(self._window_stats, self._merged(self._buckets))
+        self.checks += 1
+        return super()._evaluate(closed_index)
+
+    def _detect_piggyback(self, closed):
+        super()._detect_piggyback(closed)
+        _assert_sum(self._piggyback_stats, self._merged(self._piggyback_buckets))
+
+
+def _assert_sum(running, merged):
+    assert running == merged
+    for counts in (running.term_counts, running.pair_counts, running.misinfo_pair_counts):
+        assert all(n > 0 for n in counts.values())  # Counter == ignores zero counts
+
+
+# each post: slides to skip before it (0 = same slide, >1 = a gap of empty
+# slides), a late flag (a time in an earlier slide), its words, a misinfo tag
+posts_strategy = st.lists(
+    st.tuples(
+        st.sampled_from((0, 0, 0, 1, 1, 2, 5)),
+        st.booleans(),
+        st.lists(st.sampled_from(WORDS), max_size=4),
+        st.booleans(),
+    ),
+    max_size=60,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(posts_strategy, st.sampled_from((1, 2, 3)), st.booleans())
+def test_running_window_sums_equal_fresh_merge(posts, buckets_per_window, promote):
+    keywords = KeywordSet(seeds=("pandemic",))
+    adapter = _CheckedAdapter(
+        keywords,
+        PromotionPolicy(min_count=2, min_score=0.5) if promote else None,
+        window_length=600.0 * buckets_per_window,
+        slide=600.0,
+        tracked_phrases=("stay home",),
+        trending_history=3,
+        misinfo=MisinfoKeywordSet(),
+        trending_k=3,
+    )
+    slide = 0
+    indices = []
+    for i, (skip, late, words, rumor) in enumerate(posts):
+        slide += skip
+        t = 600.0 * (slide - 1 if late and slide else slide) + i
+        indices.append(slide - 1 if late and slide else slide)
+        text = " ".join(words)
+        matched = keywords.match(text)
+        post = make_enriched(post_id=i, text=text, created_at=t, relevance=bool(matched),
+                             matched_terms=matched, misinfo_terms={"plandemic"} if rumor else set())
+        adapter.observe(post)
+    adapter.flush()
+    assert adapter.checks == (max(indices) - indices[0] + 1 if posts else 0)
+
+
+def test_subtract_undoes_merge_and_drops_zero_counts():
+    keywords = KeywordSet(seeds=("pandemic",))
+    first, second = CooccurrenceStats(), CooccurrenceStats()
+    _observe_texts(first, keywords, ["facemask pandemic", "coffee weather"])
+    _observe_texts(second, keywords, ["facemask pandemic rally"])
+    total = CooccurrenceStats()
+    total.merge(first)
+    total.merge(second)
+    total.subtract(first)
+    assert total == second
+    assert set(total.term_counts) == set(second.term_counts)  # no "coffee": 0
+    assert set(total.pair_counts) == set(second.pair_counts)
+
+
+history_strategy = st.lists(
+    st.dictionaries(st.sampled_from("abcdefgh"), st.integers(1, 4), max_size=6).map(Counter),
+    max_size=12,
+)
+
+
+@given(history_strategy, st.integers(1, 7), st.integers(0, 10))
+def test_trending_history_equals_detect_trending(windows, depth, k):
+    trending = TrendingHistory(depth)
+    for pushed, counts in enumerate(windows, 1):
+        trending.push(counts)
+        history = list(trending.history)
+        assert history == windows[:pushed][-depth:]
+        expected_trailing = sum(history[:-1], Counter())
+        assert trending.trailing == expected_trailing
+        assert all(n > 0 for n in trending.trailing.values())
+        if len(history) >= 2:
+            assert trending.top(k) == detect_trending(history, k)
+        else:
+            with pytest.raises(ValueError):
+                trending.top(k)

@@ -6,7 +6,10 @@ import json
 from collections import Counter
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from driftstream.core.windows import assign_window
 from driftstream.drift.cooccurrence import CooccurrenceStats, observe_post
 from driftstream.keywords import KeywordSet
 from driftstream.misinfo.keywords import (
@@ -173,6 +176,30 @@ class TestWindowTagging:
         ]
         with pytest.raises(ValueError):
             tag_misinformation_window(posts, MisinfoKeywordSet())
+
+    @pytest.mark.parametrize("offset", [-0.25, 60.0, 60.5, -60.0])
+    def test_post_outside_the_window_raises(self, offset):
+        # the window is [T, T + 60): set by the first post, fractional times included
+        posts = [
+            make_enriched(post_id=1, created_at=self.T + 0.25),
+            make_enriched(post_id=2, created_at=self.T + 59.75),
+            make_enriched(post_id=3, created_at=self.T + offset),
+        ]
+        with pytest.raises(ValueError, match="post 3 falls outside window"):
+            tag_misinformation_window(posts, MisinfoKeywordSet())
+        _, report = tag_misinformation_window(posts[:2], MisinfoKeywordSet())
+        assert report.posts_in == 2
+
+    @given(st.lists(st.floats(-90.0, 150.0), min_size=1, max_size=8), st.sampled_from((0.5, 60.0, 7.5)))
+    def test_window_verdict_equals_assign_window(self, offsets, length):
+        posts = [make_enriched(post_id=i, created_at=self.T + o) for i, o in enumerate(offsets)]
+        windows = {assign_window(p.post.created_at, length) for p in posts}
+        if len(windows) == 1:
+            _, report = tag_misinformation_window(posts, MisinfoKeywordSet(), window_length=length)
+            assert report.window == windows.pop()
+        else:
+            with pytest.raises(ValueError):
+                tag_misinformation_window(posts, MisinfoKeywordSet(), window_length=length)
 
     def test_authoritative_post_not_counted_in_tally(self):
         sources = AuthoritativeSourceList(["who.int"])

@@ -444,6 +444,111 @@ class TestPiggybackOutput:
         assert calls["tokenize"] == calls["observe"]
 
 
+def _multiday_config(tmp_path):
+    """Three sparse days shaped like a real archive: half the timestamps in
+    the legacy format, one post two minutes late, drift terms, a misinfo
+    terms feed, an evidence feed and a daily case feed."""
+    import random
+    from datetime import datetime, timezone
+
+    rng = random.Random(1848)
+    corpus = generate_synthetic(
+        SyntheticConfig(
+            seed=1848,
+            duration_minutes=3 * 1440,
+            base_rate_per_minute=0.6,
+            region_pool=tuple(GAZETTEER),
+            p_region=0.9,
+            drift_schedule=[
+                DriftTermSchedule("facemask", 0.25 * 86400, 1.0 * 86400, p_co=0.5),
+                DriftTermSchedule("lockdowns", 1.5 * 86400, 2.25 * 86400, p_co=0.5),
+            ],
+        ),
+        tmp_path / "raw",
+    )
+    records = [json.loads(line) for line in corpus.archive_path.read_text().splitlines()]
+    records.insert(600, records.pop(400))  # arrives behind ~200 newer posts
+    for record in records:
+        if rng.random() < 0.5:
+            epoch = parse_timestamp(record["created_at"])
+            record["created_at"] = datetime.fromtimestamp(epoch, tz=timezone.utc).strftime(
+                "%a %b %d %H:%M:%S +0000 %Y"
+            )
+    archive = tmp_path / "archive.jsonl"
+    archive.write_text("".join(json.dumps(r) + "\n" for r in records))
+
+    terms = ("corona", "virus", "pandemic", "hospital", "outbreak", "cases", "rally")
+    with open(tmp_path / "evidence.jsonl", "w", encoding="utf-8") as f:
+        for i in range(80):
+            item = {
+                "id": f"ev-{i:03d}",
+                "kind": "supporting" if rng.random() < 0.7 else "contradicting",
+                "source": "who.int",
+                "location": rng.choice(GAZETTEER).title(),
+                "time": format_timestamp(T0 + rng.uniform(0, 3 * 86400)),
+                "terms": rng.sample(terms, k=2),
+            }
+            f.write(json.dumps(item) + "\n")
+    with open(tmp_path / "cases.jsonl", "w", encoding="utf-8") as f:
+        for day in range(3):
+            for region in GAZETTEER:
+                row = {"date": format_timestamp(T0 + day * 86400)[:10], "region": region.title(),
+                       "new_cases": rng.randrange(10, 500), "source": "jhu.edu"}
+                f.write(json.dumps(row) + "\n")
+    (tmp_path / "misinfo_terms.json").write_text(json.dumps({"terms": ["5g towers", "microchip"]}))
+    return parse_config(
+        {
+            "seed": 1,
+            "archive": str(archive),
+            "out_dir": str(tmp_path / "bundle"),
+            "enrichment": {"gazetteer": GAZETTEER},
+            "drift": {"min_count": 5},
+            "evidence_feed": str(tmp_path / "evidence.jsonl"),
+            "case_feed": str(tmp_path / "cases.jsonl"),
+            "max_lag_days": 1,
+            "misinfo": {"sources": [{"kind": "terms_file", "path": str(tmp_path / "misinfo_terms.json")}]},
+        }
+    )
+
+
+class TestMultidayBundle:
+    # sha256 over (file name, bytes) of every bundle file, from the code
+    # that recomputed every window merge, trending history and evidence scan
+    GOLDEN_SHA256 = "e9058b3ed16c370a7725bd34b950876ee96b08a8a67274d724f4fdd08c0be3a4"
+
+    def test_bundle_matches_golden(self, tmp_path):
+        import hashlib
+
+        result = run_pipeline(_multiday_config(tmp_path))
+        summary = result.summary
+        assert summary["promoted_terms"] and summary["status_changes"] and summary["tagged"]
+        assert (result.out_dir / "piggyback.jsonl").read_text()
+        digest = hashlib.sha256()
+        for path in sorted(result.out_dir.iterdir()):
+            digest.update(path.name.encode() + b"\0" + path.read_bytes() + b"\0")
+        assert digest.hexdigest() == self.GOLDEN_SHA256
+
+    def test_store_holds_at_most_two_ttls_of_puts(self, tmp_path):
+        from driftstream.pipeline.runner import PipelineRunner
+
+        runner = PipelineRunner(_multiday_config(tmp_path))
+        puts = []
+        put = runner.store.put
+
+        def counting_put(key, value, ttl=None):
+            puts.append(runner.clock.now())
+            put(key, value, ttl)
+
+        runner.store.put = counting_put
+        runner.run()
+        ttl = runner.config.keywords.retweet_ttl
+        end = runner.clock.now()
+        assert end - puts[0] > 2 * ttl
+        recent = sum(1 for t in puts if t > end - 2 * ttl)
+        held = sum(1 for key in runner.store._entries if key.startswith("match:"))
+        assert held <= recent < len(puts)
+
+
 class TestCli:
     def test_synth_then_run_exit_zero(self, tmp_path, capsys):
         synth_config = tmp_path / "synth.yaml"

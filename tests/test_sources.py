@@ -5,7 +5,11 @@ from __future__ import annotations
 import json
 from collections import Counter
 
+from datetime import datetime
+
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from driftstream.sources import archive as archive_module
 from driftstream.sources.posts import Post, Rejection, parse_post
@@ -17,7 +21,7 @@ from driftstream.sources.synthetic import (
     generate_synthetic,
     load_ground_truth,
 )
-from driftstream.timeutil import TimestampError, parse_timestamp
+from driftstream.timeutil import LEGACY_FORMAT, TimestampError, parse_legacy, parse_timestamp
 
 
 SAMPLE_LINE = json.dumps(
@@ -112,6 +116,87 @@ class TestTimestampMemo:
         for _ in range(2):
             assert parse_post(bad).reason == "bad_timestamp"
         assert parse_post(good).created_at == self.ISO_EPOCH
+
+
+# Odd spellings of each field: names strptime matches case-insensitively or
+# not at all, one-digit and out-of-range days, hour 24, minute and second 60,
+# offsets of 24 hours or 60 minutes or with a colon, short and zero years.
+LEGACY_ODD_FIELDS = {
+    "name": ("sun", "SAT", "Xyz", "Sunday"),
+    "month": ("feb", "DEC", "Foo", "March"),
+    "day": ("0", "00", "1", " 1", "9", "32"),
+    "clock": ("24:00:00", "23:60:00", "23:59:60", "23:59:61", "1:2:3"),
+    "offset": ("+2400", "-2400", "+0060", "+00:30", "-23:59", "Z", "+000000"),
+    "year": ("20", "0000", "99999"),
+}
+
+
+@st.composite
+def legacy_strings(draw):
+    """A canonical legacy timestamp (days up to 31 in every month, years 1
+    to 9999), with up to two fields swapped for an odd spelling."""
+    fields = {
+        "name": draw(st.sampled_from(("Mon", "Tue", "Wed", "Thu", "Fri", "Sat", "Sun"))),
+        "month": draw(st.sampled_from(("Jan", "Feb", "Mar", "Apr", "Jun", "Sep", "Dec"))),
+        "day": f"{draw(st.integers(1, 31)):02d}",
+        "clock": "{:02d}:{:02d}:{:02d}".format(
+            draw(st.integers(0, 23)), draw(st.integers(0, 59)), draw(st.integers(0, 59))
+        ),
+        "offset": "{}{:02d}{:02d}".format(
+            draw(st.sampled_from("+-")), draw(st.integers(0, 23)), draw(st.integers(0, 59))
+        ),
+        "year": f"{draw(st.integers(1, 9999)):04d}",
+    }
+    for key in draw(st.lists(st.sampled_from(sorted(LEGACY_ODD_FIELDS)), max_size=2, unique=True)):
+        fields[key] = draw(st.sampled_from(LEGACY_ODD_FIELDS[key]))
+    return " ".join(fields.values())
+
+
+class TestLegacyFastPath:
+    """parse_legacy parses the canonical form itself; strptime is its oracle."""
+
+    @staticmethod
+    def _check(text):
+        try:
+            expected = datetime.strptime(text, LEGACY_FORMAT)
+        except ValueError:
+            with pytest.raises(ValueError):
+                parse_legacy(text)
+            with pytest.raises(TimestampError):
+                parse_timestamp(text)
+            return
+        got = parse_legacy(text)
+        assert (got, got.utcoffset()) == (expected, expected.utcoffset())
+        assert parse_timestamp(text) == expected.timestamp()
+
+    @given(legacy_strings())
+    def test_parse_legacy_equals_strptime(self, text):
+        self._check(text)
+
+    @pytest.mark.parametrize(
+        "field,odd", [(field, odd) for field, odds in LEGACY_ODD_FIELDS.items() for odd in odds]
+    )
+    def test_every_odd_spelling_parses_like_strptime(self, field, odd):
+        fields = dict(zip(LEGACY_ODD_FIELDS, "Sun Mar 01 12:30:45 +0530 2020".split()))
+        fields[field] = odd
+        self._check(" ".join(fields.values()))
+
+    def test_weekday_is_ignored_like_strptime(self):
+        # 2020-03-01 was a Sunday
+        for text in ("Sun Mar 01 00:00:00 +0000 2020", "Wed Mar 01 00:00:00 +0000 2020"):
+            assert parse_legacy(text) == datetime.strptime(text, LEGACY_FORMAT)
+            assert parse_timestamp(text) == 1583020800.0
+
+    def test_canonical_form_skips_strptime(self, monkeypatch):
+        import driftstream.timeutil as timeutil
+
+        class NoStrptime(datetime):
+            @classmethod
+            def strptime(cls, *args):
+                raise AssertionError("strptime called")
+
+        monkeypatch.setattr(timeutil, "datetime", NoStrptime)
+        assert parse_legacy("Sat Feb 29 18:59:56 -0130 2020").isoformat() == "2020-02-29T18:59:56-01:30"
 
 
 class TestReplayArchive:
