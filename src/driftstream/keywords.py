@@ -6,11 +6,14 @@ case-insensitive; the default mode is substring, with a token mode for
 precision experiments. Multilingual terms are plain configuration strings.
 Matchers take the post text lowercased once by the caller, and each
 lexicon is compiled once per change rather than once per post.
+RecentMatches holds the matched terms of recent relevant posts, so a
+retweet of one inherits them for a TTL (retweet closure).
 """
 
 from __future__ import annotations
 
 import re
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
@@ -149,6 +152,51 @@ def _contains_phrase(tokens: list[str], parts: list[str]) -> bool:
     return any(tokens[i : i + n] == parts for i in range(len(tokens) - n + 1))
 
 
+class RecentMatches:
+    """Matched terms of recently relevant posts, by post id, for a TTL.
+
+    An entry put at ``now`` is live while the watermark is below
+    ``now + ttl``. Puts come at the runner's watermark, which never
+    decreases, and all use the one TTL, so expiry order is put order: a
+    re-put moves its id to the back, and ``sweep`` pops from the front.
+    After ``sweep(now)`` every entry held is live at ``now``, so ``get`` is
+    a plain lookup.
+    """
+
+    def __init__(self, ttl: float):
+        self.ttl = ttl
+        # id -> (expiry, terms). Not a plain dict: popping a dict's first key
+        # scans past every slot earlier pops freed, so each sweep would cost
+        # time in proportion to the entries held.
+        self._entries: OrderedDict[int, tuple[float, list[str]]] = OrderedDict()
+        self._swept_at = float("-inf")
+
+    def put(self, post_id: int, terms: list[str], now: float) -> None:
+        """Hold ``terms`` for ``post_id`` until ``now + ttl``, replacing any entry."""
+        self._entries[post_id] = (now + self.ttl, terms)
+        self._entries.move_to_end(post_id)
+
+    def get(self, post_id: int) -> Optional[list[str]]:
+        hit = self._entries.get(post_id)
+        return None if hit is None else hit[1]
+
+    def sweep(self, now: Optional[float] = None) -> int:
+        """Drop the entries expired at ``now`` (by default the last ``now``
+        swept at); returns how many were dropped."""
+        if now is None:
+            now = self._swept_at
+        self._swept_at = now
+        entries = self._entries
+        dropped = 0
+        while entries and next(iter(entries.values()))[0] <= now:
+            entries.popitem(last=False)
+            dropped += 1
+        return dropped
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+
 def match_keywords(
     post, keywords: KeywordSet, recent_matches=None, lowered: Optional[str] = None
 ) -> set[str]:
@@ -156,14 +204,13 @@ def match_keywords(
 
     ``lowered`` is the post's text lowercased, when the caller already has
     it. A retweet of a post that matched is itself a match (inheriting the
-    original's terms) when ``recent_matches`` — a SharedStore-backed view of
-    recently matched post ids — knows the original.
+    original's terms) when ``recent_matches`` still holds the original.
     """
     if lowered is None:
         lowered = post.text.lower()
     matched = keywords.match(lowered)
     if not matched and recent_matches is not None and post.is_retweet_of is not None:
-        inherited = recent_matches.get(f"match:{post.is_retweet_of}")
+        inherited = recent_matches.get(post.is_retweet_of)
         if inherited:
             matched = set(inherited)
     return matched

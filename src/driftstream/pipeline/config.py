@@ -184,6 +184,8 @@ def parse_config(data: dict, base_dir: Optional[Path] = None) -> PipelineConfig:
         errors.append(f"keywords.match_mode: must be substring or token, got {keywords.match_mode!r}")
     if not keywords.seeds:
         errors.append("keywords.seeds: must be non-empty")
+    if not keywords.retweet_ttl > 0:  # also rejects NaN
+        errors.append("keywords.retweet_ttl_hours: must be > 0")
 
     dr = data.get("drift", {}) or {}
     drift = DriftConfig(

@@ -3,11 +3,15 @@
 The runner advances every stage in lockstep, record by record and window
 by window, driven purely by event time. That makes two runs over the same
 archive, config, and seed byte-identical — the property the report-bundle
-determinism contract depends on. The simulated clock follows the stream's
-event time; no wall-clock value ever reaches an output file.
+determinism contract depends on. Every stage reads event time only: the
+watermark is the largest event time seen so far, and no wall-clock value
+ever reaches an output file.
 
 Dataflow per record: parse -> clean/relevance -> locations -> sentiment ->
 topic groups -> authoritative tag -> minute-window misinformation tagging.
+A retweet of a relevant post inherits that post's terms while the
+retweet-closure index (``store``, a RecentMatches) holds them; the index
+drops expired entries on every watermark advance.
 Each post's text is lowercased once per post on ingest, and that one
 lowered string feeds keyword matching, locations, sentiment and topic
 groups; misinformation tagging lowercases each post once more when its
@@ -23,7 +27,6 @@ from __future__ import annotations
 
 import csv
 import json
-import math
 import time
 from collections import Counter
 from dataclasses import dataclass, field
@@ -32,7 +35,6 @@ from typing import Optional
 
 from ..analytics.correlation import CorrelationResult, correlate_regions, daily_series
 from ..analytics.tables import emit_report
-from ..core.store import SharedStore
 from ..corroboration.clusters import cluster_features, form_clusters
 from ..corroboration.evidence import ClusterStore, MatchRule, load_evidence_feed
 from ..corroboration.team import default_team
@@ -59,12 +61,12 @@ from ..enrich.topics import (
     compile_group_lexicons,
     load_group_lexicons,
 )
-from ..keywords import KeywordSet
+from ..keywords import KeywordSet, RecentMatches
 from ..misinfo.keywords import MisinfoKeywordSet, refresh_misinfo_keywords
 from ..misinfo.tagging import AuthoritativeSourceList, tag_authoritative, tag_misinformation_window
 from ..sources.archive import posts_from_archive
 from ..sources.posts import Post
-from ..timeutil import DAY, ManualClock, day_key, month_key
+from ..timeutil import DAY, day_key, month_key
 from .config import PipelineConfig
 
 
@@ -106,8 +108,7 @@ def _pop_ready(
 class PipelineRunner:
     def __init__(self, config: PipelineConfig):
         self.config = config
-        self.clock = ManualClock()
-        self.store = SharedStore(clock=self.clock)
+        self.store = RecentMatches(config.keywords.retweet_ttl)
         self.keywords = KeywordSet(
             seeds=config.keywords.seeds, match_mode=config.keywords.match_mode
         )
@@ -140,7 +141,6 @@ class PipelineRunner:
             )
         self.gazetteer = Gazetteer(gaz_names)
         self.location_cache = LocationCache(ttl=config.enrichment.location_cache_ttl)
-        self.store.put("location_cache", self.location_cache)
         # Both lexicons are fixed for a run, so each is compiled here once.
         self.sentiment_lexicon = compile_sentiment_lexicon(
             load_sentiment_lexicon(config.enrichment.sentiment_lexicon_file)
@@ -162,7 +162,6 @@ class PipelineRunner:
         self._cluster_buffers: dict[float, list[EnrichedPost]] = {}
         self._watermark: Optional[float] = None
         self._next_refresh: Optional[float] = None
-        self._next_sweep: Optional[float] = None
 
         # outputs
         self.window_rows: list[tuple] = []
@@ -187,11 +186,7 @@ class PipelineRunner:
             return
         if enriched.relevance:
             self.counters["relevant"] += 1
-            self.store.put(
-                f"match:{parsed.id}",
-                sorted(enriched.matched_terms),
-                ttl=self.config.keywords.retweet_ttl,
-            )
+            self.store.put(parsed.id, sorted(enriched.matched_terms), self._watermark)
         enriched.locations = extract_locations(
             lowered, self.gazetteer, self.location_cache, now=parsed.created_at
         )
@@ -210,11 +205,9 @@ class PipelineRunner:
         if self._watermark is not None and event_time <= self._watermark:
             return
         self._watermark = event_time
-        self.clock.set(event_time)
+        self.store.sweep(event_time)
         if self._next_refresh is None or event_time >= self._next_refresh:
             self._refresh_misinfo(event_time)
-        if self._next_sweep is None or event_time >= self._next_sweep:
-            self._sweep_store(event_time)
         self._flush_minute_windows(upto=event_time)
         self._flush_cluster_windows(upto=event_time)
 
@@ -225,15 +218,6 @@ class PipelineRunner:
         self.counters["misinfo_terms_added"] += len(added)
         interval = self.config.misinfo.refresh_interval
         self._next_refresh = (now // interval + 1) * interval
-
-    def _sweep_store(self, now: float) -> None:
-        """Drop expired retweet-closure entries each time the watermark
-        crosses a multiple of the TTL, so live entries stay within two TTLs
-        of their puts. Expired entries read as absent, so no output changes."""
-        if self._next_sweep is not None:
-            self.store.sweep()
-        ttl = self.config.keywords.retweet_ttl
-        self._next_sweep = (now // ttl + 1) * ttl if ttl > 0 else math.inf
 
     # -- windowed stages --------------------------------------------------------
 

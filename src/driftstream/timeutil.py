@@ -1,4 +1,4 @@
-"""Timestamp parsing and pluggable clocks.
+"""Timestamp parsing and formatting.
 
 All timestamps inside the pipeline are UTC epoch seconds (float). Archive
 files may carry either the legacy social format ("Sat Feb 29 18:59:56
@@ -8,7 +8,6 @@ files may carry either the legacy social format ("Sat Feb 29 18:59:56
 from __future__ import annotations
 
 import re
-import time
 from datetime import datetime, timedelta, timezone
 
 LEGACY_FORMAT = "%a %b %d %H:%M:%S %z %Y"
@@ -102,26 +101,3 @@ def day_key(epoch: float) -> str:
 def day_start(epoch: float) -> float:
     """Epoch seconds of the UTC midnight containing ``epoch``."""
     return float(int(epoch) // int(DAY) * int(DAY))
-
-
-class Clock:
-    """Wall clock. Subclass or swap for deterministic tests."""
-
-    def now(self) -> float:
-        return time.time()
-
-
-class ManualClock(Clock):
-    """Clock advanced explicitly; pipelines drive it with event time."""
-
-    def __init__(self, start: float = 0.0):
-        self._now = float(start)
-
-    def now(self) -> float:
-        return self._now
-
-    def set(self, t: float) -> None:
-        self._now = float(t)
-
-    def advance(self, seconds: float) -> None:
-        self._now += seconds

@@ -1,82 +1,31 @@
+"""Put, get and expiry of the retweet-match index, ``RecentMatches``.
+
+The index replaced the generic TTL key-value store; these are that store's
+basic contract checks, kept on the index that now holds its one use.
+"""
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-
-from driftstream.core.store import SharedStore
-from driftstream.timeutil import ManualClock
+from driftstream.keywords import RecentMatches
 
 
 def test_get_on_empty_store_is_absent():
-    store = SharedStore()
-    assert store.get("missing") is None
-    assert store.get("missing", default="x") == "x"
+    store = RecentMatches(ttl=10.0)
+    assert store.get(1) is None
+    assert len(store) == 0
+    assert store.sweep(5.0) == 0
 
 
 def test_put_then_get():
-    store = SharedStore()
-    store.put("k", {"v": 1})
-    assert store.get("k") == {"v": 1}
-
-
-def test_overwrite_replaces_value_and_expiry():
-    clock = ManualClock(0.0)
-    store = SharedStore(clock=clock)
-    store.put("k", "old", ttl=1.0)
-    store.put("k", "new", ttl=100.0)
-    clock.advance(50.0)
-    assert store.get("k") == "new"
+    store = RecentMatches(ttl=10.0)
+    store.put(1, ["flu"], now=0.0)
+    assert store.get(1) == ["flu"]
+    assert store.get(2) is None
+    assert len(store) == 1
 
 
 def test_expired_entry_is_absent():
-    clock = ManualClock(0.0)
-    store = SharedStore(clock=clock)
-    store.put("k", "v", ttl=1.0)
-    clock.advance(2.0)
-    assert store.get("k") is None
-    assert not store.contains("k")
-
-
-def test_entry_alive_just_before_expiry():
-    clock = ManualClock(0.0)
-    store = SharedStore(clock=clock)
-    store.put("k", "v", ttl=10.0)
-    clock.advance(9.999)
-    assert store.get("k") == "v"
-
-
-def test_no_ttl_never_expires():
-    clock = ManualClock(0.0)
-    store = SharedStore(clock=clock)
-    store.put("k", "v")
-    clock.advance(1e9)
-    assert store.get("k") == "v"
-
-
-def test_keys_prefix_and_sweep():
-    clock = ManualClock(0.0)
-    store = SharedStore(clock=clock)
-    store.put("match:1", [])
-    store.put("match:2", [], ttl=1.0)
-    store.put("other", [])
-    assert store.keys("match:") == ["match:1", "match:2"]
-    clock.advance(5.0)
-    assert store.keys("match:") == ["match:1"]
-    assert store.sweep() == 1
-    assert len(store) == 2
-
-
-def test_concurrent_puts_all_retrievable():
-    # oracle: sequential puts of the same data must observe identical state
-    store = SharedStore()
-    keys = [f"key-{i}" for i in range(1000)]
-
-    def put(i: int) -> None:
-        store.put(keys[i], i)
-
-    with ThreadPoolExecutor(max_workers=16) as pool:
-        list(pool.map(put, range(1000)))
-
-    sequential = SharedStore()
-    for i in range(1000):
-        sequential.put(keys[i], i)
-    assert {k: store.get(k) for k in keys} == {k: sequential.get(k) for k in keys}
+    store = RecentMatches(ttl=1.0)
+    store.put(1, ["flu"], now=0.0)
+    assert store.sweep(2.0) == 1
+    assert store.get(1) is None
+    assert len(store) == 0

@@ -3,9 +3,7 @@ from __future__ import annotations
 from hypothesis import given
 from hypothesis import strategies as st
 
-from driftstream.core.store import SharedStore
-from driftstream.keywords import KeywordEntry, KeywordSet, match_keywords, tokenize
-from driftstream.timeutil import ManualClock
+from driftstream.keywords import KeywordEntry, KeywordSet, RecentMatches, match_keywords, tokenize
 
 from conftest import make_post
 
@@ -64,32 +62,122 @@ def test_monotonicity_enlarging_set_never_shrinks_matches():
 
 
 def test_retweet_of_matching_post_matches():
-    clock = ManualClock(1000.0)
-    store = SharedStore(clock=clock)
+    recent = RecentMatches(ttl=86400.0)
     keywords = KeywordSet(seeds=("pandemic",))
     original = make_post(post_id=7, text="pandemic worsening")
     assert match_keywords(original, keywords) == {"pandemic"}
-    store.put("match:7", sorted({"pandemic"}), ttl=86400.0)
+    recent.put(7, sorted({"pandemic"}), now=1000.0)
 
     retweet = make_post(post_id=8, text="so it begins", is_retweet_of=7)
-    assert match_keywords(retweet, keywords, store) == {"pandemic"}
+    assert match_keywords(retweet, keywords, recent) == {"pandemic"}
 
 
 def test_retweet_inheritance_expires_with_ttl():
-    clock = ManualClock(0.0)
-    store = SharedStore(clock=clock)
-    store.put("match:7", ["pandemic"], ttl=86400.0)
+    recent = RecentMatches(ttl=86400.0)
+    recent.put(7, ["pandemic"], now=0.0)
     retweet = make_post(post_id=8, text="so it begins", is_retweet_of=7)
     keywords = KeywordSet(seeds=("pandemic",))
-    clock.advance(90000.0)
-    assert match_keywords(retweet, keywords, store) == set()
+    assert recent.sweep(90000.0) == 1
+    assert match_keywords(retweet, keywords, recent) == set()
+    assert len(recent) == 0
+
+
+def test_retweet_alive_just_before_expiry():
+    recent = RecentMatches(ttl=10.0)
+    recent.put(7, ["pandemic"], now=0.0)
+    retweet = make_post(post_id=8, text="so it begins", is_retweet_of=7)
+    keywords = KeywordSet(seeds=("pandemic",))
+    assert recent.sweep(9.999) == 0
+    assert match_keywords(retweet, keywords, recent) == {"pandemic"}
+    assert recent.sweep(10.0) == 1  # expired at exactly put time + ttl
+    assert match_keywords(retweet, keywords, recent) == set()
 
 
 def test_retweet_of_unknown_post_does_not_match():
-    store = SharedStore()
+    recent = RecentMatches(ttl=86400.0)
     keywords = KeywordSet(seeds=("pandemic",))
     retweet = make_post(post_id=8, text="so it begins", is_retweet_of=99)
-    assert match_keywords(retweet, keywords, store) == set()
+    assert match_keywords(retweet, keywords, recent) == set()
+
+
+def test_reput_replaces_terms_refreshes_expiry_and_moves_to_back():
+    recent = RecentMatches(ttl=10.0)
+    recent.put(7, ["pandemic"], now=0.0)
+    recent.put(8, ["virus"], now=1.0)
+    recent.put(7, ["mask"], now=2.0)
+    assert list(recent._entries) == [8, 7]
+    assert recent.sweep(11.0) == 1  # 8 expires; 7 was refreshed to 12
+    assert recent.get(7) == ["mask"] and recent.get(8) is None
+    assert recent.sweep(12.0) == 1
+    assert len(recent) == 0
+
+
+def test_sweep_without_argument_uses_last_now():
+    recent = RecentMatches(ttl=10.0)
+    assert recent.sweep() == 0
+    recent.put(7, ["pandemic"], now=0.0)
+    recent.sweep(5.0)
+    assert recent.sweep() == 0 and recent.get(7) == ["pandemic"]
+    recent.put(8, ["virus"], now=5.0)
+    recent.sweep(12.0)
+    assert recent.sweep() == 0 and len(recent) == 1
+
+
+class _OldStoreSemantics:
+    """The retweet store as it was: ``(value, now + ttl)`` per key, absent
+    once ``now >= expiry``, never dropped early."""
+
+    def __init__(self, ttl):
+        self.ttl = ttl
+        self.entries = {}
+
+    def put(self, key, value, now):
+        self.entries[key] = (value, now + self.ttl)
+
+    def get(self, key, now):
+        hit = self.entries.get(key)
+        return None if hit is None or now >= hit[1] else hit[0]
+
+
+_STEPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("advance"), st.sampled_from([0.0, 0.25, 0.5, 1.0, 2.5, 7.0])),
+        st.tuples(st.just("put"), st.integers(0, 6)),
+        st.tuples(st.just("sweep"), st.booleans()),
+    ),
+    max_size=60,
+)
+
+
+@given(
+    ttl=st.sampled_from([0.5, 1.0, 3.0, 0.1 + 0.2]),
+    start=st.sampled_from([0.0, 1e9 + 0.3]),
+    steps=_STEPS,
+)
+def test_recent_matches_agrees_with_old_store_semantics(ttl, start, steps):
+    """Puts at a non-decreasing ``now``, swept on every advance as the runner
+    does: after every step each id reads as the old store read it, and no
+    sweep, at ``now`` or with no argument, leaves an expired entry behind."""
+    recent, old = RecentMatches(ttl), _OldStoreSemantics(ttl)
+    now = start
+    recent.sweep(now)
+    for i, (op, arg) in enumerate(steps):
+        if op == "advance":
+            now += arg
+            recent.sweep(now)
+        elif op == "put":
+            recent.put(arg, [f"t{i}"], now)
+            old.put(arg, [f"t{i}"], now)
+        elif arg:
+            recent.sweep(now)
+        else:
+            recent.sweep()
+        if op in ("advance", "sweep"):
+            assert all(expiry > now for expiry, _ in recent._entries.values())
+        for post_id in range(7):
+            assert recent.get(post_id) == old.get(post_id, now)
+    expiries = [expiry for expiry, _ in recent._entries.values()]
+    assert expiries == sorted(expiries)
 
 
 def test_match_against_brute_force_oracle_on_synthetic_corpus(tmp_path):

@@ -148,6 +148,19 @@ class TestConfigValidation:
         assert "drift.min_count: must be an integer, got 2.5" in stderr
         assert "clusters.min_size: must be an integer, got 1.9" in stderr
 
+    @pytest.mark.parametrize("hours", [0, -1, -0.5, "nan", float("nan")])
+    def test_nonpositive_retweet_ttl_named_with_exit_2(self, tmp_path, capsys, hours):
+        corpus = _fixture_corpus(tmp_path, minutes=5, rate=20)
+        data = _base_config(tmp_path, corpus, keywords={"retweet_ttl_hours": hours})
+        with pytest.raises(ConfigError) as err:
+            parse_config(data)
+        assert err.value.errors == ["keywords.retweet_ttl_hours: must be > 0"]
+
+        path = tmp_path / "ttl.yaml"
+        path.write_text(yaml.safe_dump(data))
+        assert main(["run", "--config", str(path)]) == 2
+        assert "keywords.retweet_ttl_hours: must be > 0" in capsys.readouterr().err
+
     def test_legacy_topology_key_ignored(self, tmp_path):
         corpus = _fixture_corpus(tmp_path, minutes=5, rate=20)
         data = _base_config(tmp_path, corpus, topology=[{"name": "x", "kind": "quantum"}])
@@ -403,6 +416,36 @@ def _piggyback_config(tmp_path, enabled):
     )
 
 
+class TestRetweetClosure:
+    def test_duplicate_id_reput_refreshes_and_irrelevant_copy_leaves_entry(self, tmp_path):
+        """A relevant copy of an id replaces its terms, refreshes its expiry
+        and moves it to the back; an irrelevant copy changes nothing."""
+        from conftest import make_post
+
+        from driftstream.pipeline.runner import PipelineRunner
+
+        corpus = _fixture_corpus(tmp_path, minutes=5, rate=20)
+        runner = PipelineRunner(parse_config(_base_config(tmp_path, corpus)))
+        store = runner.store
+        assert store.ttl == 24 * 3600.0
+
+        def relevant(post_id, text, hours, retweet_of=None):
+            before = runner.counters["relevant"]
+            runner.ingest_post(make_post(post_id, text, T0 + hours * 3600.0, is_retweet_of=retweet_of))
+            return runner.counters["relevant"] > before
+
+        assert relevant(1, "pandemic news", 0)
+        assert relevant(2, "so it begins", 1, retweet_of=1)
+        assert not relevant(1, "nothing here", 12)
+        assert store.get(1) == ["pandemic"] and list(store._entries) == [1, 2]
+        assert relevant(1, "mask mandate", 20)
+        assert store.get(1) == ["mask"] and list(store._entries) == [2, 1]
+        # past the first put's TTL, inside the re-put's
+        assert relevant(3, "so it begins", 30, retweet_of=1)
+        assert store.get(3) == ["mask"]
+        assert not relevant(4, "so it begins", 45, retweet_of=1)
+
+
 class TestPiggybackOutput:
     @pytest.mark.parametrize("enabled", [True, False])
     def test_piggyback_jsonl_matches_golden(self, tmp_path, enabled):
@@ -528,25 +571,37 @@ class TestMultidayBundle:
             digest.update(path.name.encode() + b"\0" + path.read_bytes() + b"\0")
         assert digest.hexdigest() == self.GOLDEN_SHA256
 
-    def test_store_holds_at_most_two_ttls_of_puts(self, tmp_path):
+    def test_retweet_index_holds_exactly_the_live_puts(self, tmp_path):
+        """After every post, the retweet index holds exactly the ids last put
+        within one TTL of the watermark, in expiry order, none expired."""
         from driftstream.pipeline.runner import PipelineRunner
 
         runner = PipelineRunner(_multiday_config(tmp_path))
-        puts = []
-        put = runner.store.put
+        store, ttl = runner.store, runner.config.keywords.retweet_ttl
+        last_put = {}
+        put, ingest = store.put, runner.ingest_post
 
-        def counting_put(key, value, ttl=None):
-            puts.append(runner.clock.now())
-            put(key, value, ttl)
+        def recording_put(post_id, terms, now):
+            last_put[post_id] = now
+            put(post_id, terms, now)
 
-        runner.store.put = counting_put
+        def checked_ingest(post):
+            ingest(post)
+            watermark = runner._watermark
+            assert set(store._entries) == {i for i, t in last_put.items() if t + ttl > watermark}
+            expiries = [expiry for expiry, _ in store._entries.values()]
+            assert expiries == sorted(expiries)
+            assert all(expiry > watermark for expiry in expiries)
+
+        store.put = recording_put
+        runner.ingest_post = checked_ingest
         runner.run()
-        ttl = runner.config.keywords.retweet_ttl
-        end = runner.clock.now()
-        assert end - puts[0] > 2 * ttl
-        recent = sum(1 for t in puts if t > end - 2 * ttl)
-        held = sum(1 for key in runner.store._entries if key.startswith("match:"))
-        assert held <= recent < len(puts)
+        assert runner._watermark - min(last_put.values()) > 2 * ttl
+        assert 0 < len(store) < len(last_put)
+        # what the benchmark reads after a run: nothing expired is held
+        held = len(store)
+        assert store.sweep() == 0
+        assert len(store) == held
 
 
 class TestCli:
