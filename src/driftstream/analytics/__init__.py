@@ -5,13 +5,13 @@ from .correlation import (
     daily_series,
     lagged_correlation,
 )
-from .tables import DIMENSIONS, bucket_counts, emit_report
+from .tables import DIMENSIONS, TableCounts, emit_report
 
 __all__ = [
     "CorrelationResult",
     "DIMENSIONS",
+    "TableCounts",
     "TimeSeries",
-    "bucket_counts",
     "correlate_regions",
     "daily_series",
     "emit_report",

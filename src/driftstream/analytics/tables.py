@@ -11,42 +11,53 @@ from __future__ import annotations
 import csv
 import json
 import math
+from collections import Counter
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Sequence
 
-from ..enrich.model import EnrichedPost
-from ..timeutil import day_key, month_key
+from ..sources.posts import Post
+from ..timeutil import DAY, day_key, month_key
 
 DIMENSIONS = ("month", "language", "region_day", "topic_region_day")
 
 
-def _primary_region(post: EnrichedPost) -> str:
-    # Multi-location posts count once, under their first (sorted) location,
-    # to keep every dimension an exact partition of the stream.
-    return post.locations[0] if post.locations else "none"
+class TableCounts:
+    """The count tables, fed one post at a time by ``run`` and ``report``.
 
+    Every post counts once in every table, so each table sums to the number
+    of posts added. A post with several locations counts under its first
+    (sorted) one, and a post with no location or topic group under "none".
+    Day and month keys are derived once per UTC day and cached.
+    """
 
-def _group_label(post: EnrichedPost) -> str:
-    return "+".join(sorted(post.topic_groups)) if post.topic_groups else "none"
+    def __init__(self):
+        self._day_keys: dict[float, tuple[str, str]] = {}  # epoch // DAY -> (day, month)
+        self.month: Counter = Counter()
+        self.language: Counter = Counter()
+        self.region_day: Counter = Counter()
+        self.topic_region_day: Counter = Counter()
 
+    def add(self, post: Post, locations: Sequence[str] = (), topic_groups: Iterable[str] = ()) -> None:
+        created = post.created_at
+        keys = self._day_keys.get(created // DAY)
+        if keys is None:
+            keys = self._day_keys[created // DAY] = (day_key(created), month_key(created))
+        day, month = keys
+        self.month[month] += 1
+        self.language[post.lang] += 1
+        region = locations[0] if locations else "none"
+        self.region_day[(region, day)] += 1
+        groups = "+".join(sorted(topic_groups)) if topic_groups else "none"
+        self.topic_region_day[(groups, region, day)] += 1
 
-def bucket_counts(posts: Iterable[EnrichedPost], key: str) -> dict:
-    """Exact counts per key; values over all keys sum to the stream length."""
-    if key not in DIMENSIONS:
-        raise ValueError(f"unknown dimension {key!r}, expected one of {DIMENSIONS}")
-    counts: dict = {}
-    for post in posts:
-        created = post.post.created_at
-        if key == "month":
-            bucket = month_key(created)
-        elif key == "language":
-            bucket = post.post.lang
-        elif key == "region_day":
-            bucket = (_primary_region(post), day_key(created))
-        else:
-            bucket = (_group_label(post), _primary_region(post), day_key(created))
-        counts[bucket] = counts.get(bucket, 0) + 1
-    return counts
+    def as_tables(self, names: Iterable[str] = DIMENSIONS) -> dict[str, dict]:
+        """The named tables as plain dicts, in the form ``emit_report`` takes."""
+        tables = {}
+        for name in names:
+            if name not in DIMENSIONS:
+                raise ValueError(f"unknown dimension {name!r}, expected one of {DIMENSIONS}")
+            tables[name] = dict(getattr(self, name))
+        return tables
 
 
 def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import yaml
 
-from .analytics.tables import emit_report
+from .analytics.tables import TableCounts, emit_report
 from .core.log import DurableLog
 from .core.records import StreamRecord
 from .keywords import KeywordSet
@@ -25,7 +25,7 @@ from .pipeline.config import ConfigError, load_config
 from .pipeline.runner import run_pipeline
 from .sources.archive import Speed, parse_speed, posts_from_archive
 from .sources.synthetic import SyntheticConfig, SyntheticConfigError, generate_synthetic
-from .timeutil import TimestampError, format_timestamp, month_key, parse_timestamp
+from .timeutil import TimestampError, format_timestamp, parse_timestamp
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -121,17 +121,14 @@ def _cmd_replay(args: argparse.Namespace) -> int:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
-    months: dict[str, int] = {}
-    languages: dict[str, int] = {}
+    counts = TableCounts()
     try:
         for post in posts_from_archive(args.archive):
-            month = month_key(post.created_at)
-            months[month] = months.get(month, 0) + 1
-            languages[post.lang] = languages.get(post.lang, 0) + 1
+            counts.add(post)
     except OSError as exc:
         print(f"report: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    paths = emit_report({"month": months, "language": languages}, [], args.out)
+    paths = emit_report(counts.as_tables(("month", "language")), [], args.out)
     for path in paths:
         print(path)
     return EXIT_OK

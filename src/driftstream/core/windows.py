@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 DEFAULT_WINDOW_LENGTH = 60.0
@@ -24,18 +23,14 @@ class WindowAssignment:
 def window_start(event_time: float, length: float = DEFAULT_WINDOW_LENGTH) -> float:
     """Start of the tumbling window that holds ``event_time``.
 
-    window_start = floor(event_time / length) * length, so a timestamp on a
-    boundary belongs to the window it opens. Windows of a fixed length
-    partition the time axis: every event maps to exactly one window.
+    The window's index is ``event_time // length`` and its start is that
+    index times ``length``, so a timestamp on a boundary belongs to the
+    window it opens and every event maps to exactly one window. The runner
+    keys its window buffers by the same index, so both always agree.
     """
     if length <= 0:
         raise ValueError(f"window length must be positive, got {length}")
-    # floor division on floats keeps sub-second event times exact enough for
-    # second-resolution streams; use integer math when both are integral to
-    # dodge float rounding at large epochs.
-    if float(event_time).is_integer() and float(length).is_integer():
-        return float((int(event_time) // int(length)) * int(length))
-    return math.floor(event_time / length) * length
+    return float((event_time // length) * length)
 
 
 def assign_window(event_time: float, length: float = DEFAULT_WINDOW_LENGTH) -> WindowAssignment:

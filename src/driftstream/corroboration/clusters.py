@@ -32,6 +32,13 @@ class EventCluster:
     evidence_ids: set[str] = field(default_factory=set)
     team_score: float = 0.0
 
+    def __post_init__(self):
+        # attach_evidence compares these with lowercased evidence terms. The
+        # set is rebuilt only when needed: form_clusters' terms are already
+        # lowercase, and copies of them would stay alive with the cluster.
+        if any(t != t.lower() for t in self.topic_terms):
+            self.topic_terms = {t.lower() for t in self.topic_terms}
+
     def to_json_obj(self) -> dict:
         return {
             "id": self.id,

@@ -69,15 +69,15 @@ class Evidence:
 @dataclass
 class MatchRule:
     lag_tolerance: float = DEFAULT_LAG_TOLERANCE
-    min_term_overlap: int = 1
 
 
 def attach_evidence(cluster: EventCluster, ev: Evidence, rule: Optional[MatchRule] = None) -> bool:
     """Attach ``ev`` if it matches the cluster; returns whether it did.
 
     A match needs the same normalized location, evidence time within the
-    lag tolerance of the cluster window, and topic-term overlap. Attaching
-    the same evidence twice is a no-op (set semantics).
+    lag tolerance of the cluster window, and at least one topic term in
+    common (both sides hold lowercased terms). Attaching the same evidence
+    twice is a no-op (set semantics).
     """
     rule = rule or MatchRule()
     if ev.location != normalize_location(cluster.location):
@@ -86,8 +86,7 @@ def attach_evidence(cluster: EventCluster, ev: Evidence, rule: Optional[MatchRul
     distance = max(start - ev.time, ev.time - end, 0.0)
     if distance > rule.lag_tolerance:
         return False
-    overlap = {t.lower() for t in cluster.topic_terms} & ev.terms
-    if len(overlap) < rule.min_term_overlap:
+    if cluster.topic_terms.isdisjoint(ev.terms):
         return False
     cluster.evidence_ids.add(ev.id)
     return True

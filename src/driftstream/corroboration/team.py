@@ -87,10 +87,6 @@ class TeamedClassifier:
         self.raw_weights = scaled + [1.0 / (m + 1.0)]
 
 
-def team_predict(classifier: TeamedClassifier, features: ClusterFeatures) -> float:
-    return classifier.predict(features)
-
-
 def update_weights(classifier: TeamedClassifier, member_votes: Sequence[float], outcome: int) -> list[float]:
     return classifier.update(member_votes, outcome)
 

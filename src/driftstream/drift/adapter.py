@@ -100,7 +100,7 @@ class DriftAdapter:
         self.piggyback: list[dict] = []  # {"window_end", "candidates"} per flagged slide
 
     def _new_stats(self) -> CooccurrenceStats:
-        return CooccurrenceStats(self.window_length, self.tracked_phrases)
+        return CooccurrenceStats(self.tracked_phrases)
 
     def _new_bucket(self, index: int) -> _Bucket:
         return _Bucket(index, self._new_stats())

@@ -26,7 +26,6 @@ from ..keywords import KeywordSet, tokenize
 
 @dataclass
 class CooccurrenceStats:
-    window_length: float = 3600.0
     tracked_phrases: tuple[str, ...] = ()  # configured multi-word candidates
     term_counts: Counter = field(default_factory=Counter)  # n(t): posts containing t
     pair_counts: Counter = field(default_factory=Counter)  # n(t, seeds)
@@ -57,7 +56,6 @@ class CooccurrenceStats:
     def misinfo_side(self) -> "CooccurrenceStats":
         """A view that pairs terms with misinformation posts instead of seeds."""
         return CooccurrenceStats(
-            self.window_length,
             self.tracked_phrases,
             term_counts=self.term_counts,
             pair_counts=self.misinfo_pair_counts,

@@ -14,7 +14,7 @@ import re
 import threading
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Optional
+from typing import Iterable
 
 from ..timeutil import DAY, parse_timestamp
 
@@ -29,17 +29,13 @@ def normalize_location(name: str) -> str:
 
 
 class Gazetteer:
-    def __init__(self, names: Iterable[str] = (), region_codes: Optional[dict] = None):
+    def __init__(self, names: Iterable[str] = ()):
         unique: dict[str, None] = {}
-        self.region_codes: dict[str, str] = {}
-        codes = region_codes or {}
         for name in names:
             normalized = normalize_location(name)
             if not normalized:
                 raise ValueError("gazetteer names must be non-empty")
             unique[normalized] = None
-            if name in codes:
-                self.region_codes[normalized] = codes[name]
         self.names: tuple[str, ...] = tuple(unique)
 
     def lookup(self, lowered: str) -> set[str]:

@@ -56,8 +56,8 @@ class MisinfoKeywordSet:
     def active_terms(self) -> list[str]:
         return list(self.active)
 
-    def match(self, text: str) -> set[str]:
-        lowered = text.lower()
+    def match(self, lowered: str) -> set[str]:
+        """Active terms found in ``lowered``, a post text already lowercased."""
         return {t for t in self.active if t in lowered}
 
     def __contains__(self, term: str) -> bool:

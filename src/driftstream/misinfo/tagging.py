@@ -58,8 +58,9 @@ def tag_misinformation_window(
 ) -> tuple[list[EnrichedPost], WindowTagReport]:
     """Tag one window's posts; returns them plus the window report.
 
-    All posts must fall in the same window. The keyword snapshot is taken
-    once at entry, so a concurrent refresh lands in the next window.
+    All posts must fall in the same window. The keyword set does not
+    change while a window is tagged, so every post of the window sees one
+    snapshot of it; a refresh lands in the next window.
     """
     window = assign_window(posts[0].post.created_at if posts else 0.0, window_length)
     start = window.window_start
@@ -67,12 +68,10 @@ def tag_misinformation_window(
         if window_start(p.post.created_at, window_length) != start:
             raise ValueError(f"post {p.post.id} falls outside window starting at {start}")
 
-    snapshot = keyword_set.active
     report = WindowTagReport(window=window)
     for post in posts:
         report.posts_in += 1
-        lowered = post.post.text.lower()
-        hits = {term for term in snapshot if term in lowered}
+        hits = keyword_set.match(post.post.text.lower())
         post.misinfo_terms = hits
         if hits and not post.authoritative:
             report.tagged += 1

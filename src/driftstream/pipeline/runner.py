@@ -16,11 +16,13 @@ Each post's text is lowercased once per post on ingest, and that one
 lowered string feeds keyword matching, locations, sentiment and topic
 groups; misinformation tagging lowercases each post once more when its
 window closes. Lexicons are compiled once per change, not once per post.
-Tagged windows then feed the drift stage, cluster formation and the
-analytics counters. The drift stage owns the one slide window: it counts
-each post once and, on every slide close, runs keyword promotion and then
-piggyback detection. Evidence is applied after stream exhaustion, in
-arrival order, with retroactive correction.
+Minute and cluster windows are buffered by window index ``t // length``
+and close once the watermark's index passes theirs. Tagged windows then
+feed the drift stage, cluster formation and the analytics tables
+(``TableCounts``, which ``report`` feeds too). The drift stage owns the
+one slide window: it counts each post once and, on every slide close,
+runs keyword promotion and then piggyback detection. Evidence is applied
+after stream exhaustion, in arrival order, with retroactive correction.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from pathlib import Path
 from typing import Optional
 
 from ..analytics.correlation import CorrelationResult, correlate_regions, daily_series
-from ..analytics.tables import emit_report
+from ..analytics.tables import TableCounts, emit_report
 from ..corroboration.clusters import cluster_features, form_clusters
 from ..corroboration.evidence import ClusterStore, MatchRule, load_evidence_feed
 from ..corroboration.team import default_team
@@ -47,6 +49,7 @@ from ..enrich.locations import (
     absorb_authoritative_locations,
     extract_locations,
     load_case_reports,
+    normalize_location,
 )
 from ..enrich.model import EnrichedPost
 from ..enrich.sentiment import (
@@ -66,7 +69,7 @@ from ..misinfo.keywords import MisinfoKeywordSet, refresh_misinfo_keywords
 from ..misinfo.tagging import AuthoritativeSourceList, tag_authoritative, tag_misinformation_window
 from ..sources.archive import posts_from_archive
 from ..sources.posts import Post
-from ..timeutil import DAY, day_key, month_key
+from ..timeutil import DAY
 from .config import PipelineConfig
 
 
@@ -79,30 +82,17 @@ class RunResult:
     posts_per_sec: Optional[float] = None
 
 
-class _DayKeyCache:
-    """Epoch -> (day string, month string) without re-deriving per post."""
-
-    def __init__(self):
-        self._cache: dict[int, tuple[str, str]] = {}
-
-    def get(self, epoch: float) -> tuple[str, str]:
-        day_index = int(epoch // DAY)
-        hit = self._cache.get(day_index)
-        if hit is None:
-            hit = (day_key(epoch), month_key(epoch))
-            self._cache[day_index] = hit
-        return hit
-
-
 def _pop_ready(
     buffers: dict[float, list[EnrichedPost]], length: float, upto: Optional[float]
 ) -> list[list[EnrichedPost]]:
-    """Remove the buffered windows that end by ``upto`` (all of them when
-    ``upto`` is None) and return their posts, oldest window first."""
+    """Remove the buffered windows, keyed by window index ``t // length``,
+    whose index is below that of ``upto`` (all of them when ``upto`` is
+    None) and return their posts, oldest window first."""
     if not buffers:
         return []
-    ready = sorted(start for start in buffers if upto is None or start + length <= upto)
-    return [buffers.pop(start) for start in ready]
+    current = float("inf") if upto is None else upto // length
+    ready = sorted(index for index in buffers if index < current)
+    return [buffers.pop(index) for index in ready]
 
 
 class PipelineRunner:
@@ -157,7 +147,7 @@ class PipelineRunner:
             rule=MatchRule(lag_tolerance=config.clusters.lag_tolerance)
         )
 
-        # streaming state
+        # streaming state; window buffers are keyed by window index t // length
         self._minute_buffers: dict[float, list[EnrichedPost]] = {}
         self._cluster_buffers: dict[float, list[EnrichedPost]] = {}
         self._watermark: Optional[float] = None
@@ -167,12 +157,9 @@ class PipelineRunner:
         self.window_rows: list[tuple] = []
         self.counters: Counter = Counter()
         self.rejections: Counter = Counter()
-        self._day_cache = _DayKeyCache()
-        self.month_counts: Counter = Counter()
-        self.language_counts: Counter = Counter()
-        self.region_day_counts: Counter = Counter()
-        self.topic_region_day_counts: Counter = Counter()
+        self.table_counts = TableCounts()
         self.social_day_counts: dict[str, Counter] = {}  # region -> day epoch -> count
+        self.case_day_counts: dict[str, Counter] = {}  # region -> day epoch -> new cases
 
     # -- per-record path ------------------------------------------------------
 
@@ -196,10 +183,8 @@ class PipelineRunner:
         if enriched.authoritative:
             self.counters["authoritative"] += 1
 
-        window_start = (
-            parsed.created_at // self.config.misinfo.window
-        ) * self.config.misinfo.window
-        self._minute_buffers.setdefault(window_start, []).append(enriched)
+        index = parsed.created_at // self.config.misinfo.window
+        self._minute_buffers.setdefault(index, []).append(enriched)
 
     def _advance_watermark(self, event_time: float) -> None:
         if self._watermark is not None and event_time <= self._watermark:
@@ -244,18 +229,10 @@ class PipelineRunner:
         self.counters["promoted_terms"] += len(self.drift.observe(enriched))
 
         if enriched.relevance and enriched.locations and not enriched.misinfo_terms:
-            cluster_start = (
-                created // self.config.clusters.window
-            ) * self.config.clusters.window
-            self._cluster_buffers.setdefault(cluster_start, []).append(enriched)
+            index = created // self.config.clusters.window
+            self._cluster_buffers.setdefault(index, []).append(enriched)
 
-        day, month = self._day_cache.get(created)
-        self.month_counts[month] += 1
-        self.language_counts[enriched.post.lang] += 1
-        region = enriched.locations[0] if enriched.locations else "none"
-        self.region_day_counts[(region, day)] += 1
-        groups = "+".join(sorted(enriched.topic_groups)) if enriched.topic_groups else "none"
-        self.topic_region_day_counts[(groups, region, day)] += 1
+        self.table_counts.add(enriched.post, enriched.locations, enriched.topic_groups)
         if enriched.relevance and not enriched.misinfo_terms:
             day_epoch = (created // DAY) * DAY
             for location in enriched.locations:
@@ -285,6 +262,10 @@ class PipelineRunner:
             for report in load_case_reports(config.case_feed):
                 if absorb_authoritative_locations(report, self.location_cache):
                     self.counters["case_reports"] += 1
+                    cases = self.case_day_counts.setdefault(
+                        normalize_location(report.region), Counter()
+                    )
+                    cases[(report.date // DAY) * DAY] += report.new_cases
                 else:
                     self.counters["case_reports_skipped"] += 1
 
@@ -359,28 +340,17 @@ class PipelineRunner:
         paths.append(piggyback_path)
 
         results = self._correlation_results()
-        tables = {
-            "month": dict(self.month_counts),
-            "language": dict(self.language_counts),
-            "region_day": dict(self.region_day_counts),
-            "topic_region_day": dict(self.topic_region_day_counts),
-        }
-        paths.extend(emit_report(tables, results, out))
+        paths.extend(emit_report(self.table_counts.as_tables(), results, out))
         return paths
 
     def _correlation_results(self) -> list[CorrelationResult]:
-        if not self.config.case_feed:
+        if not self.case_day_counts:
             return []
         social = {
             region: daily_series(region, dict(counts))
             for region, counts in self.social_day_counts.items()
         }
-        cases: dict[str, Counter] = {}
-        for report in load_case_reports(self.config.case_feed):
-            region = report.region.strip().lower()
-            day = (report.date // DAY) * DAY
-            cases.setdefault(region, Counter())[day] += report.new_cases
-        cases_series = {r: daily_series(r, dict(c)) for r, c in cases.items()}
+        cases_series = {r: daily_series(r, dict(c)) for r, c in self.case_day_counts.items()}
         return correlate_regions(social, cases_series, max_lag=self.config.max_lag_days)
 
     def _summary(self) -> dict:

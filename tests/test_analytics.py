@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 from collections import Counter
+from datetime import datetime, timezone
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from driftstream.analytics.correlation import (
     daily_series,
     lagged_correlation,
 )
-from driftstream.analytics.tables import bucket_counts, emit_report
+from driftstream.analytics.tables import DIMENSIONS, TableCounts, emit_report
 from driftstream.timeutil import DAY, parse_timestamp
 
 from conftest import make_enriched
@@ -35,43 +36,62 @@ def _epidemic_curve(days: int, rng: random.Random | None = None) -> list[float]:
     return [max(c, 0.0) + 5 for c in curve]
 
 
+def _count(posts) -> TableCounts:
+    """Feed the accumulator one post at a time, as the runner does."""
+    counts = TableCounts()
+    for p in posts:
+        counts.add(p.post, p.locations, p.topic_groups)
+    return counts
+
+
+def _recount(posts) -> dict[str, dict]:
+    """Brute-force recount: every key derived afresh from each post."""
+    tables: dict[str, Counter] = {name: Counter() for name in DIMENSIONS}
+    for p in posts:
+        utc = datetime.fromtimestamp(p.post.created_at, tz=timezone.utc)
+        day = utc.strftime("%Y-%m-%d")
+        region = p.locations[0] if p.locations else "none"
+        groups = "+".join(sorted(p.topic_groups)) or "none"
+        tables["month"][day[:7]] += 1
+        tables["language"][p.post.lang] += 1
+        tables["region_day"][(region, day)] += 1
+        tables["topic_region_day"][(groups, region, day)] += 1
+    return {name: dict(table) for name, table in tables.items()}
+
+
 class TestBucketCounts:
+    """``TableCounts``, fed one post at a time, against a brute-force recount."""
+
     def test_empty_stream_empty_table(self):
-        assert bucket_counts([], "month") == {}
+        assert TableCounts().as_tables() == {name: {} for name in DIMENSIONS}
 
     def test_single_month(self):
         posts = [make_enriched(post_id=i, created_at=T0 + i * 60) for i in range(10)]
-        assert bucket_counts(posts, "month") == {"2020-03": 10}
+        assert _count(posts).as_tables(("month",)) == {"month": {"2020-03": 10}}
 
     def test_unknown_dimension_rejected(self):
         with pytest.raises(ValueError):
-            bucket_counts([], "hour")
+            TableCounts().as_tables(("month", "hour"))
 
     def test_counts_match_brute_force_recount(self, tmp_path):
         from driftstream.sources.archive import posts_from_archive
         from driftstream.sources.synthetic import SyntheticConfig, generate_synthetic
-        from driftstream.timeutil import month_key
 
         corpus = generate_synthetic(
             SyntheticConfig(seed=41, duration_minutes=90, base_rate_per_minute=110),
             tmp_path,
         )
-        posts = [
-            make_enriched(post_id=p.id, text=p.text, created_at=p.created_at, lang=p.lang)
-            for p in posts_from_archive(corpus.archive_path)
-        ]
-        months = bucket_counts(posts, "month")
-        languages = bucket_counts(posts, "language")
-
-        month_oracle: Counter = Counter()
-        lang_oracle: Counter = Counter()
-        for p in posts:
-            month_oracle[month_key(p.post.created_at)] += 1
-            lang_oracle[p.post.lang] += 1
-        assert months == dict(month_oracle)
-        assert languages == dict(lang_oracle)
-        assert sum(months.values()) == len(posts)
-        assert sum(languages.values()) == len(posts)
+        rng = random.Random(41)
+        posts = []
+        for p in posts_from_archive(corpus.archive_path):
+            post = make_enriched(post_id=p.id, text=p.text, created_at=p.created_at, lang=p.lang,
+                                 locations=rng.choice([[], ["madrid"], ["hubei", "madrid"]]))
+            post.topic_groups = set(rng.sample(["death", "positive", "hospitalization"], rng.randrange(3)))
+            posts.append(post)
+        tables = _count(posts).as_tables()
+        assert tables == _recount(posts)
+        for name, table in tables.items():
+            assert sum(table.values()) == len(posts), name
 
     def test_conservation_across_every_dimension(self):
         rng = random.Random(2)
@@ -85,9 +105,41 @@ class TestBucketCounts:
                     locations=rng.choice([[], ["madrid"], ["hubei", "madrid"]]),
                 )
             )
-        for dimension in ("month", "language", "region_day", "topic_region_day"):
-            table = bucket_counts(posts, dimension)
-            assert sum(table.values()) == 500, dimension
+        tables = _count(posts).as_tables()
+        assert tables == _recount(posts)
+        for dimension in DIMENSIONS:
+            assert sum(tables[dimension].values()) == 500, dimension
+
+    def test_multi_location_post_counts_once_under_its_first_location(self):
+        posts = [
+            make_enriched(post_id=1, locations=["hubei", "madrid"]),
+            make_enriched(post_id=2, locations=["madrid"]),
+            make_enriched(post_id=3),
+        ]
+        posts[0].topic_groups = {"positive", "death"}
+        tables = _count(posts).as_tables()
+        assert tables["region_day"] == {("hubei", "2020-03-01"): 1, ("madrid", "2020-03-01"): 1,
+                                        ("none", "2020-03-01"): 1}
+        assert tables["topic_region_day"] == {("death+positive", "hubei", "2020-03-01"): 1,
+                                              ("none", "madrid", "2020-03-01"): 1,
+                                              ("none", "none", "2020-03-01"): 1}
+        assert tables == _recount(posts)
+
+    def test_posts_either_side_of_day_and_month_boundaries(self):
+        april = parse_timestamp("2020-04-01T00:00:00Z")
+        offsets = [-DAY - 0.5, -0.001, 0.0, 0.25, DAY - 0.001, DAY, -0.001, 2 * DAY, -DAY]
+        posts = [make_enriched(post_id=i, created_at=april + o, locations=["madrid"])
+                 for i, o in enumerate(offsets)]
+        tables = _count(posts).as_tables()
+        assert tables == _recount(posts)
+        assert tables["month"] == {"2020-03": 4, "2020-04": 5}
+        assert tables["region_day"] == {
+            ("madrid", "2020-03-30"): 1,
+            ("madrid", "2020-03-31"): 3,
+            ("madrid", "2020-04-01"): 3,
+            ("madrid", "2020-04-02"): 1,
+            ("madrid", "2020-04-03"): 1,
+        }
 
 
 class TestEmitReport:

@@ -33,7 +33,6 @@ from driftstream.corroboration.team import (
     add_member,
     default_team,
     keyword_presence_member,
-    team_predict,
     update_weights,
 )
 from driftstream.timeutil import DAY, HOUR, parse_timestamp
@@ -173,6 +172,13 @@ class TestAttachEvidence:
         ev.location = "sturgis"
         cluster.location = "Sturgis "
         assert attach_evidence(cluster, ev) is True
+
+    def test_topic_terms_lowercased_when_cluster_is_built(self):
+        built, _ = _cluster()
+        cluster = EventCluster(id="c", location="sturgis", window=built.window,
+                               topic_terms={"Rally", "CROWD"})
+        assert cluster.topic_terms == {"rally", "crowd"}
+        assert attach_evidence(cluster, _evidence("ev-1", terms=("RALLY",))) is True
 
 
 class TestResolveStatus:
@@ -373,13 +379,13 @@ class TestTeamedClassifier:
 
     def test_single_member_full_vote(self):
         team = TeamedClassifier([Member("one", lambda f: 1.0)])
-        assert team_predict(team, self._features()) == 1.0
+        assert team.predict(self._features()) == 1.0
 
     def test_two_members_half_weights(self):
         team = TeamedClassifier(
             [Member("zero", lambda f: 0.0), Member("one", lambda f: 1.0)]
         )
-        assert team_predict(team, self._features()) == pytest.approx(0.5)
+        assert team.predict(self._features()) == pytest.approx(0.5)
 
     def test_prediction_matches_hand_weighted_sum(self):
         rng = random.Random(3)
@@ -391,7 +397,7 @@ class TestTeamedClassifier:
             team.update([rng.random() for _ in range(4)], rng.choice([1, -1]))
             weights = team.weights
             expected = sum(w * v for w, v in zip(weights, votes))
-            assert team_predict(team, self._features()) == pytest.approx(expected)
+            assert team.predict(self._features()) == pytest.approx(expected)
 
     def test_identical_votes_leave_normalized_weights_unchanged(self):
         team = TeamedClassifier([Member("a", lambda f: 1.0), Member("b", lambda f: 1.0)])
@@ -491,9 +497,9 @@ class TestAddMember:
         cluster, posts = _cluster()
         cluster.topic_terms = {"rally"}  # disjoint from the trend terms below
         features = cluster_features(cluster, posts)
-        before = team_predict(base, features)
+        before = base.predict(features)
         trend_posts = [make_enriched(post_id=i, text="bleach bleach") for i in range(2)]
         add_member(base, trend_posts)
-        after = team_predict(base, features)
+        after = base.predict(features)
         # new member scores 0 on disjoint clusters: prediction scales by m/(m+1)
         assert after == pytest.approx(before * 2.0 / 3.0)

@@ -61,6 +61,29 @@ def test_monotonicity_enlarging_set_never_shrinks_matches():
         assert match_keywords(post, small) <= match_keywords(post, big)
 
 
+def test_get_on_empty_store_is_absent():
+    store = RecentMatches(ttl=10.0)
+    assert store.get(1) is None
+    assert len(store) == 0
+    assert store.sweep(5.0) == 0
+
+
+def test_put_then_get():
+    store = RecentMatches(ttl=10.0)
+    store.put(1, ["flu"], now=0.0)
+    assert store.get(1) == ["flu"]
+    assert store.get(2) is None
+    assert len(store) == 1
+
+
+def test_expired_entry_is_absent():
+    store = RecentMatches(ttl=1.0)
+    store.put(1, ["flu"], now=0.0)
+    assert store.sweep(2.0) == 1
+    assert store.get(1) is None
+    assert len(store) == 0
+
+
 def test_retweet_of_matching_post_matches():
     recent = RecentMatches(ttl=86400.0)
     keywords = KeywordSet(seeds=("pandemic",))

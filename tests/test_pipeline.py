@@ -353,6 +353,67 @@ class TestRunnerIntegration:
         assert first["undefined_reason"] == "insufficient_overlap"
 
 
+    @pytest.mark.parametrize("spelling", ["New  York", "NEW\tYORK "])
+    def test_case_feed_regions_keyed_like_post_locations(self, tmp_path, spelling):
+        """A case feed spelling a region with extra whitespace or capitals
+        still correlates with the posts that name it."""
+        corpus = _fixture_corpus(tmp_path, minutes=30, rate=50)
+
+        def correlation(name, region_spelling):
+            cases = tmp_path / f"{name}.jsonl"
+            cases.write_text("".join(
+                json.dumps({"date": f"2020-03-{d:02d}", "region": region,
+                            "new_cases": 10 * d + k, "source": "who.int"}) + "\n"
+                for d in range(1, 8)
+                for k, region in enumerate(("California", region_spelling, "hubei"))
+            ))
+            config = parse_config(_base_config(
+                tmp_path, corpus, case_feed=str(cases), out_dir=str(tmp_path / name)
+            ))
+            return (run_pipeline(config).out_dir / "correlation.jsonl").read_text()
+
+        tidy = correlation("tidy", "new york")
+        regions = [json.loads(line)["region"] for line in tidy.splitlines()]
+        assert "new york" in regions and len(regions) == 3
+        assert correlation("spelled", spelling) == tidy
+
+    @pytest.mark.parametrize("length", [0.1, 0.3, 1.1])
+    def test_non_integral_windows_one_sorted_row_each(self, tmp_path, length):
+        """Sorted posts with millisecond timestamps and a window length that
+        is no whole number of seconds: every window is written once, in
+        order, and the rows still count every kept post."""
+        import csv
+        import random
+        from datetime import datetime, timezone
+
+        rng = random.Random(5)
+        archive = tmp_path / "archive.jsonl"
+        with open(archive, "w", encoding="utf-8") as f:
+            for i, ms in enumerate(sorted(rng.randrange(300_000) for _ in range(6000))):
+                stamp = datetime.fromtimestamp(T0 + ms // 1000, tz=timezone.utc)
+                f.write(json.dumps({
+                    "id": i + 1,
+                    "created_at": stamp.strftime("%Y-%m-%dT%H:%M:%S") + f".{ms % 1000:03d}Z",
+                    "text": rng.choice(["coronavirus plandemic", "hello there", "virus news"]),
+                    "lang": "en",
+                }) + "\n")
+        config = parse_config({
+            "seed": 1,
+            "archive": str(archive),
+            "out_dir": str(tmp_path / "reports"),
+            "misinfo": {"window_seconds": length},
+        })
+        result = run_pipeline(config)
+        with open(result.out_dir / "windows.csv") as f:
+            rows = list(csv.DictReader(f))
+        starts = [float(r["window_start"]) for r in rows]
+        assert len(set(starts)) == len(starts)
+        assert starts == sorted(starts)
+        summary = result.summary
+        assert summary["windows"] == len(rows)
+        assert sum(int(r["posts_in"]) for r in rows) == summary["records_in"] - summary["discarded"]
+
+
 # (10-minute slide, posts, text) of the piggyback archive. Slides 2-3 and 6-7
 # are empty; the misinfo-seed posts carry new terms and a tracked phrase.
 PIGGYBACK_SLIDES = [
@@ -705,6 +766,20 @@ class TestCli:
         assert main(["report", "--archive", str(corpus.archive_path), "--out", str(out)]) == 0
         assert (out / "month.csv").exists()
         assert (out / "languages.csv").exists()
+
+    def test_report_and_run_write_the_same_tables(self, tmp_path):
+        """``report`` and ``run`` count through the same accumulator; on a
+        corpus without blank posts they write the same month and language
+        tables."""
+        from pathlib import Path
+
+        data = yaml.safe_load((Path(__file__).parent / "data" / "synth_fixture.yaml").read_text())
+        corpus = generate_synthetic(SyntheticConfig.from_dict(data), tmp_path / "corpus")
+        assert main(["report", "--archive", str(corpus.archive_path), "--out", str(tmp_path / "tables")]) == 0
+        result = run_pipeline(parse_config(_base_config(tmp_path, corpus)))
+        assert result.summary["discarded"] == 0
+        for name in ("month.csv", "languages.csv"):
+            assert (tmp_path / "tables" / name).read_bytes() == (result.out_dir / name).read_bytes()
 
     def test_keywords_show_with_audit_respects_cutoff(self, tmp_path, capsys):
         audit = tmp_path / "keywords.jsonl"
