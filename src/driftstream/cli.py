@@ -20,6 +20,7 @@ import yaml
 from .analytics.tables import TableCounts, emit_report
 from .core.log import DurableLog
 from .core.records import StreamRecord
+from .enrich.clean import is_blank
 from .keywords import KeywordSet
 from .pipeline.config import ConfigError, load_config
 from .pipeline.runner import run_pipeline
@@ -124,7 +125,8 @@ def _cmd_report(args: argparse.Namespace) -> int:
     counts = TableCounts()
     try:
         for post in posts_from_archive(args.archive):
-            counts.add(post)
+            if not is_blank(post):  # run discards these too
+                counts.add(post)
     except OSError as exc:
         print(f"report: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

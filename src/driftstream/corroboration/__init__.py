@@ -12,7 +12,6 @@ from .evidence import (
     attach_evidence,
     load_evidence_feed,
     resolve_status,
-    retroactive_correct,
 )
 from .team import (
     Member,
@@ -44,7 +43,6 @@ __all__ = [
     "keyword_presence_member",
     "load_evidence_feed",
     "resolve_status",
-    "retroactive_correct",
     "sentiment_extremity_member",
     "source_diversity_member",
     "update_weights",

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 from typing import Iterable
 
 from ..core.windows import WindowAssignment, window_start
+from ..enrich.locations import normalize_location
 from ..enrich.model import EnrichedPost
 from ..keywords import tokenize
 
@@ -23,6 +24,10 @@ TOPIC_TERM_LIMIT = 10
 
 @dataclass
 class EventCluster:
+    """A tentative (location, window) event. The location is normalized
+    when the cluster is built: attach_evidence and the store's location
+    index compare it as it is with normalized evidence locations."""
+
     id: str
     location: str
     window: WindowAssignment
@@ -33,6 +38,7 @@ class EventCluster:
     team_score: float = 0.0
 
     def __post_init__(self):
+        self.location = normalize_location(self.location)
         # attach_evidence compares these with lowercased evidence terms. The
         # set is rebuilt only when needed: form_clusters' terms are already
         # lowercase, and copies of them would stay alive with the cluster.

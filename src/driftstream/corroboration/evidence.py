@@ -74,13 +74,14 @@ class MatchRule:
 def attach_evidence(cluster: EventCluster, ev: Evidence, rule: Optional[MatchRule] = None) -> bool:
     """Attach ``ev`` if it matches the cluster; returns whether it did.
 
-    A match needs the same normalized location, evidence time within the
-    lag tolerance of the cluster window, and at least one topic term in
-    common (both sides hold lowercased terms). Attaching the same evidence
-    twice is a no-op (set semantics).
+    A match needs the same location (both sides are normalized when they
+    are built), evidence time within the lag tolerance of the cluster
+    window, and at least one topic term in common (both sides hold
+    lowercased terms). Attaching the same evidence twice is a no-op (set
+    semantics).
     """
     rule = rule or MatchRule()
-    if ev.location != normalize_location(cluster.location):
+    if ev.location != cluster.location:
         return False
     start, end = cluster.window.window_start, cluster.window.window_end
     distance = max(start - ev.time, ev.time - end, 0.0)
@@ -135,9 +136,9 @@ class ClusterStore:
         index = self._ids_by_location
         previous = self.clusters.get(cluster.id)
         if previous is not None:
-            index[normalize_location(previous.location)].remove(cluster.id)
+            index[previous.location].remove(cluster.id)
         self.clusters[cluster.id] = cluster
-        bisect.insort(index.setdefault(normalize_location(cluster.location), []), cluster.id)
+        bisect.insort(index.setdefault(cluster.location, []), cluster.id)
         if features is not None:
             self.features[cluster.id] = features
 
@@ -146,49 +147,41 @@ class ClusterStore:
         ev: Evidence,
         classifier: Optional[TeamedClassifier] = None,
     ) -> list[StatusChange]:
-        """Attach ``ev`` everywhere it matches and re-resolve statuses."""
+        """Apply ``ev``, late evidence included, to the historical clusters;
+        returns the flips.
+
+        An item whose id is already stored changes nothing, so each status
+        stays a function of the evidence stored under its attached ids.
+        Only clusters at the evidence's location can match, so only those
+        are tried, in id order like a scan of every cluster. Each flip also
+        updates the classifier weights (when one is wired in): supporting
+        evidence counts as a +1 outcome for the members' recorded votes on
+        that cluster, contradicting as -1.
+        """
+        if ev.id in self.evidence:
+            return []
         self.evidence[ev.id] = ev
-        changes = retroactive_correct(self, ev, self.rule, classifier)
+        changes: list[StatusChange] = []
+        for cluster_id in self._ids_by_location.get(ev.location, ()):
+            cluster = self.clusters[cluster_id]
+            if not attach_evidence(cluster, ev, self.rule):
+                continue
+            old = cluster.status
+            new = resolve_status(cluster, self.evidence)
+            if new == old:
+                continue
+            cluster.status = new
+            changes.append(StatusChange(cluster_id, old, new, ev.id))
+            if classifier is not None:
+                features = self.features.get(cluster_id)
+                if features is not None:
+                    outcome = 1 if ev.kind == SUPPORTING else -1
+                    classifier.update(classifier.member_votes(features), outcome)
+        self.change_log.extend(changes)
         return changes
 
     def export(self) -> list[dict]:
         return [self.clusters[cid].to_json_obj() for cid in sorted(self.clusters)]
-
-
-def retroactive_correct(
-    store: ClusterStore,
-    new_evidence: Evidence,
-    rule: Optional[MatchRule] = None,
-    classifier: Optional[TeamedClassifier] = None,
-) -> list[StatusChange]:
-    """Apply late evidence to the historical clusters; returns the flips.
-
-    Only clusters at the evidence's location can match, so only those are
-    tried, in id order like a scan of every cluster. Each flip also updates
-    the classifier weights (when one is wired in): supporting evidence
-    counts as a +1 outcome for the members' recorded votes on that cluster,
-    contradicting as -1.
-    """
-    rule = rule or store.rule
-    store.evidence.setdefault(new_evidence.id, new_evidence)
-    changes: list[StatusChange] = []
-    for cluster_id in store._ids_by_location.get(new_evidence.location, ()):
-        cluster = store.clusters[cluster_id]
-        if not attach_evidence(cluster, new_evidence, rule):
-            continue
-        old = cluster.status
-        new = resolve_status(cluster, store.evidence)
-        if new == old:
-            continue
-        cluster.status = new
-        changes.append(StatusChange(cluster_id, old, new, new_evidence.id))
-        if classifier is not None:
-            features = store.features.get(cluster_id)
-            if features is not None:
-                outcome = 1 if new_evidence.kind == SUPPORTING else -1
-                classifier.update(classifier.member_votes(features), outcome)
-    store.change_log.extend(changes)
-    return changes
 
 
 def load_evidence_feed(path: str | Path) -> list[Evidence]:

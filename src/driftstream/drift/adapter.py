@@ -11,6 +11,10 @@ for subsequent records — propagation within one slide interval. The closed
 slide's trending terms are then checked for riding the misinformation
 vocabulary.
 
+A late post, one whose slide has already closed, is counted into the slide
+that is still open: closed slides never change, so a window's sum and the
+promotions already made from it stay as they were.
+
 Piggyback sees only slides that held posts: its window and its trending
 history skip the empty slides of a gap, which promotion's window keeps. The
 final flush evaluates promotion only.
@@ -106,7 +110,9 @@ class DriftAdapter:
         return _Bucket(index, self._new_stats())
 
     def observe(self, enriched: EnrichedPost) -> list[PromotionEvent]:
-        """Observe one post; returns promotions triggered by a slide rollover."""
+        """Observe one post; returns promotions triggered by a slide rollover.
+
+        A post from a closed slide counts toward the open one."""
         index = int(enriched.post.created_at // self.slide)
         events: list[PromotionEvent] = []
         if self._current is None:

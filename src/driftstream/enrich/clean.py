@@ -13,6 +13,11 @@ from ..sources.posts import Post
 from .model import EnrichedPost
 
 
+def is_blank(post: Post) -> bool:
+    """Whether the post has no text beyond whitespace; such posts are dropped."""
+    return not post.text.strip()
+
+
 def clean_post(
     raw: Post,
     keywords: KeywordSet,
@@ -23,7 +28,7 @@ def clean_post(
 
     ``lowered`` is ``raw.text`` lowercased, when the caller already has it.
     """
-    if not raw.text.strip():
+    if is_blank(raw):
         return None
     matched = match_keywords(raw, keywords, recent_matches, lowered)
     return EnrichedPost(

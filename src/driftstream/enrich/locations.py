@@ -1,10 +1,14 @@
 """Location extraction: gazetteer lookup plus a short-term location cache.
 
-The gazetteer handles the easy cases; any location it finds is remembered
-in the cache, and the cache then substring-matches short texts the
-gazetteer alone would miss. Authoritative case reports feed their regions
-into the same cache, so places currently reporting cases are recognized in
-posts even before the gazetteer knows them.
+The gazetteer handles the names known up front. Authoritative case reports
+feed their regions into the cache, where each stays live for a TTL after
+its latest report, so places currently reporting cases are recognized in
+posts even before the gazetteer knows them. Extraction only reads the
+cache: it does not remember gazetteer hits, which the gazetteer matches
+anyway.
+
+Each location is normalized once, where it enters: gazetteer names, cache
+inserts, case-report regions, evidence and event clusters.
 """
 
 from __future__ import annotations
@@ -47,11 +51,9 @@ class Gazetteer:
 
 
 class LocationCache:
-    """Recently seen locations with TTL expiry.
+    """Case-report regions with TTL expiry: ``location -> last_seen``.
 
-    Entries record where they came from: ``extracted`` (gazetteer hit in a
-    post) or ``authoritative`` (case report). Both expire by the same rule:
-    unseen for longer than ``ttl`` means the entry stops matching. An entry
+    An entry stops matching once unseen for longer than ``ttl``. An entry
     whose last_seen is in the future (a case report dated ahead of the
     stream) does not match yet.
     """
@@ -59,27 +61,14 @@ class LocationCache:
     def __init__(self, ttl: float = DEFAULT_CACHE_TTL):
         self.ttl = ttl
         self._lock = threading.Lock()
-        self._entries: dict[str, tuple[float, str]] = {}
+        self._entries: dict[str, float] = {}
 
-    def insert(self, location: str, now: float, origin: str = "extracted") -> None:
+    def insert(self, location: str, now: float) -> None:
         normalized = normalize_location(location)
         if not normalized:
             return
         with self._lock:
-            previous = self._entries.get(normalized)
-            # An authoritative origin is sticky; extraction refreshes the
-            # timestamp without downgrading it.
-            if previous is not None and previous[1] == "authoritative":
-                origin = "authoritative" if origin == "extracted" else origin
-            self._entries[normalized] = (max(now, previous[0]) if previous else now, origin)
-
-    def unexpired(self, now: float) -> dict[str, str]:
-        with self._lock:
-            return {
-                loc: origin
-                for loc, (last_seen, origin) in self._entries.items()
-                if last_seen <= now and now - last_seen <= self.ttl
-            }
+            self._entries[normalized] = max(now, self._entries.get(normalized, now))
 
     def match(self, lowered: str, now: float) -> set[str]:
         """Live entries found in ``lowered``, a post text already lowercased."""
@@ -87,7 +76,7 @@ class LocationCache:
         with self._lock:
             return {
                 loc
-                for loc, (last_seen, _) in self._entries.items()
+                for loc, last_seen in self._entries.items()
                 if loc in lowered and last_seen <= now and now - last_seen <= ttl
             }
 
@@ -102,16 +91,8 @@ def extract_locations(
     now: float,
 ) -> list[str]:
     """Locations mentioned in ``lowered`` (a post text already lowercased):
-    gazetteer hits plus live cache hits.
-
-    Every gazetteer hit is written back to the cache so subsequent short
-    texts can match it there.
-    """
-    gazetteer_hits = gazetteer.lookup(lowered)
-    for hit in gazetteer_hits:
-        cache.insert(hit, now, origin="extracted")
-    cache_hits = cache.match(lowered, now)
-    return sorted(gazetteer_hits | cache_hits)
+    gazetteer hits plus live cache hits. Writes nothing."""
+    return sorted(gazetteer.lookup(lowered) | cache.match(lowered, now))
 
 
 @dataclass
@@ -120,6 +101,9 @@ class CaseReport:
     region: str
     new_cases: int
     source: str = ""
+
+    def __post_init__(self):
+        self.region = normalize_location(self.region)
 
     @classmethod
     def from_json_line(cls, line: str) -> "CaseReport":
@@ -134,10 +118,9 @@ class CaseReport:
 
 def absorb_authoritative_locations(report: CaseReport, cache: LocationCache) -> bool:
     """Feed a case report's region into the cache. False if region empty."""
-    normalized = normalize_location(report.region)
-    if not normalized:
+    if not report.region:
         return False
-    cache.insert(normalized, report.date, origin="authoritative")
+    cache.insert(report.region, report.date)
     return True
 
 

@@ -49,7 +49,6 @@ from ..enrich.locations import (
     absorb_authoritative_locations,
     extract_locations,
     load_case_reports,
-    normalize_location,
 )
 from ..enrich.model import EnrichedPost
 from ..enrich.sentiment import (
@@ -262,9 +261,7 @@ class PipelineRunner:
             for report in load_case_reports(config.case_feed):
                 if absorb_authoritative_locations(report, self.location_cache):
                     self.counters["case_reports"] += 1
-                    cases = self.case_day_counts.setdefault(
-                        normalize_location(report.region), Counter()
-                    )
+                    cases = self.case_day_counts.setdefault(report.region, Counter())
                     cases[(report.date // DAY) * DAY] += report.new_cases
                 else:
                     self.counters["case_reports_skipped"] += 1

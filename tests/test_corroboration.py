@@ -25,7 +25,6 @@ from driftstream.corroboration.evidence import (
     StatusChange,
     attach_evidence,
     resolve_status,
-    retroactive_correct,
 )
 from driftstream.corroboration.team import (
     Member,
@@ -167,11 +166,11 @@ class TestAttachEvidence:
         assert cluster.evidence_ids == {"ev-1"}
 
     def test_location_normalization_applies(self):
-        cluster, _ = _cluster()
-        ev = _evidence("ev-1")
-        ev.location = "sturgis"
-        cluster.location = "Sturgis "
-        assert attach_evidence(cluster, ev) is True
+        built, _ = _cluster()
+        cluster = EventCluster(id="c", location="Sturgis ", window=built.window,
+                               topic_terms=set(built.topic_terms))
+        assert cluster.location == "sturgis"
+        assert attach_evidence(cluster, _evidence("ev-1", location=" STURGIS")) is True
 
     def test_topic_terms_lowercased_when_cluster_is_built(self):
         built, _ = _cluster()
@@ -268,6 +267,16 @@ class TestRetroactiveCorrect:
         store.ingest_evidence(_evidence("ev-bad", kind="contradicting"), classifier=team)
         assert team.raw_weights != before
 
+    def test_repeated_id_changes_nothing(self):
+        store, sturgis = self._store_with_cluster()
+        madrid, _ = _cluster("madrid")
+        store.add_cluster(madrid)
+        store.ingest_evidence(_evidence("ev-1", kind="supporting"))
+        assert store.ingest_evidence(_evidence("ev-1", kind="contradicting", location="madrid")) == []
+        assert (sturgis.status, madrid.status) == ("corroborated", "tentative")
+        assert madrid.evidence_ids == set() and store.evidence["ev-1"].kind == "supporting"
+        assert resolve_status(sturgis, store.evidence) == "corroborated"
+
     def test_settled_status_never_changes_without_new_evidence(self):
         store, cluster = self._store_with_cluster()
         store.ingest_evidence(_evidence("ev-1"))
@@ -309,19 +318,17 @@ cluster_specs = st.lists(
     ),
     max_size=25,
 )
-evidence_specs = st.lists(
-    st.tuples(
-        st.sampled_from(("supporting", "contradicting")),
-        st.sampled_from(PLACES),
-        st.integers(-24, 96),  # hours after T0
-        st.sets(st.sampled_from(("rally", "virus", "crowd", "flood")), min_size=1, max_size=2),
-    ),
-    max_size=20,
+evidence_item = st.tuples(
+    st.sampled_from(("supporting", "contradicting")),
+    st.sampled_from(PLACES),
+    st.integers(-24, 96),  # hours after T0
+    st.sets(st.sampled_from(("rally", "virus", "crowd", "flood")), min_size=1, max_size=2),
 )
+evidence_specs = st.lists(evidence_item, max_size=20)
 
 
 class TestLocationIndex:
-    """retroactive_correct tries only the clusters at the evidence's location."""
+    """ingest_evidence tries only the clusters at the evidence's location."""
 
     @given(cluster_specs, evidence_specs)
     def test_same_flips_and_weights_as_a_scan_of_every_cluster(self, clusters, evidence):
@@ -369,6 +376,29 @@ class TestLocationIndex:
         assert cluster.evidence_ids == set()
         # each item is tried once, against the one cluster at its location
         assert tried == [(cluster.id, "ev-2")]
+
+
+class TestRepeatedEvidenceIds:
+    @given(cluster_specs, st.lists(st.tuples(st.integers(0, 3), evidence_item), max_size=20))
+    def test_status_is_resolved_from_the_stored_evidence(self, clusters, evidence):
+        """Items reuse ids; a repeated id changes nothing, and every status
+        stays what ``resolve_status`` gives over the store."""
+        store = ClusterStore(rule=MatchRule(lag_tolerance=DAY))
+        for n, place, hours, terms, size in clusters:
+            store.add_cluster(EventCluster(
+                id=f"c{n}", location=place, window=assign_window(T0 + hours * HOUR, HOUR),
+                post_ids=set(range(size)), topic_terms=set(terms),
+            ))
+        for n, (kind, place, hours, terms) in evidence:
+            ev = Evidence(id=f"ev-{n}", kind=kind, source="who.int", location=place,
+                          time=T0 + hours * HOUR, terms=set(terms))
+            repeated = ev.id in store.evidence
+            before = (store.export(), len(store.change_log))
+            store.ingest_evidence(ev)
+            if repeated:
+                assert (store.export(), len(store.change_log)) == before
+            for cluster in store.clusters.values():
+                assert cluster.status == resolve_status(cluster, store.evidence)
 
 
 class TestTeamedClassifier:

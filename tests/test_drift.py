@@ -297,6 +297,15 @@ class TestDriftAdapter:
         events = adapter.flush()
         assert any(e.term == "facemask" for e in events)
 
+    def test_late_post_counts_toward_the_open_slide(self):
+        keywords = KeywordSet(seeds=("pandemic",))
+        adapter = DriftAdapter(keywords, window_length=600.0, slide=600.0)
+        for i, t in enumerate((0.0, 650.0, 10.0)):
+            adapter.observe(self._post(i, "pandemic update", t, keywords))
+        (closed,) = adapter._buckets
+        assert (closed.index, closed.stats.total_posts) == (0, 1)
+        assert (adapter._current.index, adapter._current.stats.total_posts) == (1, 2)
+
     def test_window_must_be_multiple_of_slide(self):
         with pytest.raises(ValueError):
             DriftAdapter(KeywordSet(), window_length=900.0, slide=600.0)

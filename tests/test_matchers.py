@@ -16,8 +16,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from driftstream.enrich.locations import (
+    CaseReport,
     Gazetteer,
     LocationCache,
+    absorb_authoritative_locations,
     extract_locations,
     normalize_location,
 )
@@ -77,7 +79,7 @@ def cache_oracle(cache: LocationCache, text: str, now: float) -> set[str]:
     lowered = text.lower()
     return {
         loc
-        for loc, (last_seen, _) in cache._entries.items()
+        for loc, last_seen in cache._entries.items()
         if last_seen <= now and now - last_seen <= cache.ttl and loc in lowered
     }
 
@@ -131,6 +133,81 @@ def test_location_cache_match_equals_oracle(inserts, now, text):
     for loc, seen in inserts:
         cache.insert(loc, float(seen))
     assert cache.match(text.lower(), float(now)) == cache_oracle(cache, text, float(now))
+
+
+class WriteBackCache:
+    """The earlier cache design, kept as the reference: extraction wrote
+    every gazetteer hit back, an authoritative origin stayed once set, and
+    one TTL and future-dating rule held for both origins."""
+
+    def __init__(self, ttl: float):
+        self.ttl = ttl
+        self.entries: dict[str, tuple[float, str]] = {}
+
+    def insert(self, location: str, now: float, origin: str) -> None:
+        location = normalize_location(location)
+        if not location:
+            return
+        previous = self.entries.get(location)
+        if previous is not None and previous[1] == "authoritative":
+            origin = "authoritative"
+        self.entries[location] = (max(now, previous[0]) if previous else now, origin)
+
+    def extract(self, gazetteer_names: set[str], text: str, now: float) -> list[str]:
+        lowered = text.lower()
+        hits = {name for name in gazetteer_names if name in lowered}
+        for hit in hits:
+            self.insert(hit, now, "extracted")
+        hits |= {
+            loc
+            for loc, (last_seen, _) in self.entries.items()
+            if loc in lowered and last_seen <= now and now - last_seen <= self.ttl
+        }
+        return sorted(hits)
+
+
+GAZETTEER_NAMES = ["California", "new york", "Hubei"]
+# spellings of regions inside and outside the gazetteer
+REGIONS = ["Sturgis", " sturgis ", "STURGIS", "New  York", "new york", "hubei", "Madrid",
+           "madrid\t", "Lombardy", "  "]
+PLACE_PIECES = ["sturgis", "new york", "new  york", "california", "madrid", "lombardy",
+                "hubei", "rally in ", " ", ", "]
+# each event is a case report (region, date) or a post (text, time); times
+# go back and forth, and reports may be dated ahead of the posts around them
+stream_events = st.lists(
+    st.one_of(
+        st.tuples(st.just("case"), st.sampled_from(REGIONS), st.integers(0, 30)),
+        st.tuples(
+            st.just("post"),
+            st.lists(st.sampled_from(PLACE_PIECES), max_size=5).map("".join),
+            st.integers(0, 30),
+        ),
+    ),
+    max_size=40,
+)
+
+
+@given(
+    st.lists(st.tuples(st.sampled_from(REGIONS), st.integers(0, 30)), max_size=6),
+    stream_events,
+    st.sampled_from([0.0, 3.0, 10.0]),
+)
+def test_extraction_equals_the_write_back_design(reports_before, events, ttl):
+    gazetteer = Gazetteer(GAZETTEER_NAMES)
+    cache = LocationCache(ttl=ttl)
+    reference = WriteBackCache(ttl)
+    names = {normalize_location(n) for n in GAZETTEER_NAMES}
+    events = [("case", region, t) for region, t in reports_before] + events
+    for kind, value, t in events:
+        if kind == "case":
+            absorb_authoritative_locations(CaseReport(date=float(t), region=value, new_cases=1), cache)
+            reference.insert(value, float(t), "authoritative")
+            continue
+        held = len(cache)
+        assert extract_locations(value.lower(), gazetteer, cache, float(t)) == reference.extract(
+            names, value, float(t)
+        )
+        assert len(cache) == held
 
 
 @given(st.dictionaries(st.sampled_from(TERMS + ["", "C++"]), weights, max_size=10), texts)
@@ -215,8 +292,8 @@ def test_new_cache_entry_matches_the_next_post():
     cache = LocationCache(ttl=7 * 86400.0)
     gazetteer = Gazetteer(["california"])
     assert extract_locations("rally in sturgis", gazetteer, cache, now=0.0) == []
-    cache.insert("Sturgis", now=0.0, origin="authoritative")
+    cache.insert("Sturgis", now=0.0)
     assert extract_locations("rally in sturgis", gazetteer, cache, now=1.0) == ["sturgis"]
-    # a gazetteer hit enters the cache, which then matches on its own
-    extract_locations("california cases", gazetteer, cache, now=2.0)
-    assert cache.match("california again", now=3.0) == {"california"}
+    # a gazetteer hit does not enter the cache; the gazetteer matches it
+    assert extract_locations("california cases", gazetteer, cache, now=2.0) == ["california"]
+    assert cache.match("california again", now=3.0) == set()

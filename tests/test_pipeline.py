@@ -549,6 +549,10 @@ class TestPiggybackOutput:
 
 
 def _multiday_config(tmp_path):
+    return parse_config(_multiday_data(tmp_path))
+
+
+def _multiday_data(tmp_path):
     """Three sparse days shaped like a real archive: half the timestamps in
     the legacy format, one post two minutes late, drift terms, a misinfo
     terms feed, an evidence feed and a daily case feed."""
@@ -600,19 +604,17 @@ def _multiday_config(tmp_path):
                        "new_cases": rng.randrange(10, 500), "source": "jhu.edu"}
                 f.write(json.dumps(row) + "\n")
     (tmp_path / "misinfo_terms.json").write_text(json.dumps({"terms": ["5g towers", "microchip"]}))
-    return parse_config(
-        {
-            "seed": 1,
-            "archive": str(archive),
-            "out_dir": str(tmp_path / "bundle"),
-            "enrichment": {"gazetteer": GAZETTEER},
-            "drift": {"min_count": 5},
-            "evidence_feed": str(tmp_path / "evidence.jsonl"),
-            "case_feed": str(tmp_path / "cases.jsonl"),
-            "max_lag_days": 1,
-            "misinfo": {"sources": [{"kind": "terms_file", "path": str(tmp_path / "misinfo_terms.json")}]},
-        }
-    )
+    return {
+        "seed": 1,
+        "archive": str(archive),
+        "out_dir": str(tmp_path / "bundle"),
+        "enrichment": {"gazetteer": GAZETTEER},
+        "drift": {"min_count": 5},
+        "evidence_feed": str(tmp_path / "evidence.jsonl"),
+        "case_feed": str(tmp_path / "cases.jsonl"),
+        "max_lag_days": 1,
+        "misinfo": {"sources": [{"kind": "terms_file", "path": str(tmp_path / "misinfo_terms.json")}]},
+    }
 
 
 class TestMultidayBundle:
@@ -631,6 +633,35 @@ class TestMultidayBundle:
         for path in sorted(result.out_dir.iterdir()):
             digest.update(path.name.encode() + b"\0" + path.read_bytes() + b"\0")
         assert digest.hexdigest() == self.GOLDEN_SHA256
+
+    def test_bundle_does_not_depend_on_the_hash_seed(self, tmp_path):
+        """Set iteration order changes with PYTHONHASHSEED, which one process
+        cannot vary; ``driftstream run`` under two seeds, each in its own
+        process, writes the same bytes to every bundle file."""
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import driftstream
+
+        data = _multiday_data(tmp_path)
+        src = str(Path(driftstream.__file__).parents[1])
+        pythonpath = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+        bundles = []
+        for hash_seed in ("0", "1"):
+            out = tmp_path / f"bundle-{hash_seed}"
+            config = tmp_path / f"run-{hash_seed}.yaml"
+            config.write_text(yaml.safe_dump({**data, "out_dir": str(out)}))
+            subprocess.run(
+                [sys.executable, "-m", "driftstream.cli", "run", "--config", str(config)],
+                env={**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": pythonpath},
+                check=True,
+                capture_output=True,
+                timeout=300,
+            )
+            bundles.append({path.name: path.read_bytes() for path in out.iterdir()})
+        assert "clusters.json" in bundles[0]
+        assert bundles[0] == bundles[1]
 
     def test_retweet_index_holds_exactly_the_live_puts(self, tmp_path):
         """After every post, the retweet index holds exactly the ids last put
@@ -768,18 +799,29 @@ class TestCli:
         assert (out / "languages.csv").exists()
 
     def test_report_and_run_write_the_same_tables(self, tmp_path):
-        """``report`` and ``run`` count through the same accumulator; on a
-        corpus without blank posts they write the same month and language
+        """``report`` and ``run`` count the same posts through the same
+        accumulator, on the criterion fixture corpus and on an archive where
+        half the posts are blank, so they write the same month and language
         tables."""
         from pathlib import Path
 
         data = yaml.safe_load((Path(__file__).parent / "data" / "synth_fixture.yaml").read_text())
         corpus = generate_synthetic(SyntheticConfig.from_dict(data), tmp_path / "corpus")
-        assert main(["report", "--archive", str(corpus.archive_path), "--out", str(tmp_path / "tables")]) == 0
-        result = run_pipeline(parse_config(_base_config(tmp_path, corpus)))
-        assert result.summary["discarded"] == 0
-        for name in ("month.csv", "languages.csv"):
-            assert (tmp_path / "tables" / name).read_bytes() == (result.out_dir / name).read_bytes()
+        blank = tmp_path / "blank.jsonl"
+        blank.write_text("".join(
+            json.dumps({"id": i, "text": "   " if i % 2 else "virus cases", "lang": "en",
+                        "created_at": format_timestamp(T0 + 60 * i)}) + "\n"
+            for i in range(10)
+        ))
+        for archive, discarded in ((corpus.archive_path, 0), (blank, 5)):
+            tables, reports = tmp_path / archive.stem / "tables", tmp_path / archive.stem / "reports"
+            assert main(["report", "--archive", str(archive), "--out", str(tables)]) == 0
+            result = run_pipeline(parse_config(
+                {**_base_config(tmp_path, corpus), "archive": str(archive), "out_dir": str(reports)}
+            ))
+            assert result.summary["discarded"] == discarded
+            for name in ("month.csv", "languages.csv"):
+                assert (tables / name).read_bytes() == (reports / name).read_bytes()
 
     def test_keywords_show_with_audit_respects_cutoff(self, tmp_path, capsys):
         audit = tmp_path / "keywords.jsonl"
