@@ -4,14 +4,17 @@ Lag convention: a positive lag means the social series leads the physical
 series — social activity on day d is compared with cases on day d+lag.
 The best lag maximizes Pearson r over [-max_lag, +max_lag], ties broken
 toward the smallest |lag| (positive preferred on an exact tie).
+
+Day counts are integers, so r is computed from exact integer sums and lags
+are compared exactly: no float rounding can break a tie. Only the value
+that gets written becomes a float.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional
-
-import numpy as np
 
 from ..timeutil import DAY, day_start
 
@@ -31,16 +34,18 @@ class TimeSeries:
         starts = [p[0] for p in self.points]
         if any(prev >= nxt for prev, nxt in zip(starts, starts[1:])):
             raise ValueError("time series buckets must be strictly increasing")
+        if any(not isinstance(c, int) for _, c in self.points):
+            raise ValueError("counts must be integers")
         if any(c < 0 for _, c in self.points):
             raise ValueError("counts must be non-negative")
 
-    def as_daily_array(self) -> tuple[int, np.ndarray]:
+    def as_daily_array(self) -> tuple[int, list[int]]:
         """(first day index, dense daily counts with gaps filled as 0)."""
         if not self.points:
-            return 0, np.zeros(0)
+            return 0, []
         days = [int(day_start(t) // DAY) for t, _ in self.points]
         first, last = days[0], days[-1]
-        dense = np.zeros(last - first + 1)
+        dense = [0] * (last - first + 1)
         for day, (_, count) in zip(days, self.points):
             dense[day - first] += count
         return first, dense
@@ -69,10 +74,27 @@ class CorrelationResult:
         }
 
 
-def _pearson(x: np.ndarray, y: np.ndarray) -> Optional[float]:
-    if x.std() == 0.0 or y.std() == 0.0:
+def _pearson_sums(x: list[int], y: list[int]) -> Optional[tuple[int, int, int]]:
+    """``(Sxy, Sxx, Syy)``, each scaled by n², so r = Sxy / sqrt(Sxx·Syy);
+    None when either series has zero variance."""
+    n = len(x)
+    sx, sy = sum(x), sum(y)
+    sxx = n * sum(v * v for v in x) - sx * sx
+    syy = n * sum(v * v for v in y) - sy * sy
+    if sxx == 0 or syy == 0:
         return None
-    return float(np.corrcoef(x, y)[0, 1])
+    return n * sum(a * b for a, b in zip(x, y)) - sx * sy, sxx, syy
+
+
+def _beats(a: tuple[int, int, int], b: tuple[int, int, int]) -> bool:
+    """Whether r(a) > r(b), exactly: r·|r| = Sxy·|Sxy| / (Sxx·Syy) is
+    monotone in r, and both denominators are positive."""
+    return a[0] * abs(a[0]) * b[1] * b[2] > b[0] * abs(b[0]) * a[1] * a[2]
+
+
+def _r(sums: tuple[int, int, int]) -> float:
+    sxy, sxx, syy = sums
+    return max(-1.0, min(1.0, sxy / math.sqrt(sxx * syy)))
 
 
 def lagged_correlation(
@@ -97,7 +119,7 @@ def lagged_correlation(
     if overlap < max_lag + MIN_POINTS:
         return CorrelationResult(social.region, None, None, max(overlap, 0), "insufficient_overlap")
 
-    best: Optional[tuple[float, int, int]] = None  # (r, lag, n)
+    best: Optional[tuple[tuple[int, int, int], int, int]] = None  # (sums, lag, n)
     saw_zero_variance = False
     # Smallest |lag| first, positive before negative, so the first strict
     # maximum implements the tie-break rule.
@@ -111,18 +133,18 @@ def lagged_correlation(
             continue
         xs = s[lo - s_first : hi - s_first]
         ys = c[lo + lag - c_first : hi + lag - c_first]
-        r = _pearson(xs, ys)
-        if r is None:
+        sums = _pearson_sums(xs, ys)
+        if sums is None:
             saw_zero_variance = True
             continue
-        if best is None or r > best[0]:
-            best = (r, lag, n)
+        if best is None or _beats(sums, best[0]):
+            best = (sums, lag, n)
 
     if best is None:
         reason = "zero_variance" if saw_zero_variance else "insufficient_overlap"
         return CorrelationResult(social.region, None, None, 0, reason)
-    r, lag, n = best
-    return CorrelationResult(social.region, lag, r, n)
+    sums, lag, n = best
+    return CorrelationResult(social.region, lag, _r(sums), n)
 
 
 def correlate_regions(

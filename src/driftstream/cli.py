@@ -15,8 +15,6 @@ import sys
 import time
 from pathlib import Path
 
-import yaml
-
 from .analytics.tables import TableCounts, emit_report
 from .core.log import DurableLog
 from .core.records import StreamRecord
@@ -63,6 +61,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_synth(args: argparse.Namespace) -> int:
+    import yaml  # here, so that no other command loads it
+
     try:
         with open(args.config, "r", encoding="utf-8") as f:
             data = yaml.safe_load(f) or {}

@@ -16,13 +16,13 @@ caused the flip.
 from __future__ import annotations
 
 import bisect
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
 
 from ..enrich.locations import normalize_location
-from ..timeutil import DAY, parse_timestamp
+from ..sources.feeds import feed_field, read_feed, text, timestamp
+from ..timeutil import DAY
 from .clusters import ClusterFeatures, EventCluster
 from .team import TeamedClassifier
 
@@ -47,23 +47,6 @@ class Evidence:
             raise ValueError(f"unknown evidence kind: {self.kind!r}")
         self.location = normalize_location(self.location)
         self.terms = {t.strip().lower() for t in self.terms if t.strip()}
-
-    @classmethod
-    def from_json_line(cls, line: str, fallback_id: str = "") -> "Evidence":
-        obj = json.loads(line)
-        return cls(
-            id=str(obj.get("id") or fallback_id),
-            kind=obj["kind"],
-            source=obj["source"],
-            location=obj["location"],
-            time=parse_timestamp(obj["time"]) if isinstance(obj["time"], str) else float(obj["time"]),
-            terms=set(obj.get("terms", [])),
-            arrived_at=(
-                parse_timestamp(obj["arrived_at"])
-                if isinstance(obj.get("arrived_at"), str)
-                else float(obj.get("arrived_at", 0.0))
-            ),
-        )
 
 
 @dataclass
@@ -185,9 +168,25 @@ class ClusterStore:
 
 
 def load_evidence_feed(path: str | Path) -> list[Evidence]:
-    items = []
-    with open(Path(path), "r", encoding="utf-8") as f:
-        for i, line in enumerate(f):
-            if line.strip():
-                items.append(Evidence.from_json_line(line, fallback_id=f"ev-{i:06d}"))
-    return items
+    """Every item in an evidence feed, in file order; a malformed line
+    raises a FeedError naming the file, line and field. An item without
+    an id gets ``ev-NNNNNN`` from its 0-based line index."""
+    return read_feed(path, _evidence)
+
+
+def _evidence(obj: dict, number: int) -> Evidence:
+    return Evidence(
+        id=str(obj.get("id") or f"ev-{number - 1:06d}"),
+        kind=feed_field(obj, "kind", text),
+        source=feed_field(obj, "source", text),
+        location=feed_field(obj, "location", text),
+        time=feed_field(obj, "time", timestamp),
+        terms=feed_field(obj, "terms", _terms, []),
+        arrived_at=feed_field(obj, "arrived_at", timestamp, 0.0),
+    )
+
+
+def _terms(value) -> set[str]:
+    if not isinstance(value, list) or not all(isinstance(t, str) for t in value):
+        raise TypeError(f"expected a list of strings, got {value!r}")
+    return set(value)

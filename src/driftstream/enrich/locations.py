@@ -13,13 +13,13 @@ inserts, case-report regions, evidence and event clusters.
 
 from __future__ import annotations
 
-import json
 import re
 import threading
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
 
+from ..sources.feeds import feed_field, read_feed, text
 from ..timeutil import DAY, parse_timestamp
 
 _WHITESPACE = re.compile(r"\s+")
@@ -105,16 +105,6 @@ class CaseReport:
     def __post_init__(self):
         self.region = normalize_location(self.region)
 
-    @classmethod
-    def from_json_line(cls, line: str) -> "CaseReport":
-        obj = json.loads(line)
-        return cls(
-            date=parse_timestamp(obj["date"]),
-            region=obj.get("region", ""),
-            new_cases=int(obj.get("new_cases", 0)),
-            source=obj.get("source", ""),
-        )
-
 
 def absorb_authoritative_locations(report: CaseReport, cache: LocationCache) -> bool:
     """Feed a case report's region into the cache. False if region empty."""
@@ -125,9 +115,22 @@ def absorb_authoritative_locations(report: CaseReport, cache: LocationCache) -> 
 
 
 def load_case_reports(path: str | Path) -> list[CaseReport]:
-    reports = []
-    with open(Path(path), "r", encoding="utf-8") as f:
-        for line in f:
-            if line.strip():
-                reports.append(CaseReport.from_json_line(line))
-    return reports
+    """Every report in a case feed; a malformed line raises a FeedError
+    naming the file, line and field."""
+    return read_feed(path, _case_report)
+
+
+def _case_report(obj: dict, number: int) -> CaseReport:
+    return CaseReport(
+        date=feed_field(obj, "date", parse_timestamp),
+        region=feed_field(obj, "region", text, ""),
+        new_cases=feed_field(obj, "new_cases", _case_count, 0),
+        source=feed_field(obj, "source", text, ""),
+    )
+
+
+def _case_count(value) -> int:
+    count = int(value)
+    if count < 0:  # would only fail later, in the correlation, after the stream
+        raise ValueError(f"negative case count {value!r}")
+    return count

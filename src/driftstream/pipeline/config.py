@@ -14,8 +14,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Optional
 
-import yaml
-
 from ..keywords import DEFAULT_SEED_KEYWORDS
 from ..misinfo.keywords import DEFAULT_MISINFO_SEEDS
 from ..sources.archive import parse_speed
@@ -303,6 +301,8 @@ def load_config(path: str | Path) -> PipelineConfig:
     if path.suffix == ".json":
         data = json.loads(text)
     else:
+        import yaml  # here, so that a JSON config never loads it
+
         data = yaml.safe_load(text)
     if not isinstance(data, dict):
         raise ConfigError(["config: top level must be a mapping"])

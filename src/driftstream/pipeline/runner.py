@@ -17,9 +17,10 @@ lowered string feeds keyword matching, locations, sentiment and topic
 groups; misinformation tagging lowercases each post once more when its
 window closes. Lexicons are compiled once per change, not once per post.
 Minute and cluster windows are buffered by window index ``t // length``
-and close once the watermark's index passes theirs. Tagged windows then
-feed the drift stage, cluster formation and the analytics tables
-(``TableCounts``, which ``report`` feeds too). The drift stage owns the
+and close once the watermark's index passes theirs; each buffer keeps its
+lowest index, so an advance that closes nothing skips the scan. Tagged
+windows then feed the drift stage, cluster formation and the analytics
+tables (``TableCounts``, which ``report`` feeds too). The drift stage owns the
 one slide window: it counts each post once and, on every slide close,
 runs keyword promotion and then piggyback detection. Evidence is applied
 after stream exhaustion, in arrival order, with retroactive correction.
@@ -29,6 +30,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import time
 from collections import Counter
 from dataclasses import dataclass, field
@@ -81,17 +83,35 @@ class RunResult:
     posts_per_sec: Optional[float] = None
 
 
-def _pop_ready(
-    buffers: dict[float, list[EnrichedPost]], length: float, upto: Optional[float]
-) -> list[list[EnrichedPost]]:
-    """Remove the buffered windows, keyed by window index ``t // length``,
-    whose index is below that of ``upto`` (all of them when ``upto`` is
-    None) and return their posts, oldest window first."""
-    if not buffers:
-        return []
-    current = float("inf") if upto is None else upto // length
-    ready = sorted(index for index in buffers if index < current)
-    return [buffers.pop(index) for index in ready]
+class WindowBuffers(dict):
+    """Posts buffered by window index ``t // length``.
+
+    ``lowest`` is the lowest buffered index (inf when empty). Appends lower
+    it, a late post's included, and a pop recomputes it from the indexes
+    left, so a flush that can close nothing returns after one comparison.
+    """
+
+    def __init__(self, length: float):
+        super().__init__()
+        self.length = length
+        self.lowest = math.inf
+
+    def add(self, event_time: float, post: EnrichedPost) -> None:
+        index = event_time // self.length
+        self.setdefault(index, []).append(post)
+        if index < self.lowest:
+            self.lowest = index
+
+    def pop_ready(self, upto: Optional[float]) -> list[list[EnrichedPost]]:
+        """Remove the windows whose index is below that of ``upto`` (all of
+        them when ``upto`` is None) and return their posts, oldest first."""
+        current = math.inf if upto is None else upto // self.length
+        if current <= self.lowest:
+            return []
+        ready = sorted(index for index in self if index < current)
+        popped = [self.pop(index) for index in ready]
+        self.lowest = min(self, default=math.inf)
+        return popped
 
 
 class PipelineRunner:
@@ -146,9 +166,9 @@ class PipelineRunner:
             rule=MatchRule(lag_tolerance=config.clusters.lag_tolerance)
         )
 
-        # streaming state; window buffers are keyed by window index t // length
-        self._minute_buffers: dict[float, list[EnrichedPost]] = {}
-        self._cluster_buffers: dict[float, list[EnrichedPost]] = {}
+        # streaming state
+        self._minute_buffers = WindowBuffers(config.misinfo.window)
+        self._cluster_buffers = WindowBuffers(config.clusters.window)
         self._watermark: Optional[float] = None
         self._next_refresh: Optional[float] = None
 
@@ -182,8 +202,7 @@ class PipelineRunner:
         if enriched.authoritative:
             self.counters["authoritative"] += 1
 
-        index = parsed.created_at // self.config.misinfo.window
-        self._minute_buffers.setdefault(index, []).append(enriched)
+        self._minute_buffers.add(parsed.created_at, enriched)
 
     def _advance_watermark(self, event_time: float) -> None:
         if self._watermark is not None and event_time <= self._watermark:
@@ -206,10 +225,9 @@ class PipelineRunner:
     # -- windowed stages --------------------------------------------------------
 
     def _flush_minute_windows(self, upto: Optional[float]) -> None:
-        length = self.config.misinfo.window
-        for posts in _pop_ready(self._minute_buffers, length, upto):
+        for posts in self._minute_buffers.pop_ready(upto):
             tagged_posts, report = tag_misinformation_window(
-                posts, self.misinfo_set, window_length=length
+                posts, self.misinfo_set, window_length=self.config.misinfo.window
             )
             self.window_rows.append(
                 (
@@ -228,8 +246,7 @@ class PipelineRunner:
         self.counters["promoted_terms"] += len(self.drift.observe(enriched))
 
         if enriched.relevance and enriched.locations and not enriched.misinfo_terms:
-            index = created // self.config.clusters.window
-            self._cluster_buffers.setdefault(index, []).append(enriched)
+            self._cluster_buffers.add(created, enriched)
 
         self.table_counts.add(enriched.post, enriched.locations, enriched.topic_groups)
         if enriched.relevance and not enriched.misinfo_terms:
@@ -238,11 +255,10 @@ class PipelineRunner:
                 self.social_day_counts.setdefault(location, Counter())[day_epoch] += 1
 
     def _flush_cluster_windows(self, upto: Optional[float]) -> None:
-        length = self.config.clusters.window
-        for posts in _pop_ready(self._cluster_buffers, length, upto):
+        for posts in self._cluster_buffers.pop_ready(upto):
             clusters = form_clusters(
                 posts,
-                window_length=length,
+                window_length=self.config.clusters.window,
                 min_cluster_size=self.config.clusters.min_size,
             )
             for cluster in clusters:
@@ -279,7 +295,6 @@ class PipelineRunner:
         if config.evidence_feed:
             for ev in load_evidence_feed(config.evidence_feed):
                 changes = self.cluster_store.ingest_evidence(ev, classifier=self.team)
-                self.counters["evidence_applied"] += 1
                 self.counters["status_changes"] += len(changes)
 
         elapsed = time.monotonic() - started
@@ -363,7 +378,9 @@ class PipelineRunner:
             "clusters": self.counters.get("clusters", 0),
             "promoted_terms": self.counters.get("promoted_terms", 0),
             "misinfo_terms_added": self.counters.get("misinfo_terms_added", 0),
-            "evidence_applied": self.counters.get("evidence_applied", 0),
+            # a repeated evidence id changes nothing, so the store holds
+            # exactly the items applied
+            "evidence_applied": len(self.cluster_store.evidence),
             "status_changes": self.counters.get("status_changes", 0),
             "case_reports": self.counters.get("case_reports", 0),
             "active_keywords": self.keywords.active_terms(),

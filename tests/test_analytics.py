@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import math
 import random
 from collections import Counter
 from datetime import datetime, timezone
+from fractions import Fraction
 
-import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from driftstream.analytics.correlation import (
     CorrelationResult,
@@ -30,7 +33,7 @@ def _series(region: str, counts: list[float], first_day: float = T0) -> TimeSeri
 
 def _epidemic_curve(days: int, rng: random.Random | None = None) -> list[float]:
     # a smooth wave: rise, peak, decay
-    curve = [1000.0 * np.exp(-((d - days / 2) ** 2) / (2 * (days / 6) ** 2)) for d in range(days)]
+    curve = [1000.0 * math.exp(-((d - days / 2) ** 2) / (2 * (days / 6) ** 2)) for d in range(days)]
     if rng is not None:
         curve = [c * (1 + 0.1 * (rng.random() * 2 - 1)) for c in curve]
     return [max(c, 0.0) + 5 for c in curve]
@@ -254,8 +257,96 @@ class TestLaggedCorrelation:
             TimeSeries(region="x", points=[(10.0, -1)])
         with pytest.raises(ValueError):
             TimeSeries(region="x", granularity="week")
+        with pytest.raises(ValueError, match="integers"):
+            TimeSeries(region="x", points=[(10.0, 1.5)])
 
     def test_daily_series_fills_gaps_as_zero(self):
         series = daily_series("m", {T0: 4, T0 + 3 * DAY: 2})
         first, dense = series.as_daily_array()
-        assert list(dense) == [4.0, 0.0, 0.0, 2.0]
+        assert dense == [4, 0, 0, 2]
+        assert all(type(count) is int for count in dense)
+
+    def test_exact_tie_goes_to_the_smallest_lag(self):
+        """Lags 0 and -1 give exactly equal r here; the documented rule picks
+        lag 0. Float noise in a numpy corrcoef picked -1."""
+        social = [3, 1, 0, 3, 1, 0, 2, 0, 1, 1, 3, 3, 2, 3, 3, 3, 0, 2, 3, 1, 3, 2, 2]
+        cases = [3, 1, 3, 3, 3, 0, 1, 0, 2, 0, 2, 2, 0, 3, 2, 3, 1]
+        result = lagged_correlation(
+            _series("m", social), _series("m", cases, first_day=T0 + 3 * DAY), max_lag=1
+        )
+        assert (result.best_lag, round(result.r, 6), result.n) == (0, -0.168843, 17)
+        assert _reference(social, 0, cases, 3, 1).r_signed_square == _reference_at(
+            social, 0, cases, 3, -1
+        )
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        social=st.lists(st.integers(0, 3), max_size=20),
+        cases=st.lists(st.integers(0, 3), max_size=20),
+        offset=st.integers(-4, 4),
+        max_lag=st.integers(0, 4),
+    )
+    def test_matches_an_exact_fraction_reference(self, social, cases, offset, max_lag):
+        result = lagged_correlation(
+            _series("m", social), _series("m", cases, first_day=T0 + offset * DAY), max_lag
+        )
+        ref = _reference(social, 0, cases, offset, max_lag)
+        assert (result.best_lag, result.n, result.undefined_reason) == (
+            ref.best_lag, ref.n, ref.undefined_reason
+        )
+        if ref.r is None:
+            assert result.r is None
+        else:
+            assert round(result.r - ref.r, 6) == 0
+
+
+class _Reference:
+    def __init__(self, best_lag=None, r=None, n=0, undefined_reason=None, r_signed_square=None):
+        self.best_lag, self.r, self.n = best_lag, r, n
+        self.undefined_reason, self.r_signed_square = undefined_reason, r_signed_square
+
+
+def _reference_at(social, s_first, cases, c_first, lag):
+    """Signed square r·|r| of social day d against cases day d+lag, as an
+    exact Fraction from centred sums; None if fewer than 3 pairs or a
+    series is flat over them."""
+    pairs = [
+        (x, cases[d + lag - c_first])
+        for d, x in enumerate(social, s_first)
+        if 0 <= d + lag - c_first < len(cases)
+    ]
+    if len(pairs) < 3:
+        return None
+    mx = Fraction(sum(x for x, _ in pairs), len(pairs))
+    my = Fraction(sum(y for _, y in pairs), len(pairs))
+    cov = sum((x - mx) * (y - my) for x, y in pairs)
+    var_x = sum((x - mx) ** 2 for x, _ in pairs)
+    var_y = sum((y - my) ** 2 for _, y in pairs)
+    if var_x == 0 or var_y == 0:
+        return "flat"
+    return cov * abs(cov) / (var_x * var_y)
+
+
+def _reference(social, s_first, cases, c_first, max_lag) -> _Reference:
+    """The module's documented rule, restated over exact Fractions: the
+    largest r wins, ties go to the smallest |lag|, then the positive one."""
+    if not social or not cases:
+        return _Reference(undefined_reason="insufficient_overlap")
+    overlap = min(s_first + len(social), c_first + len(cases)) - max(s_first, c_first)
+    if overlap < max_lag + 3:
+        return _Reference(n=max(overlap, 0), undefined_reason="insufficient_overlap")
+    scored = []
+    saw_flat = False
+    for lag in range(-max_lag, max_lag + 1):
+        value = _reference_at(social, s_first, cases, c_first, lag)
+        if value == "flat":
+            saw_flat = True
+        elif value is not None:
+            scored.append((value, -abs(lag), lag > 0, lag))
+    if not scored:
+        reason = "zero_variance" if saw_flat else "insufficient_overlap"
+        return _Reference(undefined_reason=reason)
+    value, _, _, lag = max(scored)
+    n = sum(1 for d in range(s_first, s_first + len(social)) if 0 <= d + lag - c_first < len(cases))
+    r = math.copysign(math.sqrt(abs(value)), value)
+    return _Reference(lag, r, n, None, value)

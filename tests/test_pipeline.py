@@ -3,10 +3,13 @@
 from __future__ import annotations
 
 import json
+import math
 import os
 
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from driftstream.cli import main
 from driftstream.pipeline.config import ConfigError, load_config, parse_config
@@ -412,6 +415,131 @@ class TestRunnerIntegration:
         summary = result.summary
         assert summary["windows"] == len(rows)
         assert sum(int(r["posts_in"]) for r in rows) == summary["records_in"] - summary["discarded"]
+
+
+class TestWindowBuffers:
+    def test_late_post_reopening_an_older_index_still_closes(self, tmp_path):
+        """A late post opens a buffer below the lowest one held. That window
+        closes at the next advance past it, not one window later, and the
+        stream still writes one row per window, in order."""
+        from conftest import make_post
+
+        from driftstream.pipeline.runner import PipelineRunner
+
+        corpus = _fixture_corpus(tmp_path, minutes=1, rate=5)
+        runner = PipelineRunner(parse_config(_base_config(tmp_path, corpus)))
+
+        def rows_after(post_id, seconds):
+            runner.ingest_post(make_post(post_id, "virus news", T0 + seconds))
+            return [(row[0] - T0, row[1]) for row in runner.window_rows]
+
+        assert rows_after(1, 10) == []
+        assert rows_after(2, 130) == [(0, 1)]
+        assert rows_after(3, 70) == [(0, 1)]  # late, into window 60 (none held yet)
+        assert runner._minute_buffers.lowest == (T0 + 60) // 60
+        assert rows_after(4, 140) == [(0, 1), (60, 1)]
+        runner._flush_minute_windows(upto=None)
+        assert [(row[0] - T0, row[1]) for row in runner.window_rows] == [(0, 1), (60, 1), (120, 2)]
+        assert runner._minute_buffers == {} and runner._minute_buffers.lowest == math.inf
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.booleans(), st.integers(0, 60)), max_size=40))
+    def test_pop_ready_equals_a_scan_of_every_buffer(self, ops):
+        """Adds and flushes in any order, late adds included: every flush
+        returns what a scan of all buffered indexes would, and ``lowest``
+        is always the lowest index held."""
+        from driftstream.pipeline.runner import WindowBuffers
+
+        buffers, scanned = WindowBuffers(7.0), {}
+        for flush, t in ops:
+            if flush:
+                ready = sorted(index for index in scanned if index < t // 7.0)
+                assert buffers.pop_ready(t) == [scanned.pop(index) for index in ready]
+            else:
+                buffers.add(t, t)
+                scanned.setdefault(t // 7.0, []).append(t)
+            assert buffers == scanned
+            assert buffers.lowest == min(scanned, default=math.inf)
+        assert buffers.pop_ready(None) == [scanned[index] for index in sorted(scanned)]
+        assert buffers.pop_ready(None) == []
+
+
+class TestSideFeeds:
+    def _one_post_config(self, tmp_path, **feeds):
+        archive = tmp_path / "archive.jsonl"
+        archive.write_text(json.dumps(
+            {"id": 1, "created_at": format_timestamp(T0), "text": "virus in madrid", "lang": "en"}
+        ) + "\n")
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({
+            "seed": 1, "archive": str(archive), "out_dir": str(tmp_path / "reports"),
+            "enrichment": {"gazetteer": GAZETTEER}, **feeds,
+        }))
+        return config
+
+    def test_repeated_evidence_id_is_applied_once(self, tmp_path):
+        item = {"id": "ev-1", "kind": "supporting", "source": "who.int", "location": "madrid",
+                "time": format_timestamp(T0), "terms": ["virus"]}
+        feed = tmp_path / "evidence.jsonl"
+        feed.write_text((json.dumps(item) + "\n") * 2)
+        config = self._one_post_config(tmp_path, evidence_feed=str(feed))
+        assert main(["run", "--config", str(config)]) == 0
+        summary = json.loads((tmp_path / "reports" / "summary.json").read_text())
+        assert summary["evidence_applied"] == 1
+
+    @pytest.mark.parametrize(
+        "feed, line, field",
+        [
+            ("case_feed", {"date": "2020-03-02", "region": 5, "new_cases": 3}, "region"),
+            ("case_feed", {"date": "2020-03-02", "region": "madrid", "new_cases": "many"}, "new_cases"),
+            ("case_feed", {"date": "2020-03-02", "region": "madrid", "new_cases": -2}, "new_cases"),
+            ("evidence_feed", {"id": "ev-2", "source": "who.int", "location": "madrid",
+                               "time": "2020-03-02T00:00:00Z", "terms": ["virus"]}, "kind"),
+        ],
+    )
+    def test_malformed_line_names_file_line_and_field(self, tmp_path, capsys, feed, line, field):
+        good = {
+            "case_feed": {"date": "2020-03-01", "region": "madrid", "new_cases": 3},
+            "evidence_feed": {"id": "ev-1", "kind": "supporting", "source": "who.int",
+                              "location": "madrid", "time": "2020-03-01T00:00:00Z", "terms": ["virus"]},
+        }[feed]
+        path = tmp_path / f"{feed}.jsonl"
+        path.write_text(json.dumps(good) + "\n\n" + json.dumps(line) + "\n")
+        config = self._one_post_config(tmp_path, **{feed: str(path)})
+        assert main(["run", "--config", str(config)]) == 3
+        err = capsys.readouterr().err
+        assert f"{path}, line 3: field {field!r}" in err
+
+    def test_json_config_run_imports_neither_numpy_nor_yaml(self, tmp_path):
+        """``driftstream run`` on a JSON config, case feed and correlation
+        included, loads neither numpy nor PyYAML."""
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import driftstream
+
+        data = {**_multiday_data(tmp_path), "max_lag_days": 0}
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps(data))
+        src = str(Path(driftstream.__file__).parents[1])
+        pythonpath = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+        script = (
+            "import sys\n"
+            "from driftstream.cli import main\n"
+            "code = main(sys.argv[1:])\n"
+            "print(sorted(m for m in ('numpy', 'yaml') if m in sys.modules))\n"
+            "sys.exit(code)\n"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", script, "run", "--config", str(config)],
+            env={**os.environ, "PYTHONPATH": pythonpath},
+            capture_output=True, text=True, timeout=300,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-1] == "[]"
+        correlation = (Path(data["out_dir"]) / "correlation.jsonl").read_text().splitlines()
+        assert any(json.loads(row)["r"] is not None for row in correlation)
 
 
 # (10-minute slide, posts, text) of the piggyback archive. Slides 2-3 and 6-7
