@@ -19,10 +19,11 @@ from .analytics.tables import TableCounts, emit_report
 from .core.log import DurableLog
 from .core.records import StreamRecord
 from .enrich.clean import is_blank
-from .keywords import KeywordSet
+from .keywords import DEFAULT_SEED_KEYWORDS, KeywordSet
 from .pipeline.config import ConfigError, load_config
 from .pipeline.runner import run_pipeline
 from .sources.archive import Speed, parse_speed, posts_from_archive
+from .sources.feeds import feed_field, read_feed, text, timestamp
 from .sources.synthetic import SyntheticConfig, SyntheticConfigError, generate_synthetic
 from .timeutil import TimestampError, format_timestamp, parse_timestamp
 
@@ -136,6 +137,11 @@ def _cmd_report(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _promotion(obj: dict, number: int) -> tuple[str, float]:
+    """One audit line: the promoted term and when it was promoted."""
+    return feed_field(obj, "term", text), feed_field(obj, "promoted_at", timestamp)
+
+
 def _cmd_keywords(args: argparse.Namespace) -> int:
     if args.action != "show":
         print(f"unknown keywords action: {args.action}", file=sys.stderr)
@@ -145,29 +151,27 @@ def _cmd_keywords(args: argparse.Namespace) -> int:
     except TimestampError as exc:
         print(f"--at: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    seeds = list(KeywordSet().seed_terms())
+    seeds = DEFAULT_SEED_KEYWORDS
     if args.config:
         try:
-            config = load_config(args.config)
-            seeds = sorted(config.keywords.seeds)
+            seeds = load_config(args.config).keywords.seeds
         except ConfigError as exc:
             print(f"config error: {exc}", file=sys.stderr)
             return EXIT_VALIDATION
-    entries = [{"term": t, "origin": "seed", "promoted_at": None} for t in seeds]
+    entries = [
+        {"term": t, "origin": "seed", "promoted_at": None} for t in sorted(KeywordSet(seeds).seeds)
+    ]
     if args.audit:
-        with open(args.audit, "r", encoding="utf-8") as f:
-            for line in f:
-                if not line.strip():
-                    continue
-                event = json.loads(line)
-                if at is None or event["promoted_at"] <= at:
-                    entries.append(
-                        {
-                            "term": event["term"],
-                            "origin": "learned",
-                            "promoted_at": format_timestamp(event["promoted_at"]),
-                        }
-                    )
+        try:
+            promotions = read_feed(args.audit, _promotion)
+        except (OSError, ValueError) as exc:  # FeedError is a ValueError
+            print(f"--audit: {exc}", file=sys.stderr)
+            return EXIT_VALIDATION
+        entries.extend(
+            {"term": term, "origin": "learned", "promoted_at": format_timestamp(promoted_at)}
+            for term, promoted_at in promotions
+            if at is None or promoted_at <= at
+        )
     print(json.dumps(entries, indent=2))
     return EXIT_OK
 

@@ -5,7 +5,7 @@ both pair sides (topic seeds and misinformation tags). Each window keeps a
 running sum of its buckets: when a slide closes, its bucket is merged in
 and the bucket it evicts from a full window is subtracted, so the sum
 always equals a fresh merge of the window's buckets. Whenever event time
-crosses a slide boundary, promotion scores that sum. Promoted entries land
+crosses a slide boundary, promotion scores that sum. Promoted terms land
 in the shared KeywordSet immediately, so the ingest filter picks them up
 for subsequent records — propagation within one slide interval. The closed
 slide's trending terms are then checked for riding the misinformation
@@ -150,17 +150,9 @@ class DriftAdapter:
             return []
         window_end = (closed_index + 1) * self.slide
         window_start = window_end - self.window_length
-        now = window_end
-        promoted = promote_keywords(self._window_stats, self.policy, self.keywords, now)
         events = [
-            PromotionEvent(
-                term=e.term,
-                promoted_at=now,
-                score=e.correlation,
-                window_start=window_start,
-                window_end=window_end,
-            )
-            for e in promoted
+            PromotionEvent(term, window_end, score, window_start, window_end)
+            for term, score in promote_keywords(self._window_stats, self.policy, self.keywords)
         ]
         self.audit.extend(events)
         return events

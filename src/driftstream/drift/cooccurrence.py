@@ -7,7 +7,7 @@ promoted while the association is still strong. The same pass also pairs
 each term with the post's misinformation tags, the side piggyback detection
 scores against.
 
-Pair counts are taken against the original seed entries only: a term
+Pair counts are taken against the original seed terms only: a term
 already promoted does not count toward its own seed side, otherwise
 promotion would lock correlation at 1 forever and the later decay, the
 signal the whole mechanism exists to observe, would disappear.
@@ -75,7 +75,7 @@ def subtract_counts(counts: Counter, other: Counter) -> None:
             del counts[term]
 
 
-def observe_post(stats: CooccurrenceStats, enriched: EnrichedPost, seeds: KeywordSet) -> None:
+def observe_post(stats: CooccurrenceStats, enriched: EnrichedPost, keywords: KeywordSet) -> None:
     """Count one post's candidate terms, pairing them with seed matches and
     with the post's misinformation tags.
 
@@ -88,13 +88,7 @@ def observe_post(stats: CooccurrenceStats, enriched: EnrichedPost, seeds: Keywor
         lowered = text.lower()
         candidates.update(p for p in stats.tracked_phrases if p in lowered)
 
-    seed_matched = False
-    for term in enriched.matched_terms:
-        entry = seeds.entries.get(term)
-        if entry is not None and entry.origin == "seed":
-            seed_matched = True
-            break
-
+    seed_matched = not keywords.seeds.isdisjoint(enriched.matched_terms)
     tagged = bool(enriched.misinfo_terms)
 
     stats.total_posts += 1
@@ -126,10 +120,10 @@ def score_candidate(stats: CooccurrenceStats, term: str, scorer: str = "pmi") ->
     raise ValueError(f"unknown scorer: {scorer!r}")
 
 
-def recount_window(posts: Iterable[EnrichedPost], seeds: KeywordSet,
+def recount_window(posts: Iterable[EnrichedPost], keywords: KeywordSet,
                    tracked_phrases: tuple[str, ...] = ()) -> CooccurrenceStats:
     """Brute-force recount over a window's posts (conservation checks)."""
     stats = CooccurrenceStats(tracked_phrases=tracked_phrases)
     for enriched in posts:
-        observe_post(stats, enriched, seeds)
+        observe_post(stats, enriched, keywords)
     return stats

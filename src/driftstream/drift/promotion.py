@@ -3,14 +3,15 @@
 Promotion is permanent: once a term earned its place, later correlation
 decay (the term acquiring its own social context) never deactivates it.
 That is the point — the stream keeps matching posts that mention only the
-new term.
+new term. The drift adapter's audit (``keywords.jsonl``) is the record of
+each promotion: its time, score and window.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..keywords import KeywordEntry, KeywordSet
+from ..keywords import KeywordSet
 from .cooccurrence import CooccurrenceStats, score_candidate
 
 
@@ -33,10 +34,10 @@ def promote_keywords(
     stats: CooccurrenceStats,
     policy: PromotionPolicy,
     keywords: KeywordSet,
-    now: float,
-) -> list[KeywordEntry]:
-    """Add every qualifying candidate as a learned entry; returns the new ones."""
-    promoted: list[KeywordEntry] = []
+) -> list[tuple[str, float]]:
+    """Add every qualifying candidate to ``keywords``; returns the
+    ``(term, score)`` pairs added, in term order."""
+    promoted: list[tuple[str, float]] = []
     for term in sorted(stats.term_counts):
         if term in keywords:
             continue
@@ -45,14 +46,6 @@ def promote_keywords(
         score = score_candidate(stats, term, policy.scorer)
         if score < policy.min_score:
             continue
-        entry = KeywordEntry(
-            term=term,
-            origin="learned",
-            first_seen=now,
-            promoted_at=now,
-            correlation=score,
-            active=True,
-        )
-        keywords.add(entry)
-        promoted.append(entry)
+        keywords.add(term)
+        promoted.append((term, score))
     return promoted

@@ -1,7 +1,8 @@
 """Tracked keywords and post-to-keyword matching.
 
-A KeywordSet holds seed topic terms plus entries promoted later (learned
-from drift, misinformation feeds, authoritative reports). Matching is
+A KeywordSet holds seed topic terms plus the terms drift promotes later;
+every term is a normalized string (``normalize_term``), and the drift
+audit, not the set, records when and why a term was promoted. Matching is
 case-insensitive; the default mode is substring, with a token mode for
 precision experiments. Multilingual terms are plain configuration strings.
 Matchers take the post text lowercased once by the caller, and each
@@ -14,7 +15,6 @@ from __future__ import annotations
 
 import re
 from collections import OrderedDict
-from dataclasses import dataclass
 from typing import Iterable, Optional
 
 DEFAULT_SEED_KEYWORDS = (
@@ -70,74 +70,52 @@ def tokenize(text: str, stopwords: frozenset[str] = DEFAULT_STOPWORDS) -> list[s
     ]
 
 
-@dataclass
-class KeywordEntry:
-    term: str
-    origin: str = "seed"  # seed | learned | misinfo | authoritative
-    first_seen: float = 0.0
-    promoted_at: Optional[float] = None
-    correlation: float = 0.0
-    active: bool = True
-
-    def __post_init__(self):
-        self.term = self.term.strip().lower()
-        if not self.term:
-            raise ValueError("keyword term must be non-empty")
-        if self.origin not in ("seed", "learned", "misinfo", "authoritative"):
-            raise ValueError(f"unknown keyword origin: {self.origin!r}")
-        if self.origin == "seed":
-            self.active = True
-        if self.origin == "learned" and self.promoted_at is None:
-            self.promoted_at = self.first_seen
+def normalize_term(term: str) -> str:
+    """``term`` stripped and lowercased; a blank term raises ValueError."""
+    normalized = term.strip().lower()
+    if not normalized:
+        raise ValueError("keyword term must be non-empty")
+    return normalized
 
 
 class KeywordSet:
-    def __init__(
-        self,
-        seeds: Iterable[str] = DEFAULT_SEED_KEYWORDS,
-        match_mode: str = "substring",
-        first_seen: float = 0.0,
-    ):
+    """Normalized terms in arrival order; ``seeds`` are the ones it began with.
+
+    Terms are only ever added: a promoted term stays matched for the run.
+    """
+
+    def __init__(self, seeds: Iterable[str] = DEFAULT_SEED_KEYWORDS, match_mode: str = "substring"):
         if match_mode not in ("substring", "token"):
             raise ValueError(f"unknown match_mode: {match_mode!r}")
         self.match_mode = match_mode
-        self.entries: dict[str, KeywordEntry] = {}
-        for term in seeds:
-            entry = KeywordEntry(term=term, origin="seed", first_seen=first_seen)
-            self.entries[entry.term] = entry
-        self._compile()
+        self._terms = dict.fromkeys(map(normalize_term, seeds))
+        self.seeds = frozenset(self._terms)
 
-    def _compile(self) -> None:
-        self._active = tuple(t for t, e in self.entries.items() if e.active)
-
-    def add(self, entry: KeywordEntry) -> bool:
-        """Add an entry; seeds are never displaced. Returns True if new."""
-        if entry.term in self.entries:
+    def add(self, term: str) -> bool:
+        """Add ``term``; returns True if it was not held yet."""
+        term = normalize_term(term)
+        if term in self._terms:
             return False
-        self.entries[entry.term] = entry
-        self._compile()
+        self._terms[term] = None
         return True
 
     def __contains__(self, term: str) -> bool:
-        return term.strip().lower() in self.entries
+        return term.strip().lower() in self._terms
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self._terms)
 
     def active_terms(self) -> list[str]:
-        return sorted(self._active)
-
-    def seed_terms(self) -> list[str]:
-        return sorted(t for t, e in self.entries.items() if e.origin == "seed")
+        return sorted(self._terms)
 
     def match(self, lowered: str) -> set[str]:
-        """Active entries matching ``lowered``, a post text already lowercased."""
+        """Terms matching ``lowered``, a post text already lowercased."""
         if self.match_mode == "substring":
-            return {t for t in self._active if t in lowered}
+            return {t for t in self._terms if t in lowered}
         tokens = TOKEN_RE.findall(lowered)
         token_set = set(tokens)
         hits = set()
-        for term in self._active:
+        for term in self._terms:
             parts = term.split()
             if len(parts) == 1:
                 if parts[0] in token_set:

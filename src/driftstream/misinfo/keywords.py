@@ -14,7 +14,7 @@ import re
 from pathlib import Path
 from typing import Iterable, Optional
 
-from ..keywords import DEFAULT_STOPWORDS, KeywordEntry
+from ..keywords import DEFAULT_STOPWORDS, normalize_term
 
 DEFAULT_MISINFO_SEEDS = ("bioweapon", "plandemic")
 
@@ -29,28 +29,24 @@ _PUNCT = re.compile(r"[^\w\s-]")
 
 
 class MisinfoKeywordSet:
-    def __init__(
-        self,
-        seeds: Iterable[str] = DEFAULT_MISINFO_SEEDS,
-        tombstones: Iterable[str] = (),
-        now: float = 0.0,
-    ):
-        self.entries: dict[str, KeywordEntry] = {}
-        self.source_version: dict[str, float] = {}
-        self.tombstones = frozenset(t.strip().lower() for t in tombstones)
+    """Normalized misinformation terms; ``active`` leaves out the tombstoned."""
+
+    def __init__(self, seeds: Iterable[str] = DEFAULT_MISINFO_SEEDS, tombstones: Iterable[str] = ()):
+        self.terms: set[str] = set()
+        self.tombstones = frozenset(map(normalize_term, tombstones))
         self.active: tuple[str, ...] = ()  # sorted active terms, rebuilt on every add
         self.skipped_sources = 0
-        self.missing_sections = 0
         for term in seeds:
-            self._add(term, now)
+            self.add(term)
 
-    def _add(self, term: str, now: float) -> bool:
-        entry = KeywordEntry(term=term, origin="misinfo", first_seen=now)
-        if entry.term in self.entries:
+    def add(self, term: str) -> bool:
+        """Add ``term``; returns True if it was not held yet."""
+        term = normalize_term(term)
+        if term in self.terms:
             return False
-        self.entries[entry.term] = entry
-        if entry.term not in self.tombstones:
-            self.active = tuple(sorted(self.active + (entry.term,)))
+        self.terms.add(term)
+        if term not in self.tombstones:
+            self.active = tuple(sorted(self.active + (term,)))
         return True
 
     def active_terms(self) -> list[str]:
@@ -61,10 +57,10 @@ class MisinfoKeywordSet:
         return {t for t in self.active if t in lowered}
 
     def __contains__(self, term: str) -> bool:
-        return term.strip().lower() in self.entries
+        return term.strip().lower() in self.terms
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self.terms)
 
 
 def _split_sections(document: str) -> dict[str, list[str]]:
@@ -113,11 +109,7 @@ def extract_misinfo_terms(document: str, sections: tuple[str, ...] = ("conspirac
     return terms
 
 
-def refresh_misinfo_keywords(
-    sources: list[dict],
-    keyword_set: MisinfoKeywordSet,
-    now: float,
-) -> list[str]:
+def refresh_misinfo_keywords(sources: list[dict], keyword_set: MisinfoKeywordSet) -> list[str]:
     """Poll source snapshots; returns newly added terms (sorted).
 
     Unreadable sources are skipped and counted; the existing set is always
@@ -126,10 +118,8 @@ def refresh_misinfo_keywords(
     added: list[str] = []
     for descriptor in sources:
         kind = descriptor.get("kind", "terms_file")
-        path = Path(descriptor["path"])
-        name = descriptor.get("name", str(path))
         try:
-            text = path.read_text(encoding="utf-8")
+            text = Path(descriptor["path"]).read_text(encoding="utf-8")
         except OSError:
             keyword_set.skipped_sources += 1
             continue
@@ -140,16 +130,9 @@ def refresh_misinfo_keywords(
                 keyword_set.skipped_sources += 1
                 continue
         elif kind == "headlines":
-            sections = tuple(descriptor.get("sections", ("conspiracy",)))
-            parsed = _split_sections(text)
-            if not any(s.lower() in parsed for s in sections):
-                keyword_set.missing_sections += 1
-            terms = extract_misinfo_terms(text, sections)
+            terms = extract_misinfo_terms(text, tuple(descriptor.get("sections", ("conspiracy",))))
         else:
             keyword_set.skipped_sources += 1
             continue
-        for term in terms:
-            if keyword_set._add(term, now):
-                added.append(term.strip().lower())
-        keyword_set.source_version[name] = now
+        added.extend(normalize_term(t) for t in terms if keyword_set.add(t))
     return sorted(added)

@@ -143,6 +143,16 @@ def parse_config(data: dict, base_dir: Optional[Path] = None) -> PipelineConfig:
             errors.append(f"{name}: must be a number, got {value!r}")
         return default
 
+    def strings(section: dict, name: str, default: tuple[str, ...]) -> tuple[str, ...]:
+        """The field ``name`` as a tuple (``default`` when unset); a value
+        that is not a list of non-blank strings is reported by name and
+        ``default`` stands in."""
+        value = _get(section, name.rpartition(".")[2], default)
+        if isinstance(value, (list, tuple)) and all(isinstance(v, str) and v.strip() for v in value):
+            return tuple(value)
+        errors.append(f"{name}: must be a list of non-blank strings, got {value!r}")
+        return default
+
     env = os.environ
     seed = env.get("DRIFTSTREAM_SEED", data.get("seed"))
     if seed is None:
@@ -173,9 +183,9 @@ def parse_config(data: dict, base_dir: Optional[Path] = None) -> PipelineConfig:
 
     kw = data.get("keywords", {}) or {}
     keywords = KeywordConfig(
-        seeds=tuple(_get(kw, "seeds", list(DEFAULT_SEED_KEYWORDS))),
+        seeds=strings(kw, "keywords.seeds", DEFAULT_SEED_KEYWORDS),
         match_mode=_get(kw, "match_mode", "substring"),
-        tracked_phrases=tuple(_get(kw, "tracked_phrases", [])),
+        tracked_phrases=strings(kw, "keywords.tracked_phrases", ()),
         retweet_ttl=number(kw, "keywords.retweet_ttl_hours", 24) * HOUR,
     )
     if keywords.match_mode not in ("substring", "token"):
@@ -206,7 +216,7 @@ def parse_config(data: dict, base_dir: Optional[Path] = None) -> PipelineConfig:
 
     en = data.get("enrichment", {}) or {}
     enrichment = EnrichmentConfig(
-        gazetteer=tuple(_get(en, "gazetteer", [])),
+        gazetteer=strings(en, "enrichment.gazetteer", ()),
         gazetteer_file=resolve(en.get("gazetteer_file")),
         sentiment_lexicon_file=resolve(en.get("sentiment_lexicon_file")),
         group_lexicons_file=resolve(en.get("group_lexicons_file")),
@@ -218,23 +228,38 @@ def parse_config(data: dict, base_dir: Optional[Path] = None) -> PipelineConfig:
             errors.append(f"enrichment.{name}: file not found: {path}")
 
     mi = data.get("misinfo", {}) or {}
+    sources = _get(mi, "sources", [])
+    if not isinstance(sources, (list, tuple)):
+        errors.append(f"misinfo.sources: must be a list of mappings, got {sources!r}")
+        sources = []
+    descriptors = []
+    for i, src in enumerate(sources):
+        name = f"misinfo.sources[{i}]"
+        if not isinstance(src, dict):
+            errors.append(f"{name}: must be a mapping, got {src!r}")
+            continue
+        kind = src.get("kind", "terms_file")
+        if kind not in ("terms_file", "headlines"):
+            errors.append(f"{name}.kind: must be terms_file or headlines, got {kind!r}")
+        path = resolve(src.get("path"))
+        if not path:
+            errors.append(f"{name}.path: required")
+        elif not Path(path).is_file():
+            errors.append(f"{name}.path: file not found: {path}")
+        src = {**src, "path": path}
+        if "sections" in src:
+            src["sections"] = strings(src, f"{name}.sections", ("conspiracy",))
+        descriptors.append(src)
     misinfo = MisinfoConfig(
-        seeds=tuple(_get(mi, "seeds", list(DEFAULT_MISINFO_SEEDS))),
-        sources=tuple(
-            {**src, "path": resolve(src.get("path"))} for src in _get(mi, "sources", [])
-        ),
+        seeds=strings(mi, "misinfo.seeds", DEFAULT_MISINFO_SEEDS),
+        sources=tuple(descriptors),
         refresh_interval=number(mi, "misinfo.refresh_interval_minutes", 60) * MINUTE,
         window=number(mi, "misinfo.window_seconds", 60),
         piggyback_threshold=number(mi, "misinfo.piggyback_threshold", 0.7),
-        tombstones=tuple(_get(mi, "tombstones", [])),
+        tombstones=strings(mi, "misinfo.tombstones", ()),
     )
     if misinfo.window <= 0:
         errors.append("misinfo.window_seconds: must be > 0")
-    for i, src in enumerate(misinfo.sources):
-        if not src.get("path"):
-            errors.append(f"misinfo.sources[{i}].path: required")
-        elif not Path(src["path"]).is_file():
-            errors.append(f"misinfo.sources[{i}].path: file not found: {src['path']}")
 
     cl = data.get("clusters", {}) or {}
     clusters = ClusterConfig(
@@ -248,7 +273,7 @@ def parse_config(data: dict, base_dir: Optional[Path] = None) -> PipelineConfig:
     if clusters.eta <= 0:
         errors.append("clusters.eta: must be > 0")
 
-    authoritative = tuple(_get(data, "authoritative", list(DEFAULT_AUTHORITATIVE_SOURCES)))
+    authoritative = strings(data, "authoritative", DEFAULT_AUTHORITATIVE_SOURCES)
     if not authoritative:
         errors.append("authoritative: must be non-empty")
 

@@ -215,9 +215,7 @@ class PipelineRunner:
         self._flush_cluster_windows(upto=event_time)
 
     def _refresh_misinfo(self, now: float) -> None:
-        added = refresh_misinfo_keywords(
-            list(self.config.misinfo.sources), self.misinfo_set, now
-        )
+        added = refresh_misinfo_keywords(list(self.config.misinfo.sources), self.misinfo_set)
         self.counters["misinfo_terms_added"] += len(added)
         interval = self.config.misinfo.refresh_interval
         self._next_refresh = (now // interval + 1) * interval

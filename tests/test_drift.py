@@ -18,7 +18,7 @@ from driftstream.drift.cooccurrence import (
 )
 from driftstream.drift.promotion import PromotionPolicy, promote_keywords
 from driftstream.drift.trending import TrendingHistory, detect_trending, rising_ratios
-from driftstream.keywords import KeywordEntry, KeywordSet, match_keywords
+from driftstream.keywords import KeywordSet, match_keywords
 from driftstream.misinfo.keywords import MisinfoKeywordSet
 
 from conftest import make_enriched
@@ -72,7 +72,7 @@ class TestObservePost:
 
     def test_learned_entry_does_not_count_as_seed_side(self):
         keywords = KeywordSet(seeds=("pandemic",))
-        keywords.add(KeywordEntry(term="facemask", origin="learned", promoted_at=1.0))
+        keywords.add("facemask")
         stats = CooccurrenceStats()
         # matches only the learned term: must not increment the seed side
         _observe_texts(stats, keywords, ["facemask outside"])
@@ -185,12 +185,10 @@ class TestPromotion:
         stats.term_counts["facemask"] = 30
         stats.pair_counts["facemask"] = 30
         policy = PromotionPolicy(min_count=25, min_score=0.7)
-        promoted = promote_keywords(stats, policy, keywords, now=1000.0)
-        assert [e.term for e in promoted] == ["facemask"]
-        entry = keywords.entries["facemask"]
-        assert entry.origin == "learned"
-        assert entry.promoted_at == 1000.0
-        assert entry.active is True
+        promoted = promote_keywords(stats, policy, keywords)
+        assert promoted == [("facemask", score_candidate(stats, "facemask"))]
+        assert "facemask" in keywords
+        assert keywords.seeds == {"pandemic"}
 
     def test_below_threshold_promotes_nothing(self):
         keywords = KeywordSet(seeds=("pandemic",))
@@ -199,7 +197,7 @@ class TestPromotion:
         stats.seed_posts = 50
         stats.term_counts["weather"] = 30
         stats.pair_counts["weather"] = 1
-        promoted = promote_keywords(stats, PromotionPolicy(), keywords, now=0.0)
+        promoted = promote_keywords(stats, PromotionPolicy(), keywords)
         assert promoted == []
 
     def test_promotion_idempotent(self):
@@ -210,11 +208,11 @@ class TestPromotion:
         stats.term_counts["facemask"] = 30
         stats.pair_counts["facemask"] = 30
         policy = PromotionPolicy()
-        first = promote_keywords(stats, policy, keywords, now=1.0)
-        second = promote_keywords(stats, policy, keywords, now=2.0)
-        assert [e.term for e in first] == ["facemask"]
+        first = promote_keywords(stats, policy, keywords)
+        second = promote_keywords(stats, policy, keywords)
+        assert [term for term, _ in first] == ["facemask"]
         assert second == []
-        assert keywords.entries["facemask"].promoted_at == 1.0
+        assert keywords.active_terms() == ["facemask", "pandemic"]
 
     def test_min_count_gate(self):
         keywords = KeywordSet(seeds=("pandemic",))
@@ -223,7 +221,7 @@ class TestPromotion:
         stats.seed_posts = 30
         stats.term_counts["facemask"] = 10
         stats.pair_counts["facemask"] = 10
-        assert promote_keywords(stats, PromotionPolicy(min_count=25), keywords, 0.0) == []
+        assert promote_keywords(stats, PromotionPolicy(min_count=25), keywords) == []
 
     def test_policy_validation(self):
         with pytest.raises(ValueError):
@@ -281,7 +279,9 @@ class TestDriftAdapter:
         events = adapter.observe(self._post(99, "pandemic again", 650.0, keywords))
         assert any(e.term == "facemask" for e in events)
         assert "facemask" in keywords
-        assert keywords.entries["facemask"].promoted_at == 600.0
+        # the audit is the record of the promotion
+        assert adapter.audit == events
+        assert {e.term: e.promoted_at for e in adapter.audit}["facemask"] == 600.0
         # promotion is permanent: solo posts now match
         solo = make_enriched(post_id=100, text="facemask only", created_at=700.0)
         assert "facemask" in match_keywords(solo.post, keywords)
@@ -343,14 +343,10 @@ class TestDriftAdapter:
         assert solo_score < co_score  # the term acquired its own context
 
         # promotion earned during the co phase survives the decay
-        promoted = promote_keywords(
-            co_stats, PromotionPolicy(min_count=25, min_score=0.7), keywords, now=0.0
-        )
-        assert any(e.term == "facemask" for e in promoted)
-        promote_keywords(
-            solo_stats, PromotionPolicy(min_count=25, min_score=0.7), keywords, now=1.0
-        )
-        assert keywords.entries["facemask"].active is True
+        promoted = promote_keywords(co_stats, PromotionPolicy(min_count=25, min_score=0.7), keywords)
+        assert any(term == "facemask" for term, _ in promoted)
+        promote_keywords(solo_stats, PromotionPolicy(min_count=25, min_score=0.7), keywords)
+        assert "facemask" in keywords
 
     def test_piggyback_skips_empty_slides_and_the_final_flush(self):
         keywords = KeywordSet(seeds=("pandemic",))

@@ -1,9 +1,10 @@
 from __future__ import annotations
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from driftstream.keywords import KeywordEntry, KeywordSet, RecentMatches, match_keywords, tokenize
+from driftstream.keywords import KeywordSet, RecentMatches, match_keywords, tokenize
 
 from conftest import make_post
 
@@ -41,21 +42,26 @@ def test_token_mode_matches_multiword_phrase():
     assert match_keywords(make_post(text="gates bill reversed"), keywords) == set()
 
 
-def test_inactive_entry_does_not_match():
-    keywords = KeywordSet(seeds=("virus",))
-    keywords.add(KeywordEntry(term="mask", origin="learned", promoted_at=1.0, active=False))
-    assert match_keywords(make_post(text="mask up"), keywords) == set()
+def test_seeds_are_normalized_once():
+    keywords = KeywordSet(seeds=(" Mask", "mask"))
+    assert len(keywords) == 1
+    assert keywords.seeds == {"mask"}
+    assert keywords.add(" MASK ") is False
+    assert keywords.active_terms() == ["mask"]
 
 
-def test_seed_entries_are_always_active():
-    entry = KeywordEntry(term="virus", origin="seed", active=False)
-    assert entry.active is True
+@pytest.mark.parametrize("blank", ["", "   ", "\t\n"])
+def test_blank_term_raises(blank):
+    with pytest.raises(ValueError, match="non-empty"):
+        KeywordSet(seeds=("virus", blank))
+    with pytest.raises(ValueError, match="non-empty"):
+        KeywordSet(seeds=("virus",)).add(blank)
 
 
 def test_monotonicity_enlarging_set_never_shrinks_matches():
     small = KeywordSet(seeds=("virus",))
     big = KeywordSet(seeds=("virus",))
-    big.add(KeywordEntry(term="mask", origin="learned", promoted_at=1.0))
+    big.add("mask")
     for text in ("the virus", "mask on", "virus and mask", "nothing"):
         post = make_post(text=text)
         assert match_keywords(post, small) <= match_keywords(post, big)
@@ -233,4 +239,4 @@ def test_tokenize_drops_stopwords_and_short_tokens():
 def test_match_never_raises_and_stays_within_set(text):
     keywords = KeywordSet()
     hits = keywords.match(text)
-    assert hits <= set(keywords.entries)
+    assert hits <= set(keywords.active_terms())

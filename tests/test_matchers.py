@@ -25,7 +25,7 @@ from driftstream.enrich.locations import (
 )
 from driftstream.enrich.sentiment import compile_sentiment_lexicon, score_sentiment
 from driftstream.enrich.topics import assign_topic_groups, compile_group_lexicons
-from driftstream.keywords import TOKEN_RE, KeywordEntry, KeywordSet, match_keywords
+from driftstream.keywords import TOKEN_RE, KeywordSet, match_keywords
 from driftstream.misinfo.keywords import MisinfoKeywordSet, refresh_misinfo_keywords
 from driftstream.misinfo.tagging import tag_misinformation_window
 
@@ -54,12 +54,10 @@ weights = st.sampled_from([-0.8, -0.6, -0.5, -0.4, 0.3, 0.4, 0.5, 0.6, 0.8, 0.1,
 def keyword_oracle(keywords: KeywordSet, text: str) -> set[str]:
     lowered = text.lower()
     if keywords.match_mode == "substring":
-        return {t for t, e in keywords.entries.items() if e.active and t in lowered}
+        return {t for t in keywords.active_terms() if t in lowered}
     tokens = TOKEN_RE.findall(lowered)
     hits = set()
-    for term, entry in keywords.entries.items():
-        if not entry.active:
-            continue
+    for term in keywords.active_terms():
         parts = term.split()
         n = len(parts)
         if n == 1:
@@ -110,8 +108,8 @@ def topics_oracle(text: str, group_lexicons: dict[str, tuple[str, ...]]) -> set[
        st.sampled_from(["substring", "token"]))
 def test_keyword_match_equals_oracle(seeds, learned, text, mode):
     keywords = KeywordSet(seeds=seeds, match_mode=mode)
-    for i, term in enumerate(learned):
-        keywords.add(KeywordEntry(term=term, origin="learned", active=i % 2 == 0))
+    for term in learned:
+        keywords.add(term)
     assert keywords.match(text.lower()) == keyword_oracle(keywords, text)
     assert match_keywords(make_post(text=text), keywords) == keyword_oracle(keywords, text)
 
@@ -267,7 +265,7 @@ def test_promoted_keyword_matches_the_next_post():
         keywords = KeywordSet(seeds=("virus",), match_mode=mode)
         post = make_post(text="Facemask mandate")
         assert match_keywords(post, keywords) == set()
-        keywords.add(KeywordEntry(term="facemask", origin="learned", promoted_at=1.0))
+        keywords.add("facemask")
         assert match_keywords(post, keywords) == {"facemask"}
         assert keywords.active_terms() == ["facemask", "virus"]
 
@@ -280,7 +278,7 @@ def test_refreshed_misinfo_term_tags_the_next_window(tmp_path):
 
     feed = tmp_path / "terms.json"
     feed.write_text(json.dumps({"terms": ["bleach"]}))
-    assert refresh_misinfo_keywords([{"path": str(feed)}], keyword_set, now=T0 + 30) == ["bleach"]
+    assert refresh_misinfo_keywords([{"path": str(feed)}], keyword_set) == ["bleach"]
 
     second = [make_enriched(post_id=2, text="drink bleach now", created_at=T0 + 60)]
     tagged, after = tag_misinformation_window(second, keyword_set)

@@ -48,7 +48,7 @@ class TestRefresh:
         src = tmp_path / "terms.json"
         src.write_text(json.dumps({"terms": ["bleach"]}))
         keyword_set = MisinfoKeywordSet()
-        added = refresh_misinfo_keywords([{"kind": "terms_file", "path": str(src)}], keyword_set, now=10.0)
+        added = refresh_misinfo_keywords([{"kind": "terms_file", "path": str(src)}], keyword_set)
         assert added == ["bleach"]
         assert "bleach" in keyword_set
 
@@ -57,19 +57,18 @@ class TestRefresh:
         src.write_text(json.dumps({"terms": ["bleach"]}))
         keyword_set = MisinfoKeywordSet()
         sources = [{"kind": "terms_file", "path": str(src)}]
-        refresh_misinfo_keywords(sources, keyword_set, now=10.0)
-        assert refresh_misinfo_keywords(sources, keyword_set, now=20.0) == []
+        refresh_misinfo_keywords(sources, keyword_set)
+        assert refresh_misinfo_keywords(sources, keyword_set) == []
 
     def test_unreadable_source_skipped_and_counted(self, tmp_path):
         keyword_set = MisinfoKeywordSet()
         added = refresh_misinfo_keywords(
             [{"kind": "terms_file", "path": str(tmp_path / "missing.json")}],
             keyword_set,
-            now=0.0,
         )
         assert added == []
         assert keyword_set.skipped_sources == 1
-        assert set(keyword_set.entries) == {"bioweapon", "plandemic"}
+        assert keyword_set.terms == {"bioweapon", "plandemic"}
 
     def test_headline_source_matches_hand_extraction(self, tmp_path):
         src = tmp_path / "headlines.md"
@@ -78,7 +77,6 @@ class TestRefresh:
         added = refresh_misinfo_keywords(
             [{"kind": "headlines", "path": str(src), "sections": ["conspiracy"]}],
             keyword_set,
-            now=0.0,
         )
         # manual parse of the fixture, one phrase per conspiracy headline
         assert added == sorted(
@@ -93,12 +91,22 @@ class TestRefresh:
 
     def test_seeded_terms_always_present(self):
         keyword_set = MisinfoKeywordSet()
-        assert {"bioweapon", "plandemic"} <= set(keyword_set.entries)
+        assert {"bioweapon", "plandemic"} <= keyword_set.terms
 
     def test_tombstoned_term_excluded_from_matching_but_kept(self):
         keyword_set = MisinfoKeywordSet(tombstones=("plandemic",))
         assert "plandemic" in keyword_set
         assert keyword_set.match("plandemic everywhere") == set()
+
+    def test_terms_are_normalized_and_blank_terms_raise(self):
+        keyword_set = MisinfoKeywordSet(seeds=(" Bleach", "bleach"))
+        assert keyword_set.terms == {"bleach"}
+        assert keyword_set.add("BLEACH ") is False
+        for blank in ("", "   "):
+            with pytest.raises(ValueError, match="non-empty"):
+                MisinfoKeywordSet(seeds=(blank,))
+            with pytest.raises(ValueError, match="non-empty"):
+                keyword_set.add(blank)
 
 
 class TestExtractTerms:
@@ -223,7 +231,7 @@ class TestWindowTagging:
         _, before = tag_misinformation_window(posts, keyword_set)
         src = tmp_path / "terms.json"
         src.write_text(json.dumps({"terms": ["bleach"]}))
-        refresh_misinfo_keywords([{"kind": "terms_file", "path": str(src)}], keyword_set, now=1.0)
+        refresh_misinfo_keywords([{"kind": "terms_file", "path": str(src)}], keyword_set)
         _, after = tag_misinformation_window(posts, keyword_set)
         assert after.tagged >= before.tagged
         assert after.tagged == 2

@@ -164,6 +164,49 @@ class TestConfigValidation:
         assert main(["run", "--config", str(path)]) == 2
         assert "keywords.retweet_ttl_hours: must be > 0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "overrides, field",
+        [
+            ({"keywords": {"seeds": "corona"}}, "keywords.seeds"),
+            ({"keywords": {"seeds": ["corona", "  "]}}, "keywords.seeds"),
+            ({"keywords": {"tracked_phrases": "stay home"}}, "keywords.tracked_phrases"),
+            ({"enrichment": {"gazetteer": "madrid"}}, "enrichment.gazetteer"),
+            ({"misinfo": {"seeds": "plandemic"}}, "misinfo.seeds"),
+            ({"misinfo": {"tombstones": [5]}}, "misinfo.tombstones"),
+            ({"authoritative": "who.int"}, "authoritative"),
+            (
+                {"misinfo": {"sources": [{"kind": "headlines", "path": "doc.md", "sections": "conspiracy"}]}},
+                "misinfo.sources[0].sections",
+            ),
+            ({"misinfo": {"sources": [{"kind": "bogus", "path": "doc.md"}]}}, "misinfo.sources[0].kind"),
+            ({"misinfo": {"sources": {"kind": "headlines", "path": "doc.md"}}}, "misinfo.sources"),
+            ({"misinfo": {"sources": ["doc.md"]}}, "misinfo.sources[0]"),
+        ],
+    )
+    def test_list_fields_named_with_exit_2(self, tmp_path, capsys, overrides, field):
+        """A scalar where a list of strings belongs is not split into
+        characters, and a blank or non-string item is not left to fail at
+        run time: each exits 2 naming the field."""
+        corpus = _fixture_corpus(tmp_path, minutes=5, rate=20)
+        (tmp_path / "doc.md").write_text("# Conspiracy\nPlandemic conspiracy\n")
+        path = tmp_path / "bad.yaml"
+        path.write_text(yaml.safe_dump(_base_config(tmp_path, corpus, **overrides)))
+        assert main(["run", "--config", str(path)]) == 2
+        assert f"config error: {field}: must be " in capsys.readouterr().err
+
+    def test_list_fields_accept_lists_of_strings(self, tmp_path):
+        corpus = _fixture_corpus(tmp_path, minutes=5, rate=20)
+        (tmp_path / "doc.md").write_text("# Rumours\nPlandemic conspiracy\nMicrochip vaccine rumor\n")
+        source = {"kind": "headlines", "path": "doc.md", "sections": ["rumours"]}
+        data = _base_config(tmp_path, corpus, misinfo={"sources": [source], "tombstones": ["plandemic"]})
+        path = tmp_path / "good.yaml"
+        path.write_text(yaml.safe_dump(data))
+        config = load_config(path)
+        assert config.enrichment.gazetteer == tuple(GAZETTEER)
+        assert config.misinfo.sources[0]["sections"] == ("rumours",)
+        # "plandemic" is a seed already, so only "microchip vaccine" is new
+        assert run_pipeline(config).summary["misinfo_terms_added"] == 1
+
     def test_legacy_topology_key_ignored(self, tmp_path):
         corpus = _fixture_corpus(tmp_path, minutes=5, rate=20)
         data = _base_config(tmp_path, corpus, topology=[{"name": "x", "kind": "quantum"}])
@@ -762,6 +805,19 @@ class TestMultidayBundle:
             digest.update(path.name.encode() + b"\0" + path.read_bytes() + b"\0")
         assert digest.hexdigest() == self.GOLDEN_SHA256
 
+    def test_active_keywords_are_the_seeds_plus_the_audit(self, tmp_path):
+        """The promotion audit is the one record of a promotion: the run
+        ends holding exactly the seeds and the audited terms, each term
+        audited once."""
+        config = _multiday_config(tmp_path)
+        result = run_pipeline(config)
+        audit = [
+            json.loads(line)["term"]
+            for line in (result.out_dir / "keywords.jsonl").read_text().splitlines()
+        ]
+        assert audit and len(audit) == len(set(audit))
+        assert result.summary["active_keywords"] == sorted(set(config.keywords.seeds) | set(audit))
+
     def test_bundle_does_not_depend_on_the_hash_seed(self, tmp_path):
         """Set iteration order changes with PYTHONHASHSEED, which one process
         cannot vary; ``driftstream run`` under two seeds, each in its own
@@ -973,6 +1029,32 @@ class TestCli:
         terms = {e["term"] for e in entries}
         assert "facemask" in terms
         assert "lockdown" not in terms
+
+    @pytest.mark.parametrize(
+        "lines, message",
+        [
+            (['{"term": "x"}'], "line 1: field 'promoted_at': missing"),
+            (['{"term": "x", "promoted_at": 0}', "not json"], "line 2: "),
+            (['{"term": 7, "promoted_at": 0}'], "line 1: field 'term'"),
+            (None, "No such file"),
+        ],
+    )
+    def test_keywords_show_bad_audit_exits_2(self, tmp_path, capsys, lines, message):
+        audit = tmp_path / "keywords.jsonl"
+        if lines is not None:
+            audit.write_text("".join(line + "\n" for line in lines))
+        assert main(["keywords", "show", "--audit", str(audit)]) == 2
+        err = capsys.readouterr().err
+        assert str(audit) in err
+        assert message in err
+
+    def test_keywords_show_prints_seeds_as_the_run_holds_them(self, tmp_path, capsys):
+        corpus = _fixture_corpus(tmp_path, minutes=5, rate=20)
+        path = tmp_path / "config.yaml"
+        path.write_text(yaml.safe_dump(_base_config(tmp_path, corpus, keywords={"seeds": [" Mask", "mask", "Wuhan"]})))
+        assert main(["keywords", "show", "--config", str(path)]) == 0
+        entries = json.loads(capsys.readouterr().out)
+        assert [e["term"] for e in entries] == ["mask", "wuhan"]
 
     def test_clusters_command_filters_by_status(self, tmp_path, capsys):
         report_dir = tmp_path / "reports"
