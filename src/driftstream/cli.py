@@ -16,7 +16,7 @@ import time
 from pathlib import Path
 
 from .analytics.tables import TableCounts, emit_report
-from .core.log import DurableLog
+from .core.log import DurableLog, LogAppendError
 from .core.records import StreamRecord
 from .enrich.clean import is_blank
 from .keywords import DEFAULT_SEED_KEYWORDS, KeywordSet
@@ -30,6 +30,10 @@ from .timeutil import TimestampError, format_timestamp, parse_timestamp
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_RUNTIME = 3
+
+# Records per group commit in `replay --out`: one fsync acknowledges a batch,
+# and the batch is all the replay holds in memory.
+REPLAY_BATCH = 256
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
@@ -56,6 +60,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
     except Exception as exc:  # noqa: BLE001 - surface as runtime exit code
         print(f"pipeline failed: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
+    for (path, index), reason in result.misinfo_skipped.items():
+        where = path if index is None else f"{path} term {index}"
+        print(f"misinfo: skipped {where}: {reason}", file=sys.stderr)
     print(json.dumps(result.summary, indent=2, sort_keys=True))
     print(f"reports written to {result.out_dir}", file=sys.stderr)
     return result.exit_code
@@ -98,20 +105,26 @@ def _cmd_replay(args: argparse.Namespace) -> int:
         except OSError as exc:
             print(f"replay: --out: {exc}", file=sys.stderr)
             return EXIT_VALIDATION
+    # Paced, each record is committed before the pause ahead of the next post.
+    limit = REPLAY_BATCH if args.speed == "max" else 1
+    batch: list[StreamRecord] = []
     records = 0
     try:
         for post in posts_from_archive(args.archive, speed=args.speed):
             records += 1
             if log is None:
                 continue
-            record = StreamRecord(
-                payload=post.to_payload(), event_time=post.created_at, ingest_time=time.time()
+            batch.append(
+                StreamRecord(payload=post.to_payload(), event_time=post.created_at, ingest_time=time.time())
             )
-            try:
-                log.append(record)
-            except OSError as exc:
-                print(f"replay failed: {exc}", file=sys.stderr)
-                return EXIT_RUNTIME
+            if len(batch) == limit:
+                log.append_many(batch)
+                batch = []
+        if log is not None:
+            log.append_many(batch)
+    except LogAppendError as exc:
+        print(f"replay failed: {exc}", file=sys.stderr)
+        return EXIT_RUNTIME
     except OSError as exc:
         print(f"replay: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

@@ -3,8 +3,24 @@
 Stands in for an external durable message broker at desk scale: ``replay
 --out`` appends the archive's posts and any consumer can replay from an
 arbitrary offset. Records are length-prefixed and checksummed; recovery
-truncates a torn tail (partial frame from a crash mid-append) back to the
-last valid record, so a replay never surfaces a corrupt or partial record.
+truncates a torn tail back to the last valid record, so a replay never
+surfaces a corrupt or partial record.
+
+Appends are group-committed: ``append_many`` writes a batch of frames, then
+flushes and fsyncs once, and only then returns the batch's offsets. The
+returned offsets are the ack. The crash contract:
+
+- acknowledged records always survive;
+- of an unacknowledged batch, at most an in-order prefix of complete frames
+  survives. A crash can leave any prefix of the batch's bytes, or a region
+  the file grew by but whose data never landed (zeros); recovery stops at
+  the first frame that is incomplete, fails its checksum or is empty;
+- ``append`` is the batch of one, so a single in-flight record either
+  survives whole or not at all.
+
+A batch that fills a segment fsyncs it before opening the next, so every
+offset a call returns is durable; the directory is fsynced whenever a
+segment file is created, so the new segment's name survives too.
 
 Layout: one directory per log, holding only segments named
 ``{base_offset:020d}.seg``. Opening the log scans every segment to rebuild
@@ -18,7 +34,7 @@ import struct
 import threading
 import zlib
 from pathlib import Path
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .records import StreamRecord
 
@@ -51,9 +67,10 @@ class DurableLog:
         self._recover()
         bases = sorted(self._segments)
         self._active_base = bases[-1] if bases else 0
+        self._writer = open(self._segment_path(self._active_base), "ab")
         if not bases:
             self._segments[0] = []
-        self._writer = open(self._segment_path(self._active_base), "ab")
+            self._sync_dir()
 
     # -- recovery ----------------------------------------------------------
 
@@ -86,8 +103,8 @@ class DurableLog:
             length, crc = FRAME_HEADER.unpack_from(data, pos)
             body_start = pos + FRAME_HEADER.size
             body_end = body_start + length
-            if body_end > size:
-                break  # torn write: body incomplete
+            if length == 0 or body_end > size:
+                break  # torn write: zero-filled (no record encodes empty) or body incomplete
             body = data[body_start:body_end]
             if zlib.crc32(body) != crc:
                 break  # torn write inside the header or body
@@ -102,27 +119,48 @@ class DurableLog:
         return sum(len(positions) for positions in self._segments.values())
 
     def append(self, record: StreamRecord) -> int:
-        """Append and make durable; the returned offset is the ack.
+        """Append one record and make it durable; the returned offset is the ack."""
+        return self.append_many([record])[0]
 
-        The frame is flushed (and fsynced when ``sync``) before the offset
-        is returned, so an acknowledged record survives a crash.
+    def append_many(self, records: Iterable[StreamRecord]) -> range:
+        """Append ``records`` in order and make them durable; returns their offsets.
+
+        Every frame is written, then flushed and fsynced (when ``sync``) once,
+        before the offsets are returned, so the returned range is the ack. An
+        empty batch appends nothing and returns the empty range at
+        ``next_offset``. Any I/O failure raises ``LogAppendError``; reopen the
+        log before appending again, so that recovery rescans what reached disk.
         """
-        body = record.to_bytes()
-        frame = FRAME_HEADER.pack(len(body), zlib.crc32(body)) + body
+        frames = []
+        for record in records:
+            body = record.to_bytes()
+            frames.append(FRAME_HEADER.pack(len(body), zlib.crc32(body)) + body)
         with self._lock:
-            if self._writer.tell() >= self.segment_bytes and self._segments[self._active_base]:
-                self._roll()
-            position = self._writer.tell()
+            first = self.next_offset
+            if not frames:
+                return range(first, first)
+            positions: list[int] = []  # of frames written but not yet synced
             try:
-                self._writer.write(frame)
-                self._writer.flush()
-                if self.sync:
-                    os.fsync(self._writer.fileno())
+                for frame in frames:
+                    position = self._writer.tell()
+                    if position and position >= self.segment_bytes:  # never roll an empty segment
+                        self._commit(positions)
+                        positions = []
+                        self._roll()
+                        position = 0
+                    positions.append(position)
+                    self._writer.write(frame)
+                self._commit(positions)
             except OSError as exc:
                 raise LogAppendError(f"append to {self.path} failed: {exc}") from exc
-            positions = self._segments[self._active_base]
-            positions.append(position)
-            return self._active_base + len(positions) - 1
+            return range(first, first + len(frames))
+
+    def _commit(self, positions: list[int]) -> None:
+        """Make the active segment durable, then index the frames at ``positions``."""
+        self._writer.flush()
+        if self.sync:
+            os.fsync(self._writer.fileno())
+        self._segments[self._active_base].extend(positions)
 
     def _roll(self) -> None:
         self._writer.close()
@@ -130,6 +168,17 @@ class DurableLog:
         self._active_base = new_base
         self._segments[new_base] = []
         self._writer = open(self._segment_path(new_base), "ab")
+        self._sync_dir()
+
+    def _sync_dir(self) -> None:
+        """Make a newly created segment's directory entry durable."""
+        if not self.sync:
+            return
+        fd = os.open(self.path, os.O_RDONLY)
+        try:
+            os.fsync(fd)
+        finally:
+            os.close(fd)
 
     # -- replay ------------------------------------------------------------
 

@@ -35,7 +35,8 @@ class MisinfoKeywordSet:
         self.terms: set[str] = set()
         self.tombstones = frozenset(map(normalize_term, tombstones))
         self.active: tuple[str, ...] = ()  # sorted active terms, rebuilt on every add
-        self.skipped_sources = 0
+        # (source path, term index or None for the whole source) -> why it was skipped
+        self.skipped: dict[tuple[str, Optional[int]], str] = {}
         for term in seeds:
             self.add(term)
 
@@ -48,6 +49,10 @@ class MisinfoKeywordSet:
         if term not in self.tombstones:
             self.active = tuple(sorted(self.active + (term,)))
         return True
+
+    @property
+    def skipped_sources(self) -> int:
+        return sum(index is None for _, index in self.skipped)
 
     def active_terms(self) -> list[str]:
         return list(self.active)
@@ -112,27 +117,40 @@ def extract_misinfo_terms(document: str, sections: tuple[str, ...] = ("conspirac
 def refresh_misinfo_keywords(sources: list[dict], keyword_set: MisinfoKeywordSet) -> list[str]:
     """Poll source snapshots; returns newly added terms (sorted).
 
-    Unreadable sources are skipped and counted; the existing set is always
-    retained. Re-reading an unchanged source adds nothing.
+    A source that cannot be read or parsed, and a term that is blank or not a
+    string, is skipped and recorded in ``keyword_set.skipped``; the existing
+    set is always retained. Re-reading an unchanged source adds nothing.
     """
     added: list[str] = []
     for descriptor in sources:
+        path = str(descriptor["path"])
         kind = descriptor.get("kind", "terms_file")
         try:
-            text = Path(descriptor["path"]).read_text(encoding="utf-8")
-        except OSError:
-            keyword_set.skipped_sources += 1
+            text = Path(path).read_text(encoding="utf-8")
+        except OSError as exc:
+            keyword_set.skipped[(path, None)] = f"unreadable ({exc.strerror})"
+            continue
+        except UnicodeDecodeError:
+            keyword_set.skipped[(path, None)] = "not UTF-8"
             continue
         if kind == "terms_file":
             try:
-                terms = [str(t) for t in json.loads(text).get("terms", [])]
+                terms = json.loads(text).get("terms", [])
             except (json.JSONDecodeError, AttributeError):
-                keyword_set.skipped_sources += 1
+                terms = None
+            if not isinstance(terms, list):
+                keyword_set.skipped[(path, None)] = 'not a JSON object with a "terms" list'
                 continue
         elif kind == "headlines":
             terms = extract_misinfo_terms(text, tuple(descriptor.get("sections", ("conspiracy",))))
         else:
-            keyword_set.skipped_sources += 1
+            keyword_set.skipped[(path, None)] = f"unknown kind {kind!r}"
             continue
-        added.extend(normalize_term(t) for t in terms if keyword_set.add(t))
+        for index, term in enumerate(terms):
+            if not isinstance(term, str):
+                keyword_set.skipped[(path, index)] = f"not a string: {json.dumps(term)}"
+            elif not term.strip():
+                keyword_set.skipped[(path, index)] = "blank term"
+            elif keyword_set.add(term):
+                added.append(normalize_term(term))
     return sorted(added)

@@ -81,6 +81,8 @@ class RunResult:
     summary: dict
     report_paths: list[Path] = field(default_factory=list)
     posts_per_sec: Optional[float] = None
+    # as ``MisinfoKeywordSet.skipped``: reported by the CLI, kept out of the bundle
+    misinfo_skipped: dict[tuple[str, Optional[int]], str] = field(default_factory=dict)
 
 
 class WindowBuffers(dict):
@@ -304,7 +306,9 @@ class PipelineRunner:
         posts_per_sec = (
             self.counters["records_in"] / elapsed if elapsed > 0 else None
         )
-        return RunResult(0, Path(config.out_dir), summary, report_paths, posts_per_sec)
+        return RunResult(
+            0, Path(config.out_dir), summary, report_paths, posts_per_sec, self.misinfo_set.skipped
+        )
 
     # -- reporting ------------------------------------------------------------------
 

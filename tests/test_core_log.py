@@ -1,18 +1,22 @@
-"""Durable log: append/replay semantics and torn-write recovery.
+"""Durable log: append/replay semantics, group commit and torn-write recovery.
 
 The crash harness constructs the exact byte state a crash mid-append would
-leave behind (a valid prefix plus a partial frame) instead of killing real
-processes; recovery must hand back every acknowledged record and nothing
-corrupt.
+leave behind (a valid prefix plus a partial frame or batch, possibly followed
+by zeros) instead of killing real processes; recovery must hand back every
+acknowledged record and nothing corrupt.
 """
 
 from __future__ import annotations
 
+import os
 import random
+import stat
 import struct
 import zlib
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from driftstream.core.log import DurableLog
 from driftstream.core.records import StreamRecord
@@ -182,3 +186,126 @@ def test_crash_injection_sample(tmp_path):
     rng = random.Random(0xC4A5)
     for trial in range(50):
         _crash_trial(tmp_path, rng, trial)
+
+
+def test_zero_filled_tail_is_truncated(tmp_path):
+    """A crash after the file grew but before its data landed leaves zeros.
+    An all-zero header has a valid checksum (crc32 of nothing is 0), but no
+    record encodes to an empty body, so recovery stops there."""
+    path = tmp_path / "log"
+    log = DurableLog(path, sync=False)
+    for i in range(3):
+        log.append(_record(i))
+    log.close()
+    seg = next(path.glob("*.seg"))
+    seg.write_bytes(seg.read_bytes() + bytes(64))
+    recovered = DurableLog(path, sync=False)
+    assert recovered.truncated_bytes == 64
+    assert recovered.next_offset == 3
+    assert [r.payload["i"] for r in recovered.replay_from(0)] == [0, 1, 2]
+    recovered.close()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    acked_sizes=st.lists(st.integers(1, 5), max_size=4),
+    torn_size=st.integers(1, 6),
+    cut_fraction=st.floats(0.0, 1.0),
+    zeros=st.integers(0, 300),
+    segment_bytes=st.sampled_from([200, 64 * 1024 * 1024]),
+)
+def test_batch_crash_trial(tmp_path_factory, acked_sizes, torn_size, cut_fraction, zeros, segment_bytes):
+    """A kill while a batch was being written, after the earlier batches were
+    acknowledged: the torn batch left a prefix of its bytes, then maybe a
+    zero-filled region. Recovery keeps every acknowledged batch and exactly
+    the complete frames of the torn batch's prefix."""
+    path = tmp_path_factory.mktemp("batch") / "log"
+    acked: list[StreamRecord] = []
+    log = DurableLog(path, segment_bytes=segment_bytes, sync=False)
+    for size in acked_sizes:
+        batch = [_record(len(acked) + i) for i in range(size)]
+        assert log.append_many(batch) == range(len(acked), len(acked) + size)
+        acked.extend(batch)
+    log.close()
+
+    torn = [_record(len(acked) + i) for i in range(torn_size)]
+    frames = [_frame_bytes(r) for r in torn]
+    written = b"".join(frames)
+    cut = round(cut_fraction * len(written))
+    complete = 0
+    while complete < len(frames) and sum(map(len, frames[: complete + 1])) <= cut:
+        complete += 1
+    last = max(path.glob("*.seg"))
+    last.write_bytes(last.read_bytes() + written[:cut] + bytes(zeros))
+
+    recovered = DurableLog(path, segment_bytes=segment_bytes, sync=False)
+    replayed = list(recovered.replay_from(0))
+    assert [r.offset for r in replayed] == list(range(len(acked) + complete))
+    assert [r.to_bytes() for r in replayed] == [r.to_bytes() for r in acked + torn[:complete]]
+    assert recovered.truncated_bytes == cut - sum(map(len, frames[:complete])) + zeros
+    assert recovered.append(_record(-1)) == len(acked) + complete
+    recovered.close()
+
+
+class _FsyncCounter:
+    """Counts ``os.fsync`` calls on regular files and on directories."""
+
+    def __init__(self, monkeypatch):
+        self.files: list[int] = []  # inode of each fsynced file, in call order
+        self.dirs = 0
+        real = os.fsync
+
+        def fsync(fd):
+            info = os.fstat(fd)
+            if stat.S_ISDIR(info.st_mode):
+                self.dirs += 1
+            else:
+                self.files.append(info.st_ino)
+            real(fd)
+
+        monkeypatch.setattr(os, "fsync", fsync)
+
+
+def test_one_fsync_per_batch(tmp_path, monkeypatch):
+    fsyncs = _FsyncCounter(monkeypatch)
+    log = DurableLog(tmp_path / "log", sync=True)
+    assert (len(fsyncs.files), fsyncs.dirs) == (0, 1)  # the new segment's directory entry
+    assert log.append_many([_record(i) for i in range(10)]) == range(0, 10)
+    assert len(fsyncs.files) == 1
+    assert log.append_many([_record(10)]) == range(10, 11)
+    assert log.append(_record(11)) == 11
+    assert (len(fsyncs.files), fsyncs.dirs) == (3, 1)
+    log.close()
+    with DurableLog(tmp_path / "log", sync=True) as reopened:  # no segment created
+        assert reopened.next_offset == 12
+    assert (len(fsyncs.files), fsyncs.dirs) == (3, 1)
+
+
+def test_batch_spanning_a_roll_syncs_the_closed_segment(tmp_path, monkeypatch):
+    fsyncs = _FsyncCounter(monkeypatch)
+    path = tmp_path / "log"
+    log = DurableLog(path, segment_bytes=256, sync=True)
+    assert log.append_many([_record(i) for i in range(50)]) == range(0, 50)
+    segments = sorted(path.glob("*.seg"))
+    assert len(segments) > 1
+    # each segment fsynced once, in order, and each one's directory entry
+    assert fsyncs.files == [seg.stat().st_ino for seg in segments]
+    assert fsyncs.dirs == len(segments)
+    assert [r.payload["i"] for r in log.replay_from(0)] == list(range(50))
+    assert [r.offset for r in log.replay_from(37)] == list(range(37, 50))
+    log.close()
+    with DurableLog(path, segment_bytes=256, sync=False) as reopened:
+        assert [r.payload["i"] for r in reopened.replay_from(0)] == list(range(50))
+
+
+def test_empty_batch_appends_nothing(tmp_path, monkeypatch):
+    path = tmp_path / "log"
+    log = DurableLog(path, sync=True)
+    log.append_many([_record(0), _record(1)])
+    size = next(path.glob("*.seg")).stat().st_size
+    fsyncs = _FsyncCounter(monkeypatch)
+    assert log.append_many([]) == range(2, 2)
+    assert log.next_offset == 2
+    assert (fsyncs.files, fsyncs.dirs) == ([], 0)
+    log.close()
+    assert next(path.glob("*.seg")).stat().st_size == size

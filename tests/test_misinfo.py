@@ -70,6 +70,40 @@ class TestRefresh:
         assert keyword_set.skipped_sources == 1
         assert keyword_set.terms == {"bioweapon", "plandemic"}
 
+    def test_blank_or_non_string_term_skipped_and_recorded(self, tmp_path):
+        src = tmp_path / "terms.json"
+        src.write_text(json.dumps({"terms": ["", "bleach", "  ", None, 5]}))
+        keyword_set = MisinfoKeywordSet()
+        added = refresh_misinfo_keywords([{"kind": "terms_file", "path": str(src)}], keyword_set)
+        assert added == ["bleach"]
+        assert keyword_set.skipped == {
+            (str(src), 0): "blank term",
+            (str(src), 2): "blank term",
+            (str(src), 3): "not a string: null",
+            (str(src), 4): "not a string: 5",
+        }
+        assert keyword_set.skipped_sources == 0
+        assert keyword_set.terms == {"bioweapon", "plandemic", "bleach"}
+
+    @pytest.mark.parametrize(
+        "content, reason",
+        [
+            (b"not json", 'not a JSON object with a "terms" list'),
+            (b'["bleach"]', 'not a JSON object with a "terms" list'),
+            (b'{"terms": "bleach"}', 'not a JSON object with a "terms" list'),
+            (b'{"terms": ["bl\xe9ach"]}', "not UTF-8"),
+        ],
+    )
+    def test_malformed_source_skipped_and_recorded(self, tmp_path, content, reason):
+        src = tmp_path / "terms.json"
+        src.write_bytes(content)
+        keyword_set = MisinfoKeywordSet()
+        sources = [{"kind": "terms_file", "path": str(src)}]
+        for _ in range(2):  # a source skipped at every refresh is recorded once
+            assert refresh_misinfo_keywords(sources, keyword_set) == []
+        assert keyword_set.skipped == {(str(src), None): reason}
+        assert keyword_set.terms == {"bioweapon", "plandemic"}
+
     def test_headline_source_matches_hand_extraction(self, tmp_path):
         src = tmp_path / "headlines.md"
         src.write_text(HEADLINE_DOC)

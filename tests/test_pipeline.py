@@ -909,6 +909,31 @@ class TestCli:
         err = capsys.readouterr().err
         assert "seed" in err and "archive" in err
 
+    def test_run_reports_each_skipped_misinfo_source_once(self, tmp_path, capsys):
+        """A blank term is skipped, not fatal, and the source's other terms
+        still count; a source that is not JSON is named on stderr. Each is
+        reported once however often the run refreshes, and none of it
+        reaches the bundle."""
+        corpus = _fixture_corpus(tmp_path, minutes=5, rate=20)
+        terms = tmp_path / "terms.json"
+        terms.write_text(json.dumps({"terms": ["", "bleach"]}))
+        bad = tmp_path / "bad.json"
+        bad.write_text("not json")
+        sources = [{"kind": "terms_file", "path": str(terms)}, {"kind": "terms_file", "path": str(bad)}]
+        data = _base_config(tmp_path, corpus, misinfo={"sources": sources, "refresh_interval_minutes": 1})
+        config = tmp_path / "run.yaml"
+        config.write_text(yaml.safe_dump(data))
+        assert main(["run", "--config", str(config)]) == 0
+        captured = capsys.readouterr()
+        assert json.loads(captured.out)["misinfo_terms_added"] == 1
+        skipped = [line for line in captured.err.splitlines() if line.startswith("misinfo:")]
+        assert skipped == [
+            f"misinfo: skipped {terms} term 0: blank term",
+            f'misinfo: skipped {bad}: not a JSON object with a "terms" list',
+        ]
+        bundle = (tmp_path / "reports" / "summary.json").read_text()
+        assert "skipped" not in bundle and "bad.json" not in bundle
+
     def test_replay_counts_records(self, tmp_path, capsys):
         corpus = _fixture_corpus(tmp_path, minutes=5, rate=30)
         assert main(["replay", "--archive", str(corpus.archive_path), "--speed", "max"]) == 0
@@ -966,14 +991,74 @@ class TestCli:
     def test_replay_append_failure_exits_3(self, tmp_path, monkeypatch, capsys):
         from driftstream.core.log import DurableLog, LogAppendError
 
-        def fail(self, record):
+        def fail(self, records):
             raise LogAppendError("disk full")
 
-        monkeypatch.setattr(DurableLog, "append", fail)
+        monkeypatch.setattr(DurableLog, "append_many", fail)
         corpus = _fixture_corpus(tmp_path, minutes=1, rate=5)
         out = str(tmp_path / "log")
         assert main(["replay", "--archive", str(corpus.archive_path), "--out", out]) == 3
         assert "disk full" in capsys.readouterr().err
+
+    def test_replay_second_batch_failure_exits_3_keeping_the_first(self, tmp_path, monkeypatch, capsys):
+        from driftstream.cli import REPLAY_BATCH
+        from driftstream.core.log import DurableLog, LogAppendError
+        from driftstream.sources.archive import posts_from_archive
+
+        real = DurableLog.append_many
+        calls = []
+
+        def fail_second(self, records):
+            calls.append(len(records))
+            if len(calls) == 2:
+                raise LogAppendError("disk full")
+            return real(self, records)
+
+        monkeypatch.setattr(DurableLog, "append_many", fail_second)
+        corpus = _fixture_corpus(tmp_path, minutes=10, rate=60)
+        posts = list(posts_from_archive(corpus.archive_path))
+        assert len(posts) > 2 * REPLAY_BATCH
+        out = tmp_path / "log"
+        assert main(["replay", "--archive", str(corpus.archive_path), "--out", str(out)]) == 3
+        assert "disk full" in capsys.readouterr().err
+        assert calls == [REPLAY_BATCH, REPLAY_BATCH]
+        with DurableLog(out) as log:
+            records = list(log.replay_from(0))
+        assert [r.payload for r in records] == [p.to_payload() for p in posts[:REPLAY_BATCH]]
+
+    def test_paced_replay_commits_each_record_before_the_pause(self, tmp_path, monkeypatch, capsys):
+        """At a numeric speed the pause before a post happens inside
+        ``posts_from_archive``; every post it has yielded is durable by then."""
+        import driftstream.cli as cli
+        import driftstream.sources.archive as archive
+        from driftstream.core.log import DurableLog
+
+        real_append_many = DurableLog.append_many
+        committed = yielded = 0
+        pauses = []
+
+        def append_many(self, records):
+            nonlocal committed
+            result = real_append_many(self, records)
+            committed += len(records)
+            return result
+
+        def counted(*args, **kwargs):
+            nonlocal yielded
+            for post in archive.posts_from_archive(*args, **kwargs):
+                yielded += 1
+                yield post
+
+        monkeypatch.setattr(DurableLog, "append_many", append_many)
+        monkeypatch.setattr(cli, "posts_from_archive", counted)
+        monkeypatch.setattr(archive.time, "sleep", lambda seconds: pauses.append((yielded, committed)))
+        corpus = _fixture_corpus(tmp_path, minutes=2, rate=20)
+        out = tmp_path / "log"
+        assert main(["replay", "--archive", str(corpus.archive_path), "--speed", "60", "--out", str(out)]) == 0
+        assert len(pauses) > 1
+        assert all(done == seen for seen, done in pauses)
+        with DurableLog(out) as log:
+            assert log.next_offset == yielded == committed
 
     def test_report_command_writes_tables(self, tmp_path):
         corpus = _fixture_corpus(tmp_path, minutes=5, rate=30)
