@@ -61,6 +61,10 @@ class DurableLog:
         self.segment_bytes = segment_bytes
         self.sync = sync
         self.truncated_bytes = 0  # torn tail dropped during last recovery
+        # Set by a failed append: the failed batch's frames may be in the
+        # segment unindexed, so a later ack would name an offset that a
+        # reopened log gives to one of them.
+        self._failed = False
         self._lock = threading.Lock()
         # base offset -> frame position of each record in that segment
         self._segments: dict[int, list[int]] = {}
@@ -128,14 +132,17 @@ class DurableLog:
         Every frame is written, then flushed and fsynced (when ``sync``) once,
         before the offsets are returned, so the returned range is the ack. An
         empty batch appends nothing and returns the empty range at
-        ``next_offset``. Any I/O failure raises ``LogAppendError``; reopen the
-        log before appending again, so that recovery rescans what reached disk.
+        ``next_offset``. Any I/O failure raises ``LogAppendError``, and so does
+        every later append, until the log is reopened and recovery has
+        rescanned what reached disk.
         """
         frames = []
         for record in records:
             body = record.to_bytes()
             frames.append(FRAME_HEADER.pack(len(body), zlib.crc32(body)) + body)
         with self._lock:
+            if self._failed:
+                raise LogAppendError(f"append to {self.path} refused: an earlier append failed")
             first = self.next_offset
             if not frames:
                 return range(first, first)
@@ -152,6 +159,7 @@ class DurableLog:
                     self._writer.write(frame)
                 self._commit(positions)
             except OSError as exc:
+                self._failed = True
                 raise LogAppendError(f"append to {self.path} failed: {exc}") from exc
             return range(first, first + len(frames))
 

@@ -94,12 +94,11 @@ def observe_post(stats: CooccurrenceStats, enriched: EnrichedPost, keywords: Key
     stats.total_posts += 1
     stats.seed_posts += seed_matched
     stats.misinfo_posts += tagged
-    for term in candidates:
-        stats.term_counts[term] += 1
-        if seed_matched:
-            stats.pair_counts[term] += 1
-        if tagged:
-            stats.misinfo_pair_counts[term] += 1
+    stats.term_counts.update(candidates)
+    if seed_matched:
+        stats.pair_counts.update(candidates)
+    if tagged:
+        stats.misinfo_pair_counts.update(candidates)
 
 
 def score_candidate(stats: CooccurrenceStats, term: str, scorer: str = "pmi") -> float:

@@ -2,8 +2,7 @@ from .clean import clean_post
 from .locations import (
     CaseReport,
     Gazetteer,
-    LocationCache,
-    absorb_authoritative_locations,
+    case_regions,
     extract_locations,
     load_case_reports,
     normalize_location,
@@ -28,10 +27,9 @@ __all__ = [
     "DEFAULT_SENTIMENT_LEXICON",
     "EnrichedPost",
     "Gazetteer",
-    "LocationCache",
     "TOPIC_GROUPS",
-    "absorb_authoritative_locations",
     "assign_topic_groups",
+    "case_regions",
     "clean_post",
     "compile_group_lexicons",
     "compile_sentiment_lexicon",

@@ -1,30 +1,27 @@
-"""Location extraction: gazetteer lookup plus a short-term location cache.
+"""Location extraction: gazetteer lookup plus the regions reporting cases.
 
 The gazetteer handles the names known up front. Authoritative case reports
-feed their regions into the cache, where each stays live for a TTL after
-its latest report, so places currently reporting cases are recognized in
-posts even before the gazetteer knows them. Extraction only reads the
-cache: it does not remember gazetteer hits, which the gazetteer matches
-anyway.
+name regions, each live for a TTL after its latest report, so places
+currently reporting cases are recognized in posts even before the
+gazetteer knows them. The case feed is read before the stream, so those
+regions are fixed ``(region, last_seen)`` entries built once, beside the
+gazetteer; extraction only reads them.
 
-Each location is normalized once, where it enters: gazetteer names, cache
-inserts, case-report regions, evidence and event clusters.
+Each location is normalized once, where it enters: gazetteer names,
+case-report regions, evidence and event clusters.
 """
 
 from __future__ import annotations
 
 import re
-import threading
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
 
 from ..sources.feeds import feed_field, read_feed, text
-from ..timeutil import DAY, parse_timestamp
+from ..timeutil import parse_timestamp
 
 _WHITESPACE = re.compile(r"\s+")
-
-DEFAULT_CACHE_TTL = 7 * DAY  # "short-term": one simulated week
 
 
 def normalize_location(name: str) -> str:
@@ -46,53 +43,23 @@ class Gazetteer:
         """Names found in ``lowered``, a post text already lowercased."""
         return {name for name in self.names if name in lowered}
 
-    def __len__(self) -> int:
-        return len(self.names)
-
-
-class LocationCache:
-    """Case-report regions with TTL expiry: ``location -> last_seen``.
-
-    An entry stops matching once unseen for longer than ``ttl``. An entry
-    whose last_seen is in the future (a case report dated ahead of the
-    stream) does not match yet.
-    """
-
-    def __init__(self, ttl: float = DEFAULT_CACHE_TTL):
-        self.ttl = ttl
-        self._lock = threading.Lock()
-        self._entries: dict[str, float] = {}
-
-    def insert(self, location: str, now: float) -> None:
-        normalized = normalize_location(location)
-        if not normalized:
-            return
-        with self._lock:
-            self._entries[normalized] = max(now, self._entries.get(normalized, now))
-
-    def match(self, lowered: str, now: float) -> set[str]:
-        """Live entries found in ``lowered``, a post text already lowercased."""
-        ttl = self.ttl
-        with self._lock:
-            return {
-                loc
-                for loc, last_seen in self._entries.items()
-                if loc in lowered and last_seen <= now and now - last_seen <= ttl
-            }
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
 
 def extract_locations(
     lowered: str,
     gazetteer: Gazetteer,
-    cache: LocationCache,
+    regions: tuple[tuple[str, float], ...],
+    ttl: float,
     now: float,
 ) -> list[str]:
     """Locations mentioned in ``lowered`` (a post text already lowercased):
-    gazetteer hits plus live cache hits. Writes nothing."""
-    return sorted(gazetteer.lookup(lowered) | cache.match(lowered, now))
+    gazetteer hits plus the case-report ``regions`` (``case_regions``) live
+    at ``now``. A region is live from its ``last_seen`` until ``ttl`` after
+    it; one dated ahead of ``now`` is not live yet."""
+    hits = gazetteer.lookup(lowered)
+    for region, last_seen in regions:
+        if region in lowered and last_seen <= now and now - last_seen <= ttl:
+            hits.add(region)
+    return sorted(hits)
 
 
 @dataclass
@@ -106,12 +73,15 @@ class CaseReport:
         self.region = normalize_location(self.region)
 
 
-def absorb_authoritative_locations(report: CaseReport, cache: LocationCache) -> bool:
-    """Feed a case report's region into the cache. False if region empty."""
-    if not report.region:
-        return False
-    cache.insert(report.region, report.date)
-    return True
+def case_regions(reports: Iterable[CaseReport]) -> tuple[tuple[str, float], ...]:
+    """One ``(region, last_seen)`` entry per region the ``reports`` name,
+    ``last_seen`` being its latest report date; a report with an empty
+    region names none."""
+    last_seen: dict[str, float] = {}
+    for report in reports:
+        if report.region:
+            last_seen[report.region] = max(report.date, last_seen.get(report.region, report.date))
+    return tuple(last_seen.items())
 
 
 def load_case_reports(path: str | Path) -> list[CaseReport]:

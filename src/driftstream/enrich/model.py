@@ -1,4 +1,4 @@
-"""Annotated post record produced by the enrichment stages."""
+"""Annotated post record: one per post, built by ``clean_post`` in one call."""
 
 from __future__ import annotations
 
@@ -10,7 +10,7 @@ TOPIC_GROUPS = ("deaths_hospitalizations", "positive_tests", "symptomatic")
 _KNOWN_GROUPS = frozenset(TOPIC_GROUPS)
 
 
-@dataclass
+@dataclass(slots=True)
 class EnrichedPost:
     post: Post
     locations: list[str] = field(default_factory=list)
@@ -22,9 +22,8 @@ class EnrichedPost:
     authoritative: bool = False
 
     def __post_init__(self):
-        unknown = self.topic_groups - _KNOWN_GROUPS
-        if unknown:
-            raise ValueError(f"unknown topic groups: {sorted(unknown)}")
+        if not _KNOWN_GROUPS.issuperset(self.topic_groups):
+            raise ValueError(f"unknown topic groups: {sorted(self.topic_groups - _KNOWN_GROUPS)}")
         if not -1.0 <= self.sentiment <= 1.0:
             raise ValueError(f"sentiment out of range: {self.sentiment}")
 

@@ -8,8 +8,8 @@ from .piggyback import detect_piggyback
 from .tagging import (
     AuthoritativeSourceList,
     WindowTagReport,
-    tag_authoritative,
     tag_misinformation_window,
+    window_report,
 )
 
 __all__ = [
@@ -20,6 +20,6 @@ __all__ = [
     "detect_piggyback",
     "extract_misinfo_terms",
     "refresh_misinfo_keywords",
-    "tag_authoritative",
     "tag_misinformation_window",
+    "window_report",
 ]

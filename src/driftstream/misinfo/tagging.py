@@ -1,10 +1,10 @@
-"""Per-window misinformation tagging and authoritative-source tagging.
+"""Per-window misinformation reports and the authoritative-source list.
 
-Posts are checked a minute's worth at a time against a consistent snapshot
-of the keyword set, and every window produces a statistics report. A post
-from an authoritative source keeps its matched misinformation terms (a
-debunk quoting the rumor is still worth recording) but never counts toward
-the misinformation tally.
+Every post of a minute window is tagged against one snapshot of the keyword
+set: the set as it stands when the window closes. Each window produces a
+statistics report. A post from an authoritative source keeps its matched
+misinformation terms (a debunk quoting the rumor is still worth recording)
+but never counts toward the misinformation tally.
 """
 
 from __future__ import annotations
@@ -39,16 +39,22 @@ class AuthoritativeSourceList:
     def matches(self, channel: str) -> bool:
         return channel.strip().lower() in self.sources
 
-    def __contains__(self, channel: str) -> bool:
-        return self.matches(channel)
 
-    def __len__(self) -> int:
-        return len(self.sources)
+def window_report(posts: Sequence[EnrichedPost], window_length: float = 60.0) -> WindowTagReport:
+    """One window's report from the misinformation terms its posts hold.
 
-
-def tag_authoritative(post: EnrichedPost, sources: AuthoritativeSourceList) -> EnrichedPost:
-    post.authoritative = sources.matches(post.post.channel)
-    return post
+    All posts must fall in the same window.
+    """
+    window = assign_window(posts[0].post.created_at if posts else 0.0, window_length)
+    start = window.window_start
+    report = WindowTagReport(window=window, posts_in=len(posts))
+    for post in posts:
+        if window_start(post.post.created_at, window_length) != start:
+            raise ValueError(f"post {post.post.id} falls outside window starting at {start}")
+        if post.misinfo_terms and not post.authoritative:
+            report.tagged += 1
+            report.term_counts.update(post.misinfo_terms)
+    return report
 
 
 def tag_misinformation_window(
@@ -56,25 +62,13 @@ def tag_misinformation_window(
     keyword_set: MisinfoKeywordSet,
     window_length: float = 60.0,
 ) -> tuple[list[EnrichedPost], WindowTagReport]:
-    """Tag one window's posts; returns them plus the window report.
+    """Tag one window's posts against one snapshot of ``keyword_set``;
+    returns them plus the window report.
 
-    All posts must fall in the same window. The keyword set does not
-    change while a window is tagged, so every post of the window sees one
-    snapshot of it; a refresh lands in the next window.
+    The runner tags each post at ingest instead, and re-tags the buffered
+    posts whenever a refresh adds an active term, so a window closes with
+    exactly these tags.
     """
-    window = assign_window(posts[0].post.created_at if posts else 0.0, window_length)
-    start = window.window_start
-    for p in posts:
-        if window_start(p.post.created_at, window_length) != start:
-            raise ValueError(f"post {p.post.id} falls outside window starting at {start}")
-
-    report = WindowTagReport(window=window)
     for post in posts:
-        report.posts_in += 1
-        hits = keyword_set.match(post.post.text.lower())
-        post.misinfo_terms = hits
-        if hits and not post.authoritative:
-            report.tagged += 1
-            for term in hits:
-                report.term_counts[term] += 1
-    return list(posts), report
+        post.misinfo_terms = keyword_set.match(post.post.text.lower())
+    return list(posts), window_report(posts, window_length)

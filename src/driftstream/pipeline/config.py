@@ -260,6 +260,8 @@ def parse_config(data: dict, base_dir: Optional[Path] = None) -> PipelineConfig:
     )
     if misinfo.window <= 0:
         errors.append("misinfo.window_seconds: must be > 0")
+    if not misinfo.refresh_interval > 0:  # also rejects NaN
+        errors.append("misinfo.refresh_interval_minutes: must be > 0")
 
     cl = data.get("clusters", {}) or {}
     clusters = ClusterConfig(
@@ -270,6 +272,8 @@ def parse_config(data: dict, base_dir: Optional[Path] = None) -> PipelineConfig:
     )
     if clusters.min_size < 1:
         errors.append("clusters.min_size: must be >= 1")
+    if not clusters.lag_tolerance >= 0:  # also rejects NaN
+        errors.append("clusters.lag_tolerance_days: must be >= 0")
     if clusters.eta <= 0:
         errors.append("clusters.eta: must be > 0")
 

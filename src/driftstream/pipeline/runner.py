@@ -7,15 +7,16 @@ determinism contract depends on. Every stage reads event time only: the
 watermark is the largest event time seen so far, and no wall-clock value
 ever reaches an output file.
 
-Dataflow per record: parse -> clean/relevance -> locations -> sentiment ->
-topic groups -> authoritative tag -> minute-window misinformation tagging.
-A retweet of a relevant post inherits that post's terms while the
-retweet-closure index (``store``, a RecentMatches) holds them; the index
-drops expired entries on every watermark advance.
-Each post's text is lowercased once per post on ingest, and that one
-lowered string feeds keyword matching, locations, sentiment and topic
-groups; misinformation tagging lowercases each post once more when its
-window closes. Lexicons are compiled once per change, not once per post.
+Dataflow per record: parse -> one EnrichedPost (relevance, locations,
+sentiment, topic groups, authoritative and misinformation tags) ->
+minute-window report. A retweet of a relevant post inherits that post's
+terms while the retweet-closure index (``store``, a RecentMatches) holds
+them; the index drops expired entries on every watermark advance.
+Each post's text is lowercased once on ingest, and that one lowered string
+feeds every tag. Lexicons are compiled once per change, not once per post.
+A window reports the misinformation set as it stands at its close: the set
+only grows, so buffered posts are re-tagged only when a refresh adds an
+active term, and a closing window reads the tags its posts hold.
 Minute and cluster windows are buffered by window index ``t // length``
 and close once the watermark's index passes theirs; each buffer keeps its
 lowest index, so an advance that closes nothing skips the scan. Tagged
@@ -45,29 +46,17 @@ from ..corroboration.team import default_team
 from ..drift.adapter import DriftAdapter
 from ..drift.promotion import PromotionPolicy
 from ..enrich.clean import clean_post
-from ..enrich.locations import (
-    Gazetteer,
-    LocationCache,
-    absorb_authoritative_locations,
-    extract_locations,
-    load_case_reports,
-)
+from ..enrich.locations import Gazetteer, case_regions, load_case_reports
 from ..enrich.model import EnrichedPost
 from ..enrich.sentiment import (
     DEFAULT_SENTIMENT_LEXICON,
     compile_sentiment_lexicon,
     load_sentiment_lexicon,
-    score_sentiment,
 )
-from ..enrich.topics import (
-    DEFAULT_GROUP_LEXICONS,
-    assign_topic_groups,
-    compile_group_lexicons,
-    load_group_lexicons,
-)
+from ..enrich.topics import DEFAULT_GROUP_LEXICONS, compile_group_lexicons, load_group_lexicons
 from ..keywords import KeywordSet, RecentMatches
 from ..misinfo.keywords import MisinfoKeywordSet, refresh_misinfo_keywords
-from ..misinfo.tagging import AuthoritativeSourceList, tag_authoritative, tag_misinformation_window
+from ..misinfo.tagging import AuthoritativeSourceList, window_report
 from ..sources.archive import posts_from_archive
 from ..sources.posts import Post
 from ..timeutil import DAY
@@ -151,7 +140,8 @@ class PipelineRunner:
                 if line.strip()
             )
         self.gazetteer = Gazetteer(gaz_names)
-        self.location_cache = LocationCache(ttl=config.enrichment.location_cache_ttl)
+        # the case feed's (region, last_seen) entries, fixed once ``run`` reads it
+        self.location_cache: tuple[tuple[str, float], ...] = ()
         # Both lexicons are fixed for a run, so each is compiled here once.
         self.sentiment_lexicon = compile_sentiment_lexicon(
             load_sentiment_lexicon(config.enrichment.sentiment_lexicon_file)
@@ -187,20 +177,19 @@ class PipelineRunner:
     def ingest_post(self, parsed: Post) -> None:
         self.counters["records_in"] += 1
         self._advance_watermark(parsed.created_at)
-        lowered = parsed.text.lower()
-        enriched = clean_post(parsed, self.keywords, self.store, lowered)
+        enriched = clean_post(
+            parsed, self.keywords, self.store, parsed.text.lower(),
+            gazetteer=self.gazetteer, regions=self.location_cache,
+            region_ttl=self.config.enrichment.location_cache_ttl,
+            sentiment_lexicon=self.sentiment_lexicon, group_lexicons=self.group_lexicons,
+            authoritative=self.authoritative, misinfo=self.misinfo_set,
+        )
         if enriched is None:
             self.counters["discarded"] += 1
             return
         if enriched.relevance:
             self.counters["relevant"] += 1
             self.store.put(parsed.id, sorted(enriched.matched_terms), self._watermark)
-        enriched.locations = extract_locations(
-            lowered, self.gazetteer, self.location_cache, now=parsed.created_at
-        )
-        enriched.sentiment = score_sentiment(lowered, self.sentiment_lexicon)
-        enriched.topic_groups = assign_topic_groups(lowered, self.group_lexicons)
-        tag_authoritative(enriched, self.authoritative)
         if enriched.authoritative:
             self.counters["authoritative"] += 1
 
@@ -217,8 +206,14 @@ class PipelineRunner:
         self._flush_cluster_windows(upto=event_time)
 
     def _refresh_misinfo(self, now: float) -> None:
-        added = refresh_misinfo_keywords(list(self.config.misinfo.sources), self.misinfo_set)
+        misinfo = self.misinfo_set
+        active = len(misinfo.active)
+        added = refresh_misinfo_keywords(list(self.config.misinfo.sources), misinfo)
         self.counters["misinfo_terms_added"] += len(added)
+        if len(misinfo.active) > active:  # the set only grows: re-tag what a close will report
+            for posts in self._minute_buffers.values():
+                for post in posts:
+                    post.misinfo_terms = misinfo.match(post.post.text.lower())
         interval = self.config.misinfo.refresh_interval
         self._next_refresh = (now // interval + 1) * interval
 
@@ -226,9 +221,7 @@ class PipelineRunner:
 
     def _flush_minute_windows(self, upto: Optional[float]) -> None:
         for posts in self._minute_buffers.pop_ready(upto):
-            tagged_posts, report = tag_misinformation_window(
-                posts, self.misinfo_set, window_length=self.config.misinfo.window
-            )
+            report = window_report(posts, self.config.misinfo.window)
             self.window_rows.append(
                 (
                     report.window.window_start,
@@ -238,7 +231,7 @@ class PipelineRunner:
                 )
             )
             self.counters["tagged"] += report.tagged
-            for post in tagged_posts:
+            for post in posts:
                 self._route_tagged(post)
 
     def _route_tagged(self, enriched: EnrichedPost) -> None:
@@ -274,13 +267,15 @@ class PipelineRunner:
         started = time.monotonic()
 
         if config.case_feed:
-            for report in load_case_reports(config.case_feed):
-                if absorb_authoritative_locations(report, self.location_cache):
+            reports = load_case_reports(config.case_feed)
+            for report in reports:
+                if report.region:
                     self.counters["case_reports"] += 1
                     cases = self.case_day_counts.setdefault(report.region, Counter())
                     cases[(report.date // DAY) * DAY] += report.new_cases
                 else:
                     self.counters["case_reports_skipped"] += 1
+            self.location_cache = case_regions(reports)
 
         for post in posts_from_archive(config.archive, self.rejections, config.speed):
             if config.until is not None and post.created_at > config.until:

@@ -281,6 +281,43 @@ def test_one_fsync_per_batch(tmp_path, monkeypatch):
     assert (len(fsyncs.files), fsyncs.dirs) == (3, 1)
 
 
+def test_appends_refused_after_a_failed_batch_until_reopened(tmp_path, monkeypatch):
+    """A batch whose fsync fails may leave its frames in the segment, so no
+    later append may be acked until a reopen has rescanned the segment: the
+    ack would name an offset that the reopened log gives to another record."""
+    import errno
+
+    from driftstream.core.log import LogAppendError
+
+    path = tmp_path / "log"
+    log = DurableLog(path, sync=True)
+    assert log.append_many([_record(i) for i in range(3)]) == range(0, 3)
+    real_fsync, failures = os.fsync, [OSError(errno.EIO, "Input/output error")]
+
+    def fsync_failing_once(fd):
+        if failures:
+            raise failures.pop()
+        real_fsync(fd)
+
+    monkeypatch.setattr(os, "fsync", fsync_failing_once)
+    with pytest.raises(LogAppendError, match="Input/output error"):
+        log.append_many([_record(3), _record(4)])
+    assert not failures  # the next fsync would succeed
+    for append in (lambda: log.append(_record(5)), lambda: log.append_many([_record(5)]),
+                   lambda: log.append_many([])):
+        with pytest.raises(LogAppendError, match="refused"):
+            append()
+    log.close()
+
+    with DurableLog(path, sync=True) as reopened:
+        # the failed batch's frames reached the file, so recovery keeps them
+        assert [r.payload["i"] for r in reopened.replay_from(0)] == [0, 1, 2, 3, 4]
+        offset = reopened.append(_record(5))
+        assert offset == 5
+    with DurableLog(path, sync=False) as again:
+        assert [(r.offset, r.payload["i"]) for r in again.replay_from(5)] == [(5, 5)]
+
+
 def test_batch_spanning_a_roll_syncs_the_closed_segment(tmp_path, monkeypatch):
     fsyncs = _FsyncCounter(monkeypatch)
     path = tmp_path / "log"

@@ -1,4 +1,4 @@
-"""Cleaning, location extraction with the short-term cache, sentiment, topics."""
+"""Cleaning, location extraction with the case-report regions, sentiment, topics."""
 
 from __future__ import annotations
 
@@ -10,11 +10,11 @@ from driftstream.enrich.clean import clean_post
 from driftstream.enrich.locations import (
     CaseReport,
     Gazetteer,
-    LocationCache,
-    absorb_authoritative_locations,
+    case_regions,
     extract_locations,
     normalize_location,
 )
+from driftstream.enrich.model import EnrichedPost
 from driftstream.enrich.sentiment import compile_sentiment_lexicon, score_sentiment
 from driftstream.enrich.topics import assign_topic_groups, compile_group_lexicons
 from driftstream.keywords import KeywordSet
@@ -41,6 +41,38 @@ class TestCleanPost:
         assert enriched.relevance is False
         assert enriched.matched_terms == set()
 
+    def test_every_stage_set_by_the_one_constructor(self):
+        from driftstream.enrich.sentiment import DEFAULT_SENTIMENT_LEXICON
+        from driftstream.enrich.topics import DEFAULT_GROUP_LEXICONS
+        from driftstream.misinfo.keywords import MisinfoKeywordSet
+        from driftstream.misinfo.tagging import AuthoritativeSourceList
+
+        post = make_post(text="Coronavirus: great hope in Sturgis, fever and PLANDEMIC talk",
+                         channel=" WHO.int ")
+        lowered = post.text.lower()
+        sentiment = compile_sentiment_lexicon(DEFAULT_SENTIMENT_LEXICON)
+        groups = compile_group_lexicons(DEFAULT_GROUP_LEXICONS)
+        regions = case_regions([CaseReport(date=post.created_at - DAY, region="Sturgis", new_cases=4)])
+        enriched = clean_post(
+            post, KeywordSet(seeds=("corona",)), None, lowered,
+            gazetteer=Gazetteer(["california"]), regions=regions, region_ttl=7 * DAY,
+            sentiment_lexicon=sentiment, group_lexicons=groups,
+            authoritative=AuthoritativeSourceList(["who.int"]), misinfo=MisinfoKeywordSet(),
+        )
+        assert enriched.relevance is True and enriched.matched_terms == {"corona"}
+        assert enriched.locations == ["sturgis"]
+        assert enriched.sentiment == score_sentiment(lowered, sentiment) == 1.0
+        assert enriched.topic_groups == assign_topic_groups(lowered, groups) == {"symptomatic"}
+        assert enriched.authoritative is True
+        assert enriched.misinfo_terms == {"plandemic"}
+        assert not hasattr(enriched, "__dict__")  # slots: one fixed record per post
+
+    def test_post_init_checks_kept(self):
+        with pytest.raises(ValueError, match="sentiment out of range"):
+            EnrichedPost(post=make_post(), sentiment=1.5)
+        with pytest.raises(ValueError, match="unknown topic groups"):
+            EnrichedPost(post=make_post(), topic_groups={"gossip"})
+
 
 class TestLocations:
     def test_normalization_rules(self):
@@ -48,70 +80,62 @@ class TestLocations:
 
     def test_gazetteer_hit_returned_and_not_cached(self):
         gazetteer = Gazetteer(["california"])
-        cache = LocationCache(ttl=7 * DAY)
-        hits = extract_locations("spread in california", gazetteer, cache, now=0.0)
+        regions = case_regions([])
+        hits = extract_locations("spread in california", gazetteer, regions, 7 * DAY, now=0.0)
         assert hits == ["california"]
-        assert len(cache) == 0
+        assert regions == ()
 
     def test_empty_gazetteer_and_cache_yield_nothing(self):
-        assert extract_locations("anywhere", Gazetteer(), LocationCache(), now=0.0) == []
+        assert extract_locations("anywhere", Gazetteer(), (), 7 * DAY, now=0.0) == []
 
     def test_cache_entry_matches_when_gazetteer_lacks_it(self):
         gazetteer = Gazetteer(["california"])
-        cache = LocationCache(ttl=7 * DAY)
-        cache.insert("sturgis", now=0.0)
-        hits = extract_locations("sturgis rally crowds", gazetteer, cache, now=3600.0)
+        regions = case_regions([CaseReport(date=0.0, region="sturgis", new_cases=1)])
+        hits = extract_locations("sturgis rally crowds", gazetteer, regions, 7 * DAY, now=3600.0)
         assert hits == ["sturgis"]
 
     def test_expired_cache_entry_never_matches(self):
-        cache = LocationCache(ttl=DAY)
-        cache.insert("sturgis", now=0.0)
-        assert extract_locations("sturgis again", Gazetteer(), cache, now=2 * DAY) == []
+        regions = case_regions([CaseReport(date=0.0, region="sturgis", new_cases=1)])
+        assert extract_locations("sturgis again", Gazetteer(), regions, DAY, now=2 * DAY) == []
 
     def test_future_dated_entry_does_not_match_yet(self):
-        cache = LocationCache(ttl=7 * DAY)
-        cache.insert("sturgis", now=10 * DAY)
-        assert cache.match("sturgis rally", now=DAY) == set()
-        assert cache.match("sturgis rally", now=11 * DAY) == {"sturgis"}
+        regions = case_regions([CaseReport(date=10 * DAY, region="sturgis", new_cases=1)])
+        assert extract_locations("sturgis rally", Gazetteer(), regions, 7 * DAY, now=DAY) == []
+        assert extract_locations("sturgis rally", Gazetteer(), regions, 7 * DAY, now=11 * DAY) == [
+            "sturgis"
+        ]
 
     def test_monotone_in_cache_contents(self):
         gazetteer = Gazetteer(["california"])
         text = "california and sturgis"
-        cache = LocationCache(ttl=7 * DAY)
-        before = extract_locations(text, gazetteer, cache, now=0.0)
-        cache.insert("sturgis", now=0.0)
-        after = extract_locations(text, gazetteer, cache, now=0.0)
+        before = extract_locations(text, gazetteer, (), 7 * DAY, now=0.0)
+        regions = case_regions([CaseReport(date=0.0, region="sturgis", new_cases=1)])
+        after = extract_locations(text, gazetteer, regions, 7 * DAY, now=0.0)
         assert set(before) <= set(after)
 
     def test_absorb_case_report(self):
-        cache = LocationCache(ttl=7 * DAY)
         report = CaseReport(date=0.0, region=" Hubei\t", new_cases=100, source="who.int")
         assert report.region == "hubei"
-        assert absorb_authoritative_locations(report, cache) is True
-        assert len(cache) == 1
-        assert cache.match("cases in hubei", now=0.0) == {"hubei"}
+        regions = case_regions([report])
+        assert regions == (("hubei", 0.0),)
+        assert extract_locations("cases in hubei", Gazetteer(), regions, 7 * DAY, now=0.0) == ["hubei"]
 
     def test_absorb_empty_region_ignored(self):
-        cache = LocationCache()
-        assert absorb_authoritative_locations(
-            CaseReport(date=0.0, region="  ", new_cases=1), cache
-        ) is False
-        assert len(cache) == 0
+        assert case_regions([CaseReport(date=0.0, region="  ", new_cases=1)]) == ()
 
     def test_two_reports_same_region_keep_single_entry_latest_seen(self):
-        cache = LocationCache(ttl=7 * DAY)
-        absorb_authoritative_locations(CaseReport(date=0.0, region="hubei", new_cases=1), cache)
-        absorb_authoritative_locations(CaseReport(date=DAY, region="Hubei", new_cases=2), cache)
-        assert len(cache) == 1
-        assert cache.match("hubei", now=7.5 * DAY) == {"hubei"}
+        for dates in ((0.0, DAY), (DAY, 0.0)):
+            regions = case_regions(
+                [CaseReport(date=dates[0], region="hubei", new_cases=1),
+                 CaseReport(date=dates[1], region="Hubei", new_cases=2)]
+            )
+            assert regions == (("hubei", DAY),)
+            assert extract_locations("hubei", Gazetteer(), regions, 7 * DAY, now=7.5 * DAY) == ["hubei"]
 
     def test_report_then_extraction_end_to_end(self):
         gazetteer = Gazetteer(["california"])
-        cache = LocationCache(ttl=7 * DAY)
-        absorb_authoritative_locations(
-            CaseReport(date=0.0, region="sturgis", new_cases=50), cache
-        )
-        hits = extract_locations("cases rising in sturgis", gazetteer, cache, now=DAY)
+        regions = case_regions([CaseReport(date=0.0, region="sturgis", new_cases=50)])
+        hits = extract_locations("cases rising in sturgis", gazetteer, regions, 7 * DAY, now=DAY)
         assert hits == ["sturgis"]
 
     def test_empty_gazetteer_name_rejected(self):

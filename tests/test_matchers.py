@@ -10,6 +10,7 @@ very next match.
 from __future__ import annotations
 
 import json
+import math
 from collections import Counter
 
 from hypothesis import given
@@ -18,8 +19,7 @@ from hypothesis import strategies as st
 from driftstream.enrich.locations import (
     CaseReport,
     Gazetteer,
-    LocationCache,
-    absorb_authoritative_locations,
+    case_regions,
     extract_locations,
     normalize_location,
 )
@@ -73,12 +73,20 @@ def gazetteer_oracle(names: set[str], text: str) -> set[str]:
     return {name for name in names if name in lowered}
 
 
-def cache_oracle(cache: LocationCache, text: str, now: float) -> set[str]:
+def cache_oracle(reports: list[tuple[str, float]], ttl: float, text: str, now: float) -> set[str]:
+    """The case-report regions live at ``now``, from the reports themselves:
+    a region is live while its latest report is at most ``ttl`` old and not
+    dated ahead of ``now``."""
     lowered = text.lower()
+    latest: dict[str, float] = {}
+    for region, date in reports:
+        region = normalize_location(region)
+        if region:
+            latest[region] = max(latest.get(region, date), date)
     return {
         loc
-        for loc, last_seen in cache._entries.items()
-        if last_seen <= now and now - last_seen <= cache.ttl and loc in lowered
+        for loc, last_seen in latest.items()
+        if last_seen <= now and now - last_seen <= ttl and loc in lowered
     }
 
 
@@ -121,16 +129,42 @@ def test_gazetteer_lookup_equals_oracle(names, text):
     assert gazetteer.lookup(text.lower()) == expected
 
 
+report_times = st.one_of(st.integers(0, 10).map(float), st.floats(0.0, 10.0))
+
+
 @given(
-    st.lists(st.tuples(st.sampled_from(TERMS), st.integers(0, 10)), max_size=8),
-    st.integers(0, 12),
+    st.lists(st.tuples(st.sampled_from(TERMS + ["  "]), report_times), max_size=8),
+    st.one_of(st.integers(0, 12).map(float), st.floats(0.0, 12.0)),
+    st.sampled_from([0.0, 0.2, 3.0, 0.1 + 0.2]),
     texts,
 )
-def test_location_cache_match_equals_oracle(inserts, now, text):
-    cache = LocationCache(ttl=3.0)
-    for loc, seen in inserts:
-        cache.insert(loc, float(seen))
-    assert cache.match(text.lower(), float(now)) == cache_oracle(cache, text, float(now))
+def test_location_cache_match_equals_oracle(reports, now, ttl, text):
+    regions = case_regions(
+        CaseReport(date=date, region=region, new_cases=1) for region, date in reports
+    )
+    assert len(regions) == len({region for region, _ in regions})
+    # every live region is found exactly at ``now - ttl`` too, the boundary included
+    for t in (now, *(date + ttl for _, date in reports)):
+        assert set(extract_locations(text.lower(), Gazetteer(), regions, ttl, t)) == cache_oracle(
+            reports, ttl, text, t
+        )
+
+
+def test_location_interval_boundary_at_exactly_ttl():
+    """Live while ``now - last_seen <= ttl``, that float test exactly: a
+    region is live at ``last_seen + ttl`` when the difference rounds back to
+    ``ttl``, and not when it rounds above it."""
+    regions = case_regions([CaseReport(date=5.0, region="sturgis", new_cases=1)])
+    at = lambda now, ttl: extract_locations("sturgis", Gazetteer(), regions, ttl, now)  # noqa: E731
+    assert at(5.0, 0.0) == ["sturgis"]  # a zero TTL is live on the report's own instant
+    assert at(8.0, 3.0) == ["sturgis"]
+    assert at(math.nextafter(8.0, 9.0), 3.0) == []
+    assert at(math.nextafter(5.0, 0.0), 3.0) == []  # dated ahead of now
+
+    regions = case_regions([CaseReport(date=0.1, region="sturgis", new_cases=1)])
+    now = 0.1 + 0.2  # 0.30000000000000004
+    assert now - 0.1 > 0.2 and now <= 0.1 + 0.2
+    assert extract_locations("sturgis", Gazetteer(), regions, 0.2, now) == []
 
 
 class WriteBackCache:
@@ -191,21 +225,23 @@ stream_events = st.lists(
     st.sampled_from([0.0, 3.0, 10.0]),
 )
 def test_extraction_equals_the_write_back_design(reports_before, events, ttl):
+    """The whole case feed is read before the stream, so the reference
+    takes every report first; posts then come in stream order."""
     gazetteer = Gazetteer(GAZETTEER_NAMES)
-    cache = LocationCache(ttl=ttl)
+    reports = [(region, t) for region, t in reports_before]
+    reports += [(value, t) for kind, value, t in events if kind == "case"]
+    regions = case_regions(
+        CaseReport(date=float(t), region=region, new_cases=1) for region, t in reports
+    )
     reference = WriteBackCache(ttl)
+    for region, t in reports:
+        reference.insert(region, float(t), "authoritative")
     names = {normalize_location(n) for n in GAZETTEER_NAMES}
-    events = [("case", region, t) for region, t in reports_before] + events
     for kind, value, t in events:
-        if kind == "case":
-            absorb_authoritative_locations(CaseReport(date=float(t), region=value, new_cases=1), cache)
-            reference.insert(value, float(t), "authoritative")
-            continue
-        held = len(cache)
-        assert extract_locations(value.lower(), gazetteer, cache, float(t)) == reference.extract(
-            names, value, float(t)
-        )
-        assert len(cache) == held
+        if kind == "post":
+            assert extract_locations(value.lower(), gazetteer, regions, ttl, float(t)) == (
+                reference.extract(names, value, float(t))
+            )
 
 
 @given(st.dictionaries(st.sampled_from(TERMS + ["", "C++"]), weights, max_size=10), texts)
@@ -287,11 +323,12 @@ def test_refreshed_misinfo_term_tags_the_next_window(tmp_path):
 
 
 def test_new_cache_entry_matches_the_next_post():
-    cache = LocationCache(ttl=7 * 86400.0)
+    """A reported region matches every post from its report's date on."""
+    ttl = 7 * 86400.0
     gazetteer = Gazetteer(["california"])
-    assert extract_locations("rally in sturgis", gazetteer, cache, now=0.0) == []
-    cache.insert("Sturgis", now=0.0)
-    assert extract_locations("rally in sturgis", gazetteer, cache, now=1.0) == ["sturgis"]
-    # a gazetteer hit does not enter the cache; the gazetteer matches it
-    assert extract_locations("california cases", gazetteer, cache, now=2.0) == ["california"]
-    assert cache.match("california again", now=3.0) == set()
+    regions = case_regions([CaseReport(date=1.0, region="Sturgis", new_cases=1)])
+    assert extract_locations("rally in sturgis", gazetteer, regions, ttl, now=0.0) == []
+    assert extract_locations("rally in sturgis", gazetteer, regions, ttl, now=1.0) == ["sturgis"]
+    # a gazetteer hit is the gazetteer's alone; the regions stay as built
+    assert extract_locations("california cases", gazetteer, regions, ttl, now=2.0) == ["california"]
+    assert regions == (("sturgis", 1.0),)

@@ -18,14 +18,15 @@ from driftstream.misinfo.keywords import (
     refresh_misinfo_keywords,
 )
 from driftstream.misinfo.piggyback import detect_piggyback
+from driftstream.enrich.clean import clean_post
 from driftstream.misinfo.tagging import (
     AuthoritativeSourceList,
-    tag_authoritative,
     tag_misinformation_window,
+    window_report,
 )
 from driftstream.timeutil import parse_timestamp
 
-from conftest import make_enriched
+from conftest import make_enriched, make_post
 
 HEADLINE_DOC = """\
 # News
@@ -245,19 +246,28 @@ class TestWindowTagging:
 
     def test_authoritative_post_not_counted_in_tally(self):
         sources = AuthoritativeSourceList(["who.int"])
-        debunk = make_enriched(
-            post_id=1,
-            text="plandemic claims are false",
-            created_at=self.T,
-            channel="who.int",
+        debunk = clean_post(
+            make_post(1, "plandemic claims are false", self.T, channel="who.int"),
+            KeywordSet(),
+            authoritative=sources,
         )
-        tag_authoritative(debunk, sources)
         rumor = make_enriched(post_id=2, text="plandemic is real", created_at=self.T)
         tagged, report = tag_misinformation_window([debunk, rumor], MisinfoKeywordSet())
         assert debunk.authoritative is True
         assert debunk.misinfo_terms == {"plandemic"}  # recorded for analysis
         assert report.tagged == 1  # but only the rumor counts
         assert report.term_counts == Counter({"plandemic": 1})
+
+    def test_report_counts_the_tags_posts_hold(self):
+        """A closing window reports from the tags its posts already hold
+        (taken at ingest); it does not read the text again."""
+        posts = self._window_posts(["plandemic!", "no terms here", "bleach"])
+        posts[1].misinfo_terms = {"bleach"}
+        report = window_report(posts)
+        assert (report.posts_in, report.tagged) == (3, 1)
+        assert report.term_counts == Counter({"bleach": 1})
+        with pytest.raises(ValueError, match="post 9 falls outside window"):
+            window_report([*posts, make_enriched(post_id=9, created_at=self.T + 60)])
 
     def test_refresh_widens_coverage_monotonically(self, tmp_path):
         posts = self._window_posts(["drink bleach they said", "plandemic!"])
@@ -274,12 +284,13 @@ class TestWindowTagging:
 class TestAuthoritative:
     def test_channel_in_list_tagged(self):
         sources = AuthoritativeSourceList(["who.int", "cdc.gov"])
-        post = make_enriched(channel="WHO.INT")
-        assert tag_authoritative(post, sources).authoritative is True
+        post = clean_post(make_post(channel="WHO.INT"), KeywordSet(), authoritative=sources)
+        assert post.authoritative is True
 
     def test_unknown_channel_not_tagged(self):
         sources = AuthoritativeSourceList(["who.int"])
-        assert tag_authoritative(make_enriched(channel="random.blog"), sources).authoritative is False
+        post = clean_post(make_post(channel="random.blog"), KeywordSet(), authoritative=sources)
+        assert post.authoritative is False
 
     def test_empty_list_rejected(self):
         with pytest.raises(ValueError):

@@ -165,6 +165,39 @@ class TestConfigValidation:
         assert "keywords.retweet_ttl_hours: must be > 0" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
+        "overrides, error",
+        [
+            ({"misinfo": {"refresh_interval_minutes": 0}}, "misinfo.refresh_interval_minutes: must be > 0"),
+            ({"misinfo": {"refresh_interval_minutes": -5}}, "misinfo.refresh_interval_minutes: must be > 0"),
+            ({"misinfo": {"refresh_interval_minutes": "nan"}}, "misinfo.refresh_interval_minutes: must be > 0"),
+            ({"clusters": {"lag_tolerance_days": -1}}, "clusters.lag_tolerance_days: must be >= 0"),
+            ({"clusters": {"lag_tolerance_days": "nan"}}, "clusters.lag_tolerance_days: must be >= 0"),
+        ],
+    )
+    def test_out_of_range_intervals_named_with_exit_2(self, tmp_path, capsys, overrides, error):
+        """A zero refresh interval divided by zero at run time (exit 3), a
+        negative one re-read every source on every watermark advance, and a
+        negative lag tolerance matched no evidence: each exits 2 by name."""
+        corpus = _fixture_corpus(tmp_path, minutes=5, rate=20)
+        data = _base_config(tmp_path, corpus, **overrides)
+        with pytest.raises(ConfigError) as err:
+            parse_config(data)
+        assert err.value.errors == [error]
+        path = tmp_path / "range.yaml"
+        path.write_text(yaml.safe_dump(data))
+        assert main(["run", "--config", str(path)]) == 2
+        assert error in capsys.readouterr().err
+
+    def test_zero_lag_tolerance_and_fractional_refresh_accepted(self, tmp_path):
+        corpus = _fixture_corpus(tmp_path, minutes=5, rate=20)
+        config = parse_config(
+            _base_config(
+                tmp_path, corpus, misinfo={"refresh_interval_minutes": 0.5}, clusters={"lag_tolerance_days": 0}
+            )
+        )
+        assert (config.misinfo.refresh_interval, config.clusters.lag_tolerance) == (30.0, 0.0)
+
+    @pytest.mark.parametrize(
         "overrides, field",
         [
             ({"keywords": {"seeds": "corona"}}, "keywords.seeds"),
@@ -505,6 +538,92 @@ class TestWindowBuffers:
             assert buffers.lowest == min(scanned, default=math.inf)
         assert buffers.pop_ready(None) == [scanned[index] for index in sorted(scanned)]
         assert buffers.pop_ready(None) == []
+
+
+MISINFO_TERMS = ["bleach", "5g towers", "microchip", "plandemic", "hoax"]
+MISINFO_PIECES = MISINFO_TERMS + ["BLEACH", "5G Towers", "virus", "news", " ", "  "]
+
+
+class TestIngestTagging:
+    """Each post is tagged once, at ingest, against the live misinformation
+    set, and re-tagged while buffered whenever a refresh adds an active
+    term. Every window must still report what tagging its posts at close,
+    against the set as it then stood, gives."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.integers(0, 300),  # event time after T0: any order, so late posts too
+                st.lists(st.sampled_from(MISINFO_PIECES), max_size=4).map(" ".join),
+                st.booleans(),  # from an authoritative channel
+                st.none() | st.lists(st.sampled_from(MISINFO_TERMS), max_size=3),  # terms file rewrite
+            ),
+            max_size=30,
+        ),
+        st.sampled_from([15.0, 30.0, 45.0, 60.0, 90.0]),
+        st.sampled_from([30.0, 60.0]),
+    )
+    def test_windows_equal_tagging_at_close(self, events, refresh_interval, window):
+        import tempfile
+        from pathlib import Path
+
+        from driftstream.pipeline.config import MisinfoConfig, PipelineConfig
+        from driftstream.pipeline.runner import PipelineRunner
+        from driftstream.sources.posts import Post
+
+        with tempfile.TemporaryDirectory() as tmp:
+            terms = Path(tmp) / "terms.json"
+            terms.write_text(json.dumps({"terms": []}))
+            config = PipelineConfig(
+                seed=1,
+                archive=str(Path(tmp) / "unused.jsonl"),
+                misinfo=MisinfoConfig(
+                    seeds=("plandemic",),
+                    sources=({"kind": "terms_file", "path": str(terms)},),
+                    refresh_interval=refresh_interval,
+                    window=window,
+                    tombstones=("microchip",),
+                ),
+            )
+            runner = PipelineRunner(config)
+            closes, routed = [], []
+            pop_ready, route = runner._minute_buffers.pop_ready, runner._route_tagged
+
+            def spy_pop_ready(upto):
+                popped = pop_ready(upto)
+                closes.extend((posts, frozenset(runner.misinfo_set.active)) for posts in popped)
+                return popped
+
+            def spy_route(post):
+                routed.append((post, frozenset(post.misinfo_terms)))
+                route(post)
+
+            runner._minute_buffers.pop_ready = spy_pop_ready
+            runner._route_tagged = spy_route
+            for i, (t, text, official, rewrite) in enumerate(events):
+                if rewrite is not None:
+                    terms.write_text(json.dumps({"terms": rewrite}))
+                channel = "who.int" if official else "twitter"
+                runner.ingest_post(Post(id=i, created_at=T0 + t, text=text, channel=channel))
+            runner._flush_minute_windows(upto=None)
+
+        expected_rows, expected_routed = [], []
+        for posts, snapshot in closes:
+            tagged, counts = 0, {}
+            for post in posts:
+                hits = frozenset(term for term in snapshot if term in post.post.text.lower())
+                expected_routed.append((post, hits))
+                if hits and post.post.channel != "who.int":
+                    tagged += 1
+                    for term in hits:
+                        counts[term] = counts.get(term, 0) + 1
+            top = sorted(counts, key=lambda term: (-counts[term], term))[:5]
+            start = (posts[0].post.created_at // window) * window
+            expected_rows.append((start, len(posts), tagged, ";".join(top)))
+        assert runner.window_rows == expected_rows
+        assert routed == expected_routed
+        assert "microchip" not in runner.misinfo_set.active
 
 
 class TestSideFeeds:
