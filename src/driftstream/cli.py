@@ -114,9 +114,7 @@ def _cmd_replay(args: argparse.Namespace) -> int:
             records += 1
             if log is None:
                 continue
-            batch.append(
-                StreamRecord(payload=post.to_payload(), event_time=post.created_at, ingest_time=time.time())
-            )
+            batch.append(StreamRecord(post.to_payload(), None, post.created_at, time.time()))
             if len(batch) == limit:
                 log.append_many(batch)
                 batch = []

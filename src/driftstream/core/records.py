@@ -6,8 +6,12 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
+# The one encoder of every log record: json.dumps with these arguments
+# builds a new JSONEncoder per call, with the same bytes.
+_ENCODER = json.JSONEncoder(separators=(",", ":"), sort_keys=True)
 
-@dataclass
+
+@dataclass(slots=True)
 class StreamRecord:
     """One record of the durable log.
 
@@ -28,15 +32,9 @@ class StreamRecord:
             "event_time": self.event_time,
             "ingest_time": self.ingest_time,
         }
-        return json.dumps(body, separators=(",", ":"), sort_keys=True).encode("utf-8")
+        return _ENCODER.encode(body).encode("utf-8")
 
     @classmethod
     def from_bytes(cls, data: bytes, offset: int = -1) -> "StreamRecord":
         body = json.loads(data.decode("utf-8"))
-        return cls(
-            payload=body["payload"],
-            key=body["key"],
-            event_time=body["event_time"],
-            ingest_time=body["ingest_time"],
-            offset=offset,
-        )
+        return cls(body["payload"], body["key"], body["event_time"], body["ingest_time"], offset)

@@ -211,7 +211,7 @@ def parse_config(data: dict, base_dir: Optional[Path] = None) -> PipelineConfig:
         errors.append("drift: window_minutes must be a positive multiple of slide_minutes")
     if drift.min_count < 1:
         errors.append("drift.min_count: must be >= 1")
-    if drift.min_score <= 0:
+    if not drift.min_score > 0:  # also rejects NaN
         errors.append("drift.min_score: must be > 0")
 
     en = data.get("enrichment", {}) or {}
@@ -258,10 +258,12 @@ def parse_config(data: dict, base_dir: Optional[Path] = None) -> PipelineConfig:
         piggyback_threshold=number(mi, "misinfo.piggyback_threshold", 0.7),
         tombstones=strings(mi, "misinfo.tombstones", ()),
     )
-    if misinfo.window <= 0:
+    if not misinfo.window > 0:  # also rejects NaN
         errors.append("misinfo.window_seconds: must be > 0")
     if not misinfo.refresh_interval > 0:  # also rejects NaN
         errors.append("misinfo.refresh_interval_minutes: must be > 0")
+    if not misinfo.piggyback_threshold > 0:  # also rejects NaN; every score is >= 0
+        errors.append("misinfo.piggyback_threshold: must be > 0")
 
     cl = data.get("clusters", {}) or {}
     clusters = ClusterConfig(
@@ -274,7 +276,7 @@ def parse_config(data: dict, base_dir: Optional[Path] = None) -> PipelineConfig:
         errors.append("clusters.min_size: must be >= 1")
     if not clusters.lag_tolerance >= 0:  # also rejects NaN
         errors.append("clusters.lag_tolerance_days: must be >= 0")
-    if clusters.eta <= 0:
+    if not clusters.eta > 0:  # also rejects NaN
         errors.append("clusters.eta: must be > 0")
 
     authoritative = strings(data, "authoritative", DEFAULT_AUTHORITATIVE_SOURCES)

@@ -9,7 +9,7 @@ from typing import Optional, Union
 from ..timeutil import TimestampError, format_timestamp, parse_timestamp
 
 
-@dataclass
+@dataclass(slots=True)
 class Post:
     id: int
     created_at: float  # UTC epoch seconds
@@ -96,11 +96,5 @@ def parse_post(line: Union[str, bytes]) -> Union[Post, Rejection]:
         except (TypeError, ValueError):
             retweeted = None
 
-    return Post(
-        id=post_id,
-        created_at=created,
-        text=text,
-        lang=obj.get("lang", "und"),
-        channel=obj.get("channel", "twitter"),
-        is_retweet_of=retweeted,
-    )
+    # positional, in field order: keywords cost twice the call
+    return Post(post_id, created, text, obj.get("lang", "und"), obj.get("channel", "twitter"), retweeted)

@@ -13,8 +13,9 @@ from datetime import datetime, timedelta, timezone
 LEGACY_FORMAT = "%a %b %d %H:%M:%S %z %Y"
 
 # The canonical spelling of LEGACY_FORMAT ("Sat Feb 29 18:59:56 +0000
-# 2020"), parsed without strptime. Any other spelling that strptime accepts
-# (lowercase names, a one-digit day, a colon in the offset) takes strptime.
+# 2020"), parsed without strptime, and by parse_timestamp without datetime.
+# Any other spelling that strptime accepts (lowercase names, a one-digit
+# day, a colon in the offset) takes strptime.
 _MONTHS = {name: number for number, name in enumerate(
     "Jan Feb Mar Apr May Jun Jul Aug Sep Oct Nov Dec".split(), 1
 )}
@@ -23,6 +24,9 @@ _LEGACY_RE = re.compile(
     rf"({'|'.join(_MONTHS)}) ([0-9]{{2}}) "
     r"([0-9]{2}):([0-9]{2}):([0-9]{2}) ([+-])([0-9]{2})([0-5][0-9]) ([0-9]{4})"
 )
+_MONTH_DAYS = (0, 31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31)  # February of a common year
+_DAYS_BEFORE_MONTH = tuple(sum(_MONTH_DAYS[1:m]) for m in range(13))
+_EPOCH_ORDINAL = 719163  # datetime(1970, 1, 1).toordinal()
 
 MINUTE = 60.0
 HOUR = 3600.0
@@ -48,22 +52,42 @@ def parse_timestamp(value: str) -> float:
     if not isinstance(value, str) or not value.strip():
         raise TimestampError(f"empty or non-string timestamp: {value!r}")
     text = value.strip()
-    # ISO-8601 first: it is the fast path (C implementation) and the format
-    # the synthetic generator emits.
-    iso = text[:-1] + "+00:00" if text.endswith("Z") else text
-    try:
-        dt = datetime.fromisoformat(iso)
-    except ValueError:
+    # No string is both legacy and ISO, so the order of the tries changes no
+    # result. ISO starts with its year's digits and goes straight to
+    # fromisoformat (C); a legacy string starts with its weekday's name.
+    match = _LEGACY_RE.fullmatch(text) if text[0] > "9" else None
+    epoch = None if match is None else _legacy_epoch(*match.groups())
+    if epoch is None:
+        iso = text[:-1] + "+00:00" if text.endswith("Z") else text
         try:
-            dt = parse_legacy(text)
+            dt = datetime.fromisoformat(iso)
         except ValueError:
-            raise TimestampError(f"unparseable timestamp: {value!r}") from None
-    if dt.tzinfo is None:
-        dt = dt.replace(tzinfo=timezone.utc)
-    epoch = dt.timestamp()
+            try:
+                dt = parse_legacy(text)
+            except ValueError:
+                raise TimestampError(f"unparseable timestamp: {value!r}") from None
+        if dt.tzinfo is None:
+            dt = dt.replace(tzinfo=timezone.utc)
+        epoch = dt.timestamp()
     if type(value) is str:
         _last_parsed = (value, epoch)
     return epoch
+
+
+def _legacy_epoch(month, day, hour, minute, second, sign, off_hours, off_minutes, year) -> float | None:
+    """Epoch seconds of the fields of a ``_LEGACY_RE`` match, by integer
+    days-from-civil arithmetic; ``None`` where ``datetime`` would refuse a
+    field (a day its month lacks, hour 24, minute or second 60, a 24-hour
+    offset, year 0), so that strptime decides those."""
+    y, m, d = int(year), _MONTHS[month], int(day)
+    h, mi, s, oh = int(hour), int(minute), int(second), int(off_hours)
+    leap = y % 4 == 0 and (y % 100 != 0 or y % 400 == 0)
+    if not (y and 0 < d <= _MONTH_DAYS[m] + (m == 2 and leap) and h < 24 and mi < 60 and s < 60 and oh < 24):
+        return None
+    y -= 1
+    days = y * 365 + y // 4 - y // 100 + y // 400 + _DAYS_BEFORE_MONTH[m] + (m > 2 and leap) + d - _EPOCH_ORDINAL
+    offset = oh * 3600 + int(off_minutes) * 60
+    return float(days * 86400 + h * 3600 + mi * 60 + s + (offset if sign == "-" else -offset))
 
 
 def parse_legacy(text: str) -> datetime:
@@ -83,11 +107,24 @@ def parse_legacy(text: str) -> datetime:
     return datetime.strptime(text, LEGACY_FORMAT)
 
 
+# The last day format_timestamp rendered, as (days since the epoch, its
+# "YYYY-MM-DDT" prefix); replaced whole, like _last_parsed. Consecutive
+# records mostly fall on one day, so datetime runs about once a day.
+_last_day: tuple[int, str] = (0, "1970-01-01T")
+
+
 def format_timestamp(epoch: float) -> str:
     """Render epoch seconds as an ISO-8601 UTC string (second resolution)."""
-    return datetime.fromtimestamp(int(epoch), tz=timezone.utc).strftime(
-        "%Y-%m-%dT%H:%M:%SZ"
-    )
+    global _last_day
+    day, clock = divmod(int(epoch), 86400)
+    last = _last_day
+    if day != last[0]:
+        date = datetime.fromtimestamp(day * 86400, tz=timezone.utc)
+        # not strftime: glibc writes year 999 as "999", which nothing parses
+        last = _last_day = (day, f"{date.year:04d}-{date.month:02d}-{date.day:02d}T")
+    hours, clock = divmod(clock, 3600)
+    minutes, seconds = divmod(clock, 60)
+    return f"{last[1]}{hours:02d}:{minutes:02d}:{seconds:02d}Z"
 
 
 def month_key(epoch: float) -> str:

@@ -8,6 +8,7 @@ acknowledged record and nothing corrupt.
 
 from __future__ import annotations
 
+import json
 import os
 import random
 import stat
@@ -15,7 +16,7 @@ import struct
 import zlib
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from driftstream.core.log import DurableLog
@@ -30,6 +31,28 @@ def _frame_bytes(record: StreamRecord) -> bytes:
     # independent framing oracle: length + crc32 header, then the body
     body = record.to_bytes()
     return struct.pack("<II", len(body), zlib.crc32(body)) + body
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda children: st.lists(children, max_size=4) | st.dictionaries(st.text(), children, max_size=4),
+    max_leaves=12,
+)
+
+
+@given(
+    payload=JSON_VALUES,
+    key=st.none() | st.text(),
+    event_time=st.floats(),
+    ingest_time=st.floats(),
+)
+@example(payload={"text": "s\u00fcd \u75c5\u6bd2 \U0001f637", "n": [1.5, None]}, key=None, event_time=2.0, ingest_time=3.0)
+def test_to_bytes_equals_json_dumps(payload, key, event_time, ingest_time):
+    """The shared encoder writes what json.dumps wrote: non-ASCII text, nested
+    values, any float and a null key."""
+    body = {"payload": payload, "key": key, "event_time": event_time, "ingest_time": ingest_time}
+    expected = json.dumps(body, separators=(",", ":"), sort_keys=True).encode()
+    assert StreamRecord(payload, key, event_time, ingest_time).to_bytes() == expected
 
 
 def test_first_append_gets_offset_zero(tmp_path):

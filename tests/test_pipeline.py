@@ -188,6 +188,40 @@ class TestConfigValidation:
         assert main(["run", "--config", str(path)]) == 2
         assert error in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "section, key",
+        [
+            ("misinfo", "window_seconds"),
+            ("drift", "min_score"),
+            ("misinfo", "piggyback_threshold"),
+            ("clusters", "eta"),
+        ],
+    )
+    def test_nan_named_with_exit_2(self, tmp_path, capsys, section, key):
+        """JSON's NaN literal passed every `x <= 0` check: a NaN window index
+        never closed, a NaN min_score promoted every term at min_count, and a
+        NaN piggyback threshold flagged nothing."""
+        corpus = _fixture_corpus(tmp_path, minutes=5, rate=20)
+        data = _base_config(tmp_path, corpus)
+        data.setdefault(section, {})[key] = float("nan")
+        error = f"{section}.{key}: must be > 0"
+        with pytest.raises(ConfigError) as err:
+            parse_config(data)
+        assert err.value.errors == [error]
+        path = tmp_path / "nan.json"
+        path.write_text(json.dumps(data))
+        assert "NaN" in path.read_text()
+        assert main(["run", "--config", str(path)]) == 2
+        assert error in capsys.readouterr().err
+
+    @pytest.mark.parametrize("threshold", [0, -0.5])
+    def test_nonpositive_piggyback_threshold_named(self, tmp_path, threshold):
+        """Every score lies in [0, 1], so a threshold <= 0 flags every trending term."""
+        corpus = _fixture_corpus(tmp_path, minutes=5, rate=20)
+        with pytest.raises(ConfigError) as err:
+            parse_config(_base_config(tmp_path, corpus, misinfo={"piggyback_threshold": threshold}))
+        assert err.value.errors == ["misinfo.piggyback_threshold: must be > 0"]
+
     def test_zero_lag_tolerance_and_fractional_refresh_accepted(self, tmp_path):
         corpus = _fixture_corpus(tmp_path, minutes=5, rate=20)
         config = parse_config(

@@ -5,12 +5,14 @@ from __future__ import annotations
 import json
 from collections import Counter
 
-from datetime import datetime
+from datetime import datetime, timezone
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
+from driftstream.cli import main
+from driftstream.core.log import DurableLog
 from driftstream.sources import archive as archive_module
 from driftstream.sources.posts import Post, Rejection, parse_post
 from driftstream.sources.archive import posts_from_archive
@@ -21,7 +23,7 @@ from driftstream.sources.synthetic import (
     generate_synthetic,
     load_ground_truth,
 )
-from driftstream.timeutil import LEGACY_FORMAT, TimestampError, parse_legacy, parse_timestamp
+from driftstream.timeutil import LEGACY_FORMAT, TimestampError, format_timestamp, parse_legacy, parse_timestamp
 
 
 SAMPLE_LINE = json.dumps(
@@ -131,10 +133,14 @@ LEGACY_ODD_FIELDS = {
 }
 
 
+FEB_29_YEARS = (4, 100, 400, 1600, 1900, 2000, 2019, 2020, 2100, 2400, 9996, 9999)
+
+
 @st.composite
 def legacy_strings(draw):
     """A canonical legacy timestamp (days up to 31 in every month, years 1
-    to 9999), with up to two fields swapped for an odd spelling."""
+    to 9999, Feb 29 of leap, common and century years, offsets up to
+    ±23:59), with up to two fields swapped for an odd spelling."""
     fields = {
         "name": draw(st.sampled_from(("Mon", "Tue", "Wed", "Thu", "Fri", "Sat", "Sun"))),
         "month": draw(st.sampled_from(("Jan", "Feb", "Mar", "Apr", "Jun", "Sep", "Dec"))),
@@ -142,11 +148,14 @@ def legacy_strings(draw):
         "clock": "{:02d}:{:02d}:{:02d}".format(
             draw(st.integers(0, 23)), draw(st.integers(0, 59)), draw(st.integers(0, 59))
         ),
-        "offset": "{}{:02d}{:02d}".format(
-            draw(st.sampled_from("+-")), draw(st.integers(0, 23)), draw(st.integers(0, 59))
+        "offset": draw(
+            st.sampled_from(("+2359", "-2359"))
+            | st.builds("{}{:02d}{:02d}".format, st.sampled_from("+-"), st.integers(0, 23), st.integers(0, 59))
         ),
         "year": f"{draw(st.integers(1, 9999)):04d}",
     }
+    if draw(st.integers(0, 3)) == 0:  # Feb 29 of a leap, a common or a century year
+        fields.update(month="Feb", day="29", year=f"{draw(st.sampled_from(FEB_29_YEARS)):04d}")
     for key in draw(st.lists(st.sampled_from(sorted(LEGACY_ODD_FIELDS)), max_size=2, unique=True)):
         fields[key] = draw(st.sampled_from(LEGACY_ODD_FIELDS[key]))
     return " ".join(fields.values())
@@ -197,6 +206,83 @@ class TestLegacyFastPath:
 
         monkeypatch.setattr(timeutil, "datetime", NoStrptime)
         assert parse_legacy("Sat Feb 29 18:59:56 -0130 2020").isoformat() == "2020-02-29T18:59:56-01:30"
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "Sat Feb 29 18:59:56 -0130 2020",
+            "Tue Feb 29 00:00:00 +0000 2000",
+            "Mon Feb 29 23:59:59 -2359 2400",
+            "Mon Jan 01 00:00:00 +2359 0001",
+            "Fri Dec 31 23:59:59 -2359 9999",
+            "Thu Jan 01 00:00:00 +0000 1970",
+        ],
+    )
+    def test_canonical_timestamp_skips_datetime(self, monkeypatch, text):
+        import driftstream.timeutil as timeutil
+
+        class Refused:
+            def __getattr__(self, name):
+                raise AssertionError(f"{name} called")
+
+        expected = datetime.strptime(text, LEGACY_FORMAT).timestamp()
+        for name in ("datetime", "timedelta", "timezone"):
+            monkeypatch.setattr(timeutil, name, Refused())
+        monkeypatch.setattr(timeutil, "_last_parsed", (None, 0.0))
+        assert timeutil.parse_timestamp(text) == expected
+
+    @pytest.mark.parametrize(
+        "text", ["Sat Feb 29 00:00:00 +0000 2019", "Sat Feb 29 00:00:00 +0000 1900", "Sat Feb 29 00:00:00 +0000 2100"]
+    )
+    def test_feb_29_of_a_common_year_is_refused(self, text):
+        with pytest.raises(TimestampError):
+            parse_timestamp(text)
+
+
+# Every epoch second that datetime can hold: 0001-01-01 to 9999-12-31.
+MIN_EPOCH = -62135596800
+MAX_EPOCH = 253402300799
+YEAR_999 = -30641760000  # 0999-01-01T00:00:00Z
+
+
+def iso_oracle(epoch) -> str:
+    """``format_timestamp``'s contract, from ``datetime.isoformat`` (zero-padded year)."""
+    return datetime.fromtimestamp(int(epoch), tz=timezone.utc).replace(tzinfo=None).isoformat() + "Z"
+
+
+class TestFormatTimestamp:
+    @given(
+        st.lists(st.integers(MIN_EPOCH, MAX_EPOCH) | st.floats(MIN_EPOCH, MAX_EPOCH), min_size=1, max_size=8),
+        st.lists(st.integers(0, 86399), max_size=4),
+        st.randoms(use_true_random=False),
+    )
+    def test_equals_datetime_oracle_in_any_order(self, epochs, clocks, rnd):
+        # other seconds of the same days, shuffled in: the day memo must not
+        # depend on which call came first
+        epochs = epochs + [int(t) // 86400 * 86400 + clock for t in epochs for clock in clocks]
+        rnd.shuffle(epochs)
+        assert [format_timestamp(t) for t in epochs] == [iso_oracle(t) for t in epochs]
+
+    @given(st.integers(MIN_EPOCH, MAX_EPOCH) | st.floats(MIN_EPOCH, MAX_EPOCH))
+    @example(YEAR_999)
+    @example(MIN_EPOCH)
+    @example(-0.5)
+    def test_parse_round_trips_over_the_datetime_range(self, epoch):
+        assert parse_timestamp(format_timestamp(epoch)) == float(int(epoch))
+
+    def test_year_below_1000_is_zero_padded(self):
+        assert format_timestamp(YEAR_999) == "0999-01-01T00:00:00Z"
+        assert format_timestamp(MIN_EPOCH) == "0001-01-01T00:00:00Z"
+        assert format_timestamp(MAX_EPOCH) == "9999-12-31T23:59:59Z"
+
+    def test_replayed_year_999_payload_reads_back(self, tmp_path):
+        archive = tmp_path / "a.jsonl"
+        archive.write_text(json.dumps({"created_at": "0999-01-01T00:00:00Z", "id": 1, "text": "x"}) + "\n")
+        assert main(["replay", "--archive", str(archive), "--out", str(tmp_path / "log")]) == 0
+        with DurableLog(tmp_path / "log") as log:
+            (record,) = log.replay_from(0)
+        assert record.payload["created_at"] == "0999-01-01T00:00:00Z"
+        assert Post.from_payload(record.payload).created_at == YEAR_999
 
 
 class TestReplayArchive:
