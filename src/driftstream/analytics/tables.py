@@ -1,5 +1,9 @@
 """Dataset statistics tables and deterministic report files.
 
+Every file of the report bundle is written here, by one of three writers
+(``write_csv``, ``write_jsonl``, ``write_json``): UTF-8, newline-terminated
+lines, sorted JSON keys and a trailing newline.
+
 The month and language tables mirror the shape of the collection-summary
 tables the report bundle is compared against: month/count, and
 language/count/pct with the percentage floored to one decimal so the
@@ -60,11 +64,33 @@ class TableCounts:
         return tables
 
 
-def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
+def write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence]) -> Path:
+    """``header`` and then ``rows``, one CSV line each."""
     with open(path, "w", encoding="utf-8", newline="") as f:
         writer = csv.writer(f, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
+    return path
+
+
+def write_jsonl(path: Path, objects: Iterable) -> Path:
+    """One key-sorted JSON object per line."""
+    with open(path, "w", encoding="utf-8") as f:
+        for obj in objects:
+            f.write(json.dumps(obj, sort_keys=True) + "\n")
+    return path
+
+
+def write_json(path: Path, obj) -> Path:
+    """``obj`` as key-sorted JSON indented by 2, then a newline.
+
+    Streamed to the file, with the bytes of ``json.dumps``: with ``indent``
+    set, both run the same pure-Python encoder, but no whole string is built.
+    """
+    with open(path, "w", encoding="utf-8") as f:
+        json.dump(obj, f, indent=2, sort_keys=True)
+        f.write("\n")
+    return path
 
 
 def emit_report(tables: dict[str, dict], results: list, out_dir: str | Path) -> list[Path]:
@@ -78,42 +104,29 @@ def emit_report(tables: dict[str, dict], results: list, out_dir: str | Path) -> 
     written: list[Path] = []
 
     if "month" in tables:
-        path = out / "month.csv"
-        rows = [[m, c] for m, c in sorted(tables["month"].items())]
-        _write_csv(path, ["month", "count"], rows)
-        written.append(path)
+        written.append(write_csv(out / "month.csv", ["month", "count"], sorted(tables["month"].items())))
 
     if "language" in tables:
-        path = out / "languages.csv"
         total = sum(tables["language"].values())
         ranked = sorted(tables["language"].items(), key=lambda kv: (-kv[1], kv[0]))
         rows = []
         for lang, count in ranked:
             pct = math.floor(count * 1000.0 / total) / 10.0 if total else 0.0
             rows.append([lang, count, f"{pct:.1f}"])
-        _write_csv(path, ["language", "count", "pct"], rows)
-        written.append(path)
+        written.append(write_csv(out / "languages.csv", ["language", "count", "pct"], rows))
 
     if "region_day" in tables:
-        path = out / "region_day.csv"
-        rows = [[r, d, c] for (r, d), c in sorted(tables["region_day"].items())]
-        _write_csv(path, ["region", "day", "count"], rows)
-        written.append(path)
+        rows = ((r, d, c) for (r, d), c in sorted(tables["region_day"].items()))
+        written.append(write_csv(out / "region_day.csv", ["region", "day", "count"], rows))
 
     if "topic_region_day" in tables:
-        path = out / "topic_region_day.csv"
-        rows = [
-            [g, r, d, c]
-            for (g, r, d), c in sorted(tables["topic_region_day"].items())
-        ]
-        _write_csv(path, ["topic_groups", "region", "day", "count"], rows)
-        written.append(path)
+        rows = ((g, r, d, c) for (g, r, d), c in sorted(tables["topic_region_day"].items()))
+        written.append(
+            write_csv(out / "topic_region_day.csv", ["topic_groups", "region", "day", "count"], rows)
+        )
 
     if results:
-        path = out / "correlation.jsonl"
-        with open(path, "w", encoding="utf-8") as f:
-            for result in results:
-                f.write(json.dumps(result.to_json_obj(), sort_keys=True) + "\n")
-        written.append(path)
+        objects = (result.to_json_obj() for result in results)
+        written.append(write_jsonl(out / "correlation.jsonl", objects))
 
     return written

@@ -17,7 +17,8 @@ from typing import Any, Optional
 from ..keywords import DEFAULT_SEED_KEYWORDS
 from ..misinfo.keywords import DEFAULT_MISINFO_SEEDS
 from ..sources.archive import parse_speed
-from ..timeutil import DAY, HOUR, MINUTE, TimestampError, parse_timestamp
+from ..sources.feeds import timestamp
+from ..timeutil import DAY, HOUR, MINUTE
 
 DEFAULT_AUTHORITATIVE_SOURCES = (
     "who.int",
@@ -222,6 +223,8 @@ def parse_config(data: dict, base_dir: Optional[Path] = None) -> PipelineConfig:
         group_lexicons_file=resolve(en.get("group_lexicons_file")),
         location_cache_ttl=number(en, "enrichment.location_cache_ttl_days", 7) * DAY,
     )
+    if not enrichment.location_cache_ttl >= 0:  # also rejects NaN
+        errors.append("enrichment.location_cache_ttl_days: must be >= 0")
     for name in ("gazetteer_file", "sentiment_lexicon_file", "group_lexicons_file"):
         path = getattr(enrichment, name)
         if path is not None and not Path(path).is_file():
@@ -291,14 +294,12 @@ def parse_config(data: dict, base_dir: Optional[Path] = None) -> PipelineConfig:
         errors.append(f"case_feed: file not found: {case_feed}")
 
     until = data.get("until")
-    if isinstance(until, str):
+    if until is not None:
         try:
-            until = parse_timestamp(until)
-        except TimestampError as exc:
+            until = timestamp(until)
+        except (TypeError, ValueError) as exc:
             errors.append(f"until: {exc}")
             until = None
-    elif until is not None:
-        until = number(data, "until", None)
 
     max_lag_days = number(data, "max_lag_days", 21, _integer)
 

@@ -29,8 +29,6 @@ after stream exhaustion, in arrival order, with retroactive correction.
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 import time
 from collections import Counter
@@ -39,7 +37,7 @@ from pathlib import Path
 from typing import Optional
 
 from ..analytics.correlation import CorrelationResult, correlate_regions, daily_series
-from ..analytics.tables import TableCounts, emit_report
+from ..analytics.tables import TableCounts, emit_report, write_csv, write_json, write_jsonl
 from ..corroboration.clusters import cluster_features, form_clusters
 from ..corroboration.evidence import ClusterStore, MatchRule, load_evidence_feed
 from ..corroboration.team import default_team
@@ -295,9 +293,7 @@ class PipelineRunner:
         elapsed = time.monotonic() - started
         report_paths = self._write_reports()
         summary = self._summary()
-        summary_path = Path(config.out_dir) / "summary.json"
-        summary_path.write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
-        report_paths.append(summary_path)
+        report_paths.append(write_json(Path(config.out_dir) / "summary.json", summary))
         posts_per_sec = (
             self.counters["records_in"] / elapsed if elapsed > 0 else None
         )
@@ -310,47 +306,22 @@ class PipelineRunner:
     def _write_reports(self) -> list[Path]:
         out = Path(self.config.out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        paths: list[Path] = []
-
-        windows_path = out / "windows.csv"
-        with open(windows_path, "w", encoding="utf-8", newline="") as f:
-            writer = csv.writer(f, lineterminator="\n")
-            writer.writerow(["window_start", "posts_in", "tagged", "top_terms"])
-            for row in self.window_rows:
-                writer.writerow(row)
-        paths.append(windows_path)
-
-        clusters_path = out / "clusters.json"
-        clusters_path.write_text(
-            json.dumps(self.cluster_store.export(), indent=2, sort_keys=True) + "\n"
+        changes = (
+            (c.cluster_id, c.old_status, c.new_status, c.evidence_id)
+            for c in self.cluster_store.change_log
         )
-        paths.append(clusters_path)
-
-        changes_path = out / "changes.csv"
-        with open(changes_path, "w", encoding="utf-8", newline="") as f:
-            writer = csv.writer(f, lineterminator="\n")
-            writer.writerow(["cluster_id", "old_status", "new_status", "evidence_id"])
-            for change in self.cluster_store.change_log:
-                writer.writerow(
-                    [change.cluster_id, change.old_status, change.new_status, change.evidence_id]
-                )
-        paths.append(changes_path)
-
-        audit_path = out / "keywords.jsonl"
-        with open(audit_path, "w", encoding="utf-8") as f:
-            for event in self.drift.audit:
-                f.write(json.dumps(event.to_json_obj(), sort_keys=True) + "\n")
-        paths.append(audit_path)
-
-        piggyback_path = out / "piggyback.jsonl"
-        with open(piggyback_path, "w", encoding="utf-8") as f:
-            for row in self.drift.piggyback:
-                f.write(json.dumps(row, sort_keys=True) + "\n")
-        paths.append(piggyback_path)
-
-        results = self._correlation_results()
-        paths.extend(emit_report(self.table_counts.as_tables(), results, out))
-        return paths
+        return [
+            write_csv(
+                out / "windows.csv", ["window_start", "posts_in", "tagged", "top_terms"], self.window_rows
+            ),
+            write_json(out / "clusters.json", self.cluster_store.export()),
+            write_csv(
+                out / "changes.csv", ["cluster_id", "old_status", "new_status", "evidence_id"], changes
+            ),
+            write_jsonl(out / "keywords.jsonl", (event.to_json_obj() for event in self.drift.audit)),
+            write_jsonl(out / "piggyback.jsonl", self.drift.piggyback),
+            *emit_report(self.table_counts.as_tables(), self._correlation_results(), out),
+        ]
 
     def _correlation_results(self) -> list[CorrelationResult]:
         if not self.case_day_counts:

@@ -8,6 +8,7 @@ line that cannot be read stops the load: the error names the file, the
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 from typing import Any, Callable, TypeVar
 
@@ -63,9 +64,15 @@ def text(value: Any) -> str:
 
 
 def timestamp(value: Any) -> float:
-    """A timestamp string, or epoch seconds as a number."""
+    """A timestamp string, or epoch seconds as a finite number."""
     if isinstance(value, str):
         return parse_timestamp(value)
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise TypeError(f"expected a timestamp, got {value!r}")
-    return float(value)
+    try:
+        epoch = float(value)
+    except OverflowError:  # an int beyond every float
+        epoch = math.inf
+    if not math.isfinite(epoch):
+        raise ValueError(f"expected a finite timestamp, got {value!r}")
+    return epoch

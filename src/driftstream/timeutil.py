@@ -8,14 +8,14 @@ files may carry either the legacy social format ("Sat Feb 29 18:59:56
 from __future__ import annotations
 
 import re
-from datetime import datetime, timedelta, timezone
+from datetime import datetime, timezone
 
 LEGACY_FORMAT = "%a %b %d %H:%M:%S %z %Y"
 
 # The canonical spelling of LEGACY_FORMAT ("Sat Feb 29 18:59:56 +0000
-# 2020"), parsed without strptime, and by parse_timestamp without datetime.
-# Any other spelling that strptime accepts (lowercase names, a one-digit
-# day, a colon in the offset) takes strptime.
+# 2020"), parsed by parse_timestamp without datetime. Any other spelling
+# that strptime accepts (lowercase names, a one-digit day, a colon in the
+# offset) takes strptime.
 _MONTHS = {name: number for number, name in enumerate(
     "Jan Feb Mar Apr May Jun Jul Aug Sep Oct Nov Dec".split(), 1
 )}
@@ -91,19 +91,8 @@ def _legacy_epoch(month, day, hour, minute, second, sign, off_hours, off_minutes
 
 
 def parse_legacy(text: str) -> datetime:
-    """``datetime.strptime(text, LEGACY_FORMAT)``, without strptime for the
-    canonical spelling. Like strptime, it ignores the weekday name."""
-    match = _LEGACY_RE.fullmatch(text)
-    if match is not None:
-        month, day, hour, minute, second, sign, off_hours, off_minutes, year = match.groups()
-        offset = timedelta(hours=int(off_hours), minutes=int(off_minutes))
-        try:
-            return datetime(
-                int(year), _MONTHS[month], int(day), int(hour), int(minute), int(second),
-                tzinfo=timezone(-offset if sign == "-" else offset),
-            )
-        except ValueError:
-            pass  # strptime raises its own error for the same string
+    """``datetime.strptime(text, LEGACY_FORMAT)``; like strptime, it ignores
+    the weekday name."""
     return datetime.strptime(text, LEGACY_FORMAT)
 
 
@@ -127,12 +116,14 @@ def format_timestamp(epoch: float) -> str:
     return f"{last[1]}{hours:02d}:{minutes:02d}:{seconds:02d}Z"
 
 
-def month_key(epoch: float) -> str:
-    return datetime.fromtimestamp(epoch, tz=timezone.utc).strftime("%Y-%m")
-
-
 def day_key(epoch: float) -> str:
-    return datetime.fromtimestamp(epoch, tz=timezone.utc).strftime("%Y-%m-%d")
+    """The UTC day of ``epoch`` as "YYYY-MM-DD", the year zero-padded."""
+    return format_timestamp(epoch // DAY * DAY)[:10]
+
+
+def month_key(epoch: float) -> str:
+    """The UTC month of ``epoch`` as "YYYY-MM", the year zero-padded."""
+    return day_key(epoch)[:7]
 
 
 def day_start(epoch: float) -> float:

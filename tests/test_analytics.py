@@ -2,14 +2,17 @@
 
 from __future__ import annotations
 
+import json
 import math
 import random
+import tempfile
 from collections import Counter
 from datetime import datetime, timezone
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from driftstream.analytics.correlation import (
@@ -18,7 +21,7 @@ from driftstream.analytics.correlation import (
     daily_series,
     lagged_correlation,
 )
-from driftstream.analytics.tables import DIMENSIONS, TableCounts, emit_report
+from driftstream.analytics.tables import DIMENSIONS, TableCounts, emit_report, write_json
 from driftstream.timeutil import DAY, parse_timestamp
 
 from conftest import make_enriched
@@ -174,6 +177,26 @@ class TestEmitReport:
         emit_report(self._tables(), results, tmp_path / "b")
         for name in ("month.csv", "languages.csv", "correlation.jsonl"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda children: st.lists(children, max_size=4) | st.dictionaries(st.text(), children, max_size=4),
+    max_leaves=20,
+)
+
+
+class TestBundleWriters:
+    @given(JSON_VALUES)
+    @example({"région": "Île-de-France", "terms": ["🦠", "máscara"], "r": -0.25, "lag": None})
+    @example({"a": [], "b": {}, "c": [{}, [[]]], "d": {"e": {"f": [1.5e-7, 1e300, None]}}})
+    @example([])
+    def test_write_json_equals_json_dumps(self, obj):
+        """Streamed with ``json.dump``, ``clusters.json`` and ``summary.json``
+        keep the bytes of ``json.dumps`` plus a newline."""
+        with tempfile.TemporaryDirectory() as tmp:
+            written = write_json(Path(tmp) / "out.json", obj).read_bytes()
+        assert written == (json.dumps(obj, indent=2, sort_keys=True) + "\n").encode("utf-8")
 
 
 class TestLaggedCorrelation:

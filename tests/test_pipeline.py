@@ -172,12 +172,17 @@ class TestConfigValidation:
             ({"misinfo": {"refresh_interval_minutes": "nan"}}, "misinfo.refresh_interval_minutes: must be > 0"),
             ({"clusters": {"lag_tolerance_days": -1}}, "clusters.lag_tolerance_days: must be >= 0"),
             ({"clusters": {"lag_tolerance_days": "nan"}}, "clusters.lag_tolerance_days: must be >= 0"),
+            (
+                {"enrichment": {"gazetteer": GAZETTEER, "location_cache_ttl_days": -3}},
+                "enrichment.location_cache_ttl_days: must be >= 0",
+            ),
         ],
     )
     def test_out_of_range_intervals_named_with_exit_2(self, tmp_path, capsys, overrides, error):
         """A zero refresh interval divided by zero at run time (exit 3), a
-        negative one re-read every source on every watermark advance, and a
-        negative lag tolerance matched no evidence: each exits 2 by name."""
+        negative one re-read every source on every watermark advance, a
+        negative lag tolerance matched no evidence, and a negative location
+        cache TTL kept no case-feed region live: each exits 2 by name."""
         corpus = _fixture_corpus(tmp_path, minutes=5, rate=20)
         data = _base_config(tmp_path, corpus, **overrides)
         with pytest.raises(ConfigError) as err:
@@ -195,22 +200,46 @@ class TestConfigValidation:
             ("drift", "min_score"),
             ("misinfo", "piggyback_threshold"),
             ("clusters", "eta"),
+            ("enrichment", "location_cache_ttl_days"),
         ],
     )
     def test_nan_named_with_exit_2(self, tmp_path, capsys, section, key):
         """JSON's NaN literal passed every `x <= 0` check: a NaN window index
-        never closed, a NaN min_score promoted every term at min_count, and a
-        NaN piggyback threshold flagged nothing."""
+        never closed, a NaN min_score promoted every term at min_count, a
+        NaN piggyback threshold flagged nothing, and a NaN location cache TTL
+        kept no case-feed region live."""
         corpus = _fixture_corpus(tmp_path, minutes=5, rate=20)
         data = _base_config(tmp_path, corpus)
         data.setdefault(section, {})[key] = float("nan")
-        error = f"{section}.{key}: must be > 0"
+        error = f"{section}.{key}: must be {'>= 0' if key == 'location_cache_ttl_days' else '> 0'}"
         with pytest.raises(ConfigError) as err:
             parse_config(data)
         assert err.value.errors == [error]
         path = tmp_path / "nan.json"
         path.write_text(json.dumps(data))
         assert "NaN" in path.read_text()
+        assert main(["run", "--config", str(path)]) == 2
+        assert error in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "until, error",
+        [
+            (True, "until: expected a timestamp, got True"),
+            (float("nan"), "until: expected a finite timestamp, got nan"),
+            (float("inf"), "until: expected a finite timestamp, got inf"),
+            (-float("inf"), "until: expected a finite timestamp, got -inf"),
+        ],
+    )
+    def test_until_must_be_a_finite_timestamp(self, tmp_path, capsys, until, error):
+        """``until: true`` loaded as epoch 1.0 and the run kept no post; a
+        YAML ``.nan`` was silently ignored."""
+        corpus = _fixture_corpus(tmp_path, minutes=5, rate=20)
+        data = _base_config(tmp_path, corpus, until=until)
+        with pytest.raises(ConfigError) as err:
+            parse_config(data)
+        assert err.value.errors == [error]
+        path = tmp_path / "until.yaml"
+        path.write_text(yaml.safe_dump(data))
         assert main(["run", "--config", str(path)]) == 2
         assert error in capsys.readouterr().err
 
@@ -691,6 +720,11 @@ class TestSideFeeds:
             ("case_feed", {"date": "2020-03-02", "region": "madrid", "new_cases": -2}, "new_cases"),
             ("evidence_feed", {"id": "ev-2", "source": "who.int", "location": "madrid",
                                "time": "2020-03-02T00:00:00Z", "terms": ["virus"]}, "kind"),
+            # a NaN time lay within every lag tolerance, and so corroborated any cluster
+            ("evidence_feed", {"id": "ev-2", "kind": "supporting", "source": "who.int", "location": "madrid",
+                               "time": float("nan"), "terms": ["virus"]}, "time"),
+            ("evidence_feed", {"id": "ev-2", "kind": "supporting", "source": "who.int", "location": "madrid",
+                               "time": T0, "arrived_at": float("inf"), "terms": ["virus"]}, "arrived_at"),
         ],
     )
     def test_malformed_line_names_file_line_and_field(self, tmp_path, capsys, feed, line, field):
@@ -957,6 +991,15 @@ class TestMultidayBundle:
         for path in sorted(result.out_dir.iterdir()):
             digest.update(path.name.encode() + b"\0" + path.read_bytes() + b"\0")
         assert digest.hexdigest() == self.GOLDEN_SHA256
+
+    def test_report_paths_list_every_bundle_file_once(self, tmp_path):
+        result = run_pipeline(_multiday_config(tmp_path))
+        assert [path.name for path in result.report_paths] == [
+            "windows.csv", "clusters.json", "changes.csv", "keywords.jsonl", "piggyback.jsonl",
+            "month.csv", "languages.csv", "region_day.csv", "topic_region_day.csv",
+            "correlation.jsonl", "summary.json",
+        ]
+        assert sorted(result.report_paths) == sorted(result.out_dir.iterdir())
 
     def test_active_keywords_are_the_seeds_plus_the_audit(self, tmp_path):
         """The promotion audit is the one record of a promotion: the run
@@ -1275,6 +1318,8 @@ class TestCli:
             (['{"term": "x", "promoted_at": 0}', "not json"], "line 2: "),
             (['{"term": 7, "promoted_at": 0}'], "line 1: field 'term'"),
             (None, "No such file"),
+            (['{"term": "x", "promoted_at": NaN}'], "line 1: field 'promoted_at': expected a finite timestamp"),
+            (['{"term": "x", "promoted_at": 1%s}' % ("0" * 400)], "line 1: field 'promoted_at': expected a finite"),
         ],
     )
     def test_keywords_show_bad_audit_exits_2(self, tmp_path, capsys, lines, message):

@@ -23,7 +23,15 @@ from driftstream.sources.synthetic import (
     generate_synthetic,
     load_ground_truth,
 )
-from driftstream.timeutil import LEGACY_FORMAT, TimestampError, format_timestamp, parse_legacy, parse_timestamp
+from driftstream.timeutil import (
+    LEGACY_FORMAT,
+    TimestampError,
+    day_key,
+    format_timestamp,
+    month_key,
+    parse_legacy,
+    parse_timestamp,
+)
 
 
 SAMPLE_LINE = json.dumps(
@@ -162,7 +170,7 @@ def legacy_strings(draw):
 
 
 class TestLegacyFastPath:
-    """parse_legacy parses the canonical form itself; strptime is its oracle."""
+    """parse_timestamp parses the canonical legacy form itself; strptime is its oracle."""
 
     @staticmethod
     def _check(text):
@@ -196,17 +204,6 @@ class TestLegacyFastPath:
             assert parse_legacy(text) == datetime.strptime(text, LEGACY_FORMAT)
             assert parse_timestamp(text) == 1583020800.0
 
-    def test_canonical_form_skips_strptime(self, monkeypatch):
-        import driftstream.timeutil as timeutil
-
-        class NoStrptime(datetime):
-            @classmethod
-            def strptime(cls, *args):
-                raise AssertionError("strptime called")
-
-        monkeypatch.setattr(timeutil, "datetime", NoStrptime)
-        assert parse_legacy("Sat Feb 29 18:59:56 -0130 2020").isoformat() == "2020-02-29T18:59:56-01:30"
-
     @pytest.mark.parametrize(
         "text",
         [
@@ -226,7 +223,7 @@ class TestLegacyFastPath:
                 raise AssertionError(f"{name} called")
 
         expected = datetime.strptime(text, LEGACY_FORMAT).timestamp()
-        for name in ("datetime", "timedelta", "timezone"):
+        for name in ("datetime", "timezone"):
             monkeypatch.setattr(timeutil, name, Refused())
         monkeypatch.setattr(timeutil, "_last_parsed", (None, 0.0))
         assert timeutil.parse_timestamp(text) == expected
@@ -283,6 +280,20 @@ class TestFormatTimestamp:
             (record,) = log.replay_from(0)
         assert record.payload["created_at"] == "0999-01-01T00:00:00Z"
         assert Post.from_payload(record.payload).created_at == YEAR_999
+
+
+class TestDayKeys:
+    @given(st.integers(MIN_EPOCH, MAX_EPOCH), st.sampled_from((0.0, 0.25, 0.5, 0.75)))
+    @example(YEAR_999, 0.0)
+    @example(MIN_EPOCH, 0.0)
+    @example(-1, 0.5)  # -0.5 s is 1969-12-31
+    def test_equal_zero_padded_datetime_oracle(self, seconds, fraction):
+        """The ``month.csv`` and ``region_day.csv`` keys pad the year to four
+        digits, as ``format_timestamp`` does."""
+        epoch = seconds + fraction
+        date = datetime.fromtimestamp(epoch, tz=timezone.utc)
+        assert day_key(epoch) == f"{date.year:04d}-{date.month:02d}-{date.day:02d}"
+        assert month_key(epoch) == f"{date.year:04d}-{date.month:02d}"
 
 
 class TestReplayArchive:
