@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Optional
 
-from ..timeutil import DAY, day_start
+from ..timeutil import DAY
 
 DEFAULT_MAX_LAG_DAYS = 21
 MIN_POINTS = 3
@@ -43,7 +43,7 @@ class TimeSeries:
         """(first day index, dense daily counts with gaps filled as 0)."""
         if not self.points:
             return 0, []
-        days = [int(day_start(t) // DAY) for t, _ in self.points]
+        days = [int(t // DAY) for t, _ in self.points]
         first, last = days[0], days[-1]
         dense = [0] * (last - first + 1)
         for day, (_, count) in zip(days, self.points):
@@ -52,7 +52,7 @@ class TimeSeries:
 
 
 def daily_series(region: str, day_counts: dict[float, int]) -> TimeSeries:
-    points = [(day_start(t), int(c)) for t, c in sorted(day_counts.items())]
+    points = [(t // DAY * DAY, int(c)) for t, c in sorted(day_counts.items())]
     return TimeSeries(region=region, granularity="day", points=points)
 
 

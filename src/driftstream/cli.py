@@ -37,24 +37,13 @@ REPLAY_BATCH = 256
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
+    flags = {"seed": args.seed, "out_dir": args.out_dir, "speed": args.speed, "until": args.until}
     try:
-        config = load_config(args.config)
+        config = load_config(args.config, flags)
     except ConfigError as exc:
         for error in exc.errors:
             print(f"config error: {error}", file=sys.stderr)
         return EXIT_VALIDATION
-    if args.seed is not None:
-        config.seed = args.seed
-    if args.out_dir is not None:
-        config.out_dir = args.out_dir
-    if args.speed is not None:
-        config.speed = args.speed
-    if args.until is not None:
-        try:
-            config.until = parse_timestamp(args.until)
-        except TimestampError as exc:
-            print(f"--until: {exc}", file=sys.stderr)
-            return EXIT_VALIDATION
     try:
         result = run_pipeline(config)
     except Exception as exc:  # noqa: BLE001 - surface as runtime exit code

@@ -1,18 +1,23 @@
 """Pipeline configuration: one declarative file wiring every stage.
 
-YAML or JSON, with environment-variable overrides for scalar fields
-(DRIFTSTREAM_SEED, DRIFTSTREAM_ARCHIVE, DRIFTSTREAM_OUT_DIR,
-DRIFTSTREAM_SPEED). Validation reports every broken field at once, by name,
-instead of dying on the first.
+Each setting is declared once, on its dataclass field below: its key in the
+file, its default in file units, the unit it is scaled by, its converter
+and its range. ``parse_config`` reads every setting through that
+declaration. YAML or JSON; DRIFTSTREAM_SEED, DRIFTSTREAM_ARCHIVE,
+DRIFTSTREAM_OUT_DIR and DRIFTSTREAM_SPEED override the file, and the
+command-line flags override both, before anything is checked, so every
+value passes the same checks. Validation reports every broken setting at
+once, by name, instead of dying on the first.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, is_dataclass
+from functools import partial
 from pathlib import Path
-from typing import Any, Optional
+from typing import Any, Callable, Optional
 
 from ..keywords import DEFAULT_SEED_KEYWORDS
 from ..misinfo.keywords import DEFAULT_MISINFO_SEEDS
@@ -28,211 +33,239 @@ DEFAULT_AUTHORITATIVE_SOURCES = (
     "cnn.com",
 )
 
+# Top-level keys that a DRIFTSTREAM_<KEY> environment variable overrides.
+_ENV_KEYS = ("seed", "archive", "out_dir", "speed")
+
+
 class ConfigError(ValueError):
     def __init__(self, errors: list[str]):
         self.errors = errors
         super().__init__("; ".join(errors))
 
 
+# -- converters: each takes a file value and returns the setting's value, or
+# raises ValueError saying what is wrong with it ------------------------------
+
+
+def _number(value) -> float:
+    try:
+        return float(value)
+    except (TypeError, ValueError, OverflowError):  # OverflowError: an int beyond every float
+        raise ValueError(f"must be a number, got {value!r}") from None
+
+
+def _whole(value) -> int:
+    """An int, an integral float, or a string of either."""
+    if isinstance(value, int):
+        return int(value)
+    number = _number(value)
+    if not number.is_integer():
+        raise ValueError(f"must be an integer, got {value!r}")
+    return int(number)
+
+
+def _flag(value) -> bool:
+    if not isinstance(value, bool):  # a string "false" would read as true
+        raise ValueError(f"must be true or false, got {value!r}")
+    return value
+
+
+def _strings(value) -> tuple[str, ...]:
+    """A list of non-blank strings; a scalar is not split into characters."""
+    if isinstance(value, (list, tuple)) and all(isinstance(v, str) and v.strip() for v in value):
+        return tuple(value)
+    raise ValueError(f"must be a list of non-blank strings, got {value!r}")
+
+
+def _nonempty_strings(value) -> tuple[str, ...]:
+    strings = _strings(value)
+    if not strings:
+        raise ValueError("must be non-empty")
+    return strings
+
+
+def _one_of(*choices: str) -> Callable[[Any], str]:
+    def choice(value) -> str:
+        if value not in choices:
+            raise ValueError(f"must be {' or '.join(choices)}, got {value!r}")
+        return value
+
+    return choice
+
+
+def _file(value) -> str:
+    """A file path: ``parse_config`` resolves it against the config file's
+    directory and requires the file to exist."""
+    return str(value)
+
+
+def _setting(
+    key: str,
+    default: Any = None,
+    convert: Callable[[Any], Any] = str,
+    unit: Optional[float] = None,
+    gt: Optional[float] = None,
+    ge: Optional[float] = None,
+):
+    """The one declaration of a setting: its ``key`` in the file, its
+    ``default`` in file units, the ``unit`` (seconds) a file value is scaled
+    by, the converter of a file value, and its range (``> gt``, ``>= ge``)."""
+    return field(
+        default=default if unit is None else default * unit,
+        metadata={"key": key, "convert": convert, "unit": unit, "gt": gt, "ge": ge},
+    )
+
+
+def _value(spec, value):
+    """``value`` as ``spec`` declares it: converted, range-checked, scaled."""
+    value = spec["convert"](value)
+    if spec["gt"] is not None and not value > spec["gt"]:  # also rejects NaN
+        raise ValueError(f"must be > {spec['gt']}")
+    if spec["ge"] is not None and not value >= spec["ge"]:
+        raise ValueError(f"must be >= {spec['ge']}")
+    return value if spec["unit"] is None else value * spec["unit"]
+
+
 @dataclass
 class KeywordConfig:
-    seeds: tuple[str, ...] = DEFAULT_SEED_KEYWORDS
-    match_mode: str = "substring"
-    tracked_phrases: tuple[str, ...] = ()
-    retweet_ttl: float = 24 * HOUR
+    seeds: tuple[str, ...] = _setting("seeds", DEFAULT_SEED_KEYWORDS, _nonempty_strings)
+    match_mode: str = _setting("match_mode", "substring", _one_of("substring", "token"))
+    tracked_phrases: tuple[str, ...] = _setting("tracked_phrases", (), _strings)
+    retweet_ttl: float = _setting("retweet_ttl_hours", 24, _number, HOUR, gt=0)
 
 
 @dataclass
 class DriftConfig:
-    enabled: bool = True
-    window: float = 60 * MINUTE
-    slide: float = 10 * MINUTE
-    min_count: int = 25
-    min_score: float = 0.7
-    scorer: str = "pmi"
-    trending_k: int = 10
+    enabled: bool = _setting("enabled", True, _flag)
+    # window and slide: parse_config checks that window is a positive multiple of slide
+    window: float = _setting("window_minutes", 60, _number, MINUTE)
+    slide: float = _setting("slide_minutes", 10, _number, MINUTE)
+    min_count: int = _setting("min_count", 25, _whole, ge=1)
+    min_score: float = _setting("min_score", 0.7, _number, gt=0)
+    scorer: str = _setting("scorer", "pmi", _one_of("pmi", "jaccard"))
+    trending_k: int = _setting("trending_k", 10, _whole, ge=0)
 
 
 @dataclass
 class EnrichmentConfig:
-    gazetteer: tuple[str, ...] = ()
-    gazetteer_file: Optional[str] = None
-    sentiment_lexicon_file: Optional[str] = None
-    group_lexicons_file: Optional[str] = None
-    location_cache_ttl: float = 7 * DAY
+    gazetteer: tuple[str, ...] = _setting("gazetteer", (), _strings)
+    gazetteer_file: Optional[str] = _setting("gazetteer_file", None, _file)
+    sentiment_lexicon_file: Optional[str] = _setting("sentiment_lexicon_file", None, _file)
+    group_lexicons_file: Optional[str] = _setting("group_lexicons_file", None, _file)
+    location_cache_ttl: float = _setting("location_cache_ttl_days", 7, _number, DAY, ge=0)
 
 
 @dataclass
 class MisinfoConfig:
-    seeds: tuple[str, ...] = DEFAULT_MISINFO_SEEDS
-    sources: tuple[dict, ...] = ()
-    refresh_interval: float = 60 * MINUTE
-    window: float = MINUTE
-    piggyback_threshold: float = 0.7
-    tombstones: tuple[str, ...] = ()
+    seeds: tuple[str, ...] = _setting("seeds", DEFAULT_MISINFO_SEEDS, _strings)
+    sources: tuple[dict, ...] = ()  # read by parse_config itself
+    refresh_interval: float = _setting("refresh_interval_minutes", 60, _number, MINUTE, gt=0)
+    window: float = _setting("window_seconds", 60.0, _number, gt=0)
+    # every score is >= 0, so a threshold <= 0 would flag every trending term
+    piggyback_threshold: float = _setting("piggyback_threshold", 0.7, _number, gt=0)
+    tombstones: tuple[str, ...] = _setting("tombstones", (), _strings)
 
 
 @dataclass
 class ClusterConfig:
-    window: float = 60 * MINUTE
-    min_size: int = 3
-    lag_tolerance: float = 14 * DAY
-    eta: float = 0.5
+    window: float = _setting("window_minutes", 60, _number, MINUTE, gt=0)
+    min_size: int = _setting("min_size", 3, _whole, ge=1)
+    lag_tolerance: float = _setting("lag_tolerance_days", 14, _number, DAY, ge=0)
+    eta: float = _setting("eta", 0.5, _number, gt=0)
 
 
 @dataclass
 class PipelineConfig:
     seed: int
     archive: str
-    out_dir: str = "reports"
-    speed: Any = "max"
-    until: Optional[float] = None
+    out_dir: str = _setting("out_dir", "reports")
+    speed: Any = _setting("speed", "max", parse_speed)
+    until: Optional[float] = _setting("until", None, timestamp)
     keywords: KeywordConfig = field(default_factory=KeywordConfig)
     drift: DriftConfig = field(default_factory=DriftConfig)
     enrichment: EnrichmentConfig = field(default_factory=EnrichmentConfig)
     misinfo: MisinfoConfig = field(default_factory=MisinfoConfig)
     clusters: ClusterConfig = field(default_factory=ClusterConfig)
-    authoritative: tuple[str, ...] = DEFAULT_AUTHORITATIVE_SOURCES
-    evidence_feed: Optional[str] = None
-    case_feed: Optional[str] = None
-    max_lag_days: int = 21
+    authoritative: tuple[str, ...] = _setting("authoritative", DEFAULT_AUTHORITATIVE_SOURCES, _nonempty_strings)
+    evidence_feed: Optional[str] = _setting("evidence_feed", None, _file)
+    case_feed: Optional[str] = _setting("case_feed", None, _file)
+    max_lag_days: int = _setting("max_lag_days", 21, _whole, ge=0)
 
 
-def _get(data: dict, key: str, default):
-    value = data.get(key)
-    return default if value is None else value
-
-
-class _Fractional(ValueError):
-    """A number where an integer is required."""
-
-
-def _integer(value) -> int:
-    """``value`` as an int: an int, an integral float, or a string of either.
-
-    A fraction raises ``_Fractional``; anything else that is not a number
-    raises ``TypeError`` or ``ValueError`` from the conversion.
-    """
-    if isinstance(value, int):
-        return int(value)
-    number = float(value)
-    if not number.is_integer():
-        raise _Fractional(value)
-    return int(number)
-
-
-def parse_config(data: dict, base_dir: Optional[Path] = None) -> PipelineConfig:
-    """Build and validate a PipelineConfig from parsed file data."""
-    errors: list[str] = []
+def parse_config(
+    data: dict, base_dir: Optional[Path] = None, overrides: Optional[dict] = None
+) -> PipelineConfig:
+    """Build and validate a PipelineConfig from parsed file data, overlaid
+    first by the DRIFTSTREAM_* environment and then by ``overrides`` (the
+    command-line flags; a None value is unset). A None anywhere means the
+    setting is unset and its default stands."""
+    env = {key: os.environ.get(f"DRIFTSTREAM_{key.upper()}") for key in _ENV_KEYS}
+    for layer in (env, overrides or {}):
+        data = {**data, **{key: value for key, value in layer.items() if value is not None}}
     base = base_dir or Path.cwd()
+    errors: list[str] = []
 
-    def resolve(p: Optional[str]) -> Optional[str]:
-        if p is None:
-            return None
-        path = Path(p)
-        return str(path if path.is_absolute() else base / path)
-
-    def number(section: dict, name: str, default, convert=float):
-        """``convert`` of the field ``name`` (``default`` when unset); a value
-        that does not convert is reported by name and ``default`` stands in."""
-        value = _get(section, name.rpartition(".")[2], default)
+    def checked(name: str, convert: Callable[[Any], Any], value):
+        """``convert(value)``; None, with the failure reported by name, when it fails."""
         try:
             return convert(value)
-        except _Fractional:
-            errors.append(f"{name}: must be an integer, got {value!r}")
-        except (TypeError, ValueError):
-            errors.append(f"{name}: must be a number, got {value!r}")
-        return default
+        except (TypeError, ValueError) as exc:
+            errors.append(f"{name}: {exc}")
+            return None
 
-    def strings(section: dict, name: str, default: tuple[str, ...]) -> tuple[str, ...]:
-        """The field ``name`` as a tuple (``default`` when unset); a value
-        that is not a list of non-blank strings is reported by name and
-        ``default`` stands in."""
-        value = _get(section, name.rpartition(".")[2], default)
-        if isinstance(value, (list, tuple)) and all(isinstance(v, str) and v.strip() for v in value):
-            return tuple(value)
-        errors.append(f"{name}: must be a list of non-blank strings, got {value!r}")
-        return default
+    def existing(value) -> str:
+        path = Path(str(value))
+        path = path if path.is_absolute() else base / path
+        if not path.is_file():
+            raise ValueError(f"file not found: {path}")
+        return str(path)
 
-    env = os.environ
-    seed = env.get("DRIFTSTREAM_SEED", data.get("seed"))
+    def read(cls, raw: dict, prefix: str = "") -> dict:
+        """The declared settings of ``cls`` that ``raw`` sets, each read as
+        declared; a section is read into its own dataclass. A broken
+        setting is reported by name and its default stands."""
+        values = {}
+        for f in fields(cls):
+            if is_dataclass(f.default_factory):
+                section = raw.get(f.name) or {}
+                if not isinstance(section, dict):
+                    errors.append(f"{f.name}: must be a mapping, got {section!r}")
+                    section = {}
+                values[f.name] = f.default_factory(**read(f.default_factory, section, f"{f.name}."))
+            elif "key" in f.metadata and raw.get(f.metadata["key"]) is not None:
+                spec = f.metadata
+                reader = existing if spec["convert"] is _file else partial(_value, spec)
+                value = checked(prefix + spec["key"], reader, raw[spec["key"]])
+                if value is not None:
+                    values[f.name] = value
+        return values
+
+    seed = data.get("seed")
     if seed is None:
         errors.append("seed: required for reproducible runs")
-        seed = 0
     else:
         try:
             seed = int(seed)
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             errors.append(f"seed: must be an integer, got {seed!r}")
-            seed = 0
 
-    archive = env.get("DRIFTSTREAM_ARCHIVE", data.get("archive"))
+    archive = data.get("archive")
     if not archive:
         errors.append("archive: required")
-        archive = ""
     else:
-        archive = resolve(str(archive))
-        if not Path(archive).is_file():
-            errors.append(f"archive: file not found: {archive}")
+        archive = checked("archive", existing, archive)
 
-    out_dir = env.get("DRIFTSTREAM_OUT_DIR", _get(data, "out_dir", "reports"))
-    try:
-        speed = parse_speed(env.get("DRIFTSTREAM_SPEED", _get(data, "speed", "max")))
-    except ValueError as exc:
-        errors.append(f"speed: {exc}")
-        speed = "max"
+    values = read(PipelineConfig, data)
 
-    kw = data.get("keywords", {}) or {}
-    keywords = KeywordConfig(
-        seeds=strings(kw, "keywords.seeds", DEFAULT_SEED_KEYWORDS),
-        match_mode=_get(kw, "match_mode", "substring"),
-        tracked_phrases=strings(kw, "keywords.tracked_phrases", ()),
-        retweet_ttl=number(kw, "keywords.retweet_ttl_hours", 24) * HOUR,
-    )
-    if keywords.match_mode not in ("substring", "token"):
-        errors.append(f"keywords.match_mode: must be substring or token, got {keywords.match_mode!r}")
-    if not keywords.seeds:
-        errors.append("keywords.seeds: must be non-empty")
-    if not keywords.retweet_ttl > 0:  # also rejects NaN
-        errors.append("keywords.retweet_ttl_hours: must be > 0")
-
-    dr = data.get("drift", {}) or {}
-    drift = DriftConfig(
-        enabled=bool(_get(dr, "enabled", True)),
-        window=number(dr, "drift.window_minutes", 60) * MINUTE,
-        slide=number(dr, "drift.slide_minutes", 10) * MINUTE,
-        min_count=number(dr, "drift.min_count", 25, _integer),
-        min_score=number(dr, "drift.min_score", 0.7),
-        scorer=_get(dr, "scorer", "pmi"),
-        trending_k=number(dr, "drift.trending_k", 10, _integer),
-    )
-    if drift.scorer not in ("pmi", "jaccard"):
-        errors.append(f"drift.scorer: must be pmi or jaccard, got {drift.scorer!r}")
-    if drift.window <= 0 or drift.slide <= 0 or drift.window % drift.slide != 0:
+    drift = values["drift"]
+    if not (drift.window > 0 and drift.slide > 0 and drift.window % drift.slide == 0):  # also rejects NaN
         errors.append("drift: window_minutes must be a positive multiple of slide_minutes")
-    if drift.min_count < 1:
-        errors.append("drift.min_count: must be >= 1")
-    if not drift.min_score > 0:  # also rejects NaN
-        errors.append("drift.min_score: must be > 0")
 
-    en = data.get("enrichment", {}) or {}
-    enrichment = EnrichmentConfig(
-        gazetteer=strings(en, "enrichment.gazetteer", ()),
-        gazetteer_file=resolve(en.get("gazetteer_file")),
-        sentiment_lexicon_file=resolve(en.get("sentiment_lexicon_file")),
-        group_lexicons_file=resolve(en.get("group_lexicons_file")),
-        location_cache_ttl=number(en, "enrichment.location_cache_ttl_days", 7) * DAY,
-    )
-    if not enrichment.location_cache_ttl >= 0:  # also rejects NaN
-        errors.append("enrichment.location_cache_ttl_days: must be >= 0")
-    for name in ("gazetteer_file", "sentiment_lexicon_file", "group_lexicons_file"):
-        path = getattr(enrichment, name)
-        if path is not None and not Path(path).is_file():
-            errors.append(f"enrichment.{name}: file not found: {path}")
-
-    mi = data.get("misinfo", {}) or {}
-    sources = _get(mi, "sources", [])
-    if not isinstance(sources, (list, tuple)):
+    misinfo = data.get("misinfo")
+    sources = misinfo.get("sources") if isinstance(misinfo, dict) else None
+    if sources is None:
+        sources = []
+    elif not isinstance(sources, (list, tuple)):
         errors.append(f"misinfo.sources: must be a list of mappings, got {sources!r}")
         sources = []
     descriptors = []
@@ -241,90 +274,27 @@ def parse_config(data: dict, base_dir: Optional[Path] = None) -> PipelineConfig:
         if not isinstance(src, dict):
             errors.append(f"{name}: must be a mapping, got {src!r}")
             continue
-        kind = src.get("kind", "terms_file")
-        if kind not in ("terms_file", "headlines"):
-            errors.append(f"{name}.kind: must be terms_file or headlines, got {kind!r}")
-        path = resolve(src.get("path"))
-        if not path:
+        src = dict(src)
+        checked(f"{name}.kind", _one_of("terms_file", "headlines"), src.get("kind", "terms_file"))
+        if not src.get("path"):
             errors.append(f"{name}.path: required")
-        elif not Path(path).is_file():
-            errors.append(f"{name}.path: file not found: {path}")
-        src = {**src, "path": path}
-        if "sections" in src:
-            src["sections"] = strings(src, f"{name}.sections", ("conspiracy",))
+        else:
+            src["path"] = checked(f"{name}.path", existing, src["path"])
+        sections = src.pop("sections", None)
+        if sections is not None:
+            src["sections"] = checked(f"{name}.sections", _strings, sections)
         descriptors.append(src)
-    misinfo = MisinfoConfig(
-        seeds=strings(mi, "misinfo.seeds", DEFAULT_MISINFO_SEEDS),
-        sources=tuple(descriptors),
-        refresh_interval=number(mi, "misinfo.refresh_interval_minutes", 60) * MINUTE,
-        window=number(mi, "misinfo.window_seconds", 60),
-        piggyback_threshold=number(mi, "misinfo.piggyback_threshold", 0.7),
-        tombstones=strings(mi, "misinfo.tombstones", ()),
-    )
-    if not misinfo.window > 0:  # also rejects NaN
-        errors.append("misinfo.window_seconds: must be > 0")
-    if not misinfo.refresh_interval > 0:  # also rejects NaN
-        errors.append("misinfo.refresh_interval_minutes: must be > 0")
-    if not misinfo.piggyback_threshold > 0:  # also rejects NaN; every score is >= 0
-        errors.append("misinfo.piggyback_threshold: must be > 0")
-
-    cl = data.get("clusters", {}) or {}
-    clusters = ClusterConfig(
-        window=number(cl, "clusters.window_minutes", 60) * MINUTE,
-        min_size=number(cl, "clusters.min_size", 3, _integer),
-        lag_tolerance=number(cl, "clusters.lag_tolerance_days", 14) * DAY,
-        eta=number(cl, "clusters.eta", 0.5),
-    )
-    if clusters.min_size < 1:
-        errors.append("clusters.min_size: must be >= 1")
-    if not clusters.lag_tolerance >= 0:  # also rejects NaN
-        errors.append("clusters.lag_tolerance_days: must be >= 0")
-    if not clusters.eta > 0:  # also rejects NaN
-        errors.append("clusters.eta: must be > 0")
-
-    authoritative = strings(data, "authoritative", DEFAULT_AUTHORITATIVE_SOURCES)
-    if not authoritative:
-        errors.append("authoritative: must be non-empty")
-
-    evidence_feed = resolve(data.get("evidence_feed"))
-    if evidence_feed is not None and not Path(evidence_feed).is_file():
-        errors.append(f"evidence_feed: file not found: {evidence_feed}")
-    case_feed = resolve(data.get("case_feed"))
-    if case_feed is not None and not Path(case_feed).is_file():
-        errors.append(f"case_feed: file not found: {case_feed}")
-
-    until = data.get("until")
-    if until is not None:
-        try:
-            until = timestamp(until)
-        except (TypeError, ValueError) as exc:
-            errors.append(f"until: {exc}")
-            until = None
-
-    max_lag_days = number(data, "max_lag_days", 21, _integer)
+    values["misinfo"].sources = tuple(descriptors)
 
     if errors:
         raise ConfigError(errors)
-
-    return PipelineConfig(
-        seed=seed,
-        archive=archive,
-        out_dir=str(out_dir),
-        speed=speed,
-        until=until,
-        keywords=keywords,
-        drift=drift,
-        enrichment=enrichment,
-        misinfo=misinfo,
-        clusters=clusters,
-        authoritative=authoritative,
-        evidence_feed=evidence_feed,
-        case_feed=case_feed,
-        max_lag_days=max_lag_days,
-    )
+    return PipelineConfig(seed=seed, archive=archive, **values)
 
 
-def load_config(path: str | Path) -> PipelineConfig:
+def load_config(path: str | Path, overrides: Optional[dict] = None) -> PipelineConfig:
+    """The config in the YAML or JSON file ``path``, overridden as
+    ``parse_config`` describes; relative paths in it are resolved against
+    its directory."""
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
@@ -338,4 +308,4 @@ def load_config(path: str | Path) -> PipelineConfig:
         data = yaml.safe_load(text)
     if not isinstance(data, dict):
         raise ConfigError(["config: top level must be a mapping"])
-    return parse_config(data, base_dir=path.parent)
+    return parse_config(data, base_dir=path.parent, overrides=overrides)

@@ -124,8 +124,3 @@ def day_key(epoch: float) -> str:
 def month_key(epoch: float) -> str:
     """The UTC month of ``epoch`` as "YYYY-MM", the year zero-padded."""
     return day_key(epoch)[:7]
-
-
-def day_start(epoch: float) -> float:
-    """Epoch seconds of the UTC midnight containing ``epoch``."""
-    return float(int(epoch) // int(DAY) * int(DAY))

@@ -289,6 +289,15 @@ class TestLaggedCorrelation:
         assert dense == [4, 0, 0, 2]
         assert all(type(count) is int for count in dense)
 
+    def test_days_floor_before_the_epoch(self):
+        """Half a second either side of the epoch is two days, 1969-12-31
+        and 1970-01-01, as day_key has them; truncating toward zero made
+        them one."""
+        series = daily_series("m", {-0.5: 3, 0.5: 4})
+        assert series.points == [(-DAY, 3), (0.0, 4)]
+        assert series.as_daily_array() == (-1, [3, 4])
+        assert TimeSeries(region="m", points=[(-0.5, 3), (0.5, 4)]).as_daily_array() == (-1, [3, 4])
+
     def test_exact_tie_goes_to_the_smallest_lag(self):
         """Lags 0 and -1 give exactly equal r here; the documented rule picks
         lag 0. Float noise in a numpy corrcoef picked -1."""

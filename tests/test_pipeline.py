@@ -176,22 +176,34 @@ class TestConfigValidation:
                 {"enrichment": {"gazetteer": GAZETTEER, "location_cache_ttl_days": -3}},
                 "enrichment.location_cache_ttl_days: must be >= 0",
             ),
+            ({"clusters": {"window_minutes": 0}}, "clusters.window_minutes: must be > 0"),
+            ({"clusters": {"window_minutes": -5}}, "clusters.window_minutes: must be > 0"),
+            ({"max_lag_days": -1}, "max_lag_days: must be >= 0"),
+            ({"drift": {"trending_k": -1}}, "drift.trending_k: must be >= 0"),
+            ({"drift": {"enabled": "false"}}, "drift.enabled: must be true or false, got 'false'"),
+            pytest.param(
+                {"clusters": {"eta": 10**400}}, f"clusters.eta: must be a number, got {10**400}", id="eta-10**400"
+            ),
         ],
     )
     def test_out_of_range_intervals_named_with_exit_2(self, tmp_path, capsys, overrides, error):
         """A zero refresh interval divided by zero at run time (exit 3), a
         negative one re-read every source on every watermark advance, a
         negative lag tolerance matched no evidence, and a negative location
-        cache TTL kept no case-feed region live: each exits 2 by name."""
+        cache TTL kept no case-feed region live. A zero cluster window
+        divided by zero in setup (exit 3), a negative lag or trending count
+        loaded without a word, drift.enabled: "false" left promotion on, and
+        an integer beyond every float died with a traceback (exit 1): each
+        exits 2 by name, from a YAML and from a JSON config."""
         corpus = _fixture_corpus(tmp_path, minutes=5, rate=20)
         data = _base_config(tmp_path, corpus, **overrides)
         with pytest.raises(ConfigError) as err:
             parse_config(data)
         assert err.value.errors == [error]
-        path = tmp_path / "range.yaml"
-        path.write_text(yaml.safe_dump(data))
-        assert main(["run", "--config", str(path)]) == 2
-        assert error in capsys.readouterr().err
+        for path, dump in ((tmp_path / "range.yaml", yaml.safe_dump), (tmp_path / "range.json", json.dumps)):
+            path.write_text(dump(data))
+            assert main(["run", "--config", str(path)]) == 2
+            assert error in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "section, key",
@@ -201,13 +213,15 @@ class TestConfigValidation:
             ("misinfo", "piggyback_threshold"),
             ("clusters", "eta"),
             ("enrichment", "location_cache_ttl_days"),
+            ("clusters", "window_minutes"),
         ],
     )
     def test_nan_named_with_exit_2(self, tmp_path, capsys, section, key):
         """JSON's NaN literal passed every `x <= 0` check: a NaN window index
         never closed, a NaN min_score promoted every term at min_count, a
-        NaN piggyback threshold flagged nothing, and a NaN location cache TTL
-        kept no case-feed region live."""
+        NaN piggyback threshold flagged nothing, a NaN location cache TTL
+        kept no case-feed region live, and a NaN cluster window formed no
+        cluster."""
         corpus = _fixture_corpus(tmp_path, minutes=5, rate=20)
         data = _base_config(tmp_path, corpus)
         data.setdefault(section, {})[key] = float("nan")
@@ -277,12 +291,14 @@ class TestConfigValidation:
             ({"misinfo": {"sources": [{"kind": "bogus", "path": "doc.md"}]}}, "misinfo.sources[0].kind"),
             ({"misinfo": {"sources": {"kind": "headlines", "path": "doc.md"}}}, "misinfo.sources"),
             ({"misinfo": {"sources": ["doc.md"]}}, "misinfo.sources[0]"),
+            ({"drift": ["enabled"]}, "drift"),
         ],
     )
     def test_list_fields_named_with_exit_2(self, tmp_path, capsys, overrides, field):
         """A scalar where a list of strings belongs is not split into
-        characters, and a blank or non-string item is not left to fail at
-        run time: each exits 2 naming the field."""
+        characters, a blank or non-string item is not left to fail at run
+        time, and a section that is not a mapping no longer dies with a
+        traceback: each exits 2 naming the field."""
         corpus = _fixture_corpus(tmp_path, minutes=5, rate=20)
         (tmp_path / "doc.md").write_text("# Conspiracy\nPlandemic conspiracy\n")
         path = tmp_path / "bad.yaml"
@@ -1129,6 +1145,23 @@ class TestCli:
         ]
         bundle = (tmp_path / "reports" / "summary.json").read_text()
         assert "skipped" not in bundle and "bad.json" not in bundle
+
+    def test_out_dir_flag_beats_the_environment(self, tmp_path, capsys, monkeypatch):
+        corpus = _fixture_corpus(tmp_path, minutes=5, rate=20)
+        config = tmp_path / "run.yaml"
+        config.write_text(yaml.safe_dump(_base_config(tmp_path, corpus)))
+        monkeypatch.setenv("DRIFTSTREAM_OUT_DIR", str(tmp_path / "from-env"))
+        assert main(["run", "--config", str(config), "--out-dir", str(tmp_path / "from-flag")]) == 0
+        assert (tmp_path / "from-flag" / "summary.json").is_file()
+        assert not (tmp_path / "from-env").exists() and not (tmp_path / "reports").exists()
+
+    def test_bad_until_flag_named_with_exit_2(self, tmp_path, capsys):
+        corpus = _fixture_corpus(tmp_path, minutes=5, rate=20)
+        config = tmp_path / "run.yaml"
+        config.write_text(yaml.safe_dump(_base_config(tmp_path, corpus)))
+        assert main(["run", "--config", str(config), "--until", "nonsense"]) == 2
+        assert "config error: until: unparseable timestamp: 'nonsense'" in capsys.readouterr().err
+        assert not (tmp_path / "reports").exists()
 
     def test_replay_counts_records(self, tmp_path, capsys):
         corpus = _fixture_corpus(tmp_path, minutes=5, rate=30)
