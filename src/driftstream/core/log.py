@@ -72,6 +72,7 @@ class DurableLog:
         bases = sorted(self._segments)
         self._active_base = bases[-1] if bases else 0
         self._writer = open(self._segment_path(self._active_base), "ab")
+        self._position = self._writer.tell()  # the active segment's size, kept by adding frame lengths
         if not bases:
             self._segments[0] = []
             self._sync_dir()
@@ -149,14 +150,13 @@ class DurableLog:
             positions: list[int] = []  # of frames written but not yet synced
             try:
                 for frame in frames:
-                    position = self._writer.tell()
-                    if position and position >= self.segment_bytes:  # never roll an empty segment
+                    if self._position and self._position >= self.segment_bytes:  # never roll an empty segment
                         self._commit(positions)
                         positions = []
                         self._roll()
-                        position = 0
-                    positions.append(position)
+                    positions.append(self._position)
                     self._writer.write(frame)
+                    self._position += len(frame)
                 self._commit(positions)
             except OSError as exc:
                 self._failed = True
@@ -176,6 +176,7 @@ class DurableLog:
         self._active_base = new_base
         self._segments[new_base] = []
         self._writer = open(self._segment_path(new_base), "ab")
+        self._position = 0
         self._sync_dir()
 
     def _sync_dir(self) -> None:

@@ -7,10 +7,17 @@ the evidence multiset, arrival order can never change the outcome, and once
 evidence stops arriving the status is settled for good.
 
 Late evidence (the news article written days after the event) re-matches
-against the historical clusters at its location, which the store indexes
-as clusters are added; every status flip is logged and also drives one
-weight update of the teamed classifier, signed by the kind of evidence that
-caused the flip.
+against the historical clusters at its location and within its lag
+tolerance, which the store indexes by window start as clusters are added;
+every status flip is logged and also drives one weight update of the
+teamed classifier, signed by the kind of evidence that caused the flip.
+
+The store keeps each status current incrementally (Gupta and Mumick,
+"Maintenance of Materialized Views", 1995): a running count of supporting
+minus contradicting items per cluster, bumped once per new attachment, so
+applying an item costs the clusters it can match, not every attachment
+those clusters ever received. ``resolve_status`` recounts every
+attachment and gives the same status.
 """
 
 from __future__ import annotations
@@ -95,6 +102,16 @@ def resolve_status(cluster: EventCluster, evidence_store: dict[str, Evidence]) -
     return "tentative"
 
 
+def _status(net: int) -> str:
+    """``resolve_status`` for a cluster whose supporting items outnumber its
+    contradicting ones by ``net``."""
+    if net >= 1:
+        return "corroborated"
+    if net <= -1:
+        return "refuted"
+    return "tentative"
+
+
 @dataclass
 class StatusChange:
     cluster_id: str
@@ -104,7 +121,12 @@ class StatusChange:
 
 
 class ClusterStore:
-    """Historical cluster store: single writer, snapshot readers."""
+    """Historical cluster store: single writer, snapshot readers.
+
+    Clusters are added as ``form_clusters`` builds them, without evidence;
+    the store attaches evidence itself and keeps, per cluster, the net
+    count (supporting minus contradicting) of the items it attached.
+    """
 
     def __init__(self, rule: Optional[MatchRule] = None):
         self.rule = rule or MatchRule()
@@ -112,18 +134,41 @@ class ClusterStore:
         self.features: dict[str, ClusterFeatures] = {}
         self.evidence: dict[str, Evidence] = {}
         self.change_log: list[StatusChange] = []
-        # normalized location -> sorted ids of the clusters there
-        self._ids_by_location: dict[str, list[str]] = {}
+        self._net: dict[str, int] = {}  # cluster id -> supporting minus contradicting
+        # normalized location -> sorted (window start, cluster id) of the clusters there
+        self._starts_by_location: dict[str, list[tuple[float, str]]] = {}
+        self._longest_window = 0.0  # of every cluster stored
 
     def add_cluster(self, cluster: EventCluster, features: Optional[ClusterFeatures] = None) -> None:
-        index = self._ids_by_location
+        """Store ``cluster``, replacing any cluster with its id, and its
+        features; its evidence count starts from zero."""
+        index = self._starts_by_location
         previous = self.clusters.get(cluster.id)
         if previous is not None:
-            index[previous.location].remove(cluster.id)
+            entries = index[previous.location]
+            del entries[bisect.bisect_left(entries, (previous.window.window_start, cluster.id))]
         self.clusters[cluster.id] = cluster
-        bisect.insort(index.setdefault(cluster.location, []), cluster.id)
+        self._net[cluster.id] = 0
+        window = cluster.window
+        bisect.insort(index.setdefault(cluster.location, []), (window.window_start, cluster.id))
+        self._longest_window = max(self._longest_window, window.window_length)
         if features is not None:
             self.features[cluster.id] = features
+
+    def _candidates(self, ev: Evidence) -> list[str]:
+        """Ids, in order, of the clusters at ``ev``'s location whose window
+        can lie within the lag tolerance of its time. The bounds repeat
+        ``attach_evidence``'s test in its own arithmetic, so no cluster it
+        would attach is left out."""
+        entries = self._starts_by_location.get(ev.location)
+        if not entries:
+            return []
+        t, lag, longest = ev.time, self.rule.lag_tolerance, self._longest_window
+        # from the first window that ends late enough at the longest length
+        # stored, to the last that starts early enough
+        lo = bisect.bisect_left(entries, -lag, key=lambda entry: -(t - (entry[0] + longest)))
+        hi = bisect.bisect_right(entries, lag, key=lambda entry: entry[0] - t, lo=lo)
+        return sorted(cluster_id for _, cluster_id in entries[lo:hi])
 
     def ingest_evidence(
         self,
@@ -134,23 +179,24 @@ class ClusterStore:
         returns the flips.
 
         An item whose id is already stored changes nothing, so each status
-        stays a function of the evidence stored under its attached ids.
-        Only clusters at the evidence's location can match, so only those
-        are tried, in id order like a scan of every cluster. Each flip also
-        updates the classifier weights (when one is wired in): supporting
-        evidence counts as a +1 outcome for the members' recorded votes on
-        that cluster, contradicting as -1.
+        stays a function of the evidence stored under its attached ids, and
+        each attachment is counted once. Only ``_candidates(ev)`` can match,
+        so only those are tried, in id order like a scan of every cluster.
+        Each flip also updates the classifier weights (when one is wired
+        in): supporting evidence counts as a +1 outcome for the members'
+        recorded votes on that cluster, contradicting as -1.
         """
         if ev.id in self.evidence:
             return []
         self.evidence[ev.id] = ev
+        step = 1 if ev.kind == SUPPORTING else -1
         changes: list[StatusChange] = []
-        for cluster_id in self._ids_by_location.get(ev.location, ()):
+        for cluster_id in self._candidates(ev):
             cluster = self.clusters[cluster_id]
             if not attach_evidence(cluster, ev, self.rule):
                 continue
-            old = cluster.status
-            new = resolve_status(cluster, self.evidence)
+            self._net[cluster_id] += step
+            old, new = cluster.status, _status(self._net[cluster_id])
             if new == old:
                 continue
             cluster.status = new
@@ -158,8 +204,7 @@ class ClusterStore:
             if classifier is not None:
                 features = self.features.get(cluster_id)
                 if features is not None:
-                    outcome = 1 if ev.kind == SUPPORTING else -1
-                    classifier.update(classifier.member_votes(features), outcome)
+                    classifier.update(classifier.member_votes(features), step)
         self.change_log.extend(changes)
         return changes
 

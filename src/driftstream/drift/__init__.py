@@ -1,17 +1,13 @@
 from .adapter import DriftAdapter, PromotionEvent
-from .cooccurrence import CooccurrenceStats, observe_post, recount_window, score_candidate
+from .cooccurrence import CooccurrenceStats, observe_post, score_candidate
 from .promotion import PromotionPolicy, promote_keywords
-from .trending import detect_trending, rising_ratios
 
 __all__ = [
     "CooccurrenceStats",
     "DriftAdapter",
     "PromotionEvent",
     "PromotionPolicy",
-    "detect_trending",
     "observe_post",
     "promote_keywords",
-    "recount_window",
-    "rising_ratios",
     "score_candidate",
 ]

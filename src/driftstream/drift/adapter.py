@@ -1,22 +1,25 @@
 """Stateful drift stage: one sliding window for promotion and piggyback.
 
 Posts are observed into slide-sized buckets, each post counted once against
-both pair sides (topic seeds and misinformation tags). Each window keeps a
-running sum of its buckets: when a slide closes, its bucket is merged in
-and the bucket it evicts from a full window is subtracted, so the sum
-always equals a fresh merge of the window's buckets. Whenever event time
-crosses a slide boundary, promotion scores that sum. Promoted terms land
-in the shared KeywordSet immediately, so the ingest filter picks them up
-for subsequent records — propagation within one slide interval. The closed
-slide's trending terms are then checked for riding the misinformation
-vocabulary.
+both pair sides (topic seeds and misinformation tags). The promotion window
+keeps a running sum of its buckets: when a slide closes, its bucket is
+merged in and the bucket it evicts from a full window is subtracted, so the
+sum always equals a fresh merge of the window's buckets. Whenever event
+time crosses a slide boundary, promotion scores that sum. Promoted terms
+land in the shared KeywordSet immediately, so the ingest filter picks them
+up for subsequent records — propagation within one slide interval. The
+closed slide's trending terms are then checked for riding the
+misinformation vocabulary.
 
 A late post, one whose slide has already closed, is counted into the slide
 that is still open: closed slides never change, so a window's sum and the
 promotions already made from it stay as they were.
 
 Piggyback sees only slides that held posts: its window and its trending
-history skip the empty slides of a gap, which promotion's window keeps. The
+history skip the empty slides of a gap, which promotion's window keeps.
+While no empty slide sits in the promotion window, both windows hold the
+same buckets, so piggyback reads promotion's running sum; after a gap it
+merges its own buckets afresh, at most one window's worth per close. The
 final flush evaluates promotion only.
 """
 
@@ -57,14 +60,6 @@ class _Bucket:
     stats: CooccurrenceStats
 
 
-def _slide(buckets: deque[_Bucket], total: CooccurrenceStats, bucket: _Bucket) -> None:
-    """Append ``bucket`` to a window and keep ``total`` its sum."""
-    if len(buckets) == buckets.maxlen:
-        total.subtract(buckets[0].stats)
-    buckets.append(bucket)
-    total.merge(bucket.stats)
-
-
 class DriftAdapter:
     """``policy=None`` counts and detects piggyback but never promotes;
     ``misinfo=None`` skips piggyback detection."""
@@ -97,7 +92,6 @@ class DriftAdapter:
         self._buckets: deque[_Bucket] = deque(maxlen=buckets_per_window)
         self._window_stats = self._new_stats()  # the sum of _buckets
         self._piggyback_buckets: deque[_Bucket] = deque(maxlen=buckets_per_window)
-        self._piggyback_stats = self._new_stats()  # the sum of _piggyback_buckets
         self._trending = TrendingHistory(trending_history)
         self._current: Optional[_Bucket] = None
         self.audit: list[PromotionEvent] = []
@@ -134,12 +128,16 @@ class DriftAdapter:
 
     def _close_current(self) -> _Bucket:
         closed = self._current
-        _slide(self._buckets, self._window_stats, closed)
+        buckets = self._buckets
+        if len(buckets) == buckets.maxlen:
+            self._window_stats.subtract(buckets[0].stats)
+        buckets.append(closed)
+        self._window_stats.merge(closed.stats)
         self._current = self._new_bucket(closed.index + 1)
         return closed
 
     def _merged(self, buckets: deque[_Bucket]) -> CooccurrenceStats:
-        """A fresh merge of ``buckets``: the oracle for the running sums."""
+        """A fresh merge of ``buckets``."""
         merged = self._new_stats()
         for bucket in buckets:
             merged.merge(bucket.stats)
@@ -161,19 +159,28 @@ class DriftAdapter:
         # misinfo.piggyback imports this package, so it is bound on use
         from ..misinfo.piggyback import detect_piggyback
 
-        _slide(self._piggyback_buckets, self._piggyback_stats, closed)
+        self._piggyback_buckets.append(closed)
         self._trending.push(closed.stats.term_counts)
         if self.misinfo is None or len(self._trending) < 2:
             return
         candidates = detect_piggyback(
             self._trending.top(self.trending_k),
             self.misinfo,
-            self._piggyback_stats.misinfo_side(),
+            self._piggyback_stats().misinfo_side(),
             threshold=self.piggyback_threshold,
         )
         if candidates:
             window_end = (closed.index + 1) * self.slide
             self.piggyback.append({"window_end": window_end, "candidates": sorted(candidates)})
+
+    def _piggyback_stats(self) -> CooccurrenceStats:
+        """The sum of the piggyback window. Both windows end with the slide
+        just closed; when piggyback's oldest bucket is no older than
+        promotion's, no empty slide sits in promotion's window, so the two
+        hold the same buckets and promotion's running sum is theirs."""
+        if self._piggyback_buckets[0].index >= self._buckets[0].index:
+            return self._window_stats
+        return self._merged(self._piggyback_buckets)
 
     def flush(self) -> list[PromotionEvent]:
         """Close the open bucket at stream end and run a final promotion."""

@@ -18,7 +18,6 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterable
 
 from ..enrich.model import EnrichedPost
 from ..keywords import KeywordSet, tokenize
@@ -117,12 +116,3 @@ def score_candidate(stats: CooccurrenceStats, term: str, scorer: str = "pmi") ->
     if scorer == "jaccard":
         return n_ts / (n_t + stats.seed_posts - n_ts)
     raise ValueError(f"unknown scorer: {scorer!r}")
-
-
-def recount_window(posts: Iterable[EnrichedPost], keywords: KeywordSet,
-                   tracked_phrases: tuple[str, ...] = ()) -> CooccurrenceStats:
-    """Brute-force recount over a window's posts (conservation checks)."""
-    stats = CooccurrenceStats(tracked_phrases=tracked_phrases)
-    for enriched in posts:
-        observe_post(stats, enriched, keywords)
-    return stats

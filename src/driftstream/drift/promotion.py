@@ -38,10 +38,9 @@ def promote_keywords(
     """Add every qualifying candidate to ``keywords``; returns the
     ``(term, score)`` pairs added, in term order."""
     promoted: list[tuple[str, float]] = []
-    for term in sorted(stats.term_counts):
+    frequent = (term for term, count in stats.term_counts.items() if count >= policy.min_count)
+    for term in sorted(frequent):
         if term in keywords:
-            continue
-        if stats.term_counts[term] < policy.min_count:
             continue
         score = score_candidate(stats, term, policy.scorer)
         if score < policy.min_score:

@@ -13,6 +13,7 @@ once, by name, instead of dying on the first.
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass, field, fields, is_dataclass
 from functools import partial
@@ -52,6 +53,15 @@ def _number(value) -> float:
         return float(value)
     except (TypeError, ValueError, OverflowError):  # OverflowError: an int beyond every float
         raise ValueError(f"must be a number, got {value!r}") from None
+
+
+def _finite(value) -> float:
+    """A number other than ±inf, for a length that must end; JSON's 1e400
+    loads as inf. (NaN is left to the range check.)"""
+    number = _number(value)
+    if math.isinf(number):
+        raise ValueError(f"must be finite, got {value!r}")
+    return number
 
 
 def _whole(value) -> int:
@@ -160,7 +170,7 @@ class MisinfoConfig:
     seeds: tuple[str, ...] = _setting("seeds", DEFAULT_MISINFO_SEEDS, _strings)
     sources: tuple[dict, ...] = ()  # read by parse_config itself
     refresh_interval: float = _setting("refresh_interval_minutes", 60, _number, MINUTE, gt=0)
-    window: float = _setting("window_seconds", 60.0, _number, gt=0)
+    window: float = _setting("window_seconds", 60.0, _finite, gt=0)
     # every score is >= 0, so a threshold <= 0 would flag every trending term
     piggyback_threshold: float = _setting("piggyback_threshold", 0.7, _number, gt=0)
     tombstones: tuple[str, ...] = _setting("tombstones", (), _strings)
@@ -168,7 +178,7 @@ class MisinfoConfig:
 
 @dataclass
 class ClusterConfig:
-    window: float = _setting("window_minutes", 60, _number, MINUTE, gt=0)
+    window: float = _setting("window_minutes", 60, _finite, MINUTE, gt=0)
     min_size: int = _setting("min_size", 3, _whole, ge=1)
     lag_tolerance: float = _setting("lag_tolerance_days", 14, _number, DAY, ge=0)
     eta: float = _setting("eta", 0.5, _number, gt=0)

@@ -19,12 +19,15 @@ only grows, so buffered posts are re-tagged only when a refresh adds an
 active term, and a closing window reads the tags its posts hold.
 Minute and cluster windows are buffered by window index ``t // length``
 and close once the watermark's index passes theirs; each buffer keeps its
-lowest index, so an advance that closes nothing skips the scan. Tagged
+lowest index, so an advance that closes nothing skips the scan, and one
+that closes the only window buffered pops it without a sort. Tagged
 windows then feed the drift stage, cluster formation and the analytics
 tables (``TableCounts``, which ``report`` feeds too). The drift stage owns the
 one slide window: it counts each post once and, on every slide close,
 runs keyword promotion and then piggyback detection. Evidence is applied
-after stream exhaustion, in arrival order, with retroactive correction.
+after stream exhaustion, in arrival order, with retroactive correction:
+each item is tried only against the clusters at its location whose window
+lies within its lag tolerance, and a flip is read off a running tally.
 """
 
 from __future__ import annotations
@@ -75,9 +78,11 @@ class RunResult:
 class WindowBuffers(dict):
     """Posts buffered by window index ``t // length``.
 
-    ``lowest`` is the lowest buffered index (inf when empty). Appends lower
-    it, a late post's included, and a pop recomputes it from the indexes
-    left, so a flush that can close nothing returns after one comparison.
+    ``lowest`` is the lowest buffered index (inf when empty). A new index
+    lowers it, a late post's included, and a pop recomputes it from the
+    indexes left, so a flush that can close nothing returns after one
+    comparison. A sparse stream closes a window on nearly every post, with
+    one window buffered: that window is ``lowest`` and is popped directly.
     """
 
     def __init__(self, length: float):
@@ -87,7 +92,11 @@ class WindowBuffers(dict):
 
     def add(self, event_time: float, post: EnrichedPost) -> None:
         index = event_time // self.length
-        self.setdefault(index, []).append(post)
+        posts = self.get(index)
+        if posts is not None:
+            posts.append(post)
+            return
+        self[index] = [post]
         if index < self.lowest:
             self.lowest = index
 
@@ -97,6 +106,10 @@ class WindowBuffers(dict):
         current = math.inf if upto is None else upto // self.length
         if current <= self.lowest:
             return []
+        if len(self) == 1:
+            popped = [self.pop(self.lowest)]
+            self.lowest = math.inf
+            return popped
         ready = sorted(index for index in self if index < current)
         popped = [self.pop(index) for index in ready]
         self.lowest = min(self, default=math.inf)

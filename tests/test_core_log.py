@@ -128,6 +128,46 @@ def test_segment_roll_keeps_replay_contiguous(tmp_path):
     log.close()
 
 
+def _segments_oracle(frames: list[bytes], segment_bytes: int) -> dict[str, bytes]:
+    """The segment files that appending ``frames`` in order leaves: a frame
+    opens a new segment, based at its offset, once the active segment holds
+    at least ``segment_bytes`` (an empty one is never rolled)."""
+    segments = {0: b""}
+    base = 0
+    for offset, frame in enumerate(frames):
+        if segments[base] and len(segments[base]) >= segment_bytes:
+            base = offset
+            segments[base] = b""
+        segments[base] += frame
+    return {f"{b:020d}.seg": data for b, data in segments.items()}
+
+
+@pytest.mark.parametrize("segment_bytes", [1, 100, 300])
+def test_rolls_inside_batches_and_across_a_reopen_match_the_layout_oracle(tmp_path, segment_bytes):
+    """The writer keeps its position by adding frame lengths, from the
+    segment's size at open and from zero at each roll: segments roll where
+    the file sizes say, inside one batch and after a reopen."""
+    path = tmp_path / "log"
+    records = [_record(i) for i in range(40)]
+    log = DurableLog(path, segment_bytes=segment_bytes, sync=False)
+    assert log.append_many(records[:17]) == range(0, 17)
+    log.close()
+    log = DurableLog(path, segment_bytes=segment_bytes, sync=False)
+    assert log.append_many(records[17:18]) == range(17, 18)
+    assert log.append_many(records[18:]) == range(18, 40)
+    files = {p.name: p.read_bytes() for p in path.iterdir()}
+    assert files == _segments_oracle([_frame_bytes(r) for r in records], segment_bytes)
+    assert len(files) >= 5
+    assert [(r.offset, r.payload) for r in log.replay_from(0)] == [(i, r.payload) for i, r in enumerate(records)]
+    log.close()
+    with DurableLog(path, segment_bytes=segment_bytes, sync=False) as reopened:
+        assert (reopened.truncated_bytes, reopened.next_offset) == (0, 40)
+        assert [(r.offset, r.payload) for r in reopened.replay_from(0)] == [
+            (i, r.payload) for i, r in enumerate(records)
+        ]
+        assert [r.offset for r in reopened.replay_from(23)] == list(range(23, 40))
+
+
 def test_torn_tail_is_truncated(tmp_path):
     path = tmp_path / "log"
     log = DurableLog(path, sync=False)

@@ -6,6 +6,7 @@ import itertools
 import math
 import random
 from collections import defaultdict
+from dataclasses import replace
 
 import pytest
 from hypothesis import given
@@ -315,38 +316,48 @@ cluster_specs = st.lists(
         st.integers(0, 72),  # window start, hours after T0
         st.sets(st.sampled_from(("rally", "virus", "crowd")), max_size=2),
         st.integers(1, 9),  # size
+        st.sampled_from((1.0, 0.3, 3.0, 25.0)),  # window length, hours
     ),
     max_size=25,
 )
 evidence_item = st.tuples(
     st.sampled_from(("supporting", "contradicting")),
     st.sampled_from(PLACES),
-    st.integers(-24, 96),  # hours after T0
+    st.integers(-24, 96) | st.floats(-30, 100),  # hours after T0
     st.sets(st.sampled_from(("rally", "virus", "crowd", "flood")), min_size=1, max_size=2),
 )
 evidence_specs = st.lists(evidence_item, max_size=20)
+# no tolerance, a finite one, and one that never expires
+lag_tolerances = st.sampled_from((0.0, DAY, 0.37 * DAY, math.inf))
+
+
+def _spec_cluster(n, place, hours, terms, size, length):
+    return EventCluster(
+        id=f"c{n}", location=place, window=assign_window(T0 + hours * HOUR, length * HOUR),
+        post_ids=set(range(size)), topic_terms=set(terms),
+    )
+
+
+def _spec_evidence(i, kind, place, hours, terms):
+    return Evidence(id=f"ev-{i}", kind=kind, source="who.int", location=place,
+                    time=T0 + hours * HOUR, terms=set(terms))
 
 
 class TestLocationIndex:
     """ingest_evidence tries only the clusters at the evidence's location."""
 
-    @given(cluster_specs, evidence_specs)
-    def test_same_flips_and_weights_as_a_scan_of_every_cluster(self, clusters, evidence):
+    @given(cluster_specs, evidence_specs, lag_tolerances)
+    def test_same_flips_and_weights_as_a_scan_of_every_cluster(self, clusters, evidence, lag):
         stores = []
         for _ in range(2):
-            store = ClusterStore(rule=MatchRule(lag_tolerance=DAY))
-            for n, place, hours, terms, size in clusters:
-                start = T0 + hours * HOUR
-                cluster = EventCluster(
-                    id=f"c{n}", location=place, window=assign_window(start, HOUR),
-                    post_ids=set(range(size)), topic_terms=set(terms),
-                )
+            store = ClusterStore(rule=MatchRule(lag_tolerance=lag))
+            for n, place, hours, terms, size, length in clusters:
+                cluster = _spec_cluster(n, place, hours, terms, size, length)
                 store.add_cluster(cluster, ClusterFeatures(size, 1, 0.5, frozenset(terms)))
             stores.append((store, default_team(("rally",), eta=0.5)))
         (indexed, team), (scanned, oracle_team) = stores
         for i, (kind, place, hours, terms) in enumerate(evidence):
-            ev = Evidence(id=f"ev-{i}", kind=kind, source="who.int", location=place,
-                          time=T0 + hours * HOUR, terms=set(terms))
+            ev = _spec_evidence(i, kind, place, hours, terms)
             assert indexed.ingest_evidence(ev, classifier=team) == _scan_every_cluster(
                 scanned, ev, oracle_team
             )
@@ -378,20 +389,68 @@ class TestLocationIndex:
         assert tried == [(cluster.id, "ev-2")]
 
 
+class TestCandidates:
+    """The store tries only the clusters whose window lies within the lag
+    tolerance of the evidence's time, found by bisecting window starts."""
+
+    @given(cluster_specs, evidence_specs, lag_tolerances)
+    def test_candidates_hold_every_match_of_a_location_scan_in_id_order(self, clusters, evidence, lag):
+        rule = MatchRule(lag_tolerance=lag)
+        store = ClusterStore(rule=rule)
+        for spec in clusters:
+            store.add_cluster(_spec_cluster(*spec))
+
+        def matched(cluster_ids, ev):
+            # attach_evidence as the predicate, on a copy that keeps no attachment
+            return [cid for cid in cluster_ids
+                    if attach_evidence(replace(store.clusters[cid], evidence_ids=set()), ev, rule)]
+
+        for i, spec in enumerate(evidence):
+            ev = _spec_evidence(i, *spec)
+            located = sorted(cid for cid, c in store.clusters.items() if c.location == ev.location)
+            candidates = store._candidates(ev)
+            assert candidates == sorted(candidates) and set(candidates) <= set(located)
+            assert matched(candidates, ev) == matched(located, ev)
+            if lag == math.inf:
+                assert candidates == located
+
+    @pytest.mark.parametrize("days", [2, 4, 8, 16])
+    def test_attach_attempts_per_attachment_stay_bounded_as_the_stream_grows(self, days, monkeypatch):
+        """At a one-day tolerance an item can match only the clusters of
+        about two days, so attempts per attached item stay below a constant
+        however long the stream runs. A scan of every cluster at the
+        location makes 24 × days attempts per item, ~8 per attachment at 16
+        days."""
+        import driftstream.corroboration.evidence as evidence_module
+
+        attempts = []
+
+        def counting_attach(cluster, ev, rule=None):
+            attempts.append(cluster.id)
+            return attach_evidence(cluster, ev, rule)
+
+        monkeypatch.setattr(evidence_module, "attach_evidence", counting_attach)
+        store = ClusterStore(rule=MatchRule(lag_tolerance=DAY))
+        for place in ("sturgis", "madrid"):
+            for hour in range(24 * days):  # one hourly cluster per place, every hour
+                store.add_cluster(_spec_cluster(f"{place}-{hour:04d}", place, hour, {"rally"}, 3, 1.0))
+        for i, hour in enumerate(range(0, 24 * days, 6)):
+            store.ingest_evidence(_spec_evidence(i, "supporting", ("sturgis", "madrid")[i % 2], hour + 0.5, {"rally"}))
+        attached = sum(len(c.evidence_ids) for c in store.clusters.values())
+        assert attached >= 4 * days * 24  # each item matches ~a day of clusters
+        assert len(attempts) / attached < 1.1
+
+
 class TestRepeatedEvidenceIds:
     @given(cluster_specs, st.lists(st.tuples(st.integers(0, 3), evidence_item), max_size=20))
     def test_status_is_resolved_from_the_stored_evidence(self, clusters, evidence):
         """Items reuse ids; a repeated id changes nothing, and every status
         stays what ``resolve_status`` gives over the store."""
         store = ClusterStore(rule=MatchRule(lag_tolerance=DAY))
-        for n, place, hours, terms, size in clusters:
-            store.add_cluster(EventCluster(
-                id=f"c{n}", location=place, window=assign_window(T0 + hours * HOUR, HOUR),
-                post_ids=set(range(size)), topic_terms=set(terms),
-            ))
+        for spec in clusters:
+            store.add_cluster(_spec_cluster(*spec))
         for n, (kind, place, hours, terms) in evidence:
-            ev = Evidence(id=f"ev-{n}", kind=kind, source="who.int", location=place,
-                          time=T0 + hours * HOUR, terms=set(terms))
+            ev = _spec_evidence(n, kind, place, hours, terms)
             repeated = ev.id in store.evidence
             before = (store.export(), len(store.change_log))
             store.ingest_evidence(ev)
@@ -399,6 +458,30 @@ class TestRepeatedEvidenceIds:
                 assert (store.export(), len(store.change_log)) == before
             for cluster in store.clusters.values():
                 assert cluster.status == resolve_status(cluster, store.evidence)
+
+    @given(st.lists(st.one_of(
+        cluster_specs.map(lambda specs: ("add", specs)),
+        st.tuples(st.integers(0, 3), evidence_item).map(lambda item: ("ingest", item)),
+    ), max_size=30), lag_tolerances)
+    def test_running_tally_gives_the_status_resolve_status_recounts(self, operations, lag):
+        """Attaches, repeated ids and cluster replacements interleaved: the
+        store's running tally of every cluster gives the status that
+        ``resolve_status`` recounts from the stored evidence, and that
+        status is the one the cluster holds."""
+        from driftstream.corroboration.evidence import _status
+
+        store = ClusterStore(rule=MatchRule(lag_tolerance=lag))
+        for operation, spec in operations:
+            if operation == "add":
+                for cluster_spec in spec:
+                    store.add_cluster(_spec_cluster(*cluster_spec))
+            else:
+                n, (kind, place, hours, terms) = spec
+                store.ingest_evidence(_spec_evidence(n, kind, place, hours, terms))
+            assert set(store._net) == set(store.clusters)
+            for cluster_id, cluster in store.clusters.items():
+                expected = resolve_status(cluster, store.evidence)
+                assert _status(store._net[cluster_id]) == cluster.status == expected
 
 
 class TestTeamedClassifier:

@@ -6,22 +6,51 @@ import math
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from driftstream.drift.adapter import DriftAdapter
-from driftstream.drift.cooccurrence import (
-    CooccurrenceStats,
-    observe_post,
-    recount_window,
-    score_candidate,
-)
+from driftstream.drift.cooccurrence import CooccurrenceStats, observe_post, score_candidate
 from driftstream.drift.promotion import PromotionPolicy, promote_keywords
-from driftstream.drift.trending import TrendingHistory, detect_trending, rising_ratios
+from driftstream.drift.trending import TrendingHistory
 from driftstream.keywords import KeywordSet, match_keywords
 from driftstream.misinfo.keywords import MisinfoKeywordSet
 
 from conftest import make_enriched
+
+
+# -- brute-force oracles for the incremental window state ------------------------
+
+
+def recount_window(posts, keywords, tracked_phrases=()):
+    """Brute-force recount over a window's posts (conservation checks)."""
+    stats = CooccurrenceStats(tracked_phrases=tracked_phrases)
+    for enriched in posts:
+        observe_post(stats, enriched, keywords)
+    return stats
+
+
+def rising_ratios(history):
+    """(current + 1) / (trailing mean + 1) for every term ever counted."""
+    if len(history) < 2:
+        raise ValueError("need at least 2 windows of history")
+    current = history[-1]
+    trailing = history[:-1]
+    vocabulary = set(current)
+    for window in trailing:
+        vocabulary.update(window)
+    ratios = {}
+    for term in vocabulary:
+        mean = sum(w.get(term, 0) for w in trailing) / len(trailing)
+        ratios[term] = (current.get(term, 0) + 1.0) / (mean + 1.0)
+    return ratios
+
+
+def detect_trending(history, k):
+    """Top-k terms by rising ratio; alphabetical tie-break for stability."""
+    ratios = rising_ratios(history)
+    ranked = sorted(ratios.items(), key=lambda item: (-item[1], item[0]))
+    return [term for term, _ in ranked[: max(k, 0)]]
 
 
 def _observe_texts(stats, keywords, texts):
@@ -406,18 +435,25 @@ WORDS = ("pandemic", "facemask", "plandemic", "coffee", "weather", "rally", "sta
 
 
 class _CheckedAdapter(DriftAdapter):
-    """Checks both running sums against ``_merged`` after every slide close."""
+    """Checks, after every slide close, the running sum promotion scores and
+    the window sum piggyback reads against ``_merged`` of their buckets.
+    ``fallbacks`` counts the piggyback reads that merged afresh because an
+    empty slide sat in promotion's window."""
 
     checks = 0
+    fallbacks = 0
 
     def _evaluate(self, closed_index):
         _assert_sum(self._window_stats, self._merged(self._buckets))
         self.checks += 1
         return super()._evaluate(closed_index)
 
-    def _detect_piggyback(self, closed):
-        super()._detect_piggyback(closed)
-        _assert_sum(self._piggyback_stats, self._merged(self._piggyback_buckets))
+    def _piggyback_stats(self):
+        stats = super()._piggyback_stats()
+        _assert_sum(stats, self._merged(self._piggyback_buckets))
+        if stats is not self._window_stats:
+            _CheckedAdapter.fallbacks += 1
+        return stats
 
 
 def _assert_sum(running, merged):
@@ -439,9 +475,20 @@ posts_strategy = st.lists(
 )
 
 
+def test_running_window_sums_equal_fresh_merge():
+    """Every window sum the adapter reads equals a fresh merge, and the
+    streams drawn take piggyback's fresh-merge branch at least once."""
+    _CheckedAdapter.fallbacks = 0
+    _check_window_sums()
+    assert _CheckedAdapter.fallbacks > 0
+
+
 @settings(max_examples=60, deadline=None)
 @given(posts_strategy, st.sampled_from((1, 2, 3)), st.booleans())
-def test_running_window_sums_equal_fresh_merge(posts, buckets_per_window, promote):
+# slides 0, 2, 3 and 4: closing slide 3 leaves empty slide 1 in promotion's window
+@example([(0, False, ["pandemic"], True), (2, False, ["coffee"], False),
+          (1, False, ["rally"], True), (1, False, [], False)], 3, False)
+def _check_window_sums(posts, buckets_per_window, promote):
     keywords = KeywordSet(seeds=("pandemic",))
     adapter = _CheckedAdapter(
         keywords,
@@ -490,6 +537,9 @@ history_strategy = st.lists(
 
 @given(history_strategy, st.integers(1, 7), st.integers(0, 10))
 def test_trending_history_equals_detect_trending(windows, depth, k):
+    """``top`` equals the recount for a drawn k and for every k from 0 to
+    past the newest window's vocabulary, on both sides of the count at
+    which terms seen only in the trailing windows can rank."""
     trending = TrendingHistory(depth)
     for pushed, counts in enumerate(windows, 1):
         trending.push(counts)
@@ -499,7 +549,8 @@ def test_trending_history_equals_detect_trending(windows, depth, k):
         assert trending.trailing == expected_trailing
         assert all(n > 0 for n in trending.trailing.values())
         if len(history) >= 2:
-            assert trending.top(k) == detect_trending(history, k)
+            for each in (k, *range(len(history[-1]) + 3)):
+                assert trending.top(each) == detect_trending(history, each)
         else:
             with pytest.raises(ValueError):
                 trending.top(k)

@@ -184,6 +184,16 @@ class TestConfigValidation:
             pytest.param(
                 {"clusters": {"eta": 10**400}}, f"clusters.eta: must be a number, got {10**400}", id="eta-10**400"
             ),
+            ({"misinfo": {"window_seconds": math.inf}}, "misinfo.window_seconds: must be finite, got inf"),
+            ({"clusters": {"window_minutes": math.inf}}, "clusters.window_minutes: must be finite, got inf"),
+            (
+                {"drift": {"window_minutes": math.inf, "slide_minutes": 5}},
+                "drift: window_minutes must be a positive multiple of slide_minutes",
+            ),
+            (
+                {"drift": {"window_minutes": 15, "slide_minutes": math.inf}},
+                "drift: window_minutes must be a positive multiple of slide_minutes",
+            ),
         ],
     )
     def test_out_of_range_intervals_named_with_exit_2(self, tmp_path, capsys, overrides, error):
@@ -193,14 +203,22 @@ class TestConfigValidation:
         cache TTL kept no case-feed region live. A zero cluster window
         divided by zero in setup (exit 3), a negative lag or trending count
         loaded without a word, drift.enabled: "false" left promotion on, and
-        an integer beyond every float died with a traceback (exit 1): each
-        exits 2 by name, from a YAML and from a JSON config."""
+        an integer beyond every float died with a traceback (exit 1). An
+        infinite length (JSON's 1e400 loads as inf) passed `> 0`: a misinfo
+        window exited 3 mid-stream, at a window starting at nan, and a
+        cluster window exited 0 with no cluster; drift's multiple-of-slide
+        check already refused an infinite window or slide. Each exits 2 by
+        name, from a YAML and from a JSON config."""
         corpus = _fixture_corpus(tmp_path, minutes=5, rate=20)
         data = _base_config(tmp_path, corpus, **overrides)
         with pytest.raises(ConfigError) as err:
             parse_config(data)
         assert err.value.errors == [error]
-        for path, dump in ((tmp_path / "range.yaml", yaml.safe_dump), (tmp_path / "range.json", json.dumps)):
+
+        def json_dump(data):  # inf written as a JSON number, which json.loads reads as inf
+            return json.dumps(data).replace("Infinity", "1e400")
+
+        for path, dump in ((tmp_path / "range.yaml", yaml.safe_dump), (tmp_path / "range.json", json_dump)):
             path.write_text(dump(data))
             assert main(["run", "--config", str(path)]) == 2
             assert error in capsys.readouterr().err
@@ -1007,6 +1025,21 @@ class TestMultidayBundle:
         for path in sorted(result.out_dir.iterdir()):
             digest.update(path.name.encode() + b"\0" + path.read_bytes() + b"\0")
         assert digest.hexdigest() == self.GOLDEN_SHA256
+
+    def test_infinite_lag_tolerance_equals_one_longer_than_the_stream(self, tmp_path):
+        """``lag_tolerance_days`` may be infinite (JSON 1e400): it never
+        expires, so every item is tried against every cluster at its
+        location, as under a finite tolerance longer than the stream."""
+        data = _multiday_data(tmp_path)
+        bundles = {}
+        for name, days in (("infinite", math.inf), ("finite", 30), ("zero", 0)):
+            config = tmp_path / f"{name}.json"
+            text = json.dumps({**data, "out_dir": str(tmp_path / name), "clusters": {"lag_tolerance_days": days}})
+            config.write_text(text.replace("Infinity", "1e400"))
+            assert main(["run", "--config", str(config)]) == 0
+            bundles[name] = {path.name: path.read_bytes() for path in (tmp_path / name).iterdir()}
+        assert bundles["infinite"] == bundles["finite"]
+        assert bundles["infinite"]["changes.csv"] != bundles["zero"]["changes.csv"]
 
     def test_report_paths_list_every_bundle_file_once(self, tmp_path):
         result = run_pipeline(_multiday_config(tmp_path))
