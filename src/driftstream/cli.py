@@ -15,17 +15,11 @@ import sys
 import time
 from pathlib import Path
 
-from .analytics.tables import TableCounts, emit_report
+# Only what `replay` runs is imported here: each other command imports its
+# own modules, so a short replay job does not load the pipeline.
 from .core.log import DurableLog, LogAppendError
 from .core.records import StreamRecord
-from .enrich.clean import is_blank
-from .keywords import DEFAULT_SEED_KEYWORDS, KeywordSet
-from .pipeline.config import ConfigError, load_config
-from .pipeline.runner import run_pipeline
 from .sources.archive import Speed, parse_speed, posts_from_archive
-from .sources.feeds import feed_field, read_feed, text, timestamp
-from .sources.synthetic import SyntheticConfig, SyntheticConfigError, generate_synthetic
-from .timeutil import TimestampError, format_timestamp, parse_timestamp
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -37,6 +31,9 @@ REPLAY_BATCH = 256
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
+    from .pipeline.config import ConfigError, load_config
+    from .pipeline.runner import run_pipeline
+
     flags = {"seed": args.seed, "out_dir": args.out_dir, "speed": args.speed, "until": args.until}
     try:
         config = load_config(args.config, flags)
@@ -58,7 +55,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_synth(args: argparse.Namespace) -> int:
-    import yaml  # here, so that no other command loads it
+    import yaml
+
+    from .sources.synthetic import SyntheticConfig, SyntheticConfigError, generate_synthetic
 
     try:
         with open(args.config, "r", encoding="utf-8") as f:
@@ -123,6 +122,9 @@ def _cmd_replay(args: argparse.Namespace) -> int:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
+    from .analytics.tables import TableCounts, emit_report
+    from .enrich.clean import is_blank
+
     counts = TableCounts()
     try:
         for post in posts_from_archive(args.archive):
@@ -137,12 +139,16 @@ def _cmd_report(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _promotion(obj: dict, number: int) -> tuple[str, float]:
-    """One audit line: the promoted term and when it was promoted."""
-    return feed_field(obj, "term", text), feed_field(obj, "promoted_at", timestamp)
-
-
 def _cmd_keywords(args: argparse.Namespace) -> int:
+    from .keywords import DEFAULT_SEED_KEYWORDS, KeywordSet
+    from .pipeline.config import ConfigError, load_config
+    from .sources.feeds import feed_field, read_feed, text, timestamp
+    from .timeutil import TimestampError, format_timestamp, parse_timestamp
+
+    def promotion(obj: dict, number: int) -> tuple[str, float]:
+        """One audit line: the promoted term and when it was promoted."""
+        return feed_field(obj, "term", text), feed_field(obj, "promoted_at", timestamp)
+
     if args.action != "show":
         print(f"unknown keywords action: {args.action}", file=sys.stderr)
         return EXIT_VALIDATION
@@ -163,7 +169,7 @@ def _cmd_keywords(args: argparse.Namespace) -> int:
     ]
     if args.audit:
         try:
-            promotions = read_feed(args.audit, _promotion)
+            promotions = read_feed(args.audit, promotion)
         except (OSError, ValueError) as exc:  # FeedError is a ValueError
             print(f"--audit: {exc}", file=sys.stderr)
             return EXIT_VALIDATION

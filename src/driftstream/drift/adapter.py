@@ -32,6 +32,7 @@ from typing import Optional
 from ..enrich.model import EnrichedPost
 from ..keywords import KeywordSet
 from ..misinfo.keywords import MisinfoKeywordSet
+from ..misinfo.piggyback import detect_piggyback
 from .cooccurrence import CooccurrenceStats, observe_post
 from .promotion import PromotionPolicy, promote_keywords
 from .trending import TrendingHistory
@@ -156,9 +157,6 @@ class DriftAdapter:
         return events
 
     def _detect_piggyback(self, closed: _Bucket) -> None:
-        # misinfo.piggyback imports this package, so it is bound on use
-        from ..misinfo.piggyback import detect_piggyback
-
         self._piggyback_buckets.append(closed)
         self._trending.push(closed.stats.term_counts)
         if self.misinfo is None or len(self._trending) < 2:

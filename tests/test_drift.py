@@ -401,19 +401,6 @@ class TestDriftAdapter:
         assert len(adapter.piggyback) == 1
         assert adapter.audit == []  # no policy, no promotion
 
-    def test_misinfo_package_imports_on_its_own(self):
-        # misinfo.piggyback imports drift, whose adapter runs piggyback detection
-        import os
-        import subprocess
-        import sys
-
-        import driftstream
-
-        src = os.path.dirname(os.path.dirname(driftstream.__file__))
-        env = {**os.environ, "PYTHONPATH": src}
-        for module in ("driftstream.misinfo", "driftstream.misinfo.piggyback", "driftstream.drift"):
-            subprocess.run([sys.executable, "-c", f"import {module}"], env=env, check=True)
-
     def test_audit_records_promotions(self):
         keywords = KeywordSet(seeds=("pandemic",))
         adapter = DriftAdapter(
