@@ -34,7 +34,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     from .pipeline.config import ConfigError, load_config
     from .pipeline.runner import run_pipeline
 
-    flags = {"seed": args.seed, "out_dir": args.out_dir, "speed": args.speed, "until": args.until}
+    flags = {"out_dir": args.out_dir, "speed": args.speed, "until": args.until}
     try:
         config = load_config(args.config, flags)
     except ConfigError as exc:
@@ -210,7 +210,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     run = sub.add_parser("run", help="run the full pipeline from a config file")
     run.add_argument("--config", required=True)
-    run.add_argument("--seed", type=int)
     run.add_argument("--out-dir")
     run.add_argument("--speed", type=_speed_arg)
     run.add_argument("--until", help="stop at this simulated time (ISO-8601)")

@@ -85,7 +85,7 @@ def _topic_terms(members: list[EnrichedPost]) -> set[str]:
     doc_freq: Counter = Counter()
     for post in members:
         terms.update(post.matched_terms)
-        doc_freq.update(set(tokenize(post.post.text)))
+        doc_freq.update(tokenize(post.post.text))
     ranked = sorted(doc_freq.items(), key=lambda item: (-item[1], item[0]))
     terms.update(term for term, _ in ranked[:TOPIC_TERM_LIMIT])
     return terms

@@ -141,7 +141,7 @@ def add_member(classifier: TeamedClassifier, trend_posts: Sequence, top_k: int =
         raise ValueError("trend_data must be non-empty")
     doc_freq: Counter = Counter()
     for post in trend_posts:
-        doc_freq.update(set(tokenize(post.post.text)))
+        doc_freq.update(tokenize(post.post.text))
     ranked = sorted(doc_freq.items(), key=lambda item: (-item[1], item[0]))
     terms = [term for term, _ in ranked[:top_k]]
     label = terms[0] if terms else "trend"

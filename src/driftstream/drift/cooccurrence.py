@@ -16,7 +16,7 @@ signal the whole mechanism exists to observe, would disappear.
 from __future__ import annotations
 
 import math
-from collections import Counter
+from collections import Counter, _count_elements  # the C helper Counter.update ends in
 from dataclasses import dataclass, field
 
 from ..enrich.model import EnrichedPost
@@ -71,7 +71,7 @@ def subtract_counts(counts: Counter, other: Counter) -> None:
         if left:
             counts[term] = left
         else:
-            del counts[term]
+            counts.pop(term)  # dict.pop: Counter.__delitem__ is a Python method
 
 
 def observe_post(stats: CooccurrenceStats, enriched: EnrichedPost, keywords: KeywordSet) -> None:
@@ -82,7 +82,7 @@ def observe_post(stats: CooccurrenceStats, enriched: EnrichedPost, keywords: Key
     what the association scores expect.
     """
     text = enriched.post.text
-    candidates = set(tokenize(text))
+    candidates = tokenize(text)
     if stats.tracked_phrases:
         lowered = text.lower()
         candidates.update(p for p in stats.tracked_phrases if p in lowered)
@@ -93,11 +93,11 @@ def observe_post(stats: CooccurrenceStats, enriched: EnrichedPost, keywords: Key
     stats.total_posts += 1
     stats.seed_posts += seed_matched
     stats.misinfo_posts += tagged
-    stats.term_counts.update(candidates)
+    _count_elements(stats.term_counts, candidates)
     if seed_matched:
-        stats.pair_counts.update(candidates)
+        _count_elements(stats.pair_counts, candidates)
     if tagged:
-        stats.misinfo_pair_counts.update(candidates)
+        _count_elements(stats.misinfo_pair_counts, candidates)
 
 
 def score_candidate(stats: CooccurrenceStats, term: str, scorer: str = "pmi") -> float:

@@ -61,13 +61,13 @@ class CompiledLexicon:
         self.any_term = re.compile("|".join(map(re.escape, ordered)) if ordered else "(?!)")
 
 
-def tokenize(text: str, stopwords: frozenset[str] = DEFAULT_STOPWORDS) -> list[str]:
-    """Lowercased candidate tokens of a post text, stopwords removed."""
-    return [
+def tokenize(text: str, stopwords: frozenset[str] = DEFAULT_STOPWORDS) -> set[str]:
+    """The distinct lowercased candidate tokens of a post text, stopwords removed."""
+    return {
         t
         for t in TOKEN_RE.findall(text.lower())
         if len(t) >= MIN_TOKEN_LEN and t not in stopwords
-    ]
+    }
 
 
 def normalize_term(term: str) -> str:

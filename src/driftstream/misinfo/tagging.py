@@ -11,9 +11,9 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable, Optional, Sequence
 
-from ..core.windows import WindowAssignment, assign_window, window_start
+from ..core.windows import WindowAssignment, window_start
 from ..enrich.model import EnrichedPost
 from .keywords import MisinfoKeywordSet
 
@@ -25,9 +25,11 @@ class WindowTagReport:
     tagged: int = 0
     term_counts: Counter = field(default_factory=Counter)
 
-    def top_terms(self, k: int = 5) -> list[str]:
-        ranked = sorted(self.term_counts.items(), key=lambda item: (-item[1], item[0]))
-        return [term for term, _ in ranked[:k]]
+
+def top_terms(term_counts: Counter, k: int = 5) -> list[str]:
+    """The ``k`` most counted terms, ties broken alphabetically."""
+    ranked = sorted(term_counts.items(), key=lambda item: (-item[1], item[0]))
+    return [term for term, _ in ranked[:k]]
 
 
 class AuthoritativeSourceList:
@@ -40,21 +42,35 @@ class AuthoritativeSourceList:
         return channel.strip().lower() in self.sources
 
 
-def window_report(posts: Sequence[EnrichedPost], window_length: float = 60.0) -> WindowTagReport:
-    """One window's report from the misinformation terms its posts hold.
+def window_tally(
+    posts: Sequence[EnrichedPost], window_length: float = 60.0
+) -> tuple[float, int, Optional[Counter]]:
+    """``(window start, tagged posts, term counts)`` of one window from the
+    misinformation terms its posts hold; the term counts are None when no
+    post is tagged.
 
     All posts must fall in the same window.
     """
-    window = assign_window(posts[0].post.created_at if posts else 0.0, window_length)
-    start = window.window_start
-    report = WindowTagReport(window=window, posts_in=len(posts))
+    start = window_start(posts[0].post.created_at if posts else 0.0, window_length)
+    tagged = 0
+    term_counts = None
     for post in posts:
         if window_start(post.post.created_at, window_length) != start:
             raise ValueError(f"post {post.post.id} falls outside window starting at {start}")
         if post.misinfo_terms and not post.authoritative:
-            report.tagged += 1
-            report.term_counts.update(post.misinfo_terms)
-    return report
+            tagged += 1
+            if term_counts is None:
+                term_counts = Counter()
+            term_counts.update(post.misinfo_terms)
+    return start, tagged, term_counts
+
+
+def window_report(posts: Sequence[EnrichedPost], window_length: float = 60.0) -> WindowTagReport:
+    """One window's report (see ``window_tally``)."""
+    start, tagged, term_counts = window_tally(posts, window_length)
+    return WindowTagReport(
+        WindowAssignment(start, float(window_length)), len(posts), tagged, term_counts or Counter()
+    )
 
 
 def tag_misinformation_window(

@@ -3,11 +3,11 @@
 Each setting is declared once, on its dataclass field below: its key in the
 file, its default in file units, the unit it is scaled by, its converter
 and its range. ``parse_config`` reads every setting through that
-declaration. YAML or JSON; DRIFTSTREAM_SEED, DRIFTSTREAM_ARCHIVE,
-DRIFTSTREAM_OUT_DIR and DRIFTSTREAM_SPEED override the file, and the
-command-line flags override both, before anything is checked, so every
-value passes the same checks. Validation reports every broken setting at
-once, by name, instead of dying on the first.
+declaration. YAML or JSON; DRIFTSTREAM_ARCHIVE, DRIFTSTREAM_OUT_DIR and
+DRIFTSTREAM_SPEED override the file, and the command-line flags override
+both, before anything is checked, so every value passes the same checks.
+Validation reports every broken setting at once, by name, instead of dying
+on the first. Keys the file sets that no setting declares are ignored.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ DEFAULT_AUTHORITATIVE_SOURCES = (
 )
 
 # Top-level keys that a DRIFTSTREAM_<KEY> environment variable overrides.
-_ENV_KEYS = ("seed", "archive", "out_dir", "speed")
+_ENV_KEYS = ("archive", "out_dir", "speed")
 
 
 class ConfigError(ValueError):
@@ -186,7 +186,6 @@ class ClusterConfig:
 
 @dataclass
 class PipelineConfig:
-    seed: int
     archive: str
     out_dir: str = _setting("out_dir", "reports")
     speed: Any = _setting("speed", "max", parse_speed)
@@ -250,15 +249,6 @@ def parse_config(
                     values[f.name] = value
         return values
 
-    seed = data.get("seed")
-    if seed is None:
-        errors.append("seed: required for reproducible runs")
-    else:
-        try:
-            seed = int(seed)
-        except (TypeError, ValueError, OverflowError):
-            errors.append(f"seed: must be an integer, got {seed!r}")
-
     archive = data.get("archive")
     if not archive:
         errors.append("archive: required")
@@ -298,7 +288,7 @@ def parse_config(
 
     if errors:
         raise ConfigError(errors)
-    return PipelineConfig(seed=seed, archive=archive, **values)
+    return PipelineConfig(archive=archive, **values)
 
 
 def load_config(path: str | Path, overrides: Optional[dict] = None) -> PipelineConfig:

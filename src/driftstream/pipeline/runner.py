@@ -2,7 +2,7 @@
 
 The runner advances every stage in lockstep, record by record and window
 by window, driven purely by event time. That makes two runs over the same
-archive, config, and seed byte-identical — the property the report-bundle
+archive and config byte-identical — the property the report-bundle
 determinism contract depends on. Every stage reads event time only: the
 watermark is the largest event time seen so far, and no wall-clock value
 ever reaches an output file.
@@ -16,7 +16,8 @@ Each post's text is lowercased once on ingest, and that one lowered string
 feeds every tag. Lexicons are compiled once per change, not once per post.
 A window reports the misinformation set as it stands at its close: the set
 only grows, so buffered posts are re-tagged only when a refresh adds an
-active term, and a closing window reads the tags its posts hold.
+active term, and a closing window reads the tags its posts hold, through
+``window_tally`` (which ``window_report`` wraps) straight into its row.
 Minute and cluster windows are buffered by window index ``t // length``
 and close once the watermark's index passes theirs; each buffer keeps its
 lowest index, so an advance that closes nothing skips the scan, and one
@@ -34,7 +35,7 @@ from __future__ import annotations
 
 import math
 import time
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
@@ -57,7 +58,7 @@ from ..enrich.sentiment import (
 from ..enrich.topics import DEFAULT_GROUP_LEXICONS, compile_group_lexicons, load_group_lexicons
 from ..keywords import KeywordSet, RecentMatches
 from ..misinfo.keywords import MisinfoKeywordSet, refresh_misinfo_keywords
-from ..misinfo.tagging import AuthoritativeSourceList, window_report
+from ..misinfo.tagging import AuthoritativeSourceList, top_terms, window_tally
 from ..sources.archive import posts_from_archive
 from ..sources.posts import Post
 from ..timeutil import DAY
@@ -180,7 +181,7 @@ class PipelineRunner:
         self.counters: Counter = Counter()
         self.rejections: Counter = Counter()
         self.table_counts = TableCounts()
-        self.social_day_counts: dict[str, Counter] = {}  # region -> day epoch -> count
+        self.social_day_counts: dict[str, Counter] = defaultdict(Counter)  # region -> day epoch -> count
         self.case_day_counts: dict[str, Counter] = {}  # region -> day epoch -> new cases
 
     # -- per-record path ------------------------------------------------------
@@ -232,16 +233,10 @@ class PipelineRunner:
 
     def _flush_minute_windows(self, upto: Optional[float]) -> None:
         for posts in self._minute_buffers.pop_ready(upto):
-            report = window_report(posts, self.config.misinfo.window)
-            self.window_rows.append(
-                (
-                    report.window.window_start,
-                    report.posts_in,
-                    report.tagged,
-                    ";".join(report.top_terms()),
-                )
-            )
-            self.counters["tagged"] += report.tagged
+            start, tagged, term_counts = window_tally(posts, self.config.misinfo.window)
+            top = ";".join(top_terms(term_counts)) if term_counts else ""
+            self.window_rows.append((start, len(posts), tagged, top))
+            self.counters["tagged"] += tagged
             for post in posts:
                 self._route_tagged(post)
 
@@ -256,7 +251,7 @@ class PipelineRunner:
         if enriched.relevance and not enriched.misinfo_terms:
             day_epoch = (created // DAY) * DAY
             for location in enriched.locations:
-                self.social_day_counts.setdefault(location, Counter())[day_epoch] += 1
+                self.social_day_counts[location][day_epoch] += 1
 
     def _flush_cluster_windows(self, upto: Optional[float]) -> None:
         for posts in self._cluster_buffers.pop_ready(upto):

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from collections import Counter
+from collections import Counter, deque
 
 import pytest
 from hypothesis import example, given, settings
@@ -13,7 +13,7 @@ from driftstream.drift.adapter import DriftAdapter
 from driftstream.drift.cooccurrence import CooccurrenceStats, observe_post, score_candidate
 from driftstream.drift.promotion import PromotionPolicy, promote_keywords
 from driftstream.drift.trending import TrendingHistory
-from driftstream.keywords import KeywordSet, match_keywords
+from driftstream.keywords import KeywordSet, match_keywords, tokenize
 from driftstream.misinfo.keywords import MisinfoKeywordSet
 
 from conftest import make_enriched
@@ -425,15 +425,58 @@ class _CheckedAdapter(DriftAdapter):
     """Checks, after every slide close, the running sum promotion scores and
     the window sum piggyback reads against ``_merged`` of their buckets.
     ``fallbacks`` counts the piggyback reads that merged afresh because an
-    empty slide sat in promotion's window."""
+    empty slide sat in promotion's window.
+
+    It also keeps its own counts, taken with ``Counter.update`` and
+    ``Counter.subtract`` only, and checks that the closed bucket, the
+    promotion window and the trending history's trailing sum equal them."""
 
     checks = 0
     fallbacks = 0
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.posts = {}  # slide index -> the posts counted into that slide
+        self.recounts = deque(maxlen=self._buckets.maxlen)  # per bucket in the window
+        self.window_recount = _recount([], self.keywords, self.tracked_phrases)
+
+    def observe(self, enriched):
+        events = super().observe(enriched)
+        self.posts.setdefault(self._current.index, []).append(enriched)
+        return events
+
+    def _close_current(self):
+        evicted = self.recounts[0] if len(self.recounts) == self.recounts.maxlen else None
+        closed = super()._close_current()
+        bucket = _recount(self.posts.pop(closed.index, []), self.keywords, self.tracked_phrases)
+        _assert_sum(closed.stats, bucket)
+        self.recounts.append(bucket)
+        window = self.window_recount
+        for name in _COUNTERS:
+            getattr(window, name).update(getattr(bucket, name))
+            if evicted is not None:
+                getattr(window, name).subtract(getattr(evicted, name))
+            setattr(window, name, +getattr(window, name))  # drop the zeros subtract leaves
+        for name in ("total_posts", "seed_posts", "misinfo_posts"):
+            setattr(window, name, getattr(window, name) + getattr(bucket, name)
+                    - (getattr(evicted, name) if evicted is not None else 0))
+        _assert_sum(self._window_stats, window)
+        return closed
 
     def _evaluate(self, closed_index):
         _assert_sum(self._window_stats, self._merged(self._buckets))
         self.checks += 1
         return super()._evaluate(closed_index)
+
+    def _detect_piggyback(self, closed):
+        super()._detect_piggyback(closed)
+        history = list(self._trending.history)
+        trailing = Counter()
+        for counts in history[:-1]:
+            trailing.update(counts)
+        assert history[-1] is closed.stats.term_counts
+        assert self._trending.trailing == trailing
+        assert all(n > 0 for n in self._trending.trailing.values())
 
     def _piggyback_stats(self):
         stats = super()._piggyback_stats()
@@ -443,10 +486,32 @@ class _CheckedAdapter(DriftAdapter):
         return stats
 
 
+_COUNTERS = ("term_counts", "pair_counts", "misinfo_pair_counts")
+
+
+def _recount(posts, keywords, tracked_phrases):
+    """The stats of ``posts`` counted with ``Counter.update``, one post at a
+    time, as ``observe_post`` defines them."""
+    stats = CooccurrenceStats(tracked_phrases)
+    for enriched in posts:
+        text = enriched.post.text
+        candidates = set(tokenize(text)) | {p for p in tracked_phrases if p in text.lower()}
+        seed_matched = not keywords.seeds.isdisjoint(enriched.matched_terms)
+        stats.total_posts += 1
+        stats.seed_posts += seed_matched
+        stats.misinfo_posts += bool(enriched.misinfo_terms)
+        stats.term_counts.update(candidates)
+        if seed_matched:
+            stats.pair_counts.update(candidates)
+        if enriched.misinfo_terms:
+            stats.misinfo_pair_counts.update(candidates)
+    return stats
+
+
 def _assert_sum(running, merged):
     assert running == merged
-    for counts in (running.term_counts, running.pair_counts, running.misinfo_pair_counts):
-        assert all(n > 0 for n in counts.values())  # Counter == ignores zero counts
+    for name in _COUNTERS:
+        assert all(n > 0 for n in getattr(running, name).values())  # Counter == ignores zero counts
 
 
 # each post: slides to skip before it (0 = same slide, >1 = a gap of empty
@@ -500,6 +565,24 @@ def _check_window_sums(posts, buckets_per_window, promote):
         adapter.observe(post)
     adapter.flush()
     assert adapter.checks == (max(indices) - indices[0] + 1 if posts else 0)
+
+
+@given(
+    st.sets(st.text(max_size=3), max_size=20),
+    st.dictionaries(st.text(max_size=3), st.integers(1, 5), max_size=10),
+)
+def test_count_elements_counts_as_counter_update(candidates, held):
+    """``observe_post`` counts through ``collections._count_elements``, the C
+    helper ``Counter.update`` ends in, which is private to CPython. It must
+    exist, be the C helper, and count a candidate set exactly as
+    ``Counter.update`` does: same counts, same key order."""
+    from collections import _count_elements
+
+    assert type(_count_elements).__name__ == "builtin_function_or_method"
+    counted, updated = Counter(held), Counter(held)
+    _count_elements(counted, candidates)
+    updated.update(candidates)
+    assert list(counted.items()) == list(updated.items())
 
 
 def test_subtract_undoes_merge_and_drops_zero_counts():

@@ -235,6 +235,27 @@ def test_tokenize_drops_stopwords_and_short_tokens():
     assert "x" not in tokens
 
 
+@given(
+    st.lists(
+        st.sampled_from(["The", "mask", "MASK", "and", "5g", "it-is", "wuhan-virus", "x", "covid-19",
+                         "-", " ", "  ", ",", "über", "a_b", "mask-"]),
+        max_size=20,
+    ).map("".join)
+    | st.text(max_size=60)
+)
+def test_tokenize_is_the_set_of_the_token_list(text):
+    """``tokenize`` returns the distinct tokens that the token list (what it
+    returned before it returned a set) holds."""
+    from driftstream.keywords import DEFAULT_STOPWORDS, MIN_TOKEN_LEN, TOKEN_RE
+
+    token_list = [
+        t for t in TOKEN_RE.findall(text.lower()) if len(t) >= MIN_TOKEN_LEN and t not in DEFAULT_STOPWORDS
+    ]
+    tokens = tokenize(text)
+    assert isinstance(tokens, set)
+    assert tokens == set(token_list)
+
+
 @given(st.text(max_size=200))
 def test_match_never_raises_and_stays_within_set(text):
     keywords = KeywordSet()

@@ -8,7 +8,7 @@ import os
 
 import pytest
 import yaml
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from driftstream.cli import main
@@ -57,12 +57,16 @@ class TestConfigValidation:
             parse_config({"seed": 1, "archive": str(tmp_path / "ghost.jsonl")})
         assert any(e.startswith("archive:") for e in err.value.errors)
 
-    def test_missing_seed_reported(self, tmp_path):
+    def test_config_without_seed_loads(self, tmp_path):
+        """``seed`` is no setting: a config may leave it out, and one that
+        still sets it, to any value, loads the same config."""
         archive = tmp_path / "a.jsonl"
         archive.write_text("")
-        with pytest.raises(ConfigError) as err:
-            parse_config({"archive": str(archive)})
-        assert any(e.startswith("seed:") for e in err.value.errors)
+        config = parse_config({"archive": str(archive)})
+        assert config.archive == str(archive)
+        assert not hasattr(config, "seed")
+        for seed in (1, "abc", None):
+            assert parse_config({"seed": seed, "archive": str(archive)}) == config
 
     def test_multiple_errors_collected(self, tmp_path):
         with pytest.raises(ConfigError) as err:
@@ -74,7 +78,7 @@ class TestConfigValidation:
                 }
             )
         fields = {e.split(":")[0] for e in err.value.errors}
-        assert {"seed", "archive", "drift.scorer", "clusters.min_size"} <= fields
+        assert fields == {"archive", "drift.scorer", "clusters.min_size"}
 
     def test_non_numeric_fields_named_with_exit_2(self, tmp_path, capsys):
         corpus = _fixture_corpus(tmp_path, minutes=5, rate=20)
@@ -353,9 +357,11 @@ class TestConfigValidation:
 
     def test_env_override_wins(self, tmp_path, monkeypatch):
         corpus = _fixture_corpus(tmp_path, minutes=5, rate=20)
-        monkeypatch.setenv("DRIFTSTREAM_SEED", "777")
+        monkeypatch.setenv("DRIFTSTREAM_OUT_DIR", str(tmp_path / "from-env"))
         config = parse_config(_base_config(tmp_path, corpus))
-        assert config.seed == 777
+        assert config.out_dir == str(tmp_path / "from-env")
+        monkeypatch.setenv("DRIFTSTREAM_SEED", "777")  # no longer a setting: ignored
+        assert parse_config(_base_config(tmp_path, corpus)) == config
 
     def test_yaml_file_round_trip(self, tmp_path):
         corpus = _fixture_corpus(tmp_path, minutes=5, rate=20)
@@ -637,6 +643,52 @@ class TestWindowBuffers:
         assert buffers.pop_ready(None) == []
 
 
+ROW_TERMS = ["bleach", "hoax", "microchip", "plandemic", "5g towers", "bioweapon", "chlorine"]
+
+
+class TestWindowRows:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.integers(0, 150),  # event time after T0, in any order
+                st.sets(st.sampled_from(ROW_TERMS), max_size=5),  # the misinformation tags held
+                st.booleans(),  # from an authoritative source
+            ),
+            max_size=40,
+        ),
+        st.sampled_from([30.0, 60.0]),
+    )
+    @example([(i % 3, set(ROW_TERMS[i:i + 3]), i == 4) for i in range(7)], 60.0)  # tied counts, 7 terms
+    def test_runner_rows_equal_window_report(self, posts, window):
+        """Every windows.csv row the runner writes equals ``window_report``
+        on the same window's posts: tagged, authoritative-tagged and
+        untagged posts, tied term counts and more than five terms."""
+        from conftest import make_enriched
+
+        from driftstream.misinfo.tagging import top_terms, window_report
+        from driftstream.pipeline.config import MisinfoConfig, PipelineConfig
+        from driftstream.pipeline.runner import PipelineRunner
+
+        runner = PipelineRunner(PipelineConfig(archive="unused.jsonl", misinfo=MisinfoConfig(window=window)))
+        windows: dict[float, list] = {}
+        for i, (t, terms, official) in enumerate(posts):
+            post = make_enriched(post_id=i, created_at=T0 + t, misinfo_terms=set(terms))
+            post.authoritative = official
+            runner._minute_buffers.add(post.post.created_at, post)
+            windows.setdefault(post.post.created_at // window, []).append(post)
+        runner._flush_minute_windows(upto=None)
+
+        expected = []
+        for index in sorted(windows):
+            report = window_report(windows[index], window)
+            expected.append(
+                (report.window.window_start, report.posts_in, report.tagged, ";".join(top_terms(report.term_counts)))
+            )
+        assert runner.window_rows == expected
+        assert runner.counters["tagged"] == sum(row[2] for row in expected)
+
+
 MISINFO_TERMS = ["bleach", "5g towers", "microchip", "plandemic", "hoax"]
 MISINFO_PIECES = MISINFO_TERMS + ["BLEACH", "5G Towers", "virus", "news", " ", "  "]
 
@@ -673,7 +725,6 @@ class TestIngestTagging:
             terms = Path(tmp) / "terms.json"
             terms.write_text(json.dumps({"terms": []}))
             config = PipelineConfig(
-                seed=1,
                 archive=str(Path(tmp) / "unused.jsonl"),
                 misinfo=MisinfoConfig(
                     seeds=("plandemic",),
@@ -1152,7 +1203,7 @@ class TestCli:
         config.write_text(yaml.safe_dump({"archive": "/ghost.jsonl"}))
         assert main(["run", "--config", str(config)]) == 2
         err = capsys.readouterr().err
-        assert "seed" in err and "archive" in err
+        assert "archive" in err and "seed" not in err
 
     def test_run_reports_each_skipped_misinfo_source_once(self, tmp_path, capsys):
         """A blank term is skipped, not fatal, and the source's other terms
