@@ -149,9 +149,6 @@ def _cmd_keywords(args: argparse.Namespace) -> int:
         """One audit line: the promoted term and when it was promoted."""
         return feed_field(obj, "term", text), feed_field(obj, "promoted_at", timestamp)
 
-    if args.action != "show":
-        print(f"unknown keywords action: {args.action}", file=sys.stderr)
-        return EXIT_VALIDATION
     try:
         at = parse_timestamp(args.at) if args.at else None
     except TimestampError as exc:

@@ -16,9 +16,6 @@ class WindowAssignment:
     def window_end(self) -> float:
         return self.window_start + self.window_length
 
-    def contains(self, event_time: float) -> bool:
-        return self.window_start <= event_time < self.window_end
-
 
 def window_start(event_time: float, length: float = DEFAULT_WINDOW_LENGTH) -> float:
     """Start of the tumbling window that holds ``event_time``.

@@ -32,7 +32,7 @@ class EventCluster:
     location: str
     window: WindowAssignment
     post_ids: set[int] = field(default_factory=set)
-    topic_terms: set[str] = field(default_factory=set)
+    topic_terms: frozenset[str] = frozenset()
     status: str = "tentative"  # tentative | corroborated | refuted
     evidence_ids: set[str] = field(default_factory=set)
     team_score: float = 0.0
@@ -41,9 +41,9 @@ class EventCluster:
         self.location = normalize_location(self.location)
         # attach_evidence compares these with lowercased evidence terms. The
         # set is rebuilt only when needed: form_clusters' terms are already
-        # lowercase, and copies of them would stay alive with the cluster.
+        # a lowercase frozenset, which the cluster's features share.
         if any(t != t.lower() for t in self.topic_terms):
-            self.topic_terms = {t.lower() for t in self.topic_terms}
+            self.topic_terms = frozenset(t.lower() for t in self.topic_terms)
 
     def to_json_obj(self) -> dict:
         return {
@@ -66,6 +66,8 @@ class ClusterFeatures:
 
 
 def cluster_features(cluster: EventCluster, posts: Iterable[EnrichedPost]) -> ClusterFeatures:
+    """The cluster's features; ``topic_terms`` is the cluster's own frozenset
+    when it holds one (``frozenset`` of a frozenset is that object)."""
     members = [p for p in posts if p.post.id in cluster.post_ids]
     channels = {p.post.channel for p in members}
     mean_abs = (
@@ -79,7 +81,7 @@ def cluster_features(cluster: EventCluster, posts: Iterable[EnrichedPost]) -> Cl
     )
 
 
-def _topic_terms(members: list[EnrichedPost]) -> set[str]:
+def _topic_terms(members: list[EnrichedPost]) -> frozenset[str]:
     """Matched keywords plus the most common candidate tokens of the members."""
     terms: set[str] = set()
     doc_freq: Counter = Counter()
@@ -88,7 +90,7 @@ def _topic_terms(members: list[EnrichedPost]) -> set[str]:
         doc_freq.update(tokenize(post.post.text))
     ranked = sorted(doc_freq.items(), key=lambda item: (-item[1], item[0]))
     terms.update(term for term, _ in ranked[:TOPIC_TERM_LIMIT])
-    return terms
+    return frozenset(terms)
 
 
 def form_clusters(

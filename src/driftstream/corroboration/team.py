@@ -10,17 +10,16 @@ exp(eta * o * (2v - 1)).
 Raw weights are kept unnormalized internally (the exposed ``weights`` view
 is always normalized), so the multiplicative decay of a member is exactly
 the product of its update factors — e.g. k straight losses at full
-confidence multiply its raw weight by exp(-k * eta).
+confidence multiply its raw weight by exp(-k * eta). A run's team is
+``default_team``'s four members, fixed: evidence moves only their weights.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
-from ..keywords import tokenize
 from .clusters import ClusterFeatures
 
 DEFAULT_LEARNING_RATE = 0.5
@@ -75,17 +74,6 @@ class TeamedClassifier:
         ]
         return self.weights
 
-    def add_member(self, member: Member) -> None:
-        """Insert at weight 1/(m+1); existing members share the rest.
-
-        Resets the raw scale (normalized weights scaled by m/(m+1) become
-        the new raws), so decay bookkeeping restarts from here.
-        """
-        m = len(self.members)
-        scaled = [w * m / (m + 1.0) for w in self.weights]
-        self.members.append(member)
-        self.raw_weights = scaled + [1.0 / (m + 1.0)]
-
 
 def update_weights(classifier: TeamedClassifier, member_votes: Sequence[float], outcome: int) -> list[float]:
     return classifier.update(member_votes, outcome)
@@ -133,17 +121,3 @@ def default_team(topic_terms: Iterable[str], eta: float = DEFAULT_LEARNING_RATE)
         ],
         eta=eta,
     )
-
-
-def add_member(classifier: TeamedClassifier, trend_posts: Sequence, top_k: int = 5) -> TeamedClassifier:
-    """Grow the team with a scorer built from a new trend's top terms."""
-    if not trend_posts:
-        raise ValueError("trend_data must be non-empty")
-    doc_freq: Counter = Counter()
-    for post in trend_posts:
-        doc_freq.update(tokenize(post.post.text))
-    ranked = sorted(doc_freq.items(), key=lambda item: (-item[1], item[0]))
-    terms = [term for term, _ in ranked[:top_k]]
-    label = terms[0] if terms else "trend"
-    classifier.add_member(keyword_presence_member(f"trend:{label}", terms))
-    return classifier

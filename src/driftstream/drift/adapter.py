@@ -104,28 +104,25 @@ class DriftAdapter:
     def _new_bucket(self, index: int) -> _Bucket:
         return _Bucket(index, self._new_stats())
 
-    def observe(self, enriched: EnrichedPost) -> list[PromotionEvent]:
-        """Observe one post; returns promotions triggered by a slide rollover.
+    def observe(self, enriched: EnrichedPost) -> None:
+        """Observe one post; a slide rollover first closes the slides before
+        it, and their promotions land in ``audit``.
 
         A post from a closed slide counts toward the open one."""
         index = int(enriched.post.created_at // self.slide)
-        events: list[PromotionEvent] = []
         if self._current is None:
             self._current = self._new_bucket(index)
         elif index > self._current.index:
-            events = self._advance_to(index)
+            self._advance_to(index)
         observe_post(self._current.stats, enriched, self.keywords)
-        return events
 
-    def _advance_to(self, index: int) -> list[PromotionEvent]:
+    def _advance_to(self, index: int) -> None:
         """Close every slide before ``index``, the empty ones of a gap included."""
-        events: list[PromotionEvent] = []
         while self._current.index < index:
             closed = self._close_current()
-            events.extend(self._evaluate(closed.index))
+            self._evaluate(closed.index)
             if closed.stats.total_posts:
                 self._detect_piggyback(closed)
-        return events
 
     def _close_current(self) -> _Bucket:
         closed = self._current
@@ -144,17 +141,15 @@ class DriftAdapter:
             merged.merge(bucket.stats)
         return merged
 
-    def _evaluate(self, closed_index: int) -> list[PromotionEvent]:
+    def _evaluate(self, closed_index: int) -> None:
         if self.policy is None:
-            return []
+            return
         window_end = (closed_index + 1) * self.slide
         window_start = window_end - self.window_length
-        events = [
+        self.audit.extend(
             PromotionEvent(term, window_end, score, window_start, window_end)
             for term, score in promote_keywords(self._window_stats, self.policy, self.keywords)
-        ]
-        self.audit.extend(events)
-        return events
+        )
 
     def _detect_piggyback(self, closed: _Bucket) -> None:
         self._piggyback_buckets.append(closed)
@@ -180,8 +175,7 @@ class DriftAdapter:
             return self._window_stats
         return self._merged(self._piggyback_buckets)
 
-    def flush(self) -> list[PromotionEvent]:
+    def flush(self) -> None:
         """Close the open bucket at stream end and run a final promotion."""
-        if self._current is None:
-            return []
-        return self._evaluate(self._close_current().index)
+        if self._current is not None:
+            self._evaluate(self._close_current().index)

@@ -26,28 +26,3 @@ class EnrichedPost:
             raise ValueError(f"unknown topic groups: {sorted(self.topic_groups - _KNOWN_GROUPS)}")
         if not -1.0 <= self.sentiment <= 1.0:
             raise ValueError(f"sentiment out of range: {self.sentiment}")
-
-    def to_payload(self) -> dict:
-        return {
-            "post": self.post.to_payload(),
-            "locations": list(self.locations),
-            "sentiment": self.sentiment,
-            "topic_groups": sorted(self.topic_groups),
-            "relevance": self.relevance,
-            "matched_terms": sorted(self.matched_terms),
-            "misinfo_terms": sorted(self.misinfo_terms),
-            "authoritative": self.authoritative,
-        }
-
-    @classmethod
-    def from_payload(cls, payload: dict) -> "EnrichedPost":
-        return cls(
-            post=Post.from_payload(payload["post"]),
-            locations=list(payload.get("locations", [])),
-            sentiment=payload.get("sentiment", 0.0),
-            topic_groups=set(payload.get("topic_groups", [])),
-            relevance=payload.get("relevance", False),
-            matched_terms=set(payload.get("matched_terms", [])),
-            misinfo_terms=set(payload.get("misinfo_terms", [])),
-            authoritative=payload.get("authoritative", False),
-        )

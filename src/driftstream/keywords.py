@@ -102,9 +102,6 @@ class KeywordSet:
     def __contains__(self, term: str) -> bool:
         return term.strip().lower() in self._terms
 
-    def __len__(self) -> int:
-        return len(self._terms)
-
     def active_terms(self) -> list[str]:
         return sorted(self._terms)
 
@@ -146,15 +143,15 @@ class RecentMatches:
         # id -> (expiry, terms). Not a plain dict: popping a dict's first key
         # scans past every slot earlier pops freed, so each sweep would cost
         # time in proportion to the entries held.
-        self._entries: OrderedDict[int, tuple[float, list[str]]] = OrderedDict()
+        self._entries: OrderedDict[int, tuple[float, tuple[str, ...]]] = OrderedDict()
         self._swept_at = float("-inf")
 
-    def put(self, post_id: int, terms: list[str], now: float) -> None:
+    def put(self, post_id: int, terms: tuple[str, ...], now: float) -> None:
         """Hold ``terms`` for ``post_id`` until ``now + ttl``, replacing any entry."""
         self._entries[post_id] = (now + self.ttl, terms)
         self._entries.move_to_end(post_id)
 
-    def get(self, post_id: int) -> Optional[list[str]]:
+    def get(self, post_id: int) -> Optional[tuple[str, ...]]:
         hit = self._entries.get(post_id)
         return None if hit is None else hit[1]
 

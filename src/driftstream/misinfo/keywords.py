@@ -50,13 +50,6 @@ class MisinfoKeywordSet:
             self.active = tuple(sorted(self.active + (term,)))
         return True
 
-    @property
-    def skipped_sources(self) -> int:
-        return sum(index is None for _, index in self.skipped)
-
-    def active_terms(self) -> list[str]:
-        return list(self.active)
-
     def match(self, lowered: str) -> set[str]:
         """Active terms found in ``lowered``, a post text already lowercased."""
         return {t for t in self.active if t in lowered}

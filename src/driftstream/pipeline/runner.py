@@ -29,6 +29,10 @@ runs keyword promotion and then piggyback detection. Evidence is applied
 after stream exhaustion, in arrival order, with retroactive correction:
 each item is tried only against the clusters at its location whose window
 lies within its lag tolerance, and a flip is read off a running tally.
+A count that a stage already records is read off that record, never kept
+twice: the summary's ``tagged`` sums the ``windows.csv`` rows,
+``promoted_terms`` is the length of the drift audit and ``status_changes``
+that of the cluster store's change log.
 """
 
 from __future__ import annotations
@@ -201,7 +205,7 @@ class PipelineRunner:
             return
         if enriched.relevance:
             self.counters["relevant"] += 1
-            self.store.put(parsed.id, sorted(enriched.matched_terms), self._watermark)
+            self.store.put(parsed.id, tuple(enriched.matched_terms), self._watermark)
         if enriched.authoritative:
             self.counters["authoritative"] += 1
 
@@ -236,13 +240,12 @@ class PipelineRunner:
             start, tagged, term_counts = window_tally(posts, self.config.misinfo.window)
             top = ";".join(top_terms(term_counts)) if term_counts else ""
             self.window_rows.append((start, len(posts), tagged, top))
-            self.counters["tagged"] += tagged
             for post in posts:
                 self._route_tagged(post)
 
     def _route_tagged(self, enriched: EnrichedPost) -> None:
         created = enriched.post.created_at
-        self.counters["promoted_terms"] += len(self.drift.observe(enriched))
+        self.drift.observe(enriched)
 
         if enriched.relevance and enriched.locations and not enriched.misinfo_terms:
             self._cluster_buffers.add(created, enriched)
@@ -279,8 +282,6 @@ class PipelineRunner:
                     self.counters["case_reports"] += 1
                     cases = self.case_day_counts.setdefault(report.region, Counter())
                     cases[(report.date // DAY) * DAY] += report.new_cases
-                else:
-                    self.counters["case_reports_skipped"] += 1
             self.location_cache = case_regions(reports)
 
         for post in posts_from_archive(config.archive, self.rejections, config.speed):
@@ -290,13 +291,12 @@ class PipelineRunner:
 
         # end of stream: close everything still buffered
         self._flush_minute_windows(upto=None)
-        self.counters["promoted_terms"] += len(self.drift.flush())
+        self.drift.flush()
         self._flush_cluster_windows(upto=None)
 
         if config.evidence_feed:
             for ev in load_evidence_feed(config.evidence_feed):
-                changes = self.cluster_store.ingest_evidence(ev, classifier=self.team)
-                self.counters["status_changes"] += len(changes)
+                self.cluster_store.ingest_evidence(ev, classifier=self.team)
 
         elapsed = time.monotonic() - started
         report_paths = self._write_reports()
@@ -349,15 +349,15 @@ class PipelineRunner:
             "discarded": self.counters.get("discarded", 0),
             "relevant": self.counters.get("relevant", 0),
             "authoritative": self.counters.get("authoritative", 0),
-            "tagged": self.counters.get("tagged", 0),
+            "tagged": sum(row[2] for row in self.window_rows),
             "windows": len(self.window_rows),
             "clusters": self.counters.get("clusters", 0),
-            "promoted_terms": self.counters.get("promoted_terms", 0),
+            "promoted_terms": len(self.drift.audit),
             "misinfo_terms_added": self.counters.get("misinfo_terms_added", 0),
             # a repeated evidence id changes nothing, so the store holds
             # exactly the items applied
             "evidence_applied": len(self.cluster_store.evidence),
-            "status_changes": self.counters.get("status_changes", 0),
+            "status_changes": len(self.cluster_store.change_log),
             "case_reports": self.counters.get("case_reports", 0),
             "active_keywords": self.keywords.active_terms(),
         }

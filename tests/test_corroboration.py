@@ -30,9 +30,7 @@ from driftstream.corroboration.evidence import (
 from driftstream.corroboration.team import (
     Member,
     TeamedClassifier,
-    add_member,
     default_team,
-    keyword_presence_member,
     update_weights,
 )
 from driftstream.timeutil import DAY, HOUR, parse_timestamp
@@ -106,7 +104,7 @@ class TestFormClusters:
             for pid in cluster.post_ids:
                 post = by_id[pid]
                 assert cluster.location in post.locations
-                assert cluster.window.contains(post.post.created_at)
+                assert cluster.window.window_start <= post.post.created_at < cluster.window.window_end
 
     def test_topic_terms_include_matched_keywords_and_common_tokens(self):
         posts = [
@@ -118,6 +116,17 @@ class TestFormClusters:
         (cluster,) = form_clusters(posts, min_cluster_size=3)
         assert "coronavirus" in cluster.topic_terms
         assert "rally" in cluster.topic_terms
+
+    def test_features_share_the_cluster_terms(self):
+        """A formed cluster holds its terms as one frozenset, and its
+        features reference that object instead of a copy; so does a cluster
+        whose terms were lowercased when it was built."""
+        cluster, posts = _cluster()
+        assert type(cluster.topic_terms) is frozenset
+        assert cluster_features(cluster, posts).topic_terms is cluster.topic_terms
+        mixed = EventCluster(id="c", location="sturgis", window=cluster.window, topic_terms={"Rally"})
+        assert type(mixed.topic_terms) is frozenset
+        assert cluster_features(mixed, posts).topic_terms is mixed.topic_terms
 
 
 def _cluster(location="sturgis", window_start=T0 - T0 % HOUR):
@@ -569,50 +578,3 @@ class TestTeamedClassifier:
         assert all(w > 0 for w in team.weights)
         assert sum(team.weights) == pytest.approx(1.0, abs=1e-9)
 
-
-class TestAddMember:
-    def test_one_member_team_becomes_half_half(self):
-        team = TeamedClassifier([Member("a", lambda f: 1.0)])
-        team.add_member(Member("b", lambda f: 0.0))
-        assert team.weights == pytest.approx([0.5, 0.5])
-
-    def test_trend_member_scores_on_matching_topic_terms(self):
-        team = TeamedClassifier([Member("a", lambda f: 0.0)])
-        trend_posts = [
-            make_enriched(post_id=i, text="bleach cure bleach nonsense") for i in range(3)
-        ]
-        add_member(team, trend_posts)
-        cluster, posts = _cluster()
-        cluster.topic_terms = {"bleach", "rally"}
-        features = cluster_features(cluster, posts)
-        assert team.members[-1](features) == 1.0
-        assert team.members[-1].id.startswith("trend:")
-        cluster.topic_terms = {"rally"}
-        features = cluster_features(cluster, posts)
-        assert team.members[-1](features) == 0.0
-
-    def test_add_preserves_relative_weights_of_existing(self):
-        team = TeamedClassifier([Member("a", lambda f: 0.0), Member("b", lambda f: 0.0)])
-        update_weights(team, [1.0, 0.0], outcome=1)
-        ratio_before = team.weights[0] / team.weights[1]
-        team.add_member(Member("c", lambda f: 0.0))
-        assert team.weights[2] == pytest.approx(1.0 / 3.0)
-        assert team.weights[0] / team.weights[1] == pytest.approx(ratio_before)
-        assert sum(team.weights) == pytest.approx(1.0)
-
-    def test_empty_trend_rejected(self):
-        team = TeamedClassifier([Member("a", lambda f: 0.0)])
-        with pytest.raises(ValueError):
-            add_member(team, [])
-
-    def test_predictions_on_term_disjoint_clusters_track_renormalization(self):
-        base = TeamedClassifier([Member("a", lambda f: 0.4), Member("b", lambda f: 0.8)])
-        cluster, posts = _cluster()
-        cluster.topic_terms = {"rally"}  # disjoint from the trend terms below
-        features = cluster_features(cluster, posts)
-        before = base.predict(features)
-        trend_posts = [make_enriched(post_id=i, text="bleach bleach") for i in range(2)]
-        add_member(base, trend_posts)
-        after = base.predict(features)
-        # new member scores 0 on disjoint clusters: prediction scales by m/(m+1)
-        assert after == pytest.approx(before * 2.0 / 3.0)

@@ -305,11 +305,11 @@ class TestDriftAdapter:
             text = "facemask pandemic rising" if i % 2 == 0 else "coffee weather"
             adapter.observe(self._post(i, text, float(i), keywords))
         assert "facemask" not in keywords
-        events = adapter.observe(self._post(99, "pandemic again", 650.0, keywords))
-        assert any(e.term == "facemask" for e in events)
-        assert "facemask" in keywords
+        assert adapter.audit == []
+        adapter.observe(self._post(99, "pandemic again", 650.0, keywords))
         # the audit is the record of the promotion
-        assert adapter.audit == events
+        assert any(e.term == "facemask" for e in adapter.audit)
+        assert "facemask" in keywords
         assert {e.term: e.promoted_at for e in adapter.audit}["facemask"] == 600.0
         # promotion is permanent: solo posts now match
         solo = make_enriched(post_id=100, text="facemask only", created_at=700.0)
@@ -323,8 +323,9 @@ class TestDriftAdapter:
         for i in range(20):
             text = "facemask pandemic" if i % 2 == 0 else "coffee weather"
             adapter.observe(self._post(i, text, float(i), keywords))
-        events = adapter.flush()
-        assert any(e.term == "facemask" for e in events)
+        assert adapter.audit == []
+        adapter.flush()
+        assert any(e.term == "facemask" for e in adapter.audit)
 
     def test_late_post_counts_toward_the_open_slide(self):
         keywords = KeywordSet(seeds=("pandemic",))
@@ -441,9 +442,8 @@ class _CheckedAdapter(DriftAdapter):
         self.window_recount = _recount([], self.keywords, self.tracked_phrases)
 
     def observe(self, enriched):
-        events = super().observe(enriched)
+        super().observe(enriched)
         self.posts.setdefault(self._current.index, []).append(enriched)
-        return events
 
     def _close_current(self):
         evicted = self.recounts[0] if len(self.recounts) == self.recounts.maxlen else None

@@ -44,7 +44,7 @@ def test_token_mode_matches_multiword_phrase():
 
 def test_seeds_are_normalized_once():
     keywords = KeywordSet(seeds=(" Mask", "mask"))
-    assert len(keywords) == 1
+    assert len(keywords.active_terms()) == 1
     assert keywords.seeds == {"mask"}
     assert keywords.add(" MASK ") is False
     assert keywords.active_terms() == ["mask"]

@@ -272,7 +272,7 @@ def test_window_tagging_equals_oracle(seed_terms, window_texts, authoritative):
         post.authoritative = flag
     tagged, report = tag_misinformation_window(posts, keyword_set)
 
-    snapshot = keyword_set.active_terms()
+    snapshot = list(keyword_set.active)
     expected_counts: Counter = Counter()
     expected_tagged = 0
     for post in posts:

@@ -69,7 +69,7 @@ class TestRefresh:
             keyword_set,
         )
         assert added == []
-        assert keyword_set.skipped_sources == 1
+        assert sum(index is None for _, index in keyword_set.skipped) == 1
         assert keyword_set.terms == {"bioweapon", "plandemic"}
 
     def test_blank_or_non_string_term_skipped_and_recorded(self, tmp_path):
@@ -84,7 +84,7 @@ class TestRefresh:
             (str(src), 3): "not a string: null",
             (str(src), 4): "not a string: 5",
         }
-        assert keyword_set.skipped_sources == 0
+        assert sum(index is None for _, index in keyword_set.skipped) == 0
         assert keyword_set.terms == {"bioweapon", "plandemic", "bleach"}
 
     @pytest.mark.parametrize(
@@ -199,7 +199,7 @@ class TestWindowTagging:
         tagged, report = tag_misinformation_window(posts, keyword_set)
 
         # recount oracle
-        terms = keyword_set.active_terms()
+        terms = list(keyword_set.active)
         expected_tagged = 0
         expected_counts: Counter = Counter()
         for text in texts:

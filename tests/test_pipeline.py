@@ -396,7 +396,7 @@ class TestRunnerIntegration:
         config = parse_config(_base_config(tmp_path, corpus))
         result = run_pipeline(config)
 
-        terms = MisinfoKeywordSet().active_terms()
+        terms = list(MisinfoKeywordSet().active)
         authoritative = {"who.int", "cdc.gov", "jhu.edu", "nytimes.com", "cnn.com"}
         expected = 0
         for post in posts_from_archive(corpus.archive_path):
@@ -686,7 +686,7 @@ class TestWindowRows:
                 (report.window.window_start, report.posts_in, report.tagged, ";".join(top_terms(report.term_counts)))
             )
         assert runner.window_rows == expected
-        assert runner.counters["tagged"] == sum(row[2] for row in expected)
+        assert runner._summary()["tagged"] == sum(row[2] for row in expected)
 
 
 MISINFO_TERMS = ["bleach", "5g towers", "microchip", "plandemic", "hoax"]
@@ -941,12 +941,12 @@ class TestRetweetClosure:
         assert relevant(1, "pandemic news", 0)
         assert relevant(2, "so it begins", 1, retweet_of=1)
         assert not relevant(1, "nothing here", 12)
-        assert store.get(1) == ["pandemic"] and list(store._entries) == [1, 2]
+        assert store.get(1) == ("pandemic",) and list(store._entries) == [1, 2]
         assert relevant(1, "mask mandate", 20)
-        assert store.get(1) == ["mask"] and list(store._entries) == [2, 1]
+        assert store.get(1) == ("mask",) and list(store._entries) == [2, 1]
         # past the first put's TTL, inside the re-put's
         assert relevant(3, "so it begins", 30, retweet_of=1)
-        assert store.get(3) == ["mask"]
+        assert store.get(3) == ("mask",)
         assert not relevant(4, "so it begins", 45, retweet_of=1)
 
 
@@ -1066,12 +1066,23 @@ class TestMultidayBundle:
     GOLDEN_SHA256 = "e9058b3ed16c370a7725bd34b950876ee96b08a8a67274d724f4fdd08c0be3a4"
 
     def test_bundle_matches_golden(self, tmp_path):
+        import csv
         import hashlib
 
         result = run_pipeline(_multiday_config(tmp_path))
         summary = result.summary
         assert summary["promoted_terms"] and summary["status_changes"] and summary["tagged"]
         assert (result.out_dir / "piggyback.jsonl").read_text()
+        # the summary counts are read off the records the bundle holds
+        with open(result.out_dir / "windows.csv", newline="") as f:
+            windows = list(csv.DictReader(f))
+        with open(result.out_dir / "changes.csv", newline="") as f:
+            changes = list(csv.DictReader(f))
+        promotions = (result.out_dir / "keywords.jsonl").read_text().splitlines()
+        assert summary["promoted_terms"] == len(promotions)
+        assert summary["status_changes"] == len(changes)
+        assert summary["tagged"] == sum(int(row["tagged"]) for row in windows)
+        assert summary["windows"] == len(windows)
         digest = hashlib.sha256()
         for path in sorted(result.out_dir.iterdir()):
             digest.update(path.name.encode() + b"\0" + path.read_bytes() + b"\0")
@@ -1263,14 +1274,21 @@ class TestCli:
         ghost = str(tmp_path / "ghost.jsonl")
         assert main(["report", "--archive", ghost, "--out", str(tmp_path / "tables")]) == 2
 
-    @pytest.mark.parametrize("command", ["run", "replay"])
-    @pytest.mark.parametrize("speed", ["abc", "0", "-2"])
-    def test_bad_speed_flag_exits_2(self, capsys, command, speed):
-        required = {"run": ["--config", "c.yaml"], "replay": ["--archive", "a.jsonl"]}[command]
+    @pytest.mark.parametrize(
+        "argv, named",
+        [
+            pytest.param([command, *required, "--speed", speed], "--speed", id=f"{speed}-{command}")
+            for speed in ("abc", "0", "-2")
+            for command, required in (("run", ["--config", "c.yaml"]), ("replay", ["--archive", "a.jsonl"]))
+        ]
+        # argparse refuses an action other than ``show`` before the handler runs
+        + [pytest.param(["keywords", "bogus"], "'bogus'", id="keywords-bogus")],
+    )
+    def test_bad_speed_flag_exits_2(self, capsys, argv, named):
         with pytest.raises(SystemExit) as exit_info:
-            main([command, *required, "--speed", speed])
+            main(argv)
         assert exit_info.value.code == 2
-        assert "--speed" in capsys.readouterr().err
+        assert named in capsys.readouterr().err
 
     def test_replay_out_round_trip(self, tmp_path, capsys):
         from driftstream.core.log import DurableLog
