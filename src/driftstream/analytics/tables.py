@@ -65,8 +65,10 @@ class TableCounts:
 
 
 def write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence]) -> Path:
-    """``header`` and then ``rows``, one CSV line each."""
-    with open(path, "w", encoding="utf-8", newline="") as f:
+    """``header`` and then ``rows``, one CSV line each. A lone surrogate,
+    which a JSON ``\\u`` escape can put in a post's ``lang``, is written as
+    its backslash escape, since UTF-8 cannot encode it."""
+    with open(path, "w", encoding="utf-8", errors="backslashreplace", newline="") as f:
         writer = csv.writer(f, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)

@@ -10,6 +10,22 @@ from typing import Any, Optional
 # builds a new JSONEncoder per call, with the same bytes.
 _ENCODER = json.JSONEncoder(separators=(",", ":"), sort_keys=True)
 
+# The decoder's documented one-document scan: one call into the C scanner,
+# without json.loads's wrapper and its two whitespace regex matches.
+_raw_decode = json.JSONDecoder().raw_decode
+
+
+def decode_json(text: str) -> Any:
+    """``json.loads(text)``, by one scanner call when ``text`` is exactly one
+    JSON document. Any other text (surrounding whitespace, a BOM, trailing
+    data, a malformed document) is decoded again by ``json.loads``, so every
+    result and every exception is the one ``json.loads`` gives."""
+    try:
+        obj, end = _raw_decode(text)
+    except ValueError:
+        return json.loads(text)
+    return obj if end == len(text) else json.loads(text)
+
 
 @dataclass(slots=True)
 class StreamRecord:
@@ -36,5 +52,5 @@ class StreamRecord:
 
     @classmethod
     def from_bytes(cls, data: bytes, offset: int = -1) -> "StreamRecord":
-        body = json.loads(data.decode("utf-8"))
+        body = decode_json(data.decode("utf-8"))
         return cls(body["payload"], body["key"], body["event_time"], body["ingest_time"], offset)

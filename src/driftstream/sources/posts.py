@@ -1,12 +1,32 @@
-"""Post records and archive-line parsing."""
+"""Post records and archive-line parsing.
+
+Each line is decoded by ``core.records.decode_json``: one call into the
+C scanner of ``json.JSONDecoder.raw_decode`` when the line is exactly one
+JSON document, which is every well-formed line the archive reader passes
+(it strips the newline). Any other line, with surrounding whitespace, a
+BOM, a CR, trailing data or a malformed document, is decoded again by
+``json.loads``. The fast path thus changes no outcome: a line decodes to
+the object ``json.loads`` gives, or is rejected with its error text. A
+line is tested for blankness only once it has failed to decode.
+
+Field types have one rule. ``id`` is a JSON integer or a string that
+``int()`` accepts; anything else, a bool or a float included, is
+``bad_id``. ``text`` is a non-empty string. ``created_at`` is a timestamp
+string whose instant falls in years 1-9999 UTC, where every bundle date
+and log record can render it (``bad_timestamp`` otherwise).
+``retweeted_id`` follows ``id``'s rule and is ignored where it breaks it.
+``lang`` and ``channel`` take their defaults where they are absent or not
+strings. A number past Python's int-digit limit and nesting past the
+recursion limit are ``bad_json``, as ``json.loads`` raises on both.
+"""
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Optional, Union
 
-from ..timeutil import TimestampError, format_timestamp, parse_timestamp
+from ..core.records import decode_json
+from ..timeutil import END_EPOCH, FIRST_EPOCH, TimestampError, format_timestamp, parse_timestamp
 
 
 @dataclass(slots=True)
@@ -62,39 +82,56 @@ def parse_post(line: Union[str, bytes]) -> Union[Post, Rejection]:
             line = line.decode("utf-8")
         except UnicodeDecodeError as exc:
             return Rejection("bad_utf8", str(exc))
-    if not line.strip():
-        return Rejection("empty")
     try:
-        obj = json.loads(line)
-    except json.JSONDecodeError as exc:
-        return Rejection("bad_json", str(exc))
+        obj = decode_json(line)
+    except (ValueError, RecursionError) as exc:
+        return Rejection("bad_json", str(exc)) if line.strip() else Rejection("empty")
     if not isinstance(obj, dict):
         return Rejection("bad_json", "line is not a JSON object")
 
-    for field_name in ("id", "text", "created_at"):
-        if field_name not in obj or obj[field_name] in (None, ""):
-            return Rejection("missing_field", field_name)
+    post_id = obj.get("id")
+    if post_id is None or post_id == "":
+        return Rejection("missing_field", "id")
+    text = obj.get("text")
+    if text is None or text == "":
+        return Rejection("missing_field", "text")
+    created_at = obj.get("created_at")
+    if created_at is None or created_at == "":
+        return Rejection("missing_field", "created_at")
 
-    try:
-        post_id = int(obj["id"])
-    except (TypeError, ValueError):
-        return Rejection("bad_id", repr(obj["id"]))
+    if type(post_id) is str:
+        try:
+            post_id = int(post_id)
+        except ValueError:
+            return Rejection("bad_id", repr(post_id))
+    elif type(post_id) is not int:  # a bool, a float, an array or an object
+        return Rejection("bad_id", repr(post_id))
 
-    text = obj["text"]
     if not isinstance(text, str):
         return Rejection("missing_field", "text")
 
     try:
-        created = parse_timestamp(obj["created_at"])
+        created = parse_timestamp(created_at)
     except TimestampError as exc:
         return Rejection("bad_timestamp", str(exc))
+    if not FIRST_EPOCH <= created < END_EPOCH:  # no date to write it under
+        return Rejection("bad_timestamp", f"outside years 1-9999 UTC: {created_at!r}")
 
     retweeted = obj.get("retweeted_id")
-    if retweeted is not None:
+    if retweeted is not None and type(retweeted) is not int:
         try:
-            retweeted = int(retweeted)
-        except (TypeError, ValueError):
+            retweeted = int(retweeted) if type(retweeted) is str else None
+        except ValueError:
             retweeted = None
 
+    lang = obj.get("lang")
+    channel = obj.get("channel")
     # positional, in field order: keywords cost twice the call
-    return Post(post_id, created, text, obj.get("lang", "und"), obj.get("channel", "twitter"), retweeted)
+    return Post(
+        post_id,
+        created,
+        text,
+        lang if type(lang) is str else "und",
+        channel if type(channel) is str else "twitter",
+        retweeted,
+    )

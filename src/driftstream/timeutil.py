@@ -28,6 +28,12 @@ _MONTH_DAYS = (0, 31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31)  # February of
 _DAYS_BEFORE_MONTH = tuple(sum(_MONTH_DAYS[1:m]) for m in range(13))
 _EPOCH_ORDINAL = 719163  # datetime(1970, 1, 1).toordinal()
 
+# The instants format_timestamp can render: 0001-01-01 up to, not
+# including, 10000-01-01 UTC. parse_timestamp reaches past them only where
+# an offset moves a year-1 or year-9999 time across the edge.
+FIRST_EPOCH = -62135596800.0
+END_EPOCH = 253402300800.0
+
 MINUTE = 60.0
 HOUR = 3600.0
 DAY = 86400.0
@@ -42,13 +48,30 @@ class TimestampError(ValueError):
 # mapping is pure and the pair is replaced whole, so every caller may share it.
 _last_parsed: tuple[object, float] = (None, 0.0)
 
+# The minutes of recent canonical timestamps, "2020-02-29T18:59:56Z" and
+# "Sat Feb 29 18:59:56 +0000 2020": each maps the string without its
+# seconds digits (characters 17 and 18 in both forms) to the epoch of its
+# second 0. A string equal to one but for those digits, 00 to 59, is that
+# epoch plus its seconds, with no regex or datetime. At about a post a
+# second, consecutive timestamps rarely share their string but mostly share
+# their minute. Pure like _last_parsed, and emptied when full.
+_minute_epochs: dict[str, float] = {}
+_MINUTES_KEPT = 8
+
 
 def parse_timestamp(value: str) -> float:
     """Parse a legacy or ISO-8601 timestamp string to UTC epoch seconds."""
     global _last_parsed
-    last = _last_parsed
-    if type(value) is str and value == last[0]:
-        return last[1]
+    if type(value) is str:
+        last = _last_parsed
+        if value == last[0]:
+            return last[1]
+        minute = _minute_epochs.get(value[:17] + value[19:])
+        # a hit has the remembered string's length, so [17] and [18] exist
+        if minute is not None and "0" <= value[17] <= "5" and "0" <= value[18] <= "9":
+            epoch = minute + int(value[17:19])
+            _last_parsed = (value, epoch)
+            return epoch
     if not isinstance(value, str) or not value.strip():
         raise TimestampError(f"empty or non-string timestamp: {value!r}")
     text = value.strip()
@@ -57,6 +80,7 @@ def parse_timestamp(value: str) -> float:
     # fromisoformat (C); a legacy string starts with its weekday's name.
     match = _LEGACY_RE.fullmatch(text) if text[0] > "9" else None
     epoch = None if match is None else _legacy_epoch(*match.groups())
+    canonical = epoch is not None
     if epoch is None:
         iso = text[:-1] + "+00:00" if text.endswith("Z") else text
         try:
@@ -69,8 +93,15 @@ def parse_timestamp(value: str) -> float:
         if dt.tzinfo is None:
             dt = dt.replace(tzinfo=timezone.utc)
         epoch = dt.timestamp()
+        # 20 characters that fromisoformat took, with "T" and two colons
+        # here, are "YYYY-MM-DDTHH:MM:SSZ" (or a week date): seconds at 17
+        canonical = len(text) == 20 and text[10] == "T" and text[13] == text[16] == ":" and text[19] == "Z"
     if type(value) is str:
         _last_parsed = (value, epoch)
+        if canonical and len(text) == len(value):
+            if len(_minute_epochs) >= _MINUTES_KEPT:
+                _minute_epochs.clear()
+            _minute_epochs[value[:17] + value[19:]] = epoch - int(value[17:19])
     return epoch
 
 

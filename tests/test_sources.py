@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from driftstream.cli import main
 from driftstream.core.log import DurableLog
+from driftstream.core.records import decode_json
 from driftstream.sources import archive as archive_module
 from driftstream.sources.posts import Post, Rejection, parse_post
 from driftstream.sources.archive import posts_from_archive
@@ -94,6 +95,153 @@ class TestParsePost:
         assert post.is_retweet_of == 7
 
 
+# Any JSON value; floats include NaN and the infinities, which json.dumps
+# writes as NaN, Infinity and -Infinity.
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda children: st.lists(children, max_size=4) | st.dictionaries(st.text(max_size=6), children, max_size=4),
+    max_leaves=12,
+)
+
+# Ways a document becomes a line json.loads treats differently from a bare
+# document; k picks a cut point.
+MUTATIONS = {
+    "as is": lambda doc, k: doc,
+    "leading space": lambda doc, k: " " + doc,
+    "trailing space": lambda doc, k: doc + " ",
+    "leading tab": lambda doc, k: "\t" + doc,
+    "trailing tab": lambda doc, k: doc + "\t",
+    "leading CR": lambda doc, k: "\r" + doc,
+    "trailing CR": lambda doc, k: doc + "\r",
+    "BOM": lambda doc, k: "\ufeff" + doc,
+    "trailing garbage": lambda doc, k: doc + "x",
+    "truncated": lambda doc, k: doc[: k % max(len(doc), 1)],
+    "two documents": lambda doc, k: doc + doc,
+    "two documents, spaced": lambda doc, k: doc + " " + doc,
+    "NaN and Infinity": lambda doc, k: f"[{doc}, NaN, Infinity, -Infinity]",
+}
+
+
+def _outcome(decode, text):
+    """What ``decode(text)`` gives: the object's repr (NaN equals itself, and
+    1, 1.0 and True differ), or the exception's type and message."""
+    try:
+        return "ok", repr(decode(text))
+    except Exception as exc:  # noqa: BLE001 - the exception is the outcome
+        return type(exc), str(exc)
+
+
+class TestDecodeJson:
+    """``decode_json`` is ``json.loads`` by a faster path: every outcome,
+    object or exception, must be the same."""
+
+    @given(JSON_VALUES, st.booleans(), st.sampled_from(sorted(MUTATIONS)), st.integers(0, 10**6))
+    def test_equals_json_loads_on_documents_and_mutations(self, value, ascii_only, mutation, k):
+        text = MUTATIONS[mutation](json.dumps(value, ensure_ascii=ascii_only), k)
+        assert _outcome(decode_json, text) == _outcome(json.loads, text)
+
+    @given(st.text())
+    @example("")
+    @example(" \t\r\n")
+    @example('{"a": 1} {"b": 2}')
+    @example("\ufeff{}")
+    @example("7" * 4301)
+    @example("[" * 100_000 + "]" * 100_000)
+    def test_equals_json_loads_on_any_text(self, text):
+        assert _outcome(decode_json, text) == _outcome(json.loads, text)
+
+
+# A valid line's other fields, for lines that break one field.
+REST = '"text": "corona news", "created_at": "2020-03-01T00:00:05Z"'
+
+# Each malformed shape and the reason it is counted under. Before the field
+# rule, the digit limit, the nesting, id 1e400 and both timestamps stopped a
+# run or a replay, and ids true, 1.9 and 1.0 became a post.
+MALFORMED_SHAPES = {
+    "int past the 4,300-digit limit": ('{"id": %s, %s}' % ("7" * 4301, REST), "bad_json"),
+    "nesting past the recursion limit": ("[" * 100_000 + "]" * 100_000, "bad_json"),
+    "id 1e400": ('{"id": 1e400, %s}' % REST, "bad_id"),
+    "id string past the digit limit": ('{"id": "%s", %s}' % ("7" * 4301, REST), "bad_id"),
+    "id true": ('{"id": true, %s}' % REST, "bad_id"),
+    "id 1.9": ('{"id": 1.9, %s}' % REST, "bad_id"),
+    "id 1.0": ('{"id": 1.0, %s}' % REST, "bad_id"),
+    "id NaN": ('{"id": NaN, %s}' % REST, "bad_id"),
+    "id array": ('{"id": [1], %s}' % REST, "bad_id"),
+    "timestamp before year 1 UTC": (
+        '{"id": 5, "text": "corona news", "created_at": "0001-01-01T00:00:00+01:00"}', "bad_timestamp"),
+    "timestamp past year 9999 UTC": (
+        '{"id": 5, "text": "corona news", "created_at": "Fri Dec 31 23:59:59 -0100 9999"}', "bad_timestamp"),
+}
+
+# Lines that parse, with the field a malformed value leaves at its default
+# or, for a string id, converts.
+NORMALISED_SHAPES = {
+    "retweeted_id 1e400": ('{"id": 2, "retweeted_id": 1e400, %s}' % REST, "is_retweet_of", None),
+    "retweeted_id true": ('{"id": 2, "retweeted_id": true, %s}' % REST, "is_retweet_of", None),
+    "retweeted_id 1.5": ('{"id": 2, "retweeted_id": 1.5, %s}' % REST, "is_retweet_of", None),
+    "retweeted_id x": ('{"id": 2, "retweeted_id": "x", %s}' % REST, "is_retweet_of", None),
+    "retweeted_id string": ('{"id": 2, "retweeted_id": "7", %s}' % REST, "is_retweet_of", 7),
+    "channel null": ('{"id": 3, "channel": null, %s}' % REST, "channel", "twitter"),
+    "channel array": ('{"id": 3, "channel": ["who"], %s}' % REST, "channel", "twitter"),
+    "lang 7": ('{"id": 4, "lang": 7, %s}' % REST, "lang", "und"),
+    "lang false": ('{"id": 4, "lang": false, %s}' % REST, "lang", "und"),
+    "id string": ('{"id": " 12 ", %s}' % REST, "id", 12),
+}
+
+REASONS = {"empty", "bad_utf8", "bad_json", "missing_field", "bad_id", "bad_timestamp"}
+FIELDS = ("id", "text", "created_at", "retweeted_id", "lang", "channel")
+
+
+class TestMalformedLines:
+    @pytest.mark.parametrize("line, reason", MALFORMED_SHAPES.values(), ids=list(MALFORMED_SHAPES))
+    def test_shape_is_rejected_by_reason(self, line, reason):
+        for form in (line, line.encode()):
+            rejection = parse_post(form)
+            assert isinstance(rejection, Rejection)
+            assert rejection.reason == reason
+
+    @pytest.mark.parametrize("line, field, value", NORMALISED_SHAPES.values(), ids=list(NORMALISED_SHAPES))
+    def test_shape_parses_with_field(self, line, field, value):
+        post = parse_post(line)
+        assert isinstance(post, Post)
+        assert getattr(post, field) == value
+
+    @given(st.dictionaries(st.sampled_from(FIELDS), JSON_VALUES | st.sampled_from(
+        ("2020-03-01T00:00:00Z", "Sat Feb 29 18:59:56 +0000 2020", "12", "-3", "corona", "en")
+    )))
+    def test_any_field_values_give_a_typed_post_or_a_rejection(self, obj):
+        result = parse_post(json.dumps(obj))
+        if isinstance(result, Rejection):
+            assert result.reason in REASONS
+            return
+        assert type(result.id) is int and type(result.text) is str and result.text
+        assert type(result.lang) is str and type(result.channel) is str
+        assert result.is_retweet_of is None or type(result.is_retweet_of) is int
+        assert parse_timestamp(format_timestamp(result.created_at)) == float(int(result.created_at))
+
+    def test_probe_archive_runs_and_replays(self, tmp_path, capsys):
+        """An archive holding every shape: ``run`` counts each malformed one
+        under its reason, and both ``run`` and ``replay --out`` exit 0."""
+        good = '{"id": 1, "text": "corona news in madrid", "created_at": "2020-03-01T00:00:00Z"}'
+        lone_surrogate_lang = '{"id": 9, "lang": "\\udfff", %s}' % REST
+        shapes = [line for line, _ in MALFORMED_SHAPES.values()]
+        shapes += [line for line, _, _ in NORMALISED_SHAPES.values()] + [lone_surrogate_lang]
+        archive = tmp_path / "probe.jsonl"
+        archive.write_text("\n".join([good, *shapes]) + "\n")
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"archive": str(archive), "out_dir": str(tmp_path / "out")}))
+
+        assert main(["run", "--config", str(config)]) == 0
+        summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+        assert summary["rejections"] == dict(Counter(reason for _, reason in MALFORMED_SHAPES.values()))
+        assert summary["records_in"] == 2 + len(NORMALISED_SHAPES)
+        assert "\\udfff," in (tmp_path / "out" / "languages.csv").read_text()
+
+        capsys.readouterr()
+        assert main(["replay", "--archive", str(archive), "--out", str(tmp_path / "log")]) == 0
+        assert json.loads(capsys.readouterr().out)["records_out"] == 2 + len(NORMALISED_SHAPES)
+
+
 class TestTimestampMemo:
     """parse_timestamp remembers its last string; the answers must not change."""
 
@@ -117,6 +265,41 @@ class TestTimestampMemo:
             with pytest.raises(TimestampError):
                 parse_timestamp(bad)
         assert parse_timestamp(self.ISO) == self.ISO_EPOCH
+
+    @given(st.lists(st.tuples(
+        st.integers(0, 3 * 60 - 1),
+        st.booleans(),
+        st.none() | st.sampled_from(("60", "61", "99", "5a", "a5", " 5", "5 ", "\u0663\u0663", "+5", "-1")),
+        st.sampled_from(("", " ", "\t")),
+    ), max_size=40))
+    @example([(5, True, None, ""), (6, True, "60", ""), (7, False, None, ""), (8, False, "a5", ""), (9, True, None, " ")])
+    def test_minute_memo_changes_no_outcome(self, stamps):
+        """Canonical strings of a few minutes in both forms, some with other
+        characters where the seconds go or with padding: parsed in order,
+        each gives what it gives parsed with every memo empty."""
+        import driftstream.timeutil as timeutil
+
+        def outcome(text):
+            try:
+                return parse_timestamp(text)
+            except TimestampError:
+                return "refused"
+
+        def empty_memos():
+            timeutil._last_parsed = (None, 0.0)
+            timeutil._minute_epochs.clear()
+
+        texts = []
+        for second, legacy, seconds, pad in stamps:
+            at = datetime.fromtimestamp(self.LEGACY_EPOCH + second, tz=timezone.utc)
+            text = at.strftime(LEGACY_FORMAT) if legacy else format_timestamp(self.LEGACY_EPOCH + second)
+            texts.append(pad + (text if seconds is None else text[:17] + seconds + text[19:]))
+        expected = []
+        for text in texts:
+            empty_memos()
+            expected.append(outcome(text))
+        empty_memos()
+        assert [outcome(text) for text in texts] == expected
 
     @pytest.mark.parametrize("created_at", [[ISO], {"t": ISO}, 1583020800])
     def test_non_string_created_at_is_bad_timestamp(self, created_at):
