@@ -21,6 +21,12 @@ While no empty slide sits in the promotion window, both windows hold the
 same buckets, so piggyback reads promotion's running sum; after a gap it
 merges its own buckets afresh, at most one window's worth per close. The
 final flush evaluates promotion only.
+
+A gap in event time costs O(W) closes for a window of W slides, not one
+per slide of the gap: once the open slide and the promotion window are
+both empty, every further close of the gap would promote nothing (the
+window is empty) and detect nothing (piggyback skips empty slides), so
+the adapter drops the empty window and opens the post's slide directly.
 """
 
 from __future__ import annotations
@@ -117,8 +123,13 @@ class DriftAdapter:
         observe_post(self._current.stats, enriched, self.keywords)
 
     def _advance_to(self, index: int) -> None:
-        """Close every slide before ``index``, the empty ones of a gap included."""
+        """Close every slide before ``index``, up to the first that finds the
+        open slide and the promotion window both empty; then open ``index``."""
         while self._current.index < index:
+            if not self._current.stats.total_posts and not self._window_stats.total_posts:
+                self._buckets.clear()
+                self._current = self._new_bucket(index)
+                return
             closed = self._close_current()
             self._evaluate(closed.index)
             if closed.stats.total_posts:

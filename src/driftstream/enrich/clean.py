@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Optional
 
-from ..keywords import CompiledLexicon, KeywordSet, match_keywords
+from ..keywords import NO_TAGS, CompiledLexicon, KeywordSet, match_keywords
 from ..sources.posts import Post
 from .locations import Gazetteer, extract_locations
 from .model import EnrichedPost
@@ -48,7 +48,8 @@ def clean_post(
     ``lowered`` is ``raw.text`` lowercased, when the caller already has it;
     every stage reads it. ``regions`` (from ``case_regions``) are matched at
     the post's event time; ``misinfo`` as it stands now. A stage left out
-    finds nothing.
+    finds nothing. A post with no location holds ``()``, and an empty term
+    set is ``NO_TAGS``: shared immutables, not containers of its own.
     """
     if is_blank(raw):
         return None
@@ -57,11 +58,11 @@ def clean_post(
     matched = match_keywords(raw, keywords, recent_matches, lowered)
     return EnrichedPost(  # positional, in field order: keywords cost a third of the call
         raw,
-        extract_locations(lowered, gazetteer, regions, region_ttl, raw.created_at),
+        extract_locations(lowered, gazetteer, regions, region_ttl, raw.created_at) or (),
         score_sentiment(lowered, sentiment_lexicon),
         assign_topic_groups(lowered, group_lexicons),
         bool(matched),
         matched,
-        set() if misinfo is None else misinfo.match(lowered),
+        NO_TAGS if misinfo is None else misinfo.match(lowered),
         authoritative is not None and authoritative.matches(raw.channel),
     )

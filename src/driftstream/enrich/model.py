@@ -2,8 +2,9 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
+from ..keywords import NO_TAGS
 from ..sources.posts import Post
 
 TOPIC_GROUPS = ("deaths_hospitalizations", "positive_tests", "symptomatic")
@@ -12,13 +13,22 @@ _KNOWN_GROUPS = frozenset(TOPIC_GROUPS)
 
 @dataclass(slots=True)
 class EnrichedPost:
+    """One post and its tags.
+
+    A tag that holds nothing is one shared immutable, never a container of
+    the post's own: ``()`` for ``locations`` and ``keywords.NO_TAGS``, the
+    empty frozenset, for the three term sets. A buffered post then keeps no
+    empty container alive. No stage mutates a tag; ``_refresh_misinfo``
+    replaces ``misinfo_terms`` whole.
+    """
+
     post: Post
-    locations: list[str] = field(default_factory=list)
+    locations: list[str] | tuple[str, ...] = ()
     sentiment: float = 0.0
-    topic_groups: set[str] = field(default_factory=set)
+    topic_groups: set[str] | frozenset[str] = NO_TAGS
     relevance: bool = False
-    matched_terms: set[str] = field(default_factory=set)
-    misinfo_terms: set[str] = field(default_factory=set)
+    matched_terms: set[str] | frozenset[str] = NO_TAGS
+    misinfo_terms: set[str] | frozenset[str] = NO_TAGS
     authoritative: bool = False
 
     def __post_init__(self):

@@ -5,7 +5,7 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from ..keywords import CompiledLexicon
+from ..keywords import NO_TAGS, CompiledLexicon
 from .model import TOPIC_GROUPS
 
 # Editable defaults, not ground truth; override via a lexicon file.
@@ -23,16 +23,16 @@ def compile_group_lexicons(group_lexicons: dict[str, tuple[str, ...]]) -> Compil
     )
 
 
-def assign_topic_groups(lowered: str, lexicon: CompiledLexicon) -> set[str]:
+def assign_topic_groups(lowered: str, lexicon: CompiledLexicon) -> set[str] | frozenset[str]:
     """Groups whose lexicon has at least one hit in ``lowered``, the post
-    text already lowercased.
+    text already lowercased; ``NO_TAGS`` when none has.
 
     Groups are not mutually exclusive; a post about a hospitalization after
     a positive test belongs to both. Lexicon terms are expected lowercase
     (the loader normalizes).
     """
     if lexicon.any_term.search(lowered) is None:
-        return set()
+        return NO_TAGS
     return {group for term, group in lexicon.pairs if term in lowered}
 
 

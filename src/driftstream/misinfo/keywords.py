@@ -14,7 +14,7 @@ import re
 from pathlib import Path
 from typing import Iterable, Optional
 
-from ..keywords import DEFAULT_STOPWORDS, normalize_term
+from ..keywords import DEFAULT_STOPWORDS, NO_TAGS, normalize_term
 
 DEFAULT_MISINFO_SEEDS = ("bioweapon", "plandemic")
 
@@ -50,9 +50,10 @@ class MisinfoKeywordSet:
             self.active = tuple(sorted(self.active + (term,)))
         return True
 
-    def match(self, lowered: str) -> set[str]:
-        """Active terms found in ``lowered``, a post text already lowercased."""
-        return {t for t in self.active if t in lowered}
+    def match(self, lowered: str) -> set[str] | frozenset[str]:
+        """Active terms found in ``lowered``, a post text already lowercased;
+        ``NO_TAGS`` when none is."""
+        return {t for t in self.active if t in lowered} or NO_TAGS
 
     def __contains__(self, term: str) -> bool:
         return term.strip().lower() in self.terms

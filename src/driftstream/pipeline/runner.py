@@ -11,7 +11,10 @@ Dataflow per record: parse -> one EnrichedPost (relevance, locations,
 sentiment, topic groups, authoritative and misinformation tags) ->
 minute-window report. A retweet of a relevant post inherits that post's
 terms while the retweet-closure index (``store``, a RecentMatches) holds
-them; the index drops expired entries on every watermark advance.
+them; the index drops expired entries on every watermark advance. It keeps
+a post's id, expiry and terms as flat columns, about 24 bytes a post while
+ids rise with time, so it holds a day of a high-rate stream cheaply.
+A post's empty tags are shared immutables (see ``EnrichedPost``).
 Each post's text is lowercased once on ingest, and that one lowered string
 feeds every tag. Lexicons are compiled once per change, not once per post.
 A window reports the misinformation set as it stands at its close: the set

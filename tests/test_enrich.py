@@ -17,7 +17,7 @@ from driftstream.enrich.locations import (
 from driftstream.enrich.model import EnrichedPost
 from driftstream.enrich.sentiment import compile_sentiment_lexicon, score_sentiment
 from driftstream.enrich.topics import assign_topic_groups, compile_group_lexicons
-from driftstream.keywords import KeywordSet
+from driftstream.keywords import NO_TAGS, KeywordSet
 from driftstream.timeutil import DAY
 
 from conftest import make_post
@@ -66,6 +66,34 @@ class TestCleanPost:
         assert enriched.authoritative is True
         assert enriched.misinfo_terms == {"plandemic"}
         assert not hasattr(enriched, "__dict__")  # slots: one fixed record per post
+
+    @pytest.mark.parametrize("match_mode", ["substring", "token"])
+    def test_a_post_that_matches_nothing_holds_the_shared_empties(self, match_mode):
+        """Every empty tag is one shared immutable, not a container of the
+        post's own: ``NO_TAGS`` for the three term sets, ``()`` for the
+        locations; ``EnrichedPost``'s defaults are the same values."""
+        from driftstream.enrich.sentiment import DEFAULT_SENTIMENT_LEXICON
+        from driftstream.enrich.topics import DEFAULT_GROUP_LEXICONS
+        from driftstream.misinfo.keywords import MisinfoKeywordSet
+
+        post = make_post(text="nice weather in town today")
+        regions = case_regions([CaseReport(date=post.created_at, region="Sturgis", new_cases=4)])
+        for misinfo in (MisinfoKeywordSet(), None):
+            enriched = clean_post(
+                post, KeywordSet(seeds=("corona",), match_mode=match_mode), None,
+                gazetteer=Gazetteer(["california"]), regions=regions, region_ttl=7 * DAY,
+                sentiment_lexicon=compile_sentiment_lexicon(DEFAULT_SENTIMENT_LEXICON),
+                group_lexicons=compile_group_lexicons(DEFAULT_GROUP_LEXICONS), misinfo=misinfo,
+            )
+            assert enriched.relevance is False
+            assert enriched.matched_terms is NO_TAGS
+            assert enriched.misinfo_terms is NO_TAGS
+            assert enriched.topic_groups is NO_TAGS
+            assert enriched.locations == () and type(enriched.locations) is tuple
+        assert NO_TAGS == frozenset() and type(NO_TAGS) is frozenset
+        default = EnrichedPost(post=post)
+        assert default.matched_terms is default.misinfo_terms is default.topic_groups is NO_TAGS
+        assert default.locations == () and type(default.locations) is tuple
 
     def test_post_init_checks_kept(self):
         with pytest.raises(ValueError, match="sentiment out of range"):

@@ -1,7 +1,7 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from driftstream.keywords import KeywordSet, RecentMatches, match_keywords, tokenize
@@ -76,15 +76,15 @@ def test_get_on_empty_store_is_absent():
 
 def test_put_then_get():
     store = RecentMatches(ttl=10.0)
-    store.put(1, ["flu"], now=0.0)
-    assert store.get(1) == ["flu"]
+    store.put(1, ("flu",), now=0.0)
+    assert store.get(1) == ("flu",)
     assert store.get(2) is None
     assert len(store) == 1
 
 
 def test_expired_entry_is_absent():
     store = RecentMatches(ttl=1.0)
-    store.put(1, ["flu"], now=0.0)
+    store.put(1, ("flu",), now=0.0)
     assert store.sweep(2.0) == 1
     assert store.get(1) is None
     assert len(store) == 0
@@ -95,7 +95,7 @@ def test_retweet_of_matching_post_matches():
     keywords = KeywordSet(seeds=("pandemic",))
     original = make_post(post_id=7, text="pandemic worsening")
     assert match_keywords(original, keywords) == {"pandemic"}
-    recent.put(7, sorted({"pandemic"}), now=1000.0)
+    recent.put(7, tuple(sorted({"pandemic"})), now=1000.0)
 
     retweet = make_post(post_id=8, text="so it begins", is_retweet_of=7)
     assert match_keywords(retweet, keywords, recent) == {"pandemic"}
@@ -103,7 +103,7 @@ def test_retweet_of_matching_post_matches():
 
 def test_retweet_inheritance_expires_with_ttl():
     recent = RecentMatches(ttl=86400.0)
-    recent.put(7, ["pandemic"], now=0.0)
+    recent.put(7, ("pandemic",), now=0.0)
     retweet = make_post(post_id=8, text="so it begins", is_retweet_of=7)
     keywords = KeywordSet(seeds=("pandemic",))
     assert recent.sweep(90000.0) == 1
@@ -113,7 +113,7 @@ def test_retweet_inheritance_expires_with_ttl():
 
 def test_retweet_alive_just_before_expiry():
     recent = RecentMatches(ttl=10.0)
-    recent.put(7, ["pandemic"], now=0.0)
+    recent.put(7, ("pandemic",), now=0.0)
     retweet = make_post(post_id=8, text="so it begins", is_retweet_of=7)
     keywords = KeywordSet(seeds=("pandemic",))
     assert recent.sweep(9.999) == 0
@@ -131,12 +131,12 @@ def test_retweet_of_unknown_post_does_not_match():
 
 def test_reput_replaces_terms_refreshes_expiry_and_moves_to_back():
     recent = RecentMatches(ttl=10.0)
-    recent.put(7, ["pandemic"], now=0.0)
-    recent.put(8, ["virus"], now=1.0)
-    recent.put(7, ["mask"], now=2.0)
-    assert list(recent._entries) == [8, 7]
+    recent.put(7, ("pandemic",), now=0.0)
+    recent.put(8, ("virus",), now=1.0)
+    recent.put(7, ("mask",), now=2.0)
+    assert list(recent.items()) == [(8, 11.0, ("virus",)), (7, 12.0, ("mask",))]
     assert recent.sweep(11.0) == 1  # 8 expires; 7 was refreshed to 12
-    assert recent.get(7) == ["mask"] and recent.get(8) is None
+    assert recent.get(7) == ("mask",) and recent.get(8) is None
     assert recent.sweep(12.0) == 1
     assert len(recent) == 0
 
@@ -144,10 +144,10 @@ def test_reput_replaces_terms_refreshes_expiry_and_moves_to_back():
 def test_sweep_without_argument_uses_last_now():
     recent = RecentMatches(ttl=10.0)
     assert recent.sweep() == 0
-    recent.put(7, ["pandemic"], now=0.0)
+    recent.put(7, ("pandemic",), now=0.0)
     recent.sweep(5.0)
-    assert recent.sweep() == 0 and recent.get(7) == ["pandemic"]
-    recent.put(8, ["virus"], now=5.0)
+    assert recent.sweep() == 0 and recent.get(7) == ("pandemic",)
+    recent.put(8, ("virus",), now=5.0)
     recent.sweep(12.0)
     assert recent.sweep() == 0 and len(recent) == 1
 
@@ -168,10 +168,15 @@ class _OldStoreSemantics:
         return None if hit is None or now >= hit[1] else hit[0]
 
 
+# Ids that take the side dict whenever they are put: negative, past int64,
+# or below an id already appended once a rising id passes them.
+_IDS = (-(2**63) - 1, -3, 0, 1, 3, 5, 2**63 - 1, 2**63, 2**64 + 5)
+
 _STEPS = st.lists(
     st.one_of(
         st.tuples(st.just("advance"), st.sampled_from([0.0, 0.25, 0.5, 1.0, 2.5, 7.0])),
-        st.tuples(st.just("put"), st.integers(0, 6)),
+        st.tuples(st.just("put"), st.sampled_from(_IDS)),
+        st.tuples(st.just("rise"), st.integers(1, 3)),
         st.tuples(st.just("sweep"), st.booleans()),
     ),
     max_size=60,
@@ -183,30 +188,92 @@ _STEPS = st.lists(
     start=st.sampled_from([0.0, 1e9 + 0.3]),
     steps=_STEPS,
 )
+# two column ids and a side id; the columns empty by expiry (and compact),
+# then the side id, a column id and a rising id are put again
+@example(ttl=1.0, start=0.0, steps=[
+    ("rise", 1), ("rise", 2), ("put", 1), ("put", 1), ("advance", 2.5),
+    ("put", 1), ("put", 3), ("rise", 1), ("advance", 0.5), ("put", 3), ("sweep", False),
+])
+# the columns emptied by expiry (and compacted) while the side holds id 3,
+# which is then put again: it stays in the side dict
+@example(ttl=3.0, start=0.0, steps=[("put", 5), ("advance", 1.0), ("put", 3), ("advance", 2.5), ("put", 3)])
+# an expired entry left behind the head (no compaction yet), then read and re-put
+@example(ttl=1.0, start=0.0, steps=[
+    ("rise", 1), ("advance", 0.5), ("rise", 1), ("rise", 1), ("advance", 0.5), ("put", 1),
+])
+# a compaction that keeps a dead entry (id 3, re-put), which a later sweep drops
+@example(ttl=1.0, start=0.0, steps=[
+    ("rise", 1), ("rise", 1), ("advance", 0.5), ("rise", 1), ("put", 3),
+    ("advance", 0.5), ("advance", 0.5), ("put", 3), ("sweep", False),
+])
+# a re-put column id, an out-of-order id and ids past int64 and below zero,
+# swept in part: a dead entry swept past, then a compaction
+@example(ttl=3.0, start=0.0, steps=[
+    ("put", 5), ("put", 3), ("put", 2**63), ("put", -3), ("advance", 1.0),
+    ("rise", 2), ("put", 5), ("rise", 1), ("advance", 2.5), ("sweep", True),
+    ("advance", 1.0), ("put", 8), ("advance", 7.0), ("put", 2**63 - 1), ("rise", 1),
+])
 def test_recent_matches_agrees_with_old_store_semantics(ttl, start, steps):
     """Puts at a non-decreasing ``now``, swept on every advance as the runner
-    does: after every step each id reads as the old store read it, and no
-    sweep, at ``now`` or with no argument, leaves an expired entry behind."""
+    does: after every step each id reads as the old store read it, the index
+    holds exactly the old store's live entries (by ``items`` and ``len``),
+    each sweep returns how many it dropped, and no sweep, at ``now`` or with
+    no argument, leaves an expired entry behind. Ids come rising (the column
+    path), out of order, re-put, negative and past int64 (the side dict)."""
     recent, old = RecentMatches(ttl), _OldStoreSemantics(ttl)
     now = start
+    rising = 0
     recent.sweep(now)
     for i, (op, arg) in enumerate(steps):
+        held = len(recent)
         if op == "advance":
             now += arg
-            recent.sweep(now)
-        elif op == "put":
-            recent.put(arg, [f"t{i}"], now)
-            old.put(arg, [f"t{i}"], now)
-        elif arg:
-            recent.sweep(now)
+            dropped = recent.sweep(now)
+        elif op in ("put", "rise"):
+            post_id = rising + arg if op == "rise" else arg
+            if 0 <= post_id < 2**63:
+                rising = max(rising, post_id)
+            recent.put(post_id, (f"t{i}",), now)
+            old.put(post_id, (f"t{i}",), now)
         else:
-            recent.sweep()
+            dropped = recent.sweep(now) if arg else recent.sweep()
         if op in ("advance", "sweep"):
-            assert all(expiry > now for expiry, _ in recent._entries.values())
-        for post_id in range(7):
+            assert dropped == held - len(recent)
+            assert all(expiry > now for _, expiry, _ in recent.items())
+        live = {
+            post_id: (expiry, terms)
+            for post_id, (terms, expiry) in old.entries.items()
+            if now < expiry
+        }
+        entries = list(recent.items())
+        assert {post_id: (expiry, terms) for post_id, expiry, terms in entries} == live
+        assert len(entries) == len(recent) == len(live)
+        for post_id in {*_IDS, *range(7), *old.entries, rising + 1}:
             assert recent.get(post_id) == old.get(post_id, now)
-    expiries = [expiry for expiry, _ in recent._entries.values()]
+    expiries = [expiry for _, expiry, _ in recent.items()]
     assert expiries == sorted(expiries)
+
+
+def test_recent_matches_costs_under_40_bytes_an_entry():
+    """Rising ids take the flat columns: an int64, a float64 and a shared
+    tuple's list slot, about 24 bytes an entry with the columns' spare room.
+    Each put passes a tuple of its own, as the runner does: equal ones are
+    kept once."""
+    import tracemalloc
+
+    recent = RecentMatches(86400.0)
+    terms = ("pandemic", "virus")
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for post_id in range(10**6, 10**6 + 100_000):
+            recent.put(post_id, tuple(sorted(terms)), post_id * 0.001)  # equal, not the same
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(recent) == 100_000
+    assert recent.get(10**6 + 99_999) == terms
+    assert held / 100_000 < 40
 
 
 def test_match_against_brute_force_oracle_on_synthetic_corpus(tmp_path):

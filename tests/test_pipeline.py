@@ -941,13 +941,50 @@ class TestRetweetClosure:
         assert relevant(1, "pandemic news", 0)
         assert relevant(2, "so it begins", 1, retweet_of=1)
         assert not relevant(1, "nothing here", 12)
-        assert store.get(1) == ("pandemic",) and list(store._entries) == [1, 2]
+        assert store.get(1) == ("pandemic",) and [i for i, _, _ in store.items()] == [1, 2]
         assert relevant(1, "mask mandate", 20)
-        assert store.get(1) == ("mask",) and list(store._entries) == [2, 1]
+        assert store.get(1) == ("mask",) and [i for i, _, _ in store.items()] == [2, 1]
         # past the first put's TTL, inside the re-put's
         assert relevant(3, "so it begins", 30, retweet_of=1)
         assert store.get(3) == ("mask",)
         assert not relevant(4, "so it begins", 45, retweet_of=1)
+
+
+class TestFarOffEventTimes:
+    @pytest.mark.parametrize("years", [(1, 2020, 9999), (2020, 1900, 9999, 1)])
+    def test_a_gap_costs_o_window_slide_closes(self, tmp_path, years):
+        """A post years from its neighbours costs the drift stage at most W + 1
+        slide closes (W slides a window), not one per slide of the gap: posts
+        in years 1, 2020 and 9999, in either order, close at most 3·W + 3
+        slides, and ``run`` on the archive exits 0."""
+        from driftstream.pipeline.runner import PipelineRunner
+
+        archive = tmp_path / "far.jsonl"
+        archive.write_text("".join(
+            json.dumps({"id": i + 1, "text": "corona news", "created_at": f"{year:04d}-03-01T00:00:05Z"})
+            + "\n"
+            for i, year in enumerate(years)
+        ))
+        config = {"archive": str(archive), "out_dir": str(tmp_path / "out")}
+        runner = PipelineRunner(parse_config(config))
+        drift = runner.drift
+        closes = []
+        close = drift._close_current
+
+        def counted_close():
+            closed = close()
+            closes.append(closed.index)
+            return closed
+
+        drift._close_current = counted_close
+        result = runner.run()
+        assert result.exit_code == 0 and result.summary["records_in"] == len(years)
+        slides_per_window = int(drift.window_length // drift.slide)
+        assert 0 < len(closes) <= 3 * slides_per_window + 3
+        assert closes == sorted(closes)
+        path = tmp_path / "far.json"
+        path.write_text(json.dumps(config))
+        assert main(["run", "--config", str(path)]) == 0
 
 
 class TestPiggybackOutput:
@@ -1171,8 +1208,10 @@ class TestMultidayBundle:
         def checked_ingest(post):
             ingest(post)
             watermark = runner._watermark
-            assert set(store._entries) == {i for i, t in last_put.items() if t + ttl > watermark}
-            expiries = [expiry for expiry, _ in store._entries.values()]
+            entries = list(store.items())
+            assert {i for i, _, _ in entries} == {i for i, t in last_put.items() if t + ttl > watermark}
+            assert len(entries) == len(store)
+            expiries = [expiry for _, expiry, _ in entries]
             assert expiries == sorted(expiries)
             assert all(expiry > watermark for expiry in expiries)
 
