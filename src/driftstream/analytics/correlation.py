@@ -7,7 +7,9 @@ toward the smallest |lag| (positive preferred on an exact tie).
 
 Day counts are integers, so r is computed from exact integer sums and lags
 are compared exactly: no float rounding can break a tie. Only the value
-that gets written becomes a float.
+that gets written becomes a float. A day without a count is absent and
+counts as zero in every sum, so each lag costs the days that hold a count,
+not the span between a series' first day and its last.
 """
 
 from __future__ import annotations
@@ -25,11 +27,11 @@ MIN_POINTS = 3
 @dataclass
 class TimeSeries:
     region: str
-    granularity: str = "day"  # minute | day | month
+    granularity: str = "day"  # the only one: lagged correlation pairs days
     points: list[tuple[float, int]] = field(default_factory=list)
 
     def __post_init__(self):
-        if self.granularity not in ("minute", "day", "month"):
+        if self.granularity != "day":
             raise ValueError(f"unknown granularity: {self.granularity!r}")
         starts = [p[0] for p in self.points]
         if any(prev >= nxt for prev, nxt in zip(starts, starts[1:])):
@@ -39,16 +41,15 @@ class TimeSeries:
         if any(c < 0 for _, c in self.points):
             raise ValueError("counts must be non-negative")
 
-    def as_daily_array(self) -> tuple[int, list[int]]:
-        """(first day index, dense daily counts with gaps filled as 0)."""
-        if not self.points:
-            return 0, []
-        days = [int(t // DAY) for t, _ in self.points]
-        first, last = days[0], days[-1]
-        dense = [0] * (last - first + 1)
-        for day, (_, count) in zip(days, self.points):
-            dense[day - first] += count
-        return first, dense
+    def day_counts(self) -> dict[int, int]:
+        """Count per day index ``t // DAY``. A day without a point is absent
+        and counts as zero, so the dict's size follows the points, not the
+        span between the first day and the last."""
+        counts: dict[int, int] = {}
+        for t, count in self.points:
+            day = int(t // DAY)
+            counts[day] = counts.get(day, 0) + count
+        return counts
 
 
 def daily_series(region: str, day_counts: dict[float, int]) -> TimeSeries:
@@ -74,16 +75,17 @@ class CorrelationResult:
         }
 
 
-def _pearson_sums(x: list[int], y: list[int]) -> Optional[tuple[int, int, int]]:
-    """``(Sxy, Sxx, Syy)``, each scaled by n², so r = Sxy / sqrt(Sxx·Syy);
-    None when either series has zero variance."""
-    n = len(x)
-    sx, sy = sum(x), sum(y)
-    sxx = n * sum(v * v for v in x) - sx * sx
-    syy = n * sum(v * v for v in y) - sy * sy
+def _pearson_sums(n: int, x: dict[int, int], y: dict[int, int]) -> Optional[tuple[int, int, int]]:
+    """``(Sxy, Sxx, Syy)`` over ``n`` paired days, each scaled by n², so
+    r = Sxy / sqrt(Sxx·Syy); None when either series has zero variance.
+    ``x`` and ``y`` map a day of the pairing to its count, an absent day
+    counting as zero."""
+    sx, sy = sum(x.values()), sum(y.values())
+    sxx = n * sum(v * v for v in x.values()) - sx * sx
+    syy = n * sum(v * v for v in y.values()) - sy * sy
     if sxx == 0 or syy == 0:
         return None
-    return n * sum(a * b for a, b in zip(x, y)) - sx * sy, sxx, syy
+    return n * sum(v * y.get(day, 0) for day, v in x.items()) - sx * sy, sxx, syy
 
 
 def _beats(a: tuple[int, int, int], b: tuple[int, int, int]) -> bool:
@@ -107,15 +109,15 @@ def lagged_correlation(
         raise ValueError(
             f"series regions differ: {social.region!r} vs {cases.region!r}"
         )
-    if social.granularity != "day" or cases.granularity != "day":
-        raise ValueError("lagged correlation expects daily series")
 
-    s_first, s = social.as_daily_array()
-    c_first, c = cases.as_daily_array()
-    if len(s) == 0 or len(c) == 0:
+    s = social.day_counts()
+    c = cases.day_counts()
+    if not s or not c:
         return CorrelationResult(social.region, None, None, 0, "insufficient_overlap")
+    s_first, s_end = min(s), max(s) + 1
+    c_first, c_end = min(c), max(c) + 1
 
-    overlap = min(s_first + len(s), c_first + len(c)) - max(s_first, c_first)
+    overlap = min(s_end, c_end) - max(s_first, c_first)
     if overlap < max_lag + MIN_POINTS:
         return CorrelationResult(social.region, None, None, max(overlap, 0), "insufficient_overlap")
 
@@ -125,15 +127,15 @@ def lagged_correlation(
     # maximum implements the tie-break rule.
     lags = sorted(range(-max_lag, max_lag + 1), key=lambda l: (abs(l), l < 0))
     for lag in lags:
-        # pair social day d with cases day d+lag
+        # pair social day d with cases day d+lag, for d in [lo, hi)
         lo = max(s_first, c_first - lag)
-        hi = min(s_first + len(s), c_first + len(c) - lag)
+        hi = min(s_end, c_end - lag)
         n = hi - lo
         if n < MIN_POINTS:
             continue
-        xs = s[lo - s_first : hi - s_first]
-        ys = c[lo + lag - c_first : hi + lag - c_first]
-        sums = _pearson_sums(xs, ys)
+        xs = {d: v for d, v in s.items() if lo <= d < hi}
+        ys = {d - lag: v for d, v in c.items() if lo <= d - lag < hi}
+        sums = _pearson_sums(n, xs, ys)
         if sums is None:
             saw_zero_variance = True
             continue

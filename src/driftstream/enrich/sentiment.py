@@ -7,9 +7,6 @@ weights of every lexicon term occurrence in the text and clamp the sum to
 
 from __future__ import annotations
 
-import json
-from pathlib import Path
-
 from ..keywords import CompiledLexicon
 
 DEFAULT_SENTIMENT_LEXICON = {
@@ -38,9 +35,10 @@ def compile_sentiment_lexicon(weights: dict[str, float]) -> CompiledLexicon:
 def score_sentiment(lowered: str, lexicon: CompiledLexicon) -> float:
     """Clamped sum of matched term weights; 0.0 when nothing matches.
 
-    Lexicon terms are expected lowercase (the loader normalizes); matching
-    is against ``lowered``, the post text already lowercased, so it stays
-    case-insensitive. Each term counts its non-overlapping occurrences.
+    Lexicon terms are lowercase, as in ``DEFAULT_SENTIMENT_LEXICON``;
+    matching is against ``lowered``, the post text already lowercased, so
+    it stays case-insensitive. Each term counts its non-overlapping
+    occurrences.
     """
     if lexicon.any_term.search(lowered) is None:
         return 0.0
@@ -51,8 +49,3 @@ def score_sentiment(lowered: str, lexicon: CompiledLexicon) -> float:
             total += occurrences * weight
     return max(-1.0, min(1.0, total))
 
-
-def load_sentiment_lexicon(path: str | Path) -> dict[str, float]:
-    with open(Path(path), "r", encoding="utf-8") as f:
-        data = json.load(f)
-    return {str(term).lower(): float(weight) for term, weight in data.items()}

@@ -2,13 +2,9 @@
 
 from __future__ import annotations
 
-import json
-from pathlib import Path
-
 from ..keywords import NO_TAGS, CompiledLexicon
-from .model import TOPIC_GROUPS
 
-# Editable defaults, not ground truth; override via a lexicon file.
+# The groups' terms every run uses: hand-picked, not ground truth.
 DEFAULT_GROUP_LEXICONS: dict[str, tuple[str, ...]] = {
     "deaths_hospitalizations": ("death", "died", "hospitaliz", "icu", "ventilator"),
     "positive_tests": ("positive", "tested positive", "diagnosed"),
@@ -28,18 +24,10 @@ def assign_topic_groups(lowered: str, lexicon: CompiledLexicon) -> set[str] | fr
     text already lowercased; ``NO_TAGS`` when none has.
 
     Groups are not mutually exclusive; a post about a hospitalization after
-    a positive test belongs to both. Lexicon terms are expected lowercase
-    (the loader normalizes).
+    a positive test belongs to both. Lexicon terms are lowercase, as in
+    ``DEFAULT_GROUP_LEXICONS``.
     """
     if lexicon.any_term.search(lowered) is None:
         return NO_TAGS
     return {group for term, group in lexicon.pairs if term in lowered}
 
-
-def load_group_lexicons(path: str | Path) -> dict[str, tuple[str, ...]]:
-    with open(Path(path), "r", encoding="utf-8") as f:
-        data = json.load(f)
-    unknown = set(data) - set(TOPIC_GROUPS)
-    if unknown:
-        raise ValueError(f"unknown topic groups in lexicon file: {sorted(unknown)}")
-    return {group: tuple(str(t).lower() for t in terms) for group, terms in data.items()}

@@ -159,9 +159,6 @@ class DriftConfig:
 @dataclass
 class EnrichmentConfig:
     gazetteer: tuple[str, ...] = _setting("gazetteer", (), _strings)
-    gazetteer_file: Optional[str] = _setting("gazetteer_file", None, _file)
-    sentiment_lexicon_file: Optional[str] = _setting("sentiment_lexicon_file", None, _file)
-    group_lexicons_file: Optional[str] = _setting("group_lexicons_file", None, _file)
     location_cache_ttl: float = _setting("location_cache_ttl_days", 7, _number, DAY, ge=0)
 
 

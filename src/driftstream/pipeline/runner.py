@@ -57,12 +57,8 @@ from ..drift.promotion import PromotionPolicy
 from ..enrich.clean import clean_post
 from ..enrich.locations import Gazetteer, case_regions, load_case_reports
 from ..enrich.model import EnrichedPost
-from ..enrich.sentiment import (
-    DEFAULT_SENTIMENT_LEXICON,
-    compile_sentiment_lexicon,
-    load_sentiment_lexicon,
-)
-from ..enrich.topics import DEFAULT_GROUP_LEXICONS, compile_group_lexicons, load_group_lexicons
+from ..enrich.sentiment import DEFAULT_SENTIMENT_LEXICON, compile_sentiment_lexicon
+from ..enrich.topics import DEFAULT_GROUP_LEXICONS, compile_group_lexicons
 from ..keywords import KeywordSet, RecentMatches
 from ..misinfo.keywords import MisinfoKeywordSet, refresh_misinfo_keywords
 from ..misinfo.tagging import AuthoritativeSourceList, top_terms, window_tally
@@ -151,27 +147,12 @@ class PipelineRunner:
             piggyback_threshold=config.misinfo.piggyback_threshold,
         )
         self.authoritative = AuthoritativeSourceList(config.authoritative)
-        gaz_names = list(config.enrichment.gazetteer)
-        if config.enrichment.gazetteer_file:
-            gaz_names.extend(
-                line.strip()
-                for line in Path(config.enrichment.gazetteer_file).read_text().splitlines()
-                if line.strip()
-            )
-        self.gazetteer = Gazetteer(gaz_names)
+        self.gazetteer = Gazetteer(config.enrichment.gazetteer)
         # the case feed's (region, last_seen) entries, fixed once ``run`` reads it
         self.location_cache: tuple[tuple[str, float], ...] = ()
-        # Both lexicons are fixed for a run, so each is compiled here once.
-        self.sentiment_lexicon = compile_sentiment_lexicon(
-            load_sentiment_lexicon(config.enrichment.sentiment_lexicon_file)
-            if config.enrichment.sentiment_lexicon_file
-            else DEFAULT_SENTIMENT_LEXICON
-        )
-        self.group_lexicons = compile_group_lexicons(
-            load_group_lexicons(config.enrichment.group_lexicons_file)
-            if config.enrichment.group_lexicons_file
-            else DEFAULT_GROUP_LEXICONS
-        )
+        # The built-in lexicons, compiled once per run.
+        self.sentiment_lexicon = compile_sentiment_lexicon(DEFAULT_SENTIMENT_LEXICON)
+        self.group_lexicons = compile_group_lexicons(DEFAULT_GROUP_LEXICONS)
         self.team = default_team(config.keywords.seeds, eta=config.clusters.eta)
         self.cluster_store = ClusterStore(
             rule=MatchRule(lag_tolerance=config.clusters.lag_tolerance)

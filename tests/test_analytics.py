@@ -15,9 +15,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from driftstream.analytics import correlation
 from driftstream.analytics.correlation import (
+    MIN_POINTS,
     CorrelationResult,
     TimeSeries,
+    _beats,
+    _r,
     daily_series,
     lagged_correlation,
 )
@@ -283,11 +287,22 @@ class TestLaggedCorrelation:
         with pytest.raises(ValueError, match="integers"):
             TimeSeries(region="x", points=[(10.0, 1.5)])
 
+    @pytest.mark.parametrize("granularity", ["minute", "month"])
+    def test_only_daily_series(self, granularity):
+        """Lagged correlation pairs days, so a series has no other granularity."""
+        with pytest.raises(ValueError, match="unknown granularity"):
+            TimeSeries(region="x", granularity=granularity)
+
     def test_daily_series_fills_gaps_as_zero(self):
-        series = daily_series("m", {T0: 4, T0 + 3 * DAY: 2})
-        first, dense = series.as_daily_array()
-        assert dense == [4, 0, 0, 2]
-        assert all(type(count) is int for count in dense)
+        series = daily_series("m", {T0: 4, T0 + 3 * DAY: 2, T0 + 5 * DAY: 7})
+        first = int(T0 // DAY)
+        assert series.day_counts() == {first: 4, first + 3: 2, first + 5: 7}
+        assert all(type(count) is int for count in series.day_counts().values())
+        # a gap day correlates exactly as a day whose count is 0
+        cases = _series("m", [1, 5, 2, 8, 3, 9])
+        assert lagged_correlation(series, cases, max_lag=1) == lagged_correlation(
+            _series("m", [4, 0, 0, 2, 0, 7]), cases, max_lag=1
+        )
 
     def test_days_floor_before_the_epoch(self):
         """Half a second either side of the epoch is two days, 1969-12-31
@@ -295,8 +310,8 @@ class TestLaggedCorrelation:
         them one."""
         series = daily_series("m", {-0.5: 3, 0.5: 4})
         assert series.points == [(-DAY, 3), (0.0, 4)]
-        assert series.as_daily_array() == (-1, [3, 4])
-        assert TimeSeries(region="m", points=[(-0.5, 3), (0.5, 4)]).as_daily_array() == (-1, [3, 4])
+        assert series.day_counts() == {-1: 3, 0: 4}
+        assert TimeSeries(region="m", points=[(-0.5, 3), (0.5, 4)]).day_counts() == {-1: 3, 0: 4}
 
     def test_exact_tie_goes_to_the_smallest_lag(self):
         """Lags 0 and -1 give exactly equal r here; the documented rule picks
@@ -330,6 +345,106 @@ class TestLaggedCorrelation:
             assert result.r is None
         else:
             assert round(result.r - ref.r, 6) == 0
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        social=st.lists(st.tuples(st.integers(-40, 40), st.floats(0, 0.999), st.integers(0, 4)), max_size=16),
+        cases=st.lists(st.tuples(st.integers(-40, 40), st.floats(0, 0.999), st.integers(0, 4)), max_size=16),
+        max_lag=st.integers(0, 25),
+    )
+    @example(social=[(-1, 0.5, 3), (0, 0.5, 4), (3, 0.0, 1)], cases=[(-1, 0.0, 2), (1, 0.25, 0), (2, 0.0, 5)], max_lag=0)
+    def test_sparse_days_equal_the_dense_algorithm(self, social, cases, max_lag):
+        """The result over sparse day counts equals the dense algorithm's,
+        field for field: gaps, zero counts, several points in one day, and
+        fractional and negative epochs, at lags 0-25."""
+
+        def series(points):
+            times = {}
+            for day, fraction, count in points:
+                times.setdefault((day + fraction) * DAY, count)
+            return TimeSeries("m", points=sorted(times.items()))
+
+        a, b = series(social), series(cases)
+        for x in (a, b):
+            first, dense = _dense_days(x)
+            nonzero = {first + i: count for i, count in enumerate(dense) if count}
+            assert {day: count for day, count in x.day_counts().items() if count} == nonzero
+        assert lagged_correlation(a, b, max_lag) == _dense_lagged_correlation(a, b, max_lag)
+
+    @pytest.mark.parametrize("years", [(2019, 2020, 2021), (1, 2020, 9999)])
+    def test_work_follows_the_points_not_the_span(self, monkeypatch, years):
+        """Series of three points dated years apart: the days each Pearson
+        sum receives, and the memory the correlation peaks at, stay those of
+        three points, even over the 3.65M days from year 1 to 9999."""
+        import tracemalloc
+
+        received = []
+        pearson_sums = correlation._pearson_sums
+
+        def counted(*args):
+            received.append(max(len(arg) for arg in args if not isinstance(arg, int)))
+            return pearson_sums(*args)
+
+        monkeypatch.setattr(correlation, "_pearson_sums", counted)
+        points = [(parse_timestamp(f"{year:04d}-03-01T00:00:00Z"), 1) for year in years]
+        tracemalloc.start()
+        try:
+            result = lagged_correlation(TimeSeries("m", points=points), TimeSeries("m", points=points))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        span = int(points[-1][0] // DAY) - int(points[0][0] // DAY) + 1
+        assert (result.best_lag, result.r, result.n) == (0, 1.0, span)
+        assert len(received) == 2 * correlation.DEFAULT_MAX_LAG_DAYS + 1
+        assert max(received) <= 3
+        assert peak < 64 * 1024
+
+
+def _dense_days(series: TimeSeries) -> tuple[int, list[int]]:
+    """(first day index, daily counts from the first day to the last, a gap
+    filled with 0)."""
+    if not series.points:
+        return 0, []
+    days = [int(t // DAY) for t, _ in series.points]
+    counts = [0] * (days[-1] - days[0] + 1)
+    for day, (_, count) in zip(days, series.points):
+        counts[day - days[0]] += count
+    return days[0], counts
+
+
+def _dense_lagged_correlation(social, cases, max_lag) -> CorrelationResult:
+    """The dense algorithm: each series as ``_dense_days``, and for each lag
+    the exact integer Pearson sums over the two overlapping slices. Its work
+    grows with the span between the first day and the last."""
+    (s_first, s), (c_first, c) = _dense_days(social), _dense_days(cases)
+    if not s or not c:
+        return CorrelationResult(social.region, None, None, 0, "insufficient_overlap")
+    overlap = min(s_first + len(s), c_first + len(c)) - max(s_first, c_first)
+    if overlap < max_lag + MIN_POINTS:
+        return CorrelationResult(social.region, None, None, max(overlap, 0), "insufficient_overlap")
+    best, saw_zero_variance = None, False
+    for lag in sorted(range(-max_lag, max_lag + 1), key=lambda l: (abs(l), l < 0)):
+        lo = max(s_first, c_first - lag)
+        hi = min(s_first + len(s), c_first + len(c) - lag)
+        n = hi - lo
+        if n < MIN_POINTS:
+            continue
+        xs = s[lo - s_first : hi - s_first]
+        ys = c[lo + lag - c_first : hi + lag - c_first]
+        sx, sy = sum(xs), sum(ys)
+        sxx = n * sum(v * v for v in xs) - sx * sx
+        syy = n * sum(v * v for v in ys) - sy * sy
+        if sxx == 0 or syy == 0:
+            saw_zero_variance = True
+            continue
+        sums = (n * sum(a * b for a, b in zip(xs, ys)) - sx * sy, sxx, syy)
+        if best is None or _beats(sums, best[0]):
+            best = (sums, lag, n)
+    if best is None:
+        reason = "zero_variance" if saw_zero_variance else "insufficient_overlap"
+        return CorrelationResult(social.region, None, None, 0, reason)
+    sums, lag, n = best
+    return CorrelationResult(social.region, lag, _r(sums), n)
 
 
 class _Reference:

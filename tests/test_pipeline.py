@@ -346,6 +346,23 @@ class TestConfigValidation:
         data = _base_config(tmp_path, corpus, topology=[{"name": "x", "kind": "quantum"}])
         assert parse_config(data) == parse_config(_base_config(tmp_path, corpus))
 
+    def test_retired_enrichment_file_keys_ignored(self, tmp_path):
+        """``enrichment.gazetteer_file``, ``sentiment_lexicon_file`` and
+        ``group_lexicons_file`` are retired: a config that sets them, to
+        files that exist and parse, loads as one that does not."""
+        corpus = _fixture_corpus(tmp_path, minutes=5, rate=20)
+        (tmp_path / "places.txt").write_text("lisbon\n")
+        (tmp_path / "sentiment.json").write_text(json.dumps({"grim": -0.9}))
+        (tmp_path / "groups.json").write_text(json.dumps({"symptomatic": ["sneeze"]}))
+        data = _base_config(tmp_path, corpus)
+        data["enrichment"] = {
+            **data["enrichment"],
+            "gazetteer_file": str(tmp_path / "places.txt"),
+            "sentiment_lexicon_file": str(tmp_path / "sentiment.json"),
+            "group_lexicons_file": str(tmp_path / "groups.json"),
+        }
+        assert parse_config(data) == parse_config(_base_config(tmp_path, corpus))
+
     def test_default_config_wires_every_stage(self, tmp_path):
         corpus = _fixture_corpus(tmp_path, minutes=5, rate=20)
         config = parse_config(_base_config(tmp_path, corpus))
