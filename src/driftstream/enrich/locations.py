@@ -5,7 +5,8 @@ name regions, each live for a TTL after its latest report, so places
 currently reporting cases are recognized in posts even before the
 gazetteer knows them. The case feed is read before the stream, so those
 regions are fixed ``(region, last_seen)`` entries built once, beside the
-gazetteer; extraction only reads them.
+gazetteer. A post's locations are its gazetteer hits plus the regions
+live at its event time (``Lexicons.locations``).
 
 Each location is normalized once, where it enters: gazetteer names,
 case-report regions, evidence and event clusters.
@@ -38,28 +39,6 @@ class Gazetteer:
                 raise ValueError("gazetteer names must be non-empty")
             unique[normalized] = None
         self.names: tuple[str, ...] = tuple(unique)
-
-    def lookup(self, lowered: str) -> set[str]:
-        """Names found in ``lowered``, a post text already lowercased."""
-        return {name for name in self.names if name in lowered}
-
-
-def extract_locations(
-    lowered: str,
-    gazetteer: Gazetteer,
-    regions: tuple[tuple[str, float], ...],
-    ttl: float,
-    now: float,
-) -> list[str]:
-    """Locations mentioned in ``lowered`` (a post text already lowercased):
-    gazetteer hits plus the case-report ``regions`` (``case_regions``) live
-    at ``now``. A region is live from its ``last_seen`` until ``ttl`` after
-    it; one dated ahead of ``now`` is not live yet."""
-    hits = gazetteer.lookup(lowered)
-    for region, last_seen in regions:
-        if region in lowered and last_seen <= now and now - last_seen <= ttl:
-            hits.add(region)
-    return sorted(hits)
 
 
 @dataclass

@@ -2,12 +2,11 @@
 
 A deliberately simple stand-in for a trained sentiment model: sum the
 weights of every lexicon term occurrence in the text and clamp the sum to
-[-1, 1]. Deterministic and fully testable against a recount.
+[-1, 1], adding the terms in lexicon order. Deterministic and fully
+testable against a recount. Terms are lowercase, matched against the post
+text lowercased; each counts its non-overlapping occurrences.
+``Lexicons.sentiment`` scores a post off ``clean_post``'s one scan.
 """
-
-from __future__ import annotations
-
-from ..keywords import CompiledLexicon
 
 DEFAULT_SENTIMENT_LEXICON = {
     "good": 0.5,
@@ -25,27 +24,3 @@ DEFAULT_SENTIMENT_LEXICON = {
     "worse": -0.6,
     "crisis": -0.4,
 }
-
-
-def compile_sentiment_lexicon(weights: dict[str, float]) -> CompiledLexicon:
-    """``(term, weight)`` pairs in lexicon order, for ``score_sentiment``."""
-    return CompiledLexicon(weights.items())
-
-
-def score_sentiment(lowered: str, lexicon: CompiledLexicon) -> float:
-    """Clamped sum of matched term weights; 0.0 when nothing matches.
-
-    Lexicon terms are lowercase, as in ``DEFAULT_SENTIMENT_LEXICON``;
-    matching is against ``lowered``, the post text already lowercased, so
-    it stays case-insensitive. Each term counts its non-overlapping
-    occurrences.
-    """
-    if lexicon.any_term.search(lowered) is None:
-        return 0.0
-    total = 0.0
-    for term, weight in lexicon.pairs:
-        occurrences = lowered.count(term)
-        if occurrences:
-            total += occurrences * weight
-    return max(-1.0, min(1.0, total))
-

@@ -4,9 +4,13 @@ A KeywordSet holds seed topic terms plus the terms drift promotes later;
 every term is a normalized string (``normalize_term``), and the drift
 audit, not the set, records when and why a term was promoted. Matching is
 case-insensitive; the default mode is substring, with a token mode for
-precision experiments. Multilingual terms are plain configuration strings.
-Matchers take the post text lowercased once by the caller, and each
-lexicon is compiled once per change rather than once per post.
+precision experiments. Multilingual terms are plain configuration strings
+in substring mode; a token-mode term is made of ``TOKEN_RE`` tokens, which
+are ASCII, and ``parse_config`` refuses a seed or tracked phrase that is
+not. Matchers take the post text lowercased once by the caller. The
+pipeline tags a post in substring mode off ``clean_post``'s one scan of
+every lexicon at once; ``match_keywords`` is the per-set definition it
+must agree with.
 A match that finds nothing returns ``NO_TAGS``, the one shared empty
 frozenset, so a post that matches nothing keeps no container of its own.
 
@@ -62,24 +66,6 @@ NO_TAGS: frozenset[str] = frozenset()
 _ID_END = 2**63
 
 
-class CompiledLexicon:
-    """A lexicon's ``(term, value)`` pairs, compiled once for per-post scans.
-
-    ``pairs`` keeps the given order, so a sum over it adds up in that order.
-    ``any_term`` is one alternation of the terms (escaped, longest first):
-    its ``search`` finds a match exactly when some term is a substring of
-    the text, and never for an empty lexicon, so a scan can skip a text
-    that holds no term.
-    """
-
-    __slots__ = ("pairs", "any_term")
-
-    def __init__(self, pairs: Iterable[tuple[str, object]]):
-        self.pairs = tuple(pairs)
-        ordered = sorted((term for term, _ in self.pairs), key=len, reverse=True)
-        self.any_term = re.compile("|".join(map(re.escape, ordered)) if ordered else "(?!)")
-
-
 def tokenize(text: str, stopwords: frozenset[str] = DEFAULT_STOPWORDS) -> set[str]:
     """The distinct lowercased candidate tokens of a post text, stopwords removed."""
     return {
@@ -98,41 +84,42 @@ def normalize_term(term: str) -> str:
 
 
 class KeywordSet:
-    """Normalized terms in arrival order; ``seeds`` are the ones it began with.
+    """Normalized terms; ``seeds`` are the ones it began with.
 
     Terms are only ever added: a promoted term stays matched for the run.
+    ``terms`` is a frozenset that an add replaces, so a holder of one knows
+    the set has grown when it is no longer ``terms``.
     """
 
     def __init__(self, seeds: Iterable[str] = DEFAULT_SEED_KEYWORDS, match_mode: str = "substring"):
         if match_mode not in ("substring", "token"):
             raise ValueError(f"unknown match_mode: {match_mode!r}")
         self.match_mode = match_mode
-        self._terms = dict.fromkeys(map(normalize_term, seeds))
-        self.seeds = frozenset(self._terms)
+        self.terms = self.seeds = frozenset(map(normalize_term, seeds))
 
     def add(self, term: str) -> bool:
         """Add ``term``; returns True if it was not held yet."""
         term = normalize_term(term)
-        if term in self._terms:
+        if term in self.terms:
             return False
-        self._terms[term] = None
+        self.terms = self.terms | {term}
         return True
 
     def __contains__(self, term: str) -> bool:
-        return term.strip().lower() in self._terms
+        return term.strip().lower() in self.terms
 
     def active_terms(self) -> list[str]:
-        return sorted(self._terms)
+        return sorted(self.terms)
 
     def match(self, lowered: str) -> set[str] | frozenset[str]:
         """Terms matching ``lowered``, a post text already lowercased;
         ``NO_TAGS`` when none does."""
         if self.match_mode == "substring":
-            return {t for t in self._terms if t in lowered} or NO_TAGS
+            return {t for t in self.terms if t in lowered} or NO_TAGS
         tokens = TOKEN_RE.findall(lowered)
         token_set = set(tokens)
         hits = set()
-        for term in self._terms:
+        for term in self.terms:
             parts = term.split()
             if len(parts) == 1:
                 if parts[0] in token_set:
@@ -272,9 +259,14 @@ def match_keywords(
     """
     if lowered is None:
         lowered = post.text.lower()
-    matched = keywords.match(lowered)
+    return inherit_terms(keywords.match(lowered), post, recent_matches)
+
+
+def inherit_terms(matched, post, recent_matches) -> set[str] | frozenset[str]:
+    """``matched``, the terms ``post`` matched itself; when it matched none,
+    the terms ``recent_matches`` still holds for the post it retweets."""
     if not matched and recent_matches is not None and post.is_retweet_of is not None:
         inherited = recent_matches.get(post.is_retweet_of)
         if inherited:
-            matched = set(inherited)
+            return set(inherited)
     return matched

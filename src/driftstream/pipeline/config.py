@@ -20,7 +20,7 @@ from functools import partial
 from pathlib import Path
 from typing import Any, Callable, Optional
 
-from ..keywords import DEFAULT_SEED_KEYWORDS
+from ..keywords import DEFAULT_SEED_KEYWORDS, TOKEN_RE
 from ..misinfo.keywords import DEFAULT_MISINFO_SEEDS
 from ..sources.archive import parse_speed
 from ..sources.feeds import timestamp
@@ -253,6 +253,18 @@ def parse_config(
         archive = checked("archive", existing, archive)
 
     values = read(PipelineConfig, data)
+
+    keywords = values["keywords"]
+    if keywords.match_mode == "token":
+        # a term matches when each of its words is a whole token; a tracked
+        # phrase is a term once drift promotes it
+        for key in ("seeds", "tracked_phrases"):
+            for term in getattr(keywords, key):
+                if not all(TOKEN_RE.fullmatch(word) for word in term.lower().split()):
+                    errors.append(
+                        f"keywords.{key}: {term!r} never matches under match_mode token:"
+                        " each word must be a whole token of ASCII letters, digits, _ and inner hyphens"
+                    )
 
     drift = values["drift"]
     if not (drift.window > 0 and drift.slide > 0 and drift.window % drift.slide == 0):  # also rejects NaN

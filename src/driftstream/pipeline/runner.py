@@ -15,8 +15,10 @@ them; the index drops expired entries on every watermark advance. It keeps
 a post's id, expiry and terms as flat columns, about 24 bytes a post while
 ids rise with time, so it holds a day of a high-rate stream cheaply.
 A post's empty tags are shared immutables (see ``EnrichedPost``).
-Each post's text is lowercased once on ingest, and that one lowered string
-feeds every tag. Lexicons are compiled once per change, not once per post.
+Each post's text is lowercased once on ingest and scanned once: one ``in``
+per distinct term of the union of every substring lexicon (``Lexicons``),
+and every tag is read off the terms present. The union is rebuilt only
+when a term set grows: a promotion, or a refresh that adds an active term.
 A window reports the misinformation set as it stands at its close: the set
 only grows, so buffered posts are re-tagged only when a refresh adds an
 active term, and a closing window reads the tags its posts hold, through
@@ -54,11 +56,11 @@ from ..corroboration.evidence import ClusterStore, MatchRule, load_evidence_feed
 from ..corroboration.team import default_team
 from ..drift.adapter import DriftAdapter
 from ..drift.promotion import PromotionPolicy
-from ..enrich.clean import clean_post
+from ..enrich.clean import Lexicons, clean_post
 from ..enrich.locations import Gazetteer, case_regions, load_case_reports
 from ..enrich.model import EnrichedPost
-from ..enrich.sentiment import DEFAULT_SENTIMENT_LEXICON, compile_sentiment_lexicon
-from ..enrich.topics import DEFAULT_GROUP_LEXICONS, compile_group_lexicons
+from ..enrich.sentiment import DEFAULT_SENTIMENT_LEXICON
+from ..enrich.topics import DEFAULT_GROUP_LEXICONS
 from ..keywords import KeywordSet, RecentMatches
 from ..misinfo.keywords import MisinfoKeywordSet, refresh_misinfo_keywords
 from ..misinfo.tagging import AuthoritativeSourceList, top_terms, window_tally
@@ -147,12 +149,9 @@ class PipelineRunner:
             piggyback_threshold=config.misinfo.piggyback_threshold,
         )
         self.authoritative = AuthoritativeSourceList(config.authoritative)
-        self.gazetteer = Gazetteer(config.enrichment.gazetteer)
         # the case feed's (region, last_seen) entries, fixed once ``run`` reads it
         self.location_cache: tuple[tuple[str, float], ...] = ()
-        # The built-in lexicons, compiled once per run.
-        self.sentiment_lexicon = compile_sentiment_lexicon(DEFAULT_SENTIMENT_LEXICON)
-        self.group_lexicons = compile_group_lexicons(DEFAULT_GROUP_LEXICONS)
+        self.lexicons = self._lexicons()
         self.team = default_team(config.keywords.seeds, eta=config.clusters.eta)
         self.cluster_store = ClusterStore(
             rule=MatchRule(lag_tolerance=config.clusters.lag_tolerance)
@@ -179,10 +178,7 @@ class PipelineRunner:
         self._advance_watermark(parsed.created_at)
         enriched = clean_post(
             parsed, self.keywords, self.store, parsed.text.lower(),
-            gazetteer=self.gazetteer, regions=self.location_cache,
-            region_ttl=self.config.enrichment.location_cache_ttl,
-            sentiment_lexicon=self.sentiment_lexicon, group_lexicons=self.group_lexicons,
-            authoritative=self.authoritative, misinfo=self.misinfo_set,
+            lexicons=self.lexicons, authoritative=self.authoritative,
         )
         if enriched is None:
             self.counters["discarded"] += 1
@@ -194,6 +190,14 @@ class PipelineRunner:
             self.counters["authoritative"] += 1
 
         self._minute_buffers.add(parsed.created_at, enriched)
+
+    def _lexicons(self) -> Lexicons:
+        """The lexicons every post is tagged from, with the case regions held now."""
+        enrichment = self.config.enrichment
+        return Lexicons(
+            self.keywords, Gazetteer(enrichment.gazetteer), self.location_cache, enrichment.location_cache_ttl,
+            DEFAULT_SENTIMENT_LEXICON, DEFAULT_GROUP_LEXICONS, self.misinfo_set,
+        )
 
     def _advance_watermark(self, event_time: float) -> None:
         if self._watermark is not None and event_time <= self._watermark:
@@ -267,6 +271,7 @@ class PipelineRunner:
                     cases = self.case_day_counts.setdefault(report.region, Counter())
                     cases[(report.date // DAY) * DAY] += report.new_cases
             self.location_cache = case_regions(reports)
+            self.lexicons = self._lexicons()
 
         for post in posts_from_archive(config.archive, self.rejections, config.speed):
             if config.until is not None and post.created_at > config.until:

@@ -2,7 +2,9 @@ from __future__ import annotations
 
 import pytest
 
+from driftstream.enrich.clean import Lexicons
 from driftstream.enrich.model import EnrichedPost
+from driftstream.keywords import KeywordSet
 from driftstream.sources.posts import Post
 from driftstream.timeutil import parse_timestamp
 
@@ -47,6 +49,24 @@ def make_enriched(
         matched_terms=matched_terms if matched_terms is not None else ({"coronavirus"} if relevance else set()),
         misinfo_terms=misinfo_terms or set(),
     )
+
+
+# -- one tag at a time, as ``clean_post`` reads it off its one scan ---------------
+
+
+def scanned_locations(lowered: str, gazetteer, regions, ttl: float, now: float) -> list[str]:
+    lexicons = Lexicons(KeywordSet(seeds=()), gazetteer, regions, ttl)
+    return list(lexicons.locations(lexicons.present(lowered), now))
+
+
+def scanned_sentiment(lowered: str, weights: dict[str, float]) -> float:
+    lexicons = Lexicons(KeywordSet(seeds=()), sentiment=weights)
+    return lexicons.sentiment(lexicons.present(lowered), lowered)
+
+
+def scanned_topics(lowered: str, groups: dict[str, tuple[str, ...]]) -> set[str] | frozenset[str]:
+    lexicons = Lexicons(KeywordSet(seeds=()), groups=groups)
+    return lexicons.topic_groups(lexicons.present(lowered))
 
 
 @pytest.fixture

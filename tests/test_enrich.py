@@ -6,21 +6,21 @@ import random
 
 import pytest
 
-from driftstream.enrich.clean import clean_post
+from driftstream.enrich.clean import Lexicons, clean_post
 from driftstream.enrich.locations import (
     CaseReport,
     Gazetteer,
     case_regions,
-    extract_locations,
     normalize_location,
 )
 from driftstream.enrich.model import EnrichedPost
-from driftstream.enrich.sentiment import compile_sentiment_lexicon, score_sentiment
-from driftstream.enrich.topics import assign_topic_groups, compile_group_lexicons
+from driftstream.enrich.sentiment import DEFAULT_SENTIMENT_LEXICON
+from driftstream.enrich.topics import DEFAULT_GROUP_LEXICONS
 from driftstream.keywords import NO_TAGS, KeywordSet
 from driftstream.timeutil import DAY
 
-from conftest import make_post
+import lexicon_oracle as oracle
+from conftest import make_post, scanned_locations, scanned_sentiment, scanned_topics
 
 
 class TestCleanPost:
@@ -42,27 +42,28 @@ class TestCleanPost:
         assert enriched.matched_terms == set()
 
     def test_every_stage_set_by_the_one_constructor(self):
-        from driftstream.enrich.sentiment import DEFAULT_SENTIMENT_LEXICON
-        from driftstream.enrich.topics import DEFAULT_GROUP_LEXICONS
         from driftstream.misinfo.keywords import MisinfoKeywordSet
         from driftstream.misinfo.tagging import AuthoritativeSourceList
 
         post = make_post(text="Coronavirus: great hope in Sturgis, fever and PLANDEMIC talk",
                          channel=" WHO.int ")
         lowered = post.text.lower()
-        sentiment = compile_sentiment_lexicon(DEFAULT_SENTIMENT_LEXICON)
-        groups = compile_group_lexicons(DEFAULT_GROUP_LEXICONS)
         regions = case_regions([CaseReport(date=post.created_at - DAY, region="Sturgis", new_cases=4)])
+        keywords = KeywordSet(seeds=("corona",))
+        lexicons = Lexicons(
+            keywords, Gazetteer(["california"]), regions, 7 * DAY,
+            DEFAULT_SENTIMENT_LEXICON, DEFAULT_GROUP_LEXICONS, MisinfoKeywordSet(),
+        )
         enriched = clean_post(
-            post, KeywordSet(seeds=("corona",)), None, lowered,
-            gazetteer=Gazetteer(["california"]), regions=regions, region_ttl=7 * DAY,
-            sentiment_lexicon=sentiment, group_lexicons=groups,
-            authoritative=AuthoritativeSourceList(["who.int"]), misinfo=MisinfoKeywordSet(),
+            post, keywords, None, lowered,
+            lexicons=lexicons, authoritative=AuthoritativeSourceList(["who.int"]),
         )
         assert enriched.relevance is True and enriched.matched_terms == {"corona"}
         assert enriched.locations == ["sturgis"]
-        assert enriched.sentiment == score_sentiment(lowered, sentiment) == 1.0
-        assert enriched.topic_groups == assign_topic_groups(lowered, groups) == {"symptomatic"}
+        assert enriched.sentiment == oracle.score_sentiment(lowered, DEFAULT_SENTIMENT_LEXICON) == 1.0
+        assert enriched.topic_groups == oracle.assign_topic_groups(lowered, DEFAULT_GROUP_LEXICONS) == {
+            "symptomatic"
+        }
         assert enriched.authoritative is True
         assert enriched.misinfo_terms == {"plandemic"}
         assert not hasattr(enriched, "__dict__")  # slots: one fixed record per post
@@ -72,19 +73,17 @@ class TestCleanPost:
         """Every empty tag is one shared immutable, not a container of the
         post's own: ``NO_TAGS`` for the three term sets, ``()`` for the
         locations; ``EnrichedPost``'s defaults are the same values."""
-        from driftstream.enrich.sentiment import DEFAULT_SENTIMENT_LEXICON
-        from driftstream.enrich.topics import DEFAULT_GROUP_LEXICONS
         from driftstream.misinfo.keywords import MisinfoKeywordSet
 
         post = make_post(text="nice weather in town today")
         regions = case_regions([CaseReport(date=post.created_at, region="Sturgis", new_cases=4)])
         for misinfo in (MisinfoKeywordSet(), None):
-            enriched = clean_post(
-                post, KeywordSet(seeds=("corona",), match_mode=match_mode), None,
-                gazetteer=Gazetteer(["california"]), regions=regions, region_ttl=7 * DAY,
-                sentiment_lexicon=compile_sentiment_lexicon(DEFAULT_SENTIMENT_LEXICON),
-                group_lexicons=compile_group_lexicons(DEFAULT_GROUP_LEXICONS), misinfo=misinfo,
+            keywords = KeywordSet(seeds=("corona",), match_mode=match_mode)
+            lexicons = Lexicons(
+                keywords, Gazetteer(["california"]), regions, 7 * DAY,
+                DEFAULT_SENTIMENT_LEXICON, DEFAULT_GROUP_LEXICONS, misinfo,
             )
+            enriched = clean_post(post, keywords, None, lexicons=lexicons)
             assert enriched.relevance is False
             assert enriched.matched_terms is NO_TAGS
             assert enriched.misinfo_terms is NO_TAGS
@@ -109,36 +108,36 @@ class TestLocations:
     def test_gazetteer_hit_returned_and_not_cached(self):
         gazetteer = Gazetteer(["california"])
         regions = case_regions([])
-        hits = extract_locations("spread in california", gazetteer, regions, 7 * DAY, now=0.0)
+        hits = scanned_locations("spread in california", gazetteer, regions, 7 * DAY, now=0.0)
         assert hits == ["california"]
         assert regions == ()
 
     def test_empty_gazetteer_and_cache_yield_nothing(self):
-        assert extract_locations("anywhere", Gazetteer(), (), 7 * DAY, now=0.0) == []
+        assert scanned_locations("anywhere", Gazetteer(), (), 7 * DAY, now=0.0) == []
 
     def test_cache_entry_matches_when_gazetteer_lacks_it(self):
         gazetteer = Gazetteer(["california"])
         regions = case_regions([CaseReport(date=0.0, region="sturgis", new_cases=1)])
-        hits = extract_locations("sturgis rally crowds", gazetteer, regions, 7 * DAY, now=3600.0)
+        hits = scanned_locations("sturgis rally crowds", gazetteer, regions, 7 * DAY, now=3600.0)
         assert hits == ["sturgis"]
 
     def test_expired_cache_entry_never_matches(self):
         regions = case_regions([CaseReport(date=0.0, region="sturgis", new_cases=1)])
-        assert extract_locations("sturgis again", Gazetteer(), regions, DAY, now=2 * DAY) == []
+        assert scanned_locations("sturgis again", Gazetteer(), regions, DAY, now=2 * DAY) == []
 
     def test_future_dated_entry_does_not_match_yet(self):
         regions = case_regions([CaseReport(date=10 * DAY, region="sturgis", new_cases=1)])
-        assert extract_locations("sturgis rally", Gazetteer(), regions, 7 * DAY, now=DAY) == []
-        assert extract_locations("sturgis rally", Gazetteer(), regions, 7 * DAY, now=11 * DAY) == [
+        assert scanned_locations("sturgis rally", Gazetteer(), regions, 7 * DAY, now=DAY) == []
+        assert scanned_locations("sturgis rally", Gazetteer(), regions, 7 * DAY, now=11 * DAY) == [
             "sturgis"
         ]
 
     def test_monotone_in_cache_contents(self):
         gazetteer = Gazetteer(["california"])
         text = "california and sturgis"
-        before = extract_locations(text, gazetteer, (), 7 * DAY, now=0.0)
+        before = scanned_locations(text, gazetteer, (), 7 * DAY, now=0.0)
         regions = case_regions([CaseReport(date=0.0, region="sturgis", new_cases=1)])
-        after = extract_locations(text, gazetteer, regions, 7 * DAY, now=0.0)
+        after = scanned_locations(text, gazetteer, regions, 7 * DAY, now=0.0)
         assert set(before) <= set(after)
 
     def test_absorb_case_report(self):
@@ -146,7 +145,7 @@ class TestLocations:
         assert report.region == "hubei"
         regions = case_regions([report])
         assert regions == (("hubei", 0.0),)
-        assert extract_locations("cases in hubei", Gazetteer(), regions, 7 * DAY, now=0.0) == ["hubei"]
+        assert scanned_locations("cases in hubei", Gazetteer(), regions, 7 * DAY, now=0.0) == ["hubei"]
 
     def test_absorb_empty_region_ignored(self):
         assert case_regions([CaseReport(date=0.0, region="  ", new_cases=1)]) == ()
@@ -158,12 +157,12 @@ class TestLocations:
                  CaseReport(date=dates[1], region="Hubei", new_cases=2)]
             )
             assert regions == (("hubei", DAY),)
-            assert extract_locations("hubei", Gazetteer(), regions, 7 * DAY, now=7.5 * DAY) == ["hubei"]
+            assert scanned_locations("hubei", Gazetteer(), regions, 7 * DAY, now=7.5 * DAY) == ["hubei"]
 
     def test_report_then_extraction_end_to_end(self):
         gazetteer = Gazetteer(["california"])
         regions = case_regions([CaseReport(date=0.0, region="sturgis", new_cases=50)])
-        hits = extract_locations("cases rising in sturgis", gazetteer, regions, 7 * DAY, now=DAY)
+        hits = scanned_locations("cases rising in sturgis", gazetteer, regions, 7 * DAY, now=DAY)
         assert hits == ["sturgis"]
 
     def test_empty_gazetteer_name_rejected(self):
@@ -173,23 +172,20 @@ class TestLocations:
 
 class TestSentiment:
     def test_no_lexicon_terms_scores_zero(self):
-        lexicon = compile_sentiment_lexicon({"good": 1.0})
-        assert score_sentiment("completely neutral text", lexicon) == 0.0
+        assert scanned_sentiment("completely neutral text", {"good": 1.0}) == 0.0
 
     def test_sum_is_clamped(self):
-        assert score_sentiment("good good", compile_sentiment_lexicon({"good": 1.0})) == 1.0
-        assert score_sentiment("bad bad bad", compile_sentiment_lexicon({"bad": -0.7})) == -1.0
+        assert scanned_sentiment("good good", {"good": 1.0}) == 1.0
+        assert scanned_sentiment("bad bad bad", {"bad": -0.7}) == -1.0
 
     def test_occurrences_accumulate_before_clamp(self):
-        lexicon = compile_sentiment_lexicon({"good": 0.5, "bad": -0.2})
-        assert score_sentiment("good then bad", lexicon) == pytest.approx(0.3)
+        assert scanned_sentiment("good then bad", {"good": 0.5, "bad": -0.2}) == pytest.approx(0.3)
 
     def test_against_independent_recount(self):
         # reimplementation oracle: regex-count every term, sum, clamp
         import re
 
         lexicon = {"good": 0.5, "bad": -0.4, "fear": -0.3, "hope": 0.6}
-        compiled = compile_sentiment_lexicon(lexicon)
         rng = random.Random(17)
         words = ["good", "bad", "fear", "hope", "virus", "day", "city"]
         for _ in range(200):
@@ -200,7 +196,7 @@ class TestSentiment:
                 expected += weight * len(re.findall(re.escape(term), text.lower()))
             expected = max(-1.0, min(1.0, expected))
 
-            assert score_sentiment(text.lower(), compiled) == pytest.approx(expected)
+            assert scanned_sentiment(text.lower(), lexicon) == pytest.approx(expected)
 
 
 class TestTopicGroups:
@@ -209,18 +205,17 @@ class TestTopicGroups:
         "positive_tests": ("positive", "tested positive", "diagnosed"),
         "symptomatic": ("fever", "cough", "symptoms"),
     }
-    COMPILED = compile_group_lexicons(LEXICONS)
 
     def test_positive_test_text(self):
-        assert assign_topic_groups("tested positive yesterday", self.COMPILED) == {
+        assert scanned_topics("tested positive yesterday", self.LEXICONS) == {
             "positive_tests"
         }
 
     def test_empty_text_no_groups(self):
-        assert assign_topic_groups("", self.COMPILED) == set()
+        assert scanned_topics("", self.LEXICONS) == set()
 
     def test_multi_group_text(self):
-        groups = assign_topic_groups("hospitalized after positive test", self.COMPILED)
+        groups = scanned_topics("hospitalized after positive test", self.LEXICONS)
         assert groups == {"deaths_hospitalizations", "positive_tests"}
 
     def test_matches_brute_force_scan_on_corpus(self, tmp_path):
@@ -238,4 +233,4 @@ class TestTopicGroups:
                 for group, terms in self.LEXICONS.items()
                 if any(t in lowered for t in terms)
             }
-            assert assign_topic_groups(lowered, self.COMPILED) == oracle
+            assert scanned_topics(lowered, self.LEXICONS) == oracle

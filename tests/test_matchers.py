@@ -1,10 +1,11 @@
-"""Compiled lexicon matchers against their per-term oracles.
+"""Lexicon matchers against their per-term oracles.
 
-Each matcher takes the post text lowercased once and scans a lexicon
-compiled once per change. The oracles below are the per-term scans the
-matchers replaced; every compiled path must give exactly their answer,
-including the float sum of sentiment, and must see a lexicon change on the
-very next match.
+Each matcher takes the post text lowercased once. ``clean_post`` reads
+every substring tag off one scan of the union of the lexicons, rebuilt
+once per change; the oracles below are per-term scans, and
+``lexicon_oracle`` holds the per-lexicon functions the one scan replaced.
+Every path must give exactly their answer, including the float sum of
+sentiment, and must see a lexicon change on the very next match.
 """
 
 from __future__ import annotations
@@ -12,24 +13,35 @@ from __future__ import annotations
 import json
 import math
 from collections import Counter
+from dataclasses import fields
 
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from driftstream.enrich.clean import Lexicons, clean_post, is_blank
 from driftstream.enrich.locations import (
     CaseReport,
     Gazetteer,
     case_regions,
-    extract_locations,
     normalize_location,
 )
-from driftstream.enrich.sentiment import compile_sentiment_lexicon, score_sentiment
-from driftstream.enrich.topics import assign_topic_groups, compile_group_lexicons
-from driftstream.keywords import TOKEN_RE, KeywordSet, match_keywords
+from driftstream.enrich.model import EnrichedPost
+from driftstream.enrich.sentiment import DEFAULT_SENTIMENT_LEXICON
+from driftstream.enrich.topics import DEFAULT_GROUP_LEXICONS
+from driftstream.keywords import TOKEN_RE, KeywordSet, RecentMatches, match_keywords
 from driftstream.misinfo.keywords import MisinfoKeywordSet, refresh_misinfo_keywords
-from driftstream.misinfo.tagging import tag_misinformation_window
+from driftstream.misinfo.tagging import AuthoritativeSourceList, tag_misinformation_window
+from driftstream.timeutil import DAY
 
-from conftest import T0, make_enriched, make_post
+import lexicon_oracle as oracle
+from conftest import (
+    T0,
+    make_enriched,
+    make_post,
+    scanned_locations,
+    scanned_sentiment,
+    scanned_topics,
+)
 
 # Overlapping and prefix terms, regex metacharacters, non-ASCII and
 # multi-word terms; texts are built from the same pieces so terms hit often.
@@ -119,14 +131,17 @@ def test_keyword_match_equals_oracle(seeds, learned, text, mode):
     for term in learned:
         keywords.add(term)
     assert keywords.match(text.lower()) == keyword_oracle(keywords, text)
-    assert match_keywords(make_post(text=text), keywords) == keyword_oracle(keywords, text)
+    post = make_post(text=text)
+    assert match_keywords(post, keywords) == keyword_oracle(keywords, text)
+    if not is_blank(post):
+        assert clean_post(post, keywords).matched_terms == keyword_oracle(keywords, text)
 
 
 @given(terms, texts)
 def test_gazetteer_lookup_equals_oracle(names, text):
     gazetteer = Gazetteer(names)
     expected = gazetteer_oracle({normalize_location(n) for n in names}, text)
-    assert gazetteer.lookup(text.lower()) == expected
+    assert set(scanned_locations(text.lower(), gazetteer, (), 0.0, 0.0)) == expected
 
 
 report_times = st.one_of(st.integers(0, 10).map(float), st.floats(0.0, 10.0))
@@ -145,7 +160,7 @@ def test_location_cache_match_equals_oracle(reports, now, ttl, text):
     assert len(regions) == len({region for region, _ in regions})
     # every live region is found exactly at ``now - ttl`` too, the boundary included
     for t in (now, *(date + ttl for _, date in reports)):
-        assert set(extract_locations(text.lower(), Gazetteer(), regions, ttl, t)) == cache_oracle(
+        assert set(scanned_locations(text.lower(), Gazetteer(), regions, ttl, t)) == cache_oracle(
             reports, ttl, text, t
         )
 
@@ -155,7 +170,7 @@ def test_location_interval_boundary_at_exactly_ttl():
     region is live at ``last_seen + ttl`` when the difference rounds back to
     ``ttl``, and not when it rounds above it."""
     regions = case_regions([CaseReport(date=5.0, region="sturgis", new_cases=1)])
-    at = lambda now, ttl: extract_locations("sturgis", Gazetteer(), regions, ttl, now)  # noqa: E731
+    at = lambda now, ttl: scanned_locations("sturgis", Gazetteer(), regions, ttl, now)  # noqa: E731
     assert at(5.0, 0.0) == ["sturgis"]  # a zero TTL is live on the report's own instant
     assert at(8.0, 3.0) == ["sturgis"]
     assert at(math.nextafter(8.0, 9.0), 3.0) == []
@@ -164,7 +179,7 @@ def test_location_interval_boundary_at_exactly_ttl():
     regions = case_regions([CaseReport(date=0.1, region="sturgis", new_cases=1)])
     now = 0.1 + 0.2  # 0.30000000000000004
     assert now - 0.1 > 0.2 and now <= 0.1 + 0.2
-    assert extract_locations("sturgis", Gazetteer(), regions, 0.2, now) == []
+    assert scanned_locations("sturgis", Gazetteer(), regions, 0.2, now) == []
 
 
 class WriteBackCache:
@@ -239,7 +254,7 @@ def test_extraction_equals_the_write_back_design(reports_before, events, ttl):
     names = {normalize_location(n) for n in GAZETTEER_NAMES}
     for kind, value, t in events:
         if kind == "post":
-            assert extract_locations(value.lower(), gazetteer, regions, ttl, float(t)) == (
+            assert scanned_locations(value.lower(), gazetteer, regions, ttl, float(t)) == (
                 reference.extract(names, value, float(t))
             )
 
@@ -247,9 +262,7 @@ def test_extraction_equals_the_write_back_design(reports_before, events, ttl):
 @given(st.dictionaries(st.sampled_from(TERMS + ["", "C++"]), weights, max_size=10), texts)
 def test_sentiment_equals_oracle_exactly(lexicon, text):
     # ``==`` on the float: the sum must add the same terms in the same order.
-    assert score_sentiment(text.lower(), compile_sentiment_lexicon(lexicon)) == sentiment_oracle(
-        text, lexicon
-    )
+    assert scanned_sentiment(text.lower(), lexicon) == sentiment_oracle(text, lexicon)
 
 
 @given(
@@ -260,8 +273,7 @@ def test_sentiment_equals_oracle_exactly(lexicon, text):
     texts,
 )
 def test_topics_equal_oracle(group_lexicons, text):
-    compiled = compile_group_lexicons(group_lexicons)
-    assert assign_topic_groups(text.lower(), compiled) == topics_oracle(text, group_lexicons)
+    assert scanned_topics(text.lower(), group_lexicons) == topics_oracle(text, group_lexicons)
 
 
 @given(terms, st.lists(texts, max_size=12), st.lists(st.booleans(), max_size=12))
@@ -288,9 +300,9 @@ def test_window_tagging_equals_oracle(seed_terms, window_texts, authoritative):
 
 def test_empty_lexicons_match_nothing():
     assert KeywordSet(seeds=()).match("anything at all") == set()
-    assert Gazetteer().lookup("anything at all") == set()
-    assert score_sentiment("anything at all", compile_sentiment_lexicon({})) == 0.0
-    assert assign_topic_groups("anything at all", compile_group_lexicons({})) == set()
+    assert scanned_locations("anything at all", Gazetteer(), (), 0.0, 0.0) == []
+    assert scanned_sentiment("anything at all", {}) == 0.0
+    assert scanned_topics("anything at all", {}) == set()
 
 
 # -- a lexicon change is seen by the very next match ------------------------------
@@ -300,9 +312,9 @@ def test_promoted_keyword_matches_the_next_post():
     for mode in ("substring", "token"):
         keywords = KeywordSet(seeds=("virus",), match_mode=mode)
         post = make_post(text="Facemask mandate")
-        assert match_keywords(post, keywords) == set()
+        assert match_keywords(post, keywords) == clean_post(post, keywords).matched_terms == set()
         keywords.add("facemask")
-        assert match_keywords(post, keywords) == {"facemask"}
+        assert match_keywords(post, keywords) == clean_post(post, keywords).matched_terms == {"facemask"}
         assert keywords.active_terms() == ["facemask", "virus"]
 
 
@@ -327,8 +339,87 @@ def test_new_cache_entry_matches_the_next_post():
     ttl = 7 * 86400.0
     gazetteer = Gazetteer(["california"])
     regions = case_regions([CaseReport(date=1.0, region="Sturgis", new_cases=1)])
-    assert extract_locations("rally in sturgis", gazetteer, regions, ttl, now=0.0) == []
-    assert extract_locations("rally in sturgis", gazetteer, regions, ttl, now=1.0) == ["sturgis"]
+    assert scanned_locations("rally in sturgis", gazetteer, regions, ttl, now=0.0) == []
+    assert scanned_locations("rally in sturgis", gazetteer, regions, ttl, now=1.0) == ["sturgis"]
     # a gazetteer hit is the gazetteer's alone; the regions stay as built
-    assert extract_locations("california cases", gazetteer, regions, ttl, now=2.0) == ["california"]
+    assert scanned_locations("california cases", gazetteer, regions, ttl, now=2.0) == ["california"]
     assert regions == (("sturgis", 1.0),)
+
+
+# -- the one scan against the per-lexicon functions it replaced -------------------
+
+# Overlapping terms (coronavirus/corona/virus, facemask/mask, "died" in both
+# default lexicons), multi-word terms, a prefix term, a keyword that is also a
+# gazetteer name ("wuhan"), and regions beside the gazetteer's.
+KEYWORD_POOL = ["corona", "coronavirus", "virus", "mask", "facemask", "covid-19", "wuhan", "stay home"]
+PLACE_POOL = ["new york", "california", "wuhan", "hubei"]
+REGION_POOL = ["sturgis", "madrid", "new york", "lombardy"]
+MISINFO_POOL = ["plandemic", "bioweapon", "5g towers", "microchip"]
+UNION_TERMS = sorted({
+    *KEYWORD_POOL, *PLACE_POOL, *REGION_POOL, *MISINFO_POOL, *DEFAULT_SENTIMENT_LEXICON,
+    *(term for terms in DEFAULT_GROUP_LEXICONS.values() for term in terms),
+})
+assert {"died", "hospitaliz", "死", "tested positive", "loss of taste"} <= set(UNION_TERMS)
+# each term, its two halves and two casings, runs of whitespace and word ends
+SCAN_PIECES = sorted({
+    piece
+    for term in UNION_TERMS
+    for piece in (term, term[: len(term) // 2], term[len(term) // 2 :], term.upper(), term.title())
+    if piece
+}) + [" ", "  ", "\t", "\n ", "-", ", ", "ed", "s", "news"]
+scan_texts = st.lists(st.sampled_from(SCAN_PIECES), max_size=10).map("".join)
+# report dates against the posts' time: expired under a 7-day TTL, live, on
+# the post's own instant, dated ahead
+report_offsets = st.sampled_from([-10 * DAY, -7 * DAY, -DAY, 0.0, DAY])
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    seeds=st.lists(st.sampled_from(KEYWORD_POOL), max_size=4, unique=True),
+    promoted=st.lists(st.sampled_from(KEYWORD_POOL), max_size=2),
+    mode=st.sampled_from(["substring", "token"]),
+    places=st.lists(st.sampled_from(PLACE_POOL), max_size=3),
+    reports=st.lists(st.tuples(st.sampled_from(REGION_POOL), report_offsets), max_size=4),
+    misinfo_seeds=st.lists(st.sampled_from(MISINFO_POOL), max_size=2),
+    refreshed=st.lists(st.sampled_from(MISINFO_POOL), max_size=2),
+    tombstones=st.lists(st.sampled_from(MISINFO_POOL), max_size=2),
+    texts=st.lists(scan_texts, min_size=1, max_size=4),
+    retweet=st.booleans(),
+)
+def test_one_scan_equals_the_per_lexicon_functions(
+    seeds, promoted, mode, places, reports, misinfo_seeds, refreshed, tombstones, texts, retweet
+):
+    """Every ``EnrichedPost`` field, sentiment by ``==``, equals the one
+    built from one scan per lexicon, while both term sets grow between
+    posts as a promotion and a refresh grow them."""
+    keywords = KeywordSet(seeds=seeds, match_mode=mode)
+    misinfo = MisinfoKeywordSet(seeds=misinfo_seeds, tombstones=tombstones)
+    gazetteer = Gazetteer(places)
+    regions = case_regions(
+        CaseReport(date=T0 + offset, region=region, new_cases=1) for region, offset in reports
+    )
+    authoritative = AuthoritativeSourceList(["who.int"])
+    lexicons = Lexicons(
+        keywords, gazetteer, regions, 7 * DAY, DEFAULT_SENTIMENT_LEXICON, DEFAULT_GROUP_LEXICONS, misinfo
+    )
+    recent = RecentMatches(ttl=DAY)
+    recent.put(99, ("corona",), T0)
+    for i, text in enumerate(texts):
+        post = make_post(i, text, T0, channel=("who.int", "twitter")[i % 2],
+                         is_retweet_of=99 if retweet else None)
+        one = clean_post(post, keywords, recent, lexicons=lexicons, authoritative=authoritative)
+        each = oracle.clean_post(
+            post, keywords, recent, gazetteer=gazetteer, regions=regions, region_ttl=7 * DAY,
+            sentiment=DEFAULT_SENTIMENT_LEXICON, groups=DEFAULT_GROUP_LEXICONS,
+            authoritative=authoritative, misinfo=misinfo,
+        )
+        if each is None:
+            assert one is None
+        else:
+            for field in fields(EnrichedPost):
+                got, want = getattr(one, field.name), getattr(each, field.name)
+                assert (type(got), got) == (type(want), want), field.name
+        if promoted:
+            keywords.add(promoted.pop())
+        if refreshed:
+            misinfo.add(refreshed.pop())

@@ -287,6 +287,31 @@ class TestConfigValidation:
             parse_config(_base_config(tmp_path, corpus, misinfo={"piggyback_threshold": threshold}))
         assert err.value.errors == ["misinfo.piggyback_threshold: must be > 0"]
 
+    @pytest.mark.parametrize("key", ["seeds", "tracked_phrases"])
+    @pytest.mark.parametrize("seed", ["新冠", "#ncov", "pandémie", "u.s.", "stay home!", "新冠 outbreak"])
+    def test_token_mode_seed_that_no_token_equals_named_with_exit_2(self, tmp_path, capsys, key, seed):
+        """Token mode matches ASCII ``TOKEN_RE`` tokens, so a seed with a word
+        that is no whole token could never match: the config is refused,
+        naming the seed. A tracked phrase is a term once drift promotes it,
+        so it is refused alike. Substring mode matches both and takes them."""
+        from driftstream.keywords import KeywordSet
+
+        assert KeywordSet(seeds=(seed,), match_mode="token").match(f"{seed} update") == set()
+        assert KeywordSet(seeds=(seed,)).match(f"{seed} update") == {seed}
+        corpus = _fixture_corpus(tmp_path, minutes=5, rate=20)
+        keywords = {"match_mode": "token", "seeds": ["corona", "COVID-19", "stay home"], "tracked_phrases": ["wash hands"]}
+        keywords[key] = [*keywords[key], seed]
+        data = _base_config(tmp_path, corpus, keywords=keywords)
+        with pytest.raises(ConfigError) as err:
+            parse_config(data)
+        assert len(err.value.errors) == 1 and err.value.errors[0].startswith(f"keywords.{key}: {seed!r} ")
+        path = tmp_path / "token.yaml"
+        path.write_text(yaml.safe_dump(data))
+        assert main(["run", "--config", str(path)]) == 2
+        assert f"keywords.{key}: {seed!r} never matches under match_mode token" in capsys.readouterr().err
+        data["keywords"]["match_mode"] = "substring"
+        assert seed in getattr(parse_config(data).keywords, key)
+
     def test_zero_lag_tolerance_and_fractional_refresh_accepted(self, tmp_path):
         corpus = _fixture_corpus(tmp_path, minutes=5, rate=20)
         config = parse_config(
@@ -1004,6 +1029,81 @@ class TestFarOffEventTimes:
         assert main(["run", "--config", str(path)]) == 0
 
 
+class TestLexiconInvalidation:
+    """``clean_post`` scans one union of every term set, built once per
+    change: a growth of either growing set is seen by the next post
+    ingested, and nothing else rebuilds the union."""
+
+    def _runner(self, tmp_path, monkeypatch):
+        from conftest import make_post
+
+        from driftstream.enrich.clean import Lexicons
+        from driftstream.pipeline.runner import PipelineRunner
+
+        builds = []
+        build = Lexicons._build
+
+        def counted_build(self):
+            builds.append(sorted(self.keywords.terms))
+            build(self)
+
+        monkeypatch.setattr(Lexicons, "_build", counted_build)
+        archive = tmp_path / "unused.jsonl"
+        archive.write_text("")
+        terms = tmp_path / "terms.json"
+        terms.write_text(json.dumps({"terms": []}))
+        runner = PipelineRunner(parse_config({
+            "archive": str(archive),
+            "out_dir": str(tmp_path / "out"),
+            "keywords": {"seeds": ["virus"]},
+            "drift": {"min_count": 3, "slide_minutes": 1, "window_minutes": 1},
+            "misinfo": {
+                "seeds": ["plandemic"],
+                "sources": [{"kind": "terms_file", "path": str(terms)}],
+                "refresh_interval_minutes": 1,
+                "tombstones": ["microchip", "5g towers"],
+            },
+        }))
+
+        def ingest(post_id, text, seconds, retweet_of=None):
+            """The post's EnrichedPost, as buffered at ingest."""
+            runner.ingest_post(make_post(post_id, text, T0 + seconds, is_retweet_of=retweet_of))
+            return runner._minute_buffers[(T0 + seconds) // 60][-1]
+
+        return runner, ingest, builds, terms
+
+    def test_a_promoted_term_matches_the_next_post_and_its_retweet(self, tmp_path, monkeypatch):
+        runner, ingest, builds, _ = self._runner(tmp_path, monkeypatch)
+        for k in range(4):  # facemask rides the seed in a third of the posts
+            ingest(3 * k, "virus facemask news", 1 + k)
+            ingest(3 * k + 1, "weather today", 10 + k)
+            ingest(3 * k + 2, "sunny weather", 20 + k)
+        assert ingest(20, "weather", 61).relevance is False  # closes minute 0 into the drift slide
+        assert builds == [["virus"]]
+        # its advance closes the slide, which promotes two terms at once
+        post = ingest(21, "facemask only", 121)
+        assert [event.term for event in runner.drift.audit] == ["facemask", "news"]
+        assert post.matched_terms == {"facemask"}
+        retweet = ingest(22, "so true", 122, retweet_of=21)
+        assert retweet.relevance is True and retweet.matched_terms == {"facemask"}
+        for post_id in range(30, 40):
+            ingest(post_id, "facemask news", 123)
+        assert builds == [["virus"], ["facemask", "news", "virus"]]
+
+    def test_a_refresh_tags_the_next_post_and_a_tombstone_tags_nothing(self, tmp_path, monkeypatch):
+        runner, ingest, builds, terms = self._runner(tmp_path, monkeypatch)
+        assert ingest(1, "drink bleach, plandemic", 1).misinfo_terms == {"plandemic"}
+        terms.write_text(json.dumps({"terms": ["bleach", "microchip"]}))
+        post = ingest(2, "drink bleach, microchip", 61)  # its advance refreshes the set
+        assert runner.misinfo_set.active == ("bleach", "plandemic")
+        assert post.misinfo_terms == {"bleach"}
+        assert runner._minute_buffers[(T0 + 61) // 60][0] is post
+        terms.write_text(json.dumps({"terms": ["bleach", "microchip", "5g towers"]}))
+        assert ingest(3, "5g towers, microchip", 121).misinfo_terms == frozenset()
+        assert "5g towers" in runner.misinfo_set
+        assert builds == [["virus"], ["virus"]]  # a tombstoned add grows no active set
+
+
 class TestPiggybackOutput:
     @pytest.mark.parametrize("enabled", [True, False])
     def test_piggyback_jsonl_matches_golden(self, tmp_path, enabled):
@@ -1241,6 +1341,72 @@ class TestMultidayBundle:
         held = len(store)
         assert store.sweep() == 0
         assert len(store) == held
+
+
+def _dense_data(tmp_path, match_mode):
+    """Four dense minutes shaped like the benchmark's firehose (900 posts a
+    minute), plus what it leaves out: a tracked phrase, a misinformation
+    feed with a tombstoned term, and a case feed naming a region beyond the
+    gazetteer that is live and one dated ahead of the stream."""
+    corpus = generate_synthetic(
+        SyntheticConfig(
+            seed=2323,
+            duration_minutes=4,
+            base_rate_per_minute=900,
+            drift_schedule=[DriftTermSchedule("facemask", 0, 120, p_co=0.5)],
+        ),
+        tmp_path / "raw",
+    )
+    terms = tmp_path / "misinfo_terms.json"
+    terms.write_text(json.dumps({"terms": ["5g towers", "microchip"]}))
+    cases = tmp_path / "cases.jsonl"
+    cases.write_text("".join(
+        json.dumps({"date": date, "region": region, "new_cases": 3}) + "\n"
+        for date, region in (("2020-02-28T00:00:00Z", "sturgis"), ("2020-03-05T00:00:00Z", "madrid"))
+    ))
+    return {
+        "archive": str(corpus.archive_path),
+        "case_feed": str(cases),
+        "out_dir": str(tmp_path / f"dense-{match_mode}"),
+        "keywords": {"match_mode": match_mode, "tracked_phrases": ["stay home"]},
+        "enrichment": {"gazetteer": GAZETTEER[:4]},
+        "drift": {"min_count": 10, "slide_minutes": 1, "window_minutes": 2},
+        "misinfo": {
+            "sources": [{"kind": "terms_file", "path": str(terms)}],
+            "tombstones": ["microchip"],
+        },
+    }
+
+
+class TestDenseBundle:
+    """``TestMultidayBundle`` pins a sparse stream; this pins a dense one,
+    where nearly every post carries a lexicon term, in both match modes."""
+
+    # sha256 over (file name, bytes) of every bundle file, from the code that
+    # scanned each post once per lexicon
+    GOLDEN_SHA256 = {
+        "substring": "5f11f73cefc16be4a65222aa0a99345942446c5e36378c0d6e4037881a8b9bfb",
+        "token": "53fc1a16541ac00cb3baacf5b941edbdc11ef545a4b579239aec64c7182925d6",
+    }
+
+    @pytest.mark.parametrize("match_mode", ["substring", "token"])
+    def test_bundle_matches_golden(self, tmp_path, match_mode):
+        import hashlib
+
+        result = run_pipeline(parse_config(_dense_data(tmp_path, match_mode)))
+        summary = result.summary
+        assert summary["records_in"] > 3000 and summary["tagged"] and summary["misinfo_terms_added"] == 2
+        audit = [json.loads(line) for line in (result.out_dir / "keywords.jsonl").read_text().splitlines()]
+        assert min(event["promoted_at"] for event in audit) < T0 + 4 * 60  # mid-stream
+        assert {"facemask", "california"} <= set(summary["active_keywords"])
+        windows = (result.out_dir / "windows.csv").read_text()
+        assert "5g towers" in windows and "microchip" not in windows
+        regions = (result.out_dir / "region_day.csv").read_text()
+        assert "sturgis" in regions and "madrid" not in regions
+        digest = hashlib.sha256()
+        for path in sorted(result.out_dir.iterdir()):
+            digest.update(path.name.encode() + b"\0" + path.read_bytes() + b"\0")
+        assert digest.hexdigest() == self.GOLDEN_SHA256[match_mode]
 
 
 class TestCli:
