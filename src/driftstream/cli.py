@@ -18,7 +18,7 @@ from pathlib import Path
 # Only what `replay` runs is imported here: each other command imports its
 # own modules, so a short replay job does not load the pipeline.
 from .core.log import DurableLog, LogAppendError
-from .core.records import StreamRecord
+from .core.records import encode_post_record
 from .sources.archive import Speed, parse_speed, posts_from_archive
 
 EXIT_OK = 0
@@ -95,14 +95,14 @@ def _cmd_replay(args: argparse.Namespace) -> int:
             return EXIT_VALIDATION
     # Paced, each record is committed before the pause ahead of the next post.
     limit = REPLAY_BATCH if args.speed == "max" else 1
-    batch: list[StreamRecord] = []
+    batch: list[bytes] = []
     records = 0
     try:
         for post in posts_from_archive(args.archive, speed=args.speed):
             records += 1
             if log is None:
                 continue
-            batch.append(StreamRecord(post.to_payload(), None, post.created_at, time.time()))
+            batch.append(encode_post_record(post, time.time()))
             if len(batch) == limit:
                 log.append_many(batch)
                 batch = []

@@ -127,7 +127,7 @@ class DurableLog:
         """Append one record and make it durable; the returned offset is the ack."""
         return self.append_many([record])[0]
 
-    def append_many(self, records: Iterable[StreamRecord]) -> range:
+    def append_many(self, records: Iterable[StreamRecord | bytes]) -> range:
         """Append ``records`` in order and make them durable; returns their offsets.
 
         Every frame is written, then flushed and fsynced (when ``sync``) once,
@@ -136,10 +136,17 @@ class DurableLog:
         ``next_offset``. Any I/O failure raises ``LogAppendError``, and so does
         every later append, until the log is reopened and recovery has
         rescanned what reached disk.
+
+        A record is a ``StreamRecord`` or its body already encoded: the bytes
+        its ``to_bytes`` gives, which ``records.encode_post_record`` writes
+        for a post. An empty body, which recovery would read as a torn
+        write, raises ``ValueError`` before anything is written.
         """
         frames = []
         for record in records:
-            body = record.to_bytes()
+            body = record if isinstance(record, bytes) else record.to_bytes()
+            if not body:
+                raise ValueError("an empty record body cannot be told from a torn write")
             frames.append(FRAME_HEADER.pack(len(body), zlib.crc32(body)) + body)
         with self._lock:
             if self._failed:

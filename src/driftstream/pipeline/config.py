@@ -20,7 +20,7 @@ from functools import partial
 from pathlib import Path
 from typing import Any, Callable, Optional
 
-from ..keywords import DEFAULT_SEED_KEYWORDS, TOKEN_RE
+from ..keywords import DEFAULT_SEED_KEYWORDS, TOKEN_RE, normalize_term
 from ..misinfo.keywords import DEFAULT_MISINFO_SEEDS
 from ..sources.archive import parse_speed
 from ..sources.feeds import timestamp
@@ -87,6 +87,12 @@ def _strings(value) -> tuple[str, ...]:
     raise ValueError(f"must be a list of non-blank strings, got {value!r}")
 
 
+def _terms(value) -> tuple[str, ...]:
+    """A list of non-blank strings, each as ``normalize_term`` writes it,
+    the spelling the lowered post text is searched for."""
+    return tuple(map(normalize_term, _strings(value)))
+
+
 def _nonempty_strings(value) -> tuple[str, ...]:
     strings = _strings(value)
     if not strings:
@@ -140,7 +146,7 @@ def _value(spec, value):
 class KeywordConfig:
     seeds: tuple[str, ...] = _setting("seeds", DEFAULT_SEED_KEYWORDS, _nonempty_strings)
     match_mode: str = _setting("match_mode", "substring", _one_of("substring", "token"))
-    tracked_phrases: tuple[str, ...] = _setting("tracked_phrases", (), _strings)
+    tracked_phrases: tuple[str, ...] = _setting("tracked_phrases", (), _terms)
     retweet_ttl: float = _setting("retweet_ttl_hours", 24, _number, HOUR, gt=0)
 
 

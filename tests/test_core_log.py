@@ -9,6 +9,7 @@ acknowledged record and nothing corrupt.
 from __future__ import annotations
 
 import json
+import math
 import os
 import random
 import stat
@@ -20,7 +21,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from driftstream.core.log import DurableLog
-from driftstream.core.records import StreamRecord
+from driftstream.core.records import StreamRecord, encode_post_record
+from driftstream.sources.posts import Post
+from driftstream.timeutil import END_EPOCH, FIRST_EPOCH
 
 
 def _record(i: int) -> StreamRecord:
@@ -53,6 +56,55 @@ def test_to_bytes_equals_json_dumps(payload, key, event_time, ingest_time):
     body = {"payload": payload, "key": key, "event_time": event_time, "ingest_time": ingest_time}
     expected = json.dumps(body, separators=(",", ":"), sort_keys=True).encode()
     assert StreamRecord(payload, key, event_time, ingest_time).to_bytes() == expected
+
+
+# Ids as parse_post returns them: ints of up to 4,300 digits, the default
+# int-digit limit past which both int() and the JSON decoder refuse a number.
+POST_IDS = st.integers(min_value=-(10**4300 - 1), max_value=10**4300 - 1)
+# Any code point, lone surrogates included, with the characters JSON escapes
+# drawn often.
+POST_STRINGS = st.text(st.integers(0, 0x10FFFF).map(chr) | st.sampled_from('"\\/\x00\x1f\x7f\u2028\ud800\udfff\U0001f637'))
+
+
+@given(
+    post_id=POST_IDS,
+    created_at=st.floats(min_value=FIRST_EPOCH, max_value=END_EPOCH, exclude_max=True),
+    text=POST_STRINGS.filter(bool),
+    lang=POST_STRINGS,
+    channel=POST_STRINGS,
+    retweeted=st.none() | POST_IDS,
+    ingest_time=st.floats(allow_nan=False, allow_infinity=False),
+)
+@example(post_id=10**4300 - 1, created_at=FIRST_EPOCH, text='"\\\ud800', lang="\udfff", channel="\x00",
+         retweeted=-(10**4300 - 1), ingest_time=-0.0)
+@example(post_id=-1, created_at=math.nextafter(END_EPOCH, 0), text="s\u00fcd \U0001f637", lang="und", channel="twitter",
+         retweeted=None, ingest_time=1.7e9 + 1 / 3)
+def test_encode_post_record_equals_the_general_codec(post_id, created_at, text, lang, channel, retweeted, ingest_time):
+    """The post encoder writes the general codec's bytes for every Post shape
+    that parse_post returns: ids of any sign and up to the digit limit, with
+    and without a retweet, any string, created_at from year 1 to year 9999
+    and any finite ingest time."""
+    post = Post(post_id, created_at, text, lang, channel, retweeted)
+    expected = StreamRecord(post.to_payload(), None, post.created_at, ingest_time).to_bytes()
+    assert encode_post_record(post, ingest_time) == expected
+
+
+def test_encoded_bodies_append_as_their_records(tmp_path):
+    """append_many takes encoded bodies beside records and frames them alike;
+    an empty body, which recovery would drop as a torn write, is refused
+    before anything is written."""
+    path = tmp_path / "log"
+    records = [_record(i) for i in range(4)]
+    with DurableLog(path, sync=False) as log:
+        assert log.append_many([records[0].to_bytes(), records[1]]) == range(0, 2)
+        assert log.append_many([r.to_bytes() for r in records[2:]]) == range(2, 4)
+        with pytest.raises(ValueError):
+            log.append_many([records[0], b""])
+        assert log.next_offset == 4
+    files = {p.name: p.read_bytes() for p in path.iterdir()}
+    assert files == _segments_oracle([_frame_bytes(r) for r in records], 1 << 20)
+    with DurableLog(path) as log:
+        assert list(log.replay_from(0)) == records
 
 
 def test_first_append_gets_offset_zero(tmp_path):

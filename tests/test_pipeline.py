@@ -327,6 +327,7 @@ class TestConfigValidation:
             ({"keywords": {"seeds": "corona"}}, "keywords.seeds"),
             ({"keywords": {"seeds": ["corona", "  "]}}, "keywords.seeds"),
             ({"keywords": {"tracked_phrases": "stay home"}}, "keywords.tracked_phrases"),
+            ({"keywords": {"tracked_phrases": ["stay home", " "]}}, "keywords.tracked_phrases"),
             ({"enrichment": {"gazetteer": "madrid"}}, "enrichment.gazetteer"),
             ({"misinfo": {"seeds": "plandemic"}}, "misinfo.seeds"),
             ({"misinfo": {"tombstones": [5]}}, "misinfo.tombstones"),
@@ -636,6 +637,34 @@ class TestRunnerIntegration:
         summary = result.summary
         assert summary["windows"] == len(rows)
         assert sum(int(r["posts_in"]) for r in rows) == summary["records_in"] - summary["discarded"]
+
+
+    def test_tracked_phrase_counted_and_promoted_lowercased(self, tmp_path):
+        """Drift looks for a tracked phrase in the lowered post text, so the
+        config normalizes it as ``KeywordSet`` does a seed: ``" Stay Home "``
+        is counted and promoted as ``stay home``, in the bundle that the
+        lowercase spelling writes."""
+        texts = ["Corona: Stay Home now", "weather report today", "football scores",
+                 "traffic jam downtown", "market prices", "music festival"]
+        archive = tmp_path / "stay.jsonl"
+        archive.write_text("".join(
+            json.dumps({"id": i + 1, "created_at": format_timestamp(T0 + 20 * i), "text": texts[i % 6]}) + "\n"
+            for i in range(180)
+        ))
+        bundles = []
+        for phrase in (" Stay Home ", "stay home"):
+            config = parse_config({
+                "archive": str(archive),
+                "out_dir": str(tmp_path / phrase.strip()),
+                "keywords": {"tracked_phrases": [phrase]},
+                "drift": {"min_count": 3, "window_minutes": 30, "slide_minutes": 10},
+            })
+            assert config.keywords.tracked_phrases == ("stay home",)
+            out = run_pipeline(config).out_dir
+            bundles.append({p.name: p.read_bytes() for p in out.iterdir()})
+        promoted = [json.loads(line)["term"] for line in bundles[0]["keywords.jsonl"].splitlines()]
+        assert "stay home" in promoted
+        assert bundles[0] == bundles[1]
 
 
 class TestWindowBuffers:
@@ -1612,6 +1641,53 @@ class TestCli:
         assert all(done == seen for seen, done in pauses)
         with DurableLog(out) as log:
             assert log.next_offset == yielded == committed
+
+    @pytest.mark.parametrize("speed", ["max", "60"])
+    def test_replay_out_writes_the_bytes_of_the_general_codec(self, tmp_path, monkeypatch, capsys, speed):
+        """With the clock pinned, ``replay --out`` leaves the segment bytes that
+        appending each post's ``StreamRecord(post.to_payload(), ...)`` in the
+        same batches leaves: batches of ``REPLAY_BATCH`` at ``max``, one
+        record per commit when paced. The archive holds retweets, legacy and
+        fractional timestamps, strings JSON escapes and malformed lines."""
+        import time
+
+        import driftstream.sources.archive as archive
+        from driftstream.cli import REPLAY_BATCH
+        from driftstream.core.log import DurableLog
+        from driftstream.core.records import StreamRecord
+        from driftstream.sources.posts import Post, parse_post
+
+        corpus = _fixture_corpus(tmp_path, minutes=6, rate=60)
+        rows = [json.loads(line) for line in corpus.archive_path.read_text().splitlines()]
+        for i, row in enumerate(rows):
+            created = parse_timestamp(row["created_at"])
+            if i % 3 == 1:
+                row["created_at"] = time.strftime("%a %b %d %H:%M:%S +0000 %Y", time.gmtime(created))
+            elif i % 3 == 2:
+                row["created_at"] = format_timestamp(created)[:-1] + ".375Z"
+        rows[5]["text"] += ' "quoted" back\\slash \x00\x1f s\u00fcd \u75c5\u6bd2 \U0001f637 \ud800'
+        rows[6].update(lang="\udfff", channel="tw\"itter", retweeted_id=str(rows[0]["id"]))
+        assert sum("retweeted_id" in row for row in rows) > 1
+        lines = [json.dumps(row).encode() for row in rows]
+        lines[3:3] = [b"", b"{broken", b'{"id": 1, "text": "no timestamp"}', b'{"id": true, "text": "x", "created_at": "2020"}']
+        path = tmp_path / "mixed.jsonl"
+        path.write_bytes(b"\n".join(lines) + b"\n")
+        posts = [p for p in map(parse_post, lines) if isinstance(p, Post)]
+        assert REPLAY_BATCH < len(posts) == len(lines) - 4
+
+        now = 1583020800.625
+        monkeypatch.setattr(time, "time", lambda: now)
+        monkeypatch.setattr(archive.time, "sleep", lambda seconds: None)
+        out = tmp_path / "log"
+        assert main(["replay", "--archive", str(path), "--speed", speed, "--out", str(out)]) == 0
+        assert json.loads(capsys.readouterr().out)["records_out"] == len(posts)
+        limit = REPLAY_BATCH if speed == "max" else 1
+        with DurableLog(tmp_path / "expected") as log:
+            for start in range(0, len(posts), limit):
+                log.append_many([StreamRecord(p.to_payload(), None, p.created_at, now) for p in posts[start:start + limit]])
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == {
+            p.name: p.read_bytes() for p in (tmp_path / "expected").iterdir()
+        }
 
     def test_report_command_writes_tables(self, tmp_path):
         corpus = _fixture_corpus(tmp_path, minutes=5, rate=30)
