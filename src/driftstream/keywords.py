@@ -66,12 +66,12 @@ NO_TAGS: frozenset[str] = frozenset()
 _ID_END = 2**63
 
 
-def tokenize(text: str, stopwords: frozenset[str] = DEFAULT_STOPWORDS) -> set[str]:
+def tokenize(text: str) -> set[str]:
     """The distinct lowercased candidate tokens of a post text, stopwords removed."""
     return {
         t
         for t in TOKEN_RE.findall(text.lower())
-        if len(t) >= MIN_TOKEN_LEN and t not in stopwords
+        if len(t) >= MIN_TOKEN_LEN and t not in DEFAULT_STOPWORDS
     }
 
 

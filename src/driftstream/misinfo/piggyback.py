@@ -25,7 +25,6 @@ def detect_piggyback(
     keyword_set: MisinfoKeywordSet,
     stats: CooccurrenceStats,
     threshold: float = DEFAULT_PIGGYBACK_THRESHOLD,
-    scorer: str = "pmi",
 ) -> list[str]:
     """Trending terms whose misinfo co-occurrence clears the threshold.
 
@@ -37,6 +36,6 @@ def detect_piggyback(
     for term in trending:
         if term in keyword_set:
             continue
-        if score_candidate(stats, term, scorer) >= threshold:
+        if score_candidate(stats, term) >= threshold:
             candidates.append(term)
     return candidates

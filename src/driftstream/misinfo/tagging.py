@@ -26,10 +26,10 @@ class WindowTagReport:
     term_counts: Counter = field(default_factory=Counter)
 
 
-def top_terms(term_counts: Counter, k: int = 5) -> list[str]:
-    """The ``k`` most counted terms, ties broken alphabetically."""
+def top_terms(term_counts: Counter) -> list[str]:
+    """The five most counted terms, ties broken alphabetically."""
     ranked = sorted(term_counts.items(), key=lambda item: (-item[1], item[0]))
-    return [term for term, _ in ranked[:k]]
+    return [term for term, _ in ranked[:5]]
 
 
 class AuthoritativeSourceList:

@@ -316,11 +316,15 @@ def load_config(path: str | Path, overrides: Optional[dict] = None) -> PipelineC
     except OSError as exc:
         raise ConfigError([f"config: unreadable: {exc}"]) from exc
     if path.suffix == ".json":
-        data = json.loads(text)
+        parse, unparseable = json.loads, ValueError
     else:
         import yaml  # here, so that a JSON config never loads it
 
-        data = yaml.safe_load(text)
+        parse, unparseable = yaml.safe_load, yaml.YAMLError
+    try:
+        data = parse(text)
+    except unparseable as exc:
+        raise ConfigError([f"config: unparseable: {exc}"]) from exc
     if not isinstance(data, dict):
         raise ConfigError(["config: top level must be a mapping"])
     return parse_config(data, base_dir=path.parent, overrides=overrides)

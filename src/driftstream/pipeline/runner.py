@@ -24,10 +24,10 @@ only grows, so buffered posts are re-tagged only when a refresh adds an
 active term, and a closing window reads the tags its posts hold, through
 ``window_tally`` (which ``window_report`` wraps) straight into its row.
 Minute and cluster windows are buffered by window index ``t // length``
-and close once the watermark's index passes theirs; each buffer keeps its
-lowest index, so an advance that closes nothing skips the scan, and one
-that closes the only window buffered pops it without a sort. Tagged
-windows then feed the drift stage, cluster formation and the analytics
+and close once the watermark's index passes theirs; each buffer keeps the
+indexes it holds in a heap and pops its head while that is below the
+watermark's index, so an advance that closes nothing costs one compare.
+Tagged windows then feed the drift stage, cluster formation and the analytics
 tables (``TableCounts``, which ``report`` feeds too). The drift stage owns the
 one slide window: it counts each post once and, on every slide close,
 runs keyword promotion and then piggyback detection. Evidence is applied
@@ -46,6 +46,7 @@ import math
 import time
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
+from heapq import heappop, heappush
 from pathlib import Path
 from typing import Optional
 
@@ -72,7 +73,6 @@ from .config import PipelineConfig
 
 @dataclass
 class RunResult:
-    exit_code: int
     out_dir: Path
     summary: dict
     report_paths: list[Path] = field(default_factory=list)
@@ -84,17 +84,15 @@ class RunResult:
 class WindowBuffers(dict):
     """Posts buffered by window index ``t // length``.
 
-    ``lowest`` is the lowest buffered index (inf when empty). A new index
-    lowers it, a late post's included, and a pop recomputes it from the
-    indexes left, so a flush that can close nothing returns after one
-    comparison. A sparse stream closes a window on nearly every post, with
-    one window buffered: that window is ``lowest`` and is popped directly.
+    The indexes held also sit in a heap: ``add`` pushes an index when it
+    opens that window, a late post's included, and ``pop_ready`` pops while
+    the head is below the watermark's index.
     """
 
     def __init__(self, length: float):
         super().__init__()
         self.length = length
-        self.lowest = math.inf
+        self._indexes: list[float] = []
 
     def add(self, event_time: float, post: EnrichedPost) -> None:
         index = event_time // self.length
@@ -103,22 +101,16 @@ class WindowBuffers(dict):
             posts.append(post)
             return
         self[index] = [post]
-        if index < self.lowest:
-            self.lowest = index
+        heappush(self._indexes, index)
 
     def pop_ready(self, upto: Optional[float]) -> list[list[EnrichedPost]]:
         """Remove the windows whose index is below that of ``upto`` (all of
         them when ``upto`` is None) and return their posts, oldest first."""
         current = math.inf if upto is None else upto // self.length
-        if current <= self.lowest:
-            return []
-        if len(self) == 1:
-            popped = [self.pop(self.lowest)]
-            self.lowest = math.inf
-            return popped
-        ready = sorted(index for index in self if index < current)
-        popped = [self.pop(index) for index in ready]
-        self.lowest = min(self, default=math.inf)
+        indexes = self._indexes
+        popped = []
+        while indexes and indexes[0] < current:
+            popped.append(self.pop(heappop(indexes)))
         return popped
 
 
@@ -295,7 +287,7 @@ class PipelineRunner:
             self.counters["records_in"] / elapsed if elapsed > 0 else None
         )
         return RunResult(
-            0, Path(config.out_dir), summary, report_paths, posts_per_sec, self.misinfo_set.skipped
+            Path(config.out_dir), summary, report_paths, posts_per_sec, self.misinfo_set.skipped
         )
 
     # -- reporting ------------------------------------------------------------------

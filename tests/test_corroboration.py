@@ -567,6 +567,23 @@ class TestTeamedClassifier:
         with pytest.raises(ValueError):
             TeamedClassifier([])
 
+    @pytest.mark.parametrize(
+        "features, votes",
+        [
+            (ClusterFeatures(5, 2, 0.3, frozenset({"bleach", "rally"})), [1.0, 0.5, 0.3, 2 / 3]),
+            (ClusterFeatures(30, 5, 1.4, frozenset({"rally"})), [0.0, 1.0, 1.0, 1.0]),
+            (ClusterFeatures(5, 5, 1.4, frozenset({"mask"})), [1.0, 0.5, 1.0, 1.0]),
+            (ClusterFeatures(30, 2, 0.3, frozenset()), [0.0, 1.0, 0.3, 2 / 3]),
+        ],
+    )
+    def test_default_team_votes(self, features, votes):
+        """The run's team: seed presence (a seed counts once stripped and
+        lowercased, a blank one never), size / 10, the mean absolute
+        sentiment and channels / 3, each capped at 1."""
+        team = default_team([" Bleach ", "MASK", "  "], eta=0.5)
+        assert [member.id for member in team.members] == ["keywords", "size", "sentiment", "diversity"]
+        assert team.member_votes(features) == votes
+
     @given(
         st.lists(st.floats(min_value=0, max_value=1), min_size=3, max_size=3),
         st.lists(st.sampled_from([1, -1]), min_size=1, max_size=30),

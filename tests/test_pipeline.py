@@ -686,18 +686,17 @@ class TestWindowBuffers:
         assert rows_after(1, 10) == []
         assert rows_after(2, 130) == [(0, 1)]
         assert rows_after(3, 70) == [(0, 1)]  # late, into window 60 (none held yet)
-        assert runner._minute_buffers.lowest == (T0 + 60) // 60
+        assert min(runner._minute_buffers) == (T0 + 60) // 60
         assert rows_after(4, 140) == [(0, 1), (60, 1)]
         runner._flush_minute_windows(upto=None)
         assert [(row[0] - T0, row[1]) for row in runner.window_rows] == [(0, 1), (60, 1), (120, 2)]
-        assert runner._minute_buffers == {} and runner._minute_buffers.lowest == math.inf
+        assert runner._minute_buffers == {}
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.tuples(st.booleans(), st.integers(0, 60)), max_size=40))
     def test_pop_ready_equals_a_scan_of_every_buffer(self, ops):
         """Adds and flushes in any order, late adds included: every flush
-        returns what a scan of all buffered indexes would, and ``lowest``
-        is always the lowest index held."""
+        returns what a scan of all buffered indexes would."""
         from driftstream.pipeline.runner import WindowBuffers
 
         buffers, scanned = WindowBuffers(7.0), {}
@@ -709,7 +708,6 @@ class TestWindowBuffers:
                 buffers.add(t, t)
                 scanned.setdefault(t // 7.0, []).append(t)
             assert buffers == scanned
-            assert buffers.lowest == min(scanned, default=math.inf)
         assert buffers.pop_ready(None) == [scanned[index] for index in sorted(scanned)]
         assert buffers.pop_ready(None) == []
 
@@ -1049,7 +1047,7 @@ class TestFarOffEventTimes:
 
         drift._close_current = counted_close
         result = runner.run()
-        assert result.exit_code == 0 and result.summary["records_in"] == len(years)
+        assert result.summary["records_in"] == len(years)
         slides_per_window = int(drift.window_length // drift.slide)
         assert 0 < len(closes) <= 3 * slides_per_window + 3
         assert closes == sorted(closes)
@@ -1556,7 +1554,10 @@ class TestCli:
         log_dir = tmp_path / "log"
         assert main(["replay", "--archive", str(archive), "--out", str(log_dir)]) == 0
         out = json.loads(capsys.readouterr().out)
-        assert out == {"records_in": len(expected), "records_out": len(expected), "errors": 0}
+        assert out == {
+            "records_in": len(expected), "records_out": len(expected), "errors": 0,
+            "rejections": {"bad_json": 1, "empty": 1, "missing_field": 1},
+        }
         with DurableLog(log_dir) as log:
             records = list(log.replay_from(0))
         assert [r.offset for r in records] == list(range(len(expected)))
@@ -1771,6 +1772,56 @@ class TestCli:
         assert main(["keywords", "show", "--config", str(path)]) == 0
         entries = json.loads(capsys.readouterr().out)
         assert [e["term"] for e in entries] == ["mask", "wuhan"]
+
+    def test_keywords_show_bad_at_exits_2(self, capsys):
+        assert main(["keywords", "show", "--at", "yesterday"]) == 2
+        assert capsys.readouterr().err == "--at: unparseable timestamp: 'yesterday'\n"
+
+    def test_keywords_show_bad_config_prints_each_error_on_a_line(self, tmp_path, capsys):
+        """As ``run`` does: one ``config error:`` line per error, not one
+        line joining them."""
+        config = tmp_path / "bad.json"
+        config.write_text(json.dumps({"archive": "/ghost.jsonl", "clusters": {"window_minutes": 0}}))
+        assert main(["keywords", "show", "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert err.splitlines() == [
+            "config error: archive: file not found: /ghost.jsonl",
+            "config error: clusters.window_minutes: must be > 0",
+        ]
+        assert main(["run", "--config", str(config)]) == 2
+        assert capsys.readouterr().err == err
+
+    @pytest.mark.parametrize("name, text", [("bad.json", '{"seed": '), ("bad.yaml", "seed: [1\n")])
+    @pytest.mark.parametrize("command", [["run"], ["keywords", "show"]])
+    def test_unparseable_config_exits_2(self, tmp_path, capsys, command, name, text):
+        config = tmp_path / name
+        config.write_text(text)
+        assert main([*command, "--config", str(config)]) == 2
+        assert capsys.readouterr().err.startswith("config error: config: unparseable: ")
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("seed: 1\nbogus: 2\n", "unknown synthetic config fields: ['bogus']"),
+            ("seed: 1\nduration_minutes: -3\n", "duration and base_rate must be positive"),
+            ("duration_minutes: 3\n", "missing 1 required positional argument: 'seed'"),
+            ("- 1\n- 2\n", "synth config error: "),
+            ("seed: [1\n", "expected ',' or ']'"),
+            (None, "No such file"),
+        ],
+    )
+    def test_synth_bad_config_exits_2(self, tmp_path, capsys, text, message):
+        config = tmp_path / "synth.yaml"
+        if text is not None:
+            config.write_text(text)
+        assert main(["synth", "--config", str(config), "--out", str(tmp_path / "corpus")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("synth config error: ") and message in err
+        assert not (tmp_path / "corpus").exists()
+
+    def test_clusters_without_an_export_exits_2(self, tmp_path, capsys):
+        assert main(["clusters", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == f"no cluster export at {tmp_path / 'clusters.json'}\n"
 
     def test_clusters_command_filters_by_status(self, tmp_path, capsys):
         report_dir = tmp_path / "reports"
