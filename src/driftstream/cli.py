@@ -105,7 +105,7 @@ def _cmd_replay(args: argparse.Namespace) -> int:
     # Paced, each record is committed before the pause ahead of the next post.
     limit = REPLAY_BATCH if args.speed == "max" else 1
     batch: list[bytes] = []
-    records = 0
+    records = appended = 0  # posts read, records acked by the log
     rejections: Counter = Counter()
     try:
         for post in posts_from_archive(args.archive, rejections, args.speed):
@@ -114,10 +114,10 @@ def _cmd_replay(args: argparse.Namespace) -> int:
                 continue
             batch.append(encode_post_record(post, time.time()))
             if len(batch) == limit:
-                log.append_many(batch)
+                appended += len(log.append_many(batch))
                 batch = []
         if log is not None:
-            log.append_many(batch)
+            appended += len(log.append_many(batch))
     except LogAppendError as exc:
         print(f"replay failed: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
@@ -128,7 +128,7 @@ def _cmd_replay(args: argparse.Namespace) -> int:
         if log is not None:
             log.close()
     print(json.dumps({
-        "records_in": records, "records_out": records, "errors": 0,
+        "records_in": records, "records_out": appended, "errors": 0,
         "rejections": dict(sorted(rejections.items())),
     }))
     return EXIT_OK

@@ -6,9 +6,10 @@ arbitrary offset. Records are length-prefixed and checksummed; recovery
 truncates a torn tail back to the last valid record, so a replay never
 surfaces a corrupt or partial record.
 
-Appends are group-committed: ``append_many`` writes a batch of frames, then
-flushes and fsyncs once, and only then returns the batch's offsets. The
-returned offsets are the ack. The crash contract:
+Appends are group-committed: ``append_many`` writes a batch's frames with
+one write per segment, flushes and fsyncs each such segment once, and only
+then returns the batch's offsets. The returned offsets are the ack. The
+crash contract:
 
 - acknowledged records always survive;
 - of an unacknowledged batch, at most an in-order prefix of complete frames
@@ -130,12 +131,14 @@ class DurableLog:
     def append_many(self, records: Iterable[StreamRecord | bytes]) -> range:
         """Append ``records`` in order and make them durable; returns their offsets.
 
-        Every frame is written, then flushed and fsynced (when ``sync``) once,
-        before the offsets are returned, so the returned range is the ack. An
-        empty batch appends nothing and returns the empty range at
-        ``next_offset``. Any I/O failure raises ``LogAppendError``, and so does
-        every later append, until the log is reopened and recovery has
-        rescanned what reached disk.
+        Every body is checked and framed first. The frames are then written
+        with one write per segment they land in, and each such segment is
+        flushed and fsynced (when ``sync``) once, before the offsets are
+        returned, so the returned range is the ack. An empty batch appends
+        nothing and returns the empty range at ``next_offset``. Any I/O
+        failure raises ``LogAppendError``, and so does every later append,
+        until the log is reopened and recovery has rescanned what reached
+        disk.
 
         A record is a ``StreamRecord`` or its body already encoded: the bytes
         its ``to_bytes`` gives, which ``records.encode_post_record`` writes
@@ -154,24 +157,26 @@ class DurableLog:
             first = self.next_offset
             if not frames:
                 return range(first, first)
-            positions: list[int] = []  # of frames written but not yet synced
+            start = 0  # the first frame of the active segment's run
+            positions: list[int] = []  # of the frames in that run
             try:
-                for frame in frames:
+                for i, frame in enumerate(frames):
                     if self._position and self._position >= self.segment_bytes:  # never roll an empty segment
-                        self._commit(positions)
-                        positions = []
+                        self._commit(frames[start:i], positions)
+                        start, positions = i, []
                         self._roll()
                     positions.append(self._position)
-                    self._writer.write(frame)
                     self._position += len(frame)
-                self._commit(positions)
+                self._commit(frames[start:], positions)
             except OSError as exc:
                 self._failed = True
                 raise LogAppendError(f"append to {self.path} failed: {exc}") from exc
             return range(first, first + len(frames))
 
-    def _commit(self, positions: list[int]) -> None:
-        """Make the active segment durable, then index the frames at ``positions``."""
+    def _commit(self, frames: list[bytes], positions: list[int]) -> None:
+        """Write ``frames`` to the active segment in one write, make it
+        durable, then index the frames at ``positions``."""
+        self._writer.write(b"".join(frames))
         self._writer.flush()
         if self.sync:
             os.fsync(self._writer.fileno())

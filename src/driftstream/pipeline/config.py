@@ -324,7 +324,14 @@ def load_config(path: str | Path, overrides: Optional[dict] = None) -> PipelineC
     try:
         data = parse(text)
     except unparseable as exc:
-        raise ConfigError([f"config: unparseable: {exc}"]) from exc
+        # PyYAML's text spans lines (a context, a caret snippet), so keep
+        # its problem and where it is: one error, one line
+        problem, mark = getattr(exc, "problem", None), getattr(exc, "problem_mark", None)
+        if problem and mark:
+            reason = f"{problem} (line {mark.line + 1}, column {mark.column + 1})"
+        else:
+            reason = str(exc).partition("\n")[0]
+        raise ConfigError([f"config: unparseable: {reason}"]) from exc
     if not isinstance(data, dict):
         raise ConfigError(["config: top level must be a mapping"])
     return parse_config(data, base_dir=path.parent, overrides=overrides)

@@ -128,23 +128,36 @@ def parse_legacy(text: str) -> datetime:
 
 
 # The last day format_timestamp rendered, as (days since the epoch, its
-# "YYYY-MM-DDT" prefix); replaced whole, like _last_parsed. Consecutive
-# records mostly fall on one day, so datetime runs about once a day.
+# "YYYY-MM-DDT" prefix); replaced whole, like _last_parsed. Only a new
+# minute reads it, and consecutive records mostly fall on one day, so
+# datetime runs about once a day.
 _last_day: tuple[int, str] = (0, "1970-01-01T")
+
+# The last minute format_timestamp rendered, as (minutes since the epoch,
+# its "YYYY-MM-DDTHH:MM:" prefix); replaced whole, like _last_day.
+# Consecutive records mostly share a minute, so most calls only append
+# that second's "SSZ". A day_key call renders its day's first second, so
+# one between two records of a minute makes the later record miss, never
+# read a wrong prefix: each memo is keyed by its whole epoch minute or day.
+_last_minute: tuple[int, str] = (0, "1970-01-01T00:00:")
+_SECOND_SUFFIX = tuple(f"{second:02d}Z" for second in range(60))
 
 
 def format_timestamp(epoch: float) -> str:
     """Render epoch seconds as an ISO-8601 UTC string (second resolution)."""
-    global _last_day
-    day, clock = divmod(int(epoch), 86400)
-    last = _last_day
-    if day != last[0]:
-        date = datetime.fromtimestamp(day * 86400, tz=timezone.utc)
-        # not strftime: glibc writes year 999 as "999", which nothing parses
-        last = _last_day = (day, f"{date.year:04d}-{date.month:02d}-{date.day:02d}T")
-    hours, clock = divmod(clock, 3600)
-    minutes, seconds = divmod(clock, 60)
-    return f"{last[1]}{hours:02d}:{minutes:02d}:{seconds:02d}Z"
+    global _last_day, _last_minute
+    minute, second = divmod(int(epoch), 60)
+    last = _last_minute
+    if minute != last[0]:
+        day, clock = divmod(minute, 1440)
+        date = _last_day
+        if day != date[0]:
+            moment = datetime.fromtimestamp(day * 86400, tz=timezone.utc)
+            # not strftime: glibc writes year 999 as "999", which nothing parses
+            date = _last_day = (day, f"{moment.year:04d}-{moment.month:02d}-{moment.day:02d}T")
+        hours, minutes = divmod(clock, 60)
+        last = _last_minute = (minute, f"{date[1]}{hours:02d}:{minutes:02d}:")
+    return last[1] + _SECOND_SUFFIX[second]
 
 
 def day_key(epoch: float) -> str:

@@ -8,6 +8,7 @@ acknowledged record and nothing corrupt.
 
 from __future__ import annotations
 
+import errno
 import json
 import math
 import os
@@ -20,7 +21,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from driftstream.core.log import DurableLog
+from driftstream.core import log as log_module
+from driftstream.core.log import DEFAULT_SEGMENT_BYTES, FRAME_HEADER, DurableLog, LogAppendError
 from driftstream.core.records import StreamRecord, encode_post_record
 from driftstream.sources.posts import Post
 from driftstream.timeutil import END_EPOCH, FIRST_EPOCH
@@ -461,3 +463,125 @@ def test_empty_batch_appends_nothing(tmp_path, monkeypatch):
     assert (fsyncs.files, fsyncs.dirs) == ([], 0)
     log.close()
     assert next(path.glob("*.seg")).stat().st_size == size
+
+
+class _CountedFile:
+    """A segment writer that records the size of each write. Once a (bytes
+    that land, error) pair is put in ``failure``, the next write lands only
+    that many bytes and raises the error."""
+
+    def __init__(self, file, sizes: list[int], failure: list):
+        self._file, self._sizes, self._failure = file, sizes, failure
+
+    def write(self, data):
+        if self._failure:
+            torn, error = self._failure.pop()
+            self._file.write(data[:torn])
+            raise error
+        self._sizes.append(len(data))
+        return self._file.write(data)
+
+    def __getattr__(self, name):
+        return getattr(self._file, name)
+
+
+class _WriteCounter:
+    """Wraps every file ``DurableLog`` opens to append to in a ``_CountedFile``."""
+
+    def __init__(self, monkeypatch):
+        self.sizes: list[int] = []  # of each write, in call order
+        self.failure: list = []  # (bytes that land, the error) for the next write
+
+        def opener(path, mode="r"):
+            file = open(path, mode)
+            return _CountedFile(file, self.sizes, self.failure) if mode == "ab" else file
+
+        monkeypatch.setattr(log_module, "open", opener, raising=False)
+
+
+@pytest.mark.parametrize(
+    "segment_bytes, writes",
+    [
+        (DEFAULT_SEGMENT_BYTES, [1, 1, 1, 1, 1, 1]),
+        (1, [5, 1, 4, 7, 1, 12]),  # a segment per frame
+        # three 91- or 94-byte frames fill a segment; the 4-record batch
+        # finds segment 3 full and 6..9 land in segments 6 and 9
+        (200, [2, 1, 2, 3, 1, 4]),
+    ],
+)
+def test_one_write_per_segment_a_batch_lands_in(tmp_path, monkeypatch, segment_bytes, writes):
+    """Each batch's frames reach each segment in one write, and each segment
+    it touches is committed once: every write, empty where a batch finds the
+    active segment already full, is followed by that segment's fsync."""
+    batches = [5, 1, 4, 7, 1, 12]
+    records = [_record(i) for i in range(sum(batches))]
+    frames = [_frame_bytes(r) for r in records]
+    layout = _segments_oracle(frames, segment_bytes)
+    bases = sorted(int(name.split(".")[0]) for name in layout)
+    counter = _WriteCounter(monkeypatch)
+    fsyncs = _FsyncCounter(monkeypatch)
+    log = DurableLog(tmp_path / "log", segment_bytes=segment_bytes, sync=True)
+    first, found = 0, []
+    for size in batches:
+        before = len(counter.sizes)
+        assert log.append_many(records[first:first + size]) == range(first, first + size)
+        sizes = [n for n in counter.sizes[before:] if n]
+        landed = {max(b for b in bases if b <= offset) for offset in range(first, first + size)}
+        assert len(sizes) == len(landed)  # the segments the oracle puts this batch's frames in
+        assert sum(sizes) == sum(map(len, frames[first:first + size]))
+        found.append(len(sizes))
+        first += size
+    assert found == writes
+    assert len(fsyncs.files) == len(counter.sizes)
+    log.close()
+    assert {p.name: p.read_bytes() for p in (tmp_path / "log").iterdir()} == layout
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    batches=st.lists(st.integers(0, 9), min_size=1, max_size=8),
+    segment_bytes=st.sampled_from((1, 100, 200, 300, 1000)),
+    reopens=st.sets(st.integers(0, 7)),
+)
+def test_any_batching_writes_the_segments_of_the_layout_oracle(tmp_path_factory, batches, segment_bytes, reopens):
+    """Segment files depend on the frames alone: not on how they are
+    batched, nor on reopens between batches."""
+    path = tmp_path_factory.mktemp("log")
+    records = [_record(i) for i in range(sum(batches))]
+    log = DurableLog(path, segment_bytes=segment_bytes, sync=False)
+    first = 0
+    for k, size in enumerate(batches):
+        if k in reopens:
+            log.close()
+            log = DurableLog(path, segment_bytes=segment_bytes, sync=False)
+        assert log.append_many(records[first:first + size]) == range(first, first + size)
+        first += size
+    log.close()
+    files = {p.name: p.read_bytes() for p in path.iterdir()}
+    assert files == _segments_oracle([_frame_bytes(r) for r in records], segment_bytes)
+
+
+def test_a_write_failing_mid_batch_refuses_appends_and_recovers_the_acked_prefix(tmp_path, monkeypatch):
+    """The disk fills partway through a batch's first frame: the batch
+    raises, no later append is acked, and a reopen truncates the torn frame
+    back to the records acked before it."""
+    counter = _WriteCounter(monkeypatch)
+    path = tmp_path / "log"
+    log = DurableLog(path, sync=True)
+    assert log.append_many([_record(i) for i in range(3)]) == range(0, 3)
+    torn = FRAME_HEADER.size + 5
+    counter.failure.append((torn, OSError(errno.ENOSPC, "No space left on device")))
+    with pytest.raises(LogAppendError, match="No space left on device"):
+        log.append_many([_record(i) for i in range(3, 8)])
+    assert not counter.failure
+    for append in (lambda: log.append(_record(8)), lambda: log.append_many([_record(8)]),
+                   lambda: log.append_many([])):
+        with pytest.raises(LogAppendError, match="refused"):
+            append()
+    log.close()  # flushes the torn bytes to the segment
+
+    with DurableLog(path, sync=True) as reopened:
+        assert reopened.truncated_bytes == torn
+        assert [(r.offset, r.payload["i"]) for r in reopened.replay_from(0)] == [(0, 0), (1, 1), (2, 2)]
+        assert reopened.append(_record(3)) == 3
+    assert next(path.glob("*.seg")).read_bytes() == b"".join(_frame_bytes(_record(i)) for i in range(4))

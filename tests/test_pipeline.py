@@ -1564,6 +1564,22 @@ class TestCli:
         assert [r.payload for r in records] == [p.to_payload() for p in expected]
         assert [r.event_time for r in records] == [p.created_at for p in expected]
 
+    def test_replay_without_out_reports_no_records_out(self, tmp_path, capsys):
+        """Without ``--out`` nothing is appended, so ``records_out`` is 0;
+        the posts read and the lines rejected are those of an ``--out`` run."""
+        corpus = _fixture_corpus(tmp_path, minutes=3, rate=20)
+        lines = corpus.archive_path.read_bytes().splitlines()
+        lines[1:1] = [b"", b"{broken"]
+        archive = tmp_path / "mixed.jsonl"
+        archive.write_bytes(b"\n".join(lines) + b"\n")
+        assert main(["replay", "--archive", str(archive), "--out", str(tmp_path / "log")]) == 0
+        written = json.loads(capsys.readouterr().out)
+        assert main(["replay", "--archive", str(archive)]) == 0
+        read = json.loads(capsys.readouterr().out)
+        assert written["records_out"] == written["records_in"] == corpus.post_count
+        assert read == {**written, "records_out": 0}
+        assert read["rejections"] == {"bad_json": 1, "empty": 1}
+
     def test_replay_out_naming_a_file_exits_2(self, tmp_path, capsys):
         corpus = _fixture_corpus(tmp_path, minutes=1, rate=5)
         taken = tmp_path / "taken"
@@ -1798,6 +1814,17 @@ class TestCli:
         config.write_text(text)
         assert main([*command, "--config", str(config)]) == 2
         assert capsys.readouterr().err.startswith("config error: config: unparseable: ")
+
+    @pytest.mark.parametrize("command", [["run"], ["keywords", "show"]])
+    def test_unparseable_yaml_config_prints_one_line(self, tmp_path, capsys, command):
+        """PyYAML's own text spans six lines here; the error keeps its
+        problem and the place it names, 1-based."""
+        config = tmp_path / "bad.yaml"
+        config.write_text("seed: [1\n")
+        assert main([*command, "--config", str(config)]) == 2
+        assert capsys.readouterr().err == (
+            "config error: config: unparseable: expected ',' or ']', but got '<stream end>' (line 2, column 1)\n"
+        )
 
     @pytest.mark.parametrize(
         "text, message",

@@ -443,6 +443,37 @@ class TestFormatTimestamp:
         rnd.shuffle(epochs)
         assert [format_timestamp(t) for t in epochs] == [iso_oracle(t) for t in epochs]
 
+    @given(
+        st.lists(
+            st.tuples(
+                # the first second of a run: anywhere, just before a day
+                # (and so a minute) starts, or at either end of the range
+                st.integers(MIN_EPOCH, MAX_EPOCH)
+                | st.builds(lambda day, before: day * 86400 - before,
+                            st.integers(MIN_EPOCH // 86400 + 1, MAX_EPOCH // 86400), st.integers(0, 90))
+                | st.sampled_from((MIN_EPOCH, MAX_EPOCH - 119, YEAR_999 - 61)),
+                st.sampled_from((0.0, 0.5)),
+                st.integers(1, 120),  # consecutive seconds
+                st.booleans(),  # a day_key call after each
+            ),
+            min_size=1, max_size=6,
+        )
+    )
+    @example([(-1, 0.5, 1, True), (-60, 0.5, 1, True), (-60, 0.5, 1, False), (0, 0.0, 61, True)])  # -0.5, -59.5
+    @example([(MIN_EPOCH, 0.0, 120, True), (MAX_EPOCH - 119, 0.5, 120, False), (MIN_EPOCH, 0.5, 61, False)])
+    def test_minute_memo_equals_datetime_oracle_over_runs_and_jumps(self, runs):
+        """Runs of consecutive seconds mostly hit the remembered minute and
+        cross minute and day boundaries; each new run jumps, often far. The
+        pipeline's other caller, ``day_key``, renders a day's first second,
+        so calls to it in between must change no rendering."""
+        for start, fraction, length, keyed in runs:
+            for second in range(start, min(start + length, MAX_EPOCH + 1)):
+                epoch = second + fraction
+                assert format_timestamp(epoch) == iso_oracle(epoch)
+                if keyed:
+                    date = datetime.fromtimestamp(epoch, tz=timezone.utc)
+                    assert day_key(epoch) == f"{date.year:04d}-{date.month:02d}-{date.day:02d}"
+
     @given(st.integers(MIN_EPOCH, MAX_EPOCH) | st.floats(MIN_EPOCH, MAX_EPOCH))
     @example(YEAR_999)
     @example(MIN_EPOCH)
