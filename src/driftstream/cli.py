@@ -64,15 +64,12 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_synth(args: argparse.Namespace) -> int:
-    import yaml
-
-    from .sources.synthetic import SyntheticConfig, SyntheticConfigError, generate_synthetic
+    from .pipeline.config import read_document
+    from .sources.synthetic import SyntheticConfig, generate_synthetic
 
     try:
-        with open(args.config, "r", encoding="utf-8") as f:
-            data = yaml.safe_load(f) or {}
-        config = SyntheticConfig.from_dict(data)
-    except (OSError, SyntheticConfigError, TypeError, yaml.YAMLError) as exc:
+        config = SyntheticConfig.from_dict(read_document(Path(args.config)) or {})
+    except (ValueError, TypeError) as exc:  # SyntheticConfigError is a ValueError
         print(f"synth config error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     corpus = generate_synthetic(config, args.out)

@@ -15,7 +15,6 @@ from typing import Iterable
 from ..core.windows import WindowAssignment, window_start
 from ..enrich.locations import normalize_location
 from ..enrich.model import EnrichedPost
-from ..keywords import tokenize
 
 DEFAULT_CLUSTER_WINDOW = 3600.0
 DEFAULT_MIN_CLUSTER_SIZE = 3
@@ -82,12 +81,13 @@ def cluster_features(cluster: EventCluster, posts: Iterable[EnrichedPost]) -> Cl
 
 
 def _topic_terms(members: list[EnrichedPost]) -> frozenset[str]:
-    """Matched keywords plus the most common candidate tokens of the members."""
+    """Matched keywords plus the most common candidate tokens of the members,
+    counted off the candidates each member holds from its one token scan."""
     terms: set[str] = set()
     doc_freq: Counter = Counter()
     for post in members:
         terms.update(post.matched_terms)
-        doc_freq.update(tokenize(post.post.text))
+        doc_freq.update(post.candidates)
     ranked = sorted(doc_freq.items(), key=lambda item: (-item[1], item[0]))
     terms.update(term for term, _ in ranked[:TOPIC_TERM_LIMIT])
     return frozenset(terms)

@@ -77,7 +77,6 @@ class DriftAdapter:
         policy: Optional[PromotionPolicy] = None,
         window_length: float = 3600.0,
         slide: float = 600.0,
-        tracked_phrases: tuple[str, ...] = (),
         trending_history: int = 6,
         misinfo: Optional[MisinfoKeywordSet] = None,
         trending_k: int = 10,
@@ -91,24 +90,17 @@ class DriftAdapter:
         self.policy = policy
         self.window_length = window_length
         self.slide = slide
-        self.tracked_phrases = tracked_phrases
         self.misinfo = misinfo
         self.trending_k = trending_k
         self.piggyback_threshold = piggyback_threshold
         buckets_per_window = int(window_length // slide)
         self._buckets: deque[_Bucket] = deque(maxlen=buckets_per_window)
-        self._window_stats = self._new_stats()  # the sum of _buckets
+        self._window_stats = CooccurrenceStats()  # the sum of _buckets
         self._piggyback_buckets: deque[_Bucket] = deque(maxlen=buckets_per_window)
         self._trending = TrendingHistory(trending_history)
         self._current: Optional[_Bucket] = None
         self.audit: list[PromotionEvent] = []
         self.piggyback: list[dict] = []  # {"window_end", "candidates"} per flagged slide
-
-    def _new_stats(self) -> CooccurrenceStats:
-        return CooccurrenceStats(self.tracked_phrases)
-
-    def _new_bucket(self, index: int) -> _Bucket:
-        return _Bucket(index, self._new_stats())
 
     def observe(self, enriched: EnrichedPost) -> None:
         """Observe one post; a slide rollover first closes the slides before
@@ -117,7 +109,7 @@ class DriftAdapter:
         A post from a closed slide counts toward the open one."""
         index = int(enriched.post.created_at // self.slide)
         if self._current is None:
-            self._current = self._new_bucket(index)
+            self._current = _Bucket(index, CooccurrenceStats())
         elif index > self._current.index:
             self._advance_to(index)
         observe_post(self._current.stats, enriched, self.keywords)
@@ -128,7 +120,7 @@ class DriftAdapter:
         while self._current.index < index:
             if not self._current.stats.total_posts and not self._window_stats.total_posts:
                 self._buckets.clear()
-                self._current = self._new_bucket(index)
+                self._current = _Bucket(index, CooccurrenceStats())
                 return
             closed = self._close_current()
             self._evaluate(closed.index)
@@ -142,12 +134,12 @@ class DriftAdapter:
             self._window_stats.subtract(buckets[0].stats)
         buckets.append(closed)
         self._window_stats.merge(closed.stats)
-        self._current = self._new_bucket(closed.index + 1)
+        self._current = _Bucket(closed.index + 1, CooccurrenceStats())
         return closed
 
     def _merged(self, buckets: deque[_Bucket]) -> CooccurrenceStats:
         """A fresh merge of ``buckets``."""
-        merged = self._new_stats()
+        merged = CooccurrenceStats()
         for bucket in buckets:
             merged.merge(bucket.stats)
         return merged

@@ -20,12 +20,11 @@ from collections import Counter, _count_elements  # the C helper Counter.update 
 from dataclasses import dataclass, field
 
 from ..enrich.model import EnrichedPost
-from ..keywords import KeywordSet, tokenize
+from ..keywords import KeywordSet
 
 
 @dataclass
 class CooccurrenceStats:
-    tracked_phrases: tuple[str, ...] = ()  # configured multi-word candidates
     term_counts: Counter = field(default_factory=Counter)  # n(t): posts containing t
     pair_counts: Counter = field(default_factory=Counter)  # n(t, seeds)
     total_posts: int = 0  # N
@@ -55,7 +54,6 @@ class CooccurrenceStats:
     def misinfo_side(self) -> "CooccurrenceStats":
         """A view that pairs terms with misinformation posts instead of seeds."""
         return CooccurrenceStats(
-            self.tracked_phrases,
             term_counts=self.term_counts,
             pair_counts=self.misinfo_pair_counts,
             total_posts=self.total_posts,
@@ -78,14 +76,14 @@ def observe_post(stats: CooccurrenceStats, enriched: EnrichedPost, keywords: Key
     """Count one post's candidate terms, pairing them with seed matches and
     with the post's misinformation tags.
 
-    Each distinct term counts once per post (document frequency), which is
-    what the association scores expect.
+    The terms are the ones ``clean_post`` read off the post's one token
+    scan: its candidates and its tracked phrases, each distinct, so each
+    counts once per post (document frequency), which is what the
+    association scores expect.
     """
-    text = enriched.post.text
-    candidates = tokenize(text)
-    if stats.tracked_phrases:
-        lowered = text.lower()
-        candidates.update(p for p in stats.tracked_phrases if p in lowered)
+    candidates = enriched.candidates
+    if enriched.phrases:
+        candidates += enriched.phrases
 
     seed_matched = not keywords.seeds.isdisjoint(enriched.matched_terms)
     tagged = bool(enriched.misinfo_terms)

@@ -20,6 +20,11 @@ class EnrichedPost:
     empty frozenset, for the three term sets. A buffered post then keeps no
     empty container alive. No stage mutates a tag; ``_refresh_misinfo``
     replaces ``misinfo_terms`` whole.
+
+    ``candidates`` are the post's drift candidates (``keywords.tokenize``'s
+    set, in order of first occurrence) and ``phrases`` the tracked phrases
+    its text contains that are not among them; drift counts both, clusters
+    the candidates alone.
     """
 
     post: Post
@@ -30,6 +35,8 @@ class EnrichedPost:
     matched_terms: set[str] | frozenset[str] = NO_TAGS
     misinfo_terms: set[str] | frozenset[str] = NO_TAGS
     authoritative: bool = False
+    candidates: tuple[str, ...] = ()
+    phrases: tuple[str, ...] = ()
 
     def __post_init__(self):
         if not _KNOWN_GROUPS.issuperset(self.topic_groups):

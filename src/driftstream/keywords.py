@@ -9,8 +9,8 @@ in substring mode; a token-mode term is made of ``TOKEN_RE`` tokens, which
 are ASCII, and ``parse_config`` refuses a seed or tracked phrase that is
 not. Matchers take the post text lowercased once by the caller. The
 pipeline tags a post in substring mode off ``clean_post``'s one scan of
-every lexicon at once; ``match_keywords`` is the per-set definition it
-must agree with.
+every lexicon at once, and in token mode off the token list that scan
+reads; ``match_keywords`` is the per-set definition it must agree with.
 A match that finds nothing returns ``NO_TAGS``, the one shared empty
 frozenset, so a post that matches nothing keeps no container of its own.
 
@@ -66,13 +66,20 @@ NO_TAGS: frozenset[str] = frozenset()
 _ID_END = 2**63
 
 
+def is_candidate(token: str) -> bool:
+    """Whether ``token``, a ``TOKEN_RE`` token, is a drift candidate: long
+    enough and not a stopword."""
+    return len(token) >= MIN_TOKEN_LEN and token not in DEFAULT_STOPWORDS
+
+
 def tokenize(text: str) -> set[str]:
-    """The distinct lowercased candidate tokens of a post text, stopwords removed."""
-    return {
-        t
-        for t in TOKEN_RE.findall(text.lower())
-        if len(t) >= MIN_TOKEN_LEN and t not in DEFAULT_STOPWORDS
-    }
+    """The distinct lowercased candidate tokens of a post text, stopwords removed.
+
+    This is the definition of a post's drift candidates. The pipeline reads
+    them off ``clean_post``'s one token scan (``EnrichedPost.candidates``,
+    through ``is_candidate``), where drift and clusters count them.
+    """
+    return set(filter(is_candidate, TOKEN_RE.findall(text.lower())))
 
 
 def normalize_term(term: str) -> str:
@@ -111,12 +118,14 @@ class KeywordSet:
     def active_terms(self) -> list[str]:
         return sorted(self.terms)
 
-    def match(self, lowered: str) -> set[str] | frozenset[str]:
+    def match(self, lowered: str, tokens: Optional[list[str]] = None) -> set[str] | frozenset[str]:
         """Terms matching ``lowered``, a post text already lowercased;
-        ``NO_TAGS`` when none does."""
+        ``NO_TAGS`` when none does. In token mode ``tokens`` is
+        ``TOKEN_RE.findall(lowered)``, when the caller already has it."""
         if self.match_mode == "substring":
             return {t for t in self.terms if t in lowered} or NO_TAGS
-        tokens = TOKEN_RE.findall(lowered)
+        if tokens is None:
+            tokens = TOKEN_RE.findall(lowered)
         token_set = set(tokens)
         hits = set()
         for term in self.terms:

@@ -306,15 +306,16 @@ def parse_config(
     return PipelineConfig(archive=archive, **values)
 
 
-def load_config(path: str | Path, overrides: Optional[dict] = None) -> PipelineConfig:
-    """The config in the YAML or JSON file ``path``, overridden as
-    ``parse_config`` describes; relative paths in it are resolved against
-    its directory."""
-    path = Path(path)
+def read_document(path: Path):
+    """The document in the YAML file ``path``, or the JSON one when its
+    suffix is ``.json``. A file that cannot be read, is not UTF-8 or does
+    not parse raises ``ValueError`` with one line that says why."""
     try:
         text = path.read_text(encoding="utf-8")
     except OSError as exc:
-        raise ConfigError([f"config: unreadable: {exc}"]) from exc
+        raise ValueError(f"unreadable: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"not UTF-8: {exc}") from exc
     if path.suffix == ".json":
         parse, unparseable = json.loads, ValueError
     else:
@@ -322,7 +323,7 @@ def load_config(path: str | Path, overrides: Optional[dict] = None) -> PipelineC
 
         parse, unparseable = yaml.safe_load, yaml.YAMLError
     try:
-        data = parse(text)
+        return parse(text)
     except unparseable as exc:
         # PyYAML's text spans lines (a context, a caret snippet), so keep
         # its problem and where it is: one error, one line
@@ -331,7 +332,18 @@ def load_config(path: str | Path, overrides: Optional[dict] = None) -> PipelineC
             reason = f"{problem} (line {mark.line + 1}, column {mark.column + 1})"
         else:
             reason = str(exc).partition("\n")[0]
-        raise ConfigError([f"config: unparseable: {reason}"]) from exc
+        raise ValueError(f"unparseable: {reason}") from exc
+
+
+def load_config(path: str | Path, overrides: Optional[dict] = None) -> PipelineConfig:
+    """The config in the YAML or JSON file ``path``, overridden as
+    ``parse_config`` describes; relative paths in it are resolved against
+    its directory."""
+    path = Path(path)
+    try:
+        data = read_document(path)
+    except ValueError as exc:
+        raise ConfigError([f"config: {exc}"]) from exc
     if not isinstance(data, dict):
         raise ConfigError(["config: top level must be a mapping"])
     return parse_config(data, base_dir=path.parent, overrides=overrides)

@@ -15,10 +15,14 @@ them; the index drops expired entries on every watermark advance. It keeps
 a post's id, expiry and terms as flat columns, about 24 bytes a post while
 ids rise with time, so it holds a day of a high-rate stream cheaply.
 A post's empty tags are shared immutables (see ``EnrichedPost``).
-Each post's text is lowercased once on ingest and scanned once: one ``in``
-per distinct term of the union of every substring lexicon (``Lexicons``),
-and every tag is read off the terms present. The union is rebuilt only
-when a term set grows: a promotion, or a refresh that adds an active term.
+Each post's text is lowercased once on ingest and scanned once by
+``TOKEN_RE``: the union of every substring lexicon (``Lexicons``) is read
+off its tokens through a memo of the terms each token contains, plus one
+``in`` for each term that is not a whole token, and every tag is read off
+the terms present. The union is rebuilt, and the memo emptied, only when a
+term set grows: a promotion, or a refresh that adds an active term. The
+same tokens give the post's drift candidates, which the drift stage and
+the clusters count without tokenizing the text again.
 A window reports the misinformation set as it stands at its close: the set
 only grows, so buffered posts are re-tagged only when a refresh adds an
 active term, and a closing window reads the tags its posts hold, through
@@ -135,7 +139,6 @@ class PipelineRunner:
             else None,
             window_length=config.drift.window,
             slide=config.drift.slide,
-            tracked_phrases=config.keywords.tracked_phrases,
             misinfo=self.misinfo_set,
             trending_k=config.drift.trending_k,
             piggyback_threshold=config.misinfo.piggyback_threshold,
@@ -189,6 +192,7 @@ class PipelineRunner:
         return Lexicons(
             self.keywords, Gazetteer(enrichment.gazetteer), self.location_cache, enrichment.location_cache_ttl,
             DEFAULT_SENTIMENT_LEXICON, DEFAULT_GROUP_LEXICONS, self.misinfo_set,
+            self.config.keywords.tracked_phrases,
         )
 
     def _advance_watermark(self, event_time: float) -> None:

@@ -16,7 +16,18 @@ from typing import Optional
 from driftstream.enrich.clean import is_blank
 from driftstream.enrich.locations import Gazetteer
 from driftstream.enrich.model import EnrichedPost
-from driftstream.keywords import NO_TAGS, KeywordSet, match_keywords
+from driftstream.keywords import NO_TAGS, TOKEN_RE, KeywordSet, match_keywords, tokenize
+
+
+def drift_candidates(text: str, tracked_phrases: tuple[str, ...] = ()) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """``(candidates, phrases)`` of a post text as drift counts them:
+    ``tokenize``'s set in order of first occurrence, and the tracked phrases
+    in the lowered text that are not in that set."""
+    candidates = tokenize(text)
+    ordered = tuple(dict.fromkeys(t for t in TOKEN_RE.findall(text.lower()) if t in candidates))
+    lowered = text.lower()
+    phrases = tuple(p for p in dict.fromkeys(tracked_phrases) if p in lowered and p not in candidates)
+    return ordered, phrases
 
 
 def gazetteer_lookup(gazetteer: Gazetteer, lowered: str) -> set[str]:
@@ -65,6 +76,7 @@ def clean_post(
     groups: Optional[dict[str, tuple[str, ...]]] = None,
     authoritative=None,
     misinfo=None,
+    tracked_phrases: tuple[str, ...] = (),
 ) -> Optional[EnrichedPost]:
     """The post's EnrichedPost from one scan per lexicon, or None for a discard."""
     if is_blank(raw):
@@ -72,6 +84,7 @@ def clean_post(
     if lowered is None:
         lowered = raw.text.lower()
     matched = match_keywords(raw, keywords, recent_matches, lowered)
+    candidates, phrases = drift_candidates(raw.text, tracked_phrases)
     return EnrichedPost(
         raw,
         extract_locations(lowered, gazetteer, regions, region_ttl, raw.created_at) or (),
@@ -81,4 +94,6 @@ def clean_post(
         matched,
         NO_TAGS if misinfo is None else misinfo.match(lowered),
         authoritative is not None and authoritative.matches(raw.channel),
+        candidates,
+        phrases,
     )

@@ -23,9 +23,9 @@ from conftest import make_enriched
 # -- brute-force oracles for the incremental window state ------------------------
 
 
-def recount_window(posts, keywords, tracked_phrases=()):
+def recount_window(posts, keywords):
     """Brute-force recount over a window's posts (conservation checks)."""
-    stats = CooccurrenceStats(tracked_phrases=tracked_phrases)
+    stats = CooccurrenceStats()
     for enriched in posts:
         observe_post(stats, enriched, keywords)
     return stats
@@ -54,12 +54,13 @@ def detect_trending(history, k):
     return [term for term, _ in ranked[: max(k, 0)]]
 
 
-def _observe_texts(stats, keywords, texts):
+def _observe_texts(stats, keywords, texts, tracked_phrases=()):
     posts = []
     for i, text in enumerate(texts):
         matched = keywords.match(text)
         post = make_enriched(
-            post_id=i, text=text, relevance=bool(matched), matched_terms=matched
+            post_id=i, text=text, relevance=bool(matched), matched_terms=matched,
+            tracked_phrases=tracked_phrases,
         )
         observe_post(stats, post, keywords)
         posts.append(post)
@@ -130,8 +131,8 @@ class TestObservePost:
 
     def test_tracked_phrase_counted(self):
         keywords = KeywordSet(seeds=("pandemic",))
-        stats = CooccurrenceStats(tracked_phrases=("bill gates",))
-        _observe_texts(stats, keywords, ["bill gates pandemic rumor"])
+        stats = CooccurrenceStats()
+        _observe_texts(stats, keywords, ["bill gates pandemic rumor"], tracked_phrases=("bill gates",))
         assert stats.term_counts["bill gates"] == 1
         assert stats.pair_counts["bill gates"] == 1
 
@@ -436,8 +437,9 @@ class _CheckedAdapter(DriftAdapter):
     checks = 0
     fallbacks = 0
 
-    def __init__(self, *args, **kwargs):
+    def __init__(self, *args, tracked_phrases=(), **kwargs):
         super().__init__(*args, **kwargs)
+        self.tracked_phrases = tracked_phrases  # the recount's, from the post texts
         self.posts = {}  # slide index -> the posts counted into that slide
         self.recounts = deque(maxlen=self._buckets.maxlen)  # per bucket in the window
         self.window_recount = _recount([], self.keywords, self.tracked_phrases)
@@ -493,7 +495,7 @@ _COUNTERS = ("term_counts", "pair_counts", "misinfo_pair_counts")
 def _recount(posts, keywords, tracked_phrases):
     """The stats of ``posts`` counted with ``Counter.update``, one post at a
     time, as ``observe_post`` defines them."""
-    stats = CooccurrenceStats(tracked_phrases)
+    stats = CooccurrenceStats()
     for enriched in posts:
         text = enriched.post.text
         candidates = set(tokenize(text)) | {p for p in tracked_phrases if p in text.lower()}
@@ -562,7 +564,8 @@ def _check_window_sums(posts, buckets_per_window, promote):
         text = " ".join(words)
         matched = keywords.match(text)
         post = make_enriched(post_id=i, text=text, created_at=t, relevance=bool(matched),
-                             matched_terms=matched, misinfo_terms={"plandemic"} if rumor else set())
+                             matched_terms=matched, misinfo_terms={"plandemic"} if rumor else set(),
+                             tracked_phrases=("stay home",))
         adapter.observe(post)
     adapter.flush()
     # A slide closes when it, or one of the window's slides before it, holds

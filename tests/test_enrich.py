@@ -89,10 +89,12 @@ class TestCleanPost:
             assert enriched.misinfo_terms is NO_TAGS
             assert enriched.topic_groups is NO_TAGS
             assert enriched.locations == () and type(enriched.locations) is tuple
+            assert enriched.candidates == ("nice", "weather", "town", "today") and enriched.phrases == ()
         assert NO_TAGS == frozenset() and type(NO_TAGS) is frozenset
         default = EnrichedPost(post=post)
         assert default.matched_terms is default.misinfo_terms is default.topic_groups is NO_TAGS
         assert default.locations == () and type(default.locations) is tuple
+        assert default.candidates == default.phrases == ()
 
     def test_post_init_checks_kept(self):
         with pytest.raises(ValueError, match="sentiment out of range"):

@@ -350,23 +350,34 @@ def test_new_cache_entry_matches_the_next_post():
 
 # Overlapping terms (coronavirus/corona/virus, facemask/mask, "died" in both
 # default lexicons), multi-word terms, a prefix term, a keyword that is also a
-# gazetteer name ("wuhan"), and regions beside the gazetteer's.
-KEYWORD_POOL = ["corona", "coronavirus", "virus", "mask", "facemask", "covid-19", "wuhan", "stay home"]
-PLACE_POOL = ["new york", "california", "wuhan", "hubei"]
+# gazetteer name ("wuhan"), a term in three lexicons ("virus"), and regions
+# beside the gazetteer's. Token terms sit beside terms that are no whole
+# ``TOKEN_RE`` token: punctuation ("u.s.", "#ncov"), non-ASCII letters
+# ("pandémie", "zürich", whose ASCII part "rich" is a token term of its
+# own), digits and "_" inside a token ("covid_19", "5g").
+KEYWORD_POOL = ["corona", "coronavirus", "virus", "mask", "facemask", "covid-19", "wuhan", "stay home",
+                "u.s.", "#ncov", "pandémie", "covid_19", "rich"]
+PLACE_POOL = ["new york", "california", "wuhan", "hubei", "zürich"]
 REGION_POOL = ["sturgis", "madrid", "new york", "lombardy"]
-MISINFO_POOL = ["plandemic", "bioweapon", "5g towers", "microchip"]
+MISINFO_POOL = ["plandemic", "bioweapon", "5g towers", "microchip", "virus", "5g"]
+# a multi-word phrase, one inside a token term, single words that are
+# (or, as a stopword, are not) drift candidates
+TRACKED_POOL = ["stay home", "5g towers", "lockdown", "virus", "the", "rich"]
 UNION_TERMS = sorted({
     *KEYWORD_POOL, *PLACE_POOL, *REGION_POOL, *MISINFO_POOL, *DEFAULT_SENTIMENT_LEXICON,
     *(term for terms in DEFAULT_GROUP_LEXICONS.values() for term in terms),
 })
 assert {"died", "hospitaliz", "死", "tested positive", "loss of taste"} <= set(UNION_TERMS)
-# each term, its two halves and two casings, runs of whitespace and word ends
+# each term, its two halves and two casings, runs of whitespace and word
+# ends, hyphens alone, doubled or at a word's ends, digits, "_", and ASCII
+# letters run into non-ASCII ones
 SCAN_PIECES = sorted({
     piece
-    for term in UNION_TERMS
+    for term in UNION_TERMS + TRACKED_POOL
     for piece in (term, term[: len(term) // 2], term[len(term) // 2 :], term.upper(), term.title())
     if piece
-}) + [" ", "  ", "\t", "\n ", "-", ", ", "ed", "s", "news"]
+}) + [" ", "  ", "\t", "\n ", "-", "--", "-virus", "virus-", "_", "19", "0", ", ", "ed", "s", "news",
+      "ZÜRICH", "Pandémie", "é", "ü", "lockdowns", "the"]
 scan_texts = st.lists(st.sampled_from(SCAN_PIECES), max_size=10).map("".join)
 # report dates against the posts' time: expired under a 7-day TTL, live, on
 # the post's own instant, dated ahead
@@ -383,14 +394,16 @@ report_offsets = st.sampled_from([-10 * DAY, -7 * DAY, -DAY, 0.0, DAY])
     misinfo_seeds=st.lists(st.sampled_from(MISINFO_POOL), max_size=2),
     refreshed=st.lists(st.sampled_from(MISINFO_POOL), max_size=2),
     tombstones=st.lists(st.sampled_from(MISINFO_POOL), max_size=2),
+    tracked=st.lists(st.sampled_from(TRACKED_POOL), max_size=3),
     texts=st.lists(scan_texts, min_size=1, max_size=4),
     retweet=st.booleans(),
 )
 def test_one_scan_equals_the_per_lexicon_functions(
-    seeds, promoted, mode, places, reports, misinfo_seeds, refreshed, tombstones, texts, retweet
+    seeds, promoted, mode, places, reports, misinfo_seeds, refreshed, tombstones, tracked, texts, retweet
 ):
-    """Every ``EnrichedPost`` field, sentiment by ``==``, equals the one
-    built from one scan per lexicon, while both term sets grow between
+    """Every ``EnrichedPost`` field, sentiment by ``==`` and the drift
+    candidates and tracked phrases in order, equals the one built from one
+    scan per lexicon and ``tokenize``, while both term sets grow between
     posts as a promotion and a refresh grow them."""
     keywords = KeywordSet(seeds=seeds, match_mode=mode)
     misinfo = MisinfoKeywordSet(seeds=misinfo_seeds, tombstones=tombstones)
@@ -400,7 +413,8 @@ def test_one_scan_equals_the_per_lexicon_functions(
     )
     authoritative = AuthoritativeSourceList(["who.int"])
     lexicons = Lexicons(
-        keywords, gazetteer, regions, 7 * DAY, DEFAULT_SENTIMENT_LEXICON, DEFAULT_GROUP_LEXICONS, misinfo
+        keywords, gazetteer, regions, 7 * DAY, DEFAULT_SENTIMENT_LEXICON, DEFAULT_GROUP_LEXICONS, misinfo,
+        tuple(tracked),
     )
     recent = RecentMatches(ttl=DAY)
     recent.put(99, ("corona",), T0)
@@ -411,7 +425,7 @@ def test_one_scan_equals_the_per_lexicon_functions(
         each = oracle.clean_post(
             post, keywords, recent, gazetteer=gazetteer, regions=regions, region_ttl=7 * DAY,
             sentiment=DEFAULT_SENTIMENT_LEXICON, groups=DEFAULT_GROUP_LEXICONS,
-            authoritative=authoritative, misinfo=misinfo,
+            authoritative=authoritative, misinfo=misinfo, tracked_phrases=tuple(tracked),
         )
         if each is None:
             assert one is None
@@ -423,3 +437,96 @@ def test_one_scan_equals_the_per_lexicon_functions(
             keywords.add(promoted.pop())
         if refreshed:
             misinfo.add(refreshed.pop())
+
+
+# -- the token memo -----------------------------------------------------------------
+
+
+def _default_lexicons(keywords, misinfo, tracked=()):
+    return Lexicons(
+        keywords, Gazetteer(PLACE_POOL), (), 0.0, DEFAULT_SENTIMENT_LEXICON, DEFAULT_GROUP_LEXICONS,
+        misinfo, tracked,
+    )
+
+
+def _union(lexicons):
+    keywords = lexicons.keywords
+    scanned = keywords.terms if keywords.match_mode == "substring" else ()
+    return {*scanned, *lexicons._fixed, *lexicons.misinfo.active}
+
+
+def _assert_scan_is_the_oracle(lexicons, text):
+    """``scan`` gives one ``in`` per union term, and ``drift_candidates``."""
+    lowered = text.lower()
+    present, candidates, phrases = lexicons.scan(lowered, TOKEN_RE.findall(lowered))
+    assert present == {term for term in _union(lexicons) if term in lowered}
+    assert (candidates, phrases) == oracle.drift_candidates(text, lexicons.tracked_phrases)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    texts=st.lists(scan_texts, min_size=1, max_size=5),
+    added=st.lists(st.tuples(st.booleans(), st.sampled_from(KEYWORD_POOL + MISINFO_POOL)), min_size=1, max_size=4),
+    tracked=st.lists(st.sampled_from(TRACKED_POOL), max_size=3),
+)
+def test_memo_sees_a_term_added_between_posts(texts, added, tracked):
+    """A promotion or a refresh between posts is seen by the next scan,
+    for tokens the memo learned before it as well as new ones: every text
+    is scanned before and after each add, and each scan is the oracle's."""
+    keywords = KeywordSet(seeds=("corona",))
+    misinfo = MisinfoKeywordSet(seeds=())
+    lexicons = _default_lexicons(keywords, misinfo, tuple(tracked))
+    for text in texts:
+        _assert_scan_is_the_oracle(lexicons, text)
+    for promote, term in added:
+        (keywords if promote else misinfo).add(term)
+        for text in texts:
+            _assert_scan_is_the_oracle(lexicons, text)
+
+
+def test_build_empties_the_memo():
+    keywords = KeywordSet(seeds=("mask",))
+    lexicons = _default_lexicons(keywords, MisinfoKeywordSet(seeds=()))
+    _assert_scan_is_the_oracle(lexicons, "facemask shortage")
+    assert set(lexicons._memo) == {"facemask", "shortage"}
+    assert lexicons._memo["facemask"] == ("facemask", ("mask",))
+    keywords.add("face")
+    _assert_scan_is_the_oracle(lexicons, "")
+    assert lexicons._memo == {}
+    _assert_scan_is_the_oracle(lexicons, "facemask")
+    candidate, terms = lexicons._memo["facemask"]
+    assert candidate == "facemask" and sorted(terms) == ["face", "mask"]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    texts=st.lists(scan_texts, min_size=1, max_size=12),
+    cap=st.integers(1, 4),
+    tracked=st.lists(st.sampled_from(TRACKED_POOL), max_size=2),
+)
+def test_memo_stays_within_its_cap(texts, cap, tracked):
+    """With a cap below the distinct tokens of the stream, and of a single
+    post, the memo never holds more than the cap and every scan is the
+    oracle's."""
+    from unittest import mock
+
+    import driftstream.enrich.clean as clean
+
+    lexicons = _default_lexicons(KeywordSet(seeds=("corona", "covid-19")), MisinfoKeywordSet(), tuple(tracked))
+    with mock.patch.object(clean, "TOKEN_MEMO_CAP", cap):
+        for text in texts:
+            _assert_scan_is_the_oracle(lexicons, text)
+            assert len(lexicons._memo) <= cap
+
+
+def test_memo_holds_no_more_than_the_cap_over_many_tokens(monkeypatch):
+    import driftstream.enrich.clean as clean
+
+    monkeypatch.setattr(clean, "TOKEN_MEMO_CAP", 8)
+    lexicons = _default_lexicons(KeywordSet(seeds=("corona",)), MisinfoKeywordSet())
+    sizes = []
+    for i in range(40):
+        _assert_scan_is_the_oracle(lexicons, f"corona{i} word{i} coronavirus")
+        sizes.append(len(lexicons._memo))
+    assert max(sizes) == 8 and min(sizes) < 8  # filled to the cap and emptied, more than once
+    assert sizes.count(8) > 1

@@ -1141,35 +1141,67 @@ class TestPiggybackOutput:
         assert (result.out_dir / "piggyback.jsonl").read_bytes() == golden.read_bytes()
         assert (result.summary["promoted_terms"] > 0) == enabled
 
-    def test_tokenize_runs_once_per_observed_post(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("match_mode", ["substring", "token"])
+    def test_one_token_scan_per_post_and_no_tokenize_downstream(self, tmp_path, monkeypatch, match_mode):
+        """Over a whole run that forms clusters, every non-blank post is
+        scanned by ``TOKEN_RE`` exactly once, and neither drift nor the
+        clusters tokenize a post again: ``tokenize`` is never called."""
         import sys
 
         import driftstream.keywords
         from driftstream.drift.adapter import DriftAdapter
 
-        calls = {"tokenize": 0, "observe": 0}
+        pattern = driftstream.keywords.TOKEN_RE
         original_tokenize = driftstream.keywords.tokenize
-        original_observe = DriftAdapter.observe
+        calls = {"scan": 0, "tokenize": 0, "observe": 0}
+
+        class CountingPattern:
+            """``TOKEN_RE``, counting the calls that scan a text for tokens."""
+
+            def findall(self, *args):
+                calls["scan"] += 1
+                return pattern.findall(*args)
+
+            def finditer(self, *args):
+                calls["scan"] += 1
+                return pattern.finditer(*args)
+
+            def __getattr__(self, name):  # fullmatch of a term, as config and Lexicons check one
+                return getattr(pattern, name)
 
         def tokenize(*args, **kwargs):
             calls["tokenize"] += 1
             return original_tokenize(*args, **kwargs)
 
+        original_observe = DriftAdapter.observe
+
         def observe(self, enriched):
             calls["observe"] += 1
             return original_observe(self, enriched)
 
-        # bound by name in each module that uses it
+        corpus = _fixture_corpus(tmp_path, minutes=20, rate=40)
+        with corpus.archive_path.open("a") as f:  # two blank posts, dropped before any scan
+            for i, text in enumerate(("   ", "\t")):
+                f.write(json.dumps({"id": 9_000_000 + i, "created_at": "2020-03-01T00:10:00Z", "text": text}) + "\n")
+        config = parse_config(_base_config(
+            tmp_path, corpus, keywords={"match_mode": match_mode, "tracked_phrases": ["stay home"]},
+        ))
+        # bound by name in each module that uses them
         for name, module in list(sys.modules.items()):
-            if name.startswith("driftstream") and getattr(module, "tokenize", None) is original_tokenize:
-                monkeypatch.setattr(module, "tokenize", tokenize)
+            if name.startswith("driftstream"):
+                if getattr(module, "TOKEN_RE", None) is pattern:
+                    monkeypatch.setattr(module, "TOKEN_RE", CountingPattern())
+                if getattr(module, "tokenize", None) is original_tokenize:
+                    monkeypatch.setattr(module, "tokenize", tokenize)
         monkeypatch.setattr(DriftAdapter, "observe", observe)
 
-        # no gazetteer, so no cluster forms and tokenizes on its own
-        result = run_pipeline(_piggyback_config(tmp_path, enabled=True))
-        assert result.summary["clusters"] == 0
-        assert calls["observe"] == result.summary["records_in"] > 0
-        assert calls["tokenize"] == calls["observe"]
+        result = run_pipeline(config)
+        summary = result.summary
+        non_blank = summary["records_in"] - summary["discarded"]
+        assert summary["discarded"] == 2 and summary["clusters"] > 0
+        assert calls["observe"] == non_blank > 0
+        assert calls["scan"] == non_blank
+        assert calls["tokenize"] == 0
 
 
 def _multiday_config(tmp_path):
@@ -1825,6 +1857,31 @@ class TestCli:
         assert capsys.readouterr().err == (
             "config error: config: unparseable: expected ',' or ']', but got '<stream end>' (line 2, column 1)\n"
         )
+
+    @pytest.mark.parametrize("name, data", [("bad.yaml", b"\xff\xfe: 1\n"), ("bad.json", b"\xff: 1\n")])
+    @pytest.mark.parametrize("command", [["run"], ["keywords", "show"]])
+    def test_config_that_is_not_utf8_prints_one_line(self, tmp_path, capsys, command, name, data):
+        config = tmp_path / name
+        config.write_bytes(data)
+        assert main([*command, "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: config: not UTF-8: ") and err.count("\n") == 1
+
+    def test_synth_config_errors_print_one_line(self, tmp_path, capsys):
+        """An unparseable synthetic config names its problem and the place
+        it is, 1-based, as ``run`` does; one that is not UTF-8 is one line."""
+        config = tmp_path / "synth.yaml"
+        out = tmp_path / "corpus"
+        config.write_text("seed: [1\n")
+        assert main(["synth", "--config", str(config), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "synth config error: unparseable: expected ',' or ']', but got '<stream end>' (line 2, column 1)\n"
+        )
+        config.write_bytes(b"\xff\xfe: 1\n")
+        assert main(["synth", "--config", str(config), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("synth config error: not UTF-8: ") and err.count("\n") == 1
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "text, message",
