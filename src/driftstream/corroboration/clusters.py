@@ -4,6 +4,10 @@ Posts that talk about the same place in the same window are grouped into a
 tentative cluster; whether the cluster describes a real physical event is
 decided later by accumulated evidence, not here. Misinformation-tagged
 posts never enter a cluster (they stay in the archive for analysis).
+
+A cluster is the one record of its event: ``form_clusters`` sets the
+features the teamed classifier scores as it forms it, and the evidence
+store keeps the attachments and their running tally on it.
 """
 
 from __future__ import annotations
@@ -25,59 +29,44 @@ TOPIC_TERM_LIMIT = 10
 class EventCluster:
     """A tentative (location, window) event. The location is normalized
     when the cluster is built: attach_evidence and the store's location
-    index compare it as it is with normalized evidence locations."""
+    index compare it as it is with normalized evidence locations. ``net``
+    is the number of supporting minus contradicting items attached, which
+    ``ClusterStore.ingest_evidence`` bumps with each attachment."""
 
     id: str
     location: str
     window: WindowAssignment
     post_ids: set[int] = field(default_factory=set)
     topic_terms: frozenset[str] = frozenset()
+    channels: int = 0
+    mean_abs_sentiment: float = 0.0
     status: str = "tentative"  # tentative | corroborated | refuted
     evidence_ids: set[str] = field(default_factory=set)
+    net: int = 0
     team_score: float = 0.0
 
     def __post_init__(self):
         self.location = normalize_location(self.location)
         # attach_evidence compares these with lowercased evidence terms. The
         # set is rebuilt only when needed: form_clusters' terms are already
-        # a lowercase frozenset, which the cluster's features share.
+        # a lowercase frozenset.
         if any(t != t.lower() for t in self.topic_terms):
             self.topic_terms = frozenset(t.lower() for t in self.topic_terms)
+
+    @property
+    def size(self) -> int:
+        return len(self.post_ids)
 
     def to_json_obj(self) -> dict:
         return {
             "id": self.id,
             "location": self.location,
             "window": [self.window.window_start, self.window.window_end],
-            "size": len(self.post_ids),
+            "size": self.size,
             "status": self.status,
             "team_score": round(self.team_score, 6),
             "evidence_ids": sorted(self.evidence_ids),
         }
-
-
-@dataclass(frozen=True)
-class ClusterFeatures:
-    size: int
-    channels: int
-    mean_abs_sentiment: float
-    topic_terms: frozenset[str]
-
-
-def cluster_features(cluster: EventCluster, posts: Iterable[EnrichedPost]) -> ClusterFeatures:
-    """The cluster's features; ``topic_terms`` is the cluster's own frozenset
-    when it holds one (``frozenset`` of a frozenset is that object)."""
-    members = [p for p in posts if p.post.id in cluster.post_ids]
-    channels = {p.post.channel for p in members}
-    mean_abs = (
-        sum(abs(p.sentiment) for p in members) / len(members) if members else 0.0
-    )
-    return ClusterFeatures(
-        size=len(cluster.post_ids),
-        channels=len(channels),
-        mean_abs_sentiment=mean_abs,
-        topic_terms=frozenset(cluster.topic_terms),
-    )
 
 
 def _topic_terms(members: list[EnrichedPost]) -> frozenset[str]:
@@ -101,7 +90,10 @@ def form_clusters(
     """One cluster per (location, window) with enough members.
 
     A post naming k locations joins k candidate groups. Posts without any
-    location, and posts carrying misinformation terms, are skipped.
+    location, and posts carrying misinformation terms, are skipped. A
+    cluster's channel count and mean absolute sentiment are read off its
+    group in the order of ``posts``: a post listed twice counts once in
+    its ``size`` and twice in the mean.
     """
     groups: dict[tuple[str, float], list[EnrichedPost]] = defaultdict(list)
     for post in posts:
@@ -125,6 +117,8 @@ def form_clusters(
                 window=window,
                 post_ids=set(unique),
                 topic_terms=_topic_terms(member_list),
+                channels=len({p.post.channel for p in members}),
+                mean_abs_sentiment=sum(abs(p.sentiment) for p in members) / len(members),
             )
         )
     return clusters

@@ -13,11 +13,11 @@ every status flip is logged and also drives one weight update of the
 teamed classifier, signed by the kind of evidence that caused the flip.
 
 The store keeps each status current incrementally (Gupta and Mumick,
-"Maintenance of Materialized Views", 1995): a running count of supporting
-minus contradicting items per cluster, bumped once per new attachment, so
-applying an item costs the clusters it can match, not every attachment
-those clusters ever received. ``resolve_status`` recounts every
-attachment and gives the same status.
+"Maintenance of Materialized Views", 1995): each cluster holds a running
+count of supporting minus contradicting items (``EventCluster.net``),
+bumped once per new attachment, so applying an item costs the clusters it
+can match, not every attachment those clusters ever received.
+``resolve_status`` recounts every attachment and gives the same status.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from typing import Optional
 from ..enrich.locations import normalize_location
 from ..sources.feeds import feed_field, read_feed, text, timestamp
 from ..timeutil import DAY
-from .clusters import ClusterFeatures, EventCluster
+from .clusters import EventCluster
 from .team import TeamedClassifier
 
 DEFAULT_LAG_TOLERANCE = 14 * DAY
@@ -124,36 +124,31 @@ class ClusterStore:
     """Historical cluster store: single writer, snapshot readers.
 
     Clusters are added as ``form_clusters`` builds them, without evidence;
-    the store attaches evidence itself and keeps, per cluster, the net
-    count (supporting minus contradicting) of the items it attached.
+    the store attaches evidence itself and bumps each cluster's ``net``
+    count (supporting minus contradicting) with every item it attaches.
     """
 
     def __init__(self, rule: Optional[MatchRule] = None):
         self.rule = rule or MatchRule()
         self.clusters: dict[str, EventCluster] = {}
-        self.features: dict[str, ClusterFeatures] = {}
         self.evidence: dict[str, Evidence] = {}
         self.change_log: list[StatusChange] = []
-        self._net: dict[str, int] = {}  # cluster id -> supporting minus contradicting
         # normalized location -> sorted (window start, cluster id) of the clusters there
         self._starts_by_location: dict[str, list[tuple[float, str]]] = {}
         self._longest_window = 0.0  # of every cluster stored
 
-    def add_cluster(self, cluster: EventCluster, features: Optional[ClusterFeatures] = None) -> None:
-        """Store ``cluster``, replacing any cluster with its id, and its
-        features; its evidence count starts from zero."""
+    def add_cluster(self, cluster: EventCluster) -> None:
+        """Store ``cluster``, replacing any cluster with its id. Its
+        attachments and their tally stay as the cluster holds them."""
         index = self._starts_by_location
         previous = self.clusters.get(cluster.id)
         if previous is not None:
             entries = index[previous.location]
             del entries[bisect.bisect_left(entries, (previous.window.window_start, cluster.id))]
         self.clusters[cluster.id] = cluster
-        self._net[cluster.id] = 0
         window = cluster.window
         bisect.insort(index.setdefault(cluster.location, []), (window.window_start, cluster.id))
         self._longest_window = max(self._longest_window, window.window_length)
-        if features is not None:
-            self.features[cluster.id] = features
 
     def _candidates(self, ev: Evidence) -> list[str]:
         """Ids, in order, of the clusters at ``ev``'s location whose window
@@ -184,7 +179,7 @@ class ClusterStore:
         so only those are tried, in id order like a scan of every cluster.
         Each flip also updates the classifier weights (when one is wired
         in): supporting evidence counts as a +1 outcome for the members'
-        recorded votes on that cluster, contradicting as -1.
+        votes on that cluster, contradicting as -1.
         """
         if ev.id in self.evidence:
             return []
@@ -195,16 +190,14 @@ class ClusterStore:
             cluster = self.clusters[cluster_id]
             if not attach_evidence(cluster, ev, self.rule):
                 continue
-            self._net[cluster_id] += step
-            old, new = cluster.status, _status(self._net[cluster_id])
+            cluster.net += step
+            old, new = cluster.status, _status(cluster.net)
             if new == old:
                 continue
             cluster.status = new
             changes.append(StatusChange(cluster_id, old, new, ev.id))
             if classifier is not None:
-                features = self.features.get(cluster_id)
-                if features is not None:
-                    classifier.update(classifier.member_votes(features), step)
+                classifier.update(classifier.member_votes(cluster), step)
         self.change_log.extend(changes)
         return changes
 

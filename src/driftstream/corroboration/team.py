@@ -1,11 +1,11 @@
 """Weighted ensemble of cluster scorers with evidence-driven weights.
 
-Members are deterministic feature scorers producing values in [0, 1]; the
-team prediction is their weight-normalized sum. When evidence settles a
-cluster, members that voted with the evidence gain relative weight and
-members that voted against lose it, multiplicatively: a member voting v on
-an outcome o (+1 supporting, -1 contradicting) is scaled by
-exp(eta * o * (2v - 1)).
+Members are deterministic scorers of the features an ``EventCluster``
+holds, producing values in [0, 1]; the team prediction is their
+weight-normalized sum. When evidence settles a cluster, members that voted
+with the evidence gain relative weight and members that voted against lose
+it, multiplicatively: a member voting v on an outcome o (+1 supporting, -1
+contradicting) is scaled by exp(eta * o * (2v - 1)).
 
 Raw weights are kept unnormalized internally (the exposed ``weights`` view
 is always normalized), so the multiplicative decay of a member is exactly
@@ -25,11 +25,11 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
-from .clusters import ClusterFeatures
+from .clusters import EventCluster
 
 DEFAULT_LEARNING_RATE = 0.5
 
-Scorer = Callable[[ClusterFeatures], float]
+Scorer = Callable[[EventCluster], float]
 
 
 @dataclass
@@ -37,8 +37,8 @@ class Member:
     id: str
     scorer: Scorer
 
-    def __call__(self, features: ClusterFeatures) -> float:
-        value = float(self.scorer(features))
+    def __call__(self, cluster: EventCluster) -> float:
+        value = float(self.scorer(cluster))
         return max(0.0, min(1.0, value))
 
 
@@ -57,11 +57,11 @@ class TeamedClassifier:
         total = sum(self.raw_weights)
         return [w / total for w in self.raw_weights]
 
-    def member_votes(self, features: ClusterFeatures) -> list[float]:
-        return [member(features) for member in self.members]
+    def member_votes(self, cluster: EventCluster) -> list[float]:
+        return [member(cluster) for member in self.members]
 
-    def predict(self, features: ClusterFeatures) -> float:
-        votes = self.member_votes(features)
+    def predict(self, cluster: EventCluster) -> float:
+        votes = self.member_votes(cluster)
         return sum(w * v for w, v in zip(self.weights, votes))
 
     def update(self, votes: Sequence[float], outcome: int) -> list[float]:
@@ -88,10 +88,10 @@ def default_team(topic_terms: Iterable[str], eta: float = DEFAULT_LEARNING_RATE)
     wanted = {t.strip().lower() for t in topic_terms if t.strip()}
     return TeamedClassifier(
         members=[
-            Member("keywords", lambda f: 1.0 if wanted & f.topic_terms else 0.0),
-            Member("size", lambda f: f.size / 10),
-            Member("sentiment", lambda f: f.mean_abs_sentiment),
-            Member("diversity", lambda f: f.channels / 3),
+            Member("keywords", lambda c: 1.0 if wanted & c.topic_terms else 0.0),
+            Member("size", lambda c: c.size / 10),
+            Member("sentiment", lambda c: c.mean_abs_sentiment),
+            Member("diversity", lambda c: c.channels / 3),
         ],
         eta=eta,
     )

@@ -176,7 +176,6 @@ def clean_post(
     raw: Post,
     keywords: KeywordSet,
     recent_matches=None,
-    lowered: Optional[str] = None,
     *,
     lexicons: Optional[Lexicons] = None,
     authoritative: Optional[AuthoritativeSourceList] = None,
@@ -184,10 +183,9 @@ def clean_post(
     """The post's EnrichedPost, every field set by its constructor, or None
     for a discard.
 
-    ``lowered`` is ``raw.text`` lowercased, when the caller already has it.
-    Its one token scan (``lexicons.scan``) gives every tag, the drift
-    candidates and the tracked phrases; token-mode keywords are matched
-    from the same token list. ``lexicons`` holds ``keywords``; without it,
+    The text is lowercased once; its one token scan (``lexicons.scan``)
+    gives every tag, the drift candidates and the tracked phrases;
+    token-mode keywords are matched from the same token list. ``lexicons`` holds ``keywords``; without it,
     only keywords and candidates are looked for. Locations are read at the
     post's event time. A retweet that matches no keyword inherits the
     terms ``recent_matches`` holds for its original. A post with no
@@ -196,8 +194,7 @@ def clean_post(
     """
     if is_blank(raw):
         return None
-    if lowered is None:
-        lowered = raw.text.lower()
+    lowered = raw.text.lower()
     if lexicons is None:
         lexicons = Lexicons(keywords)
     tokens = TOKEN_RE.findall(lowered)

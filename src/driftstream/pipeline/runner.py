@@ -32,12 +32,15 @@ and close once the watermark's index passes theirs; each buffer keeps the
 indexes it holds in a heap and pops its head while that is below the
 watermark's index, so an advance that closes nothing costs one compare.
 Tagged windows then feed the drift stage, cluster formation and the analytics
-tables (``TableCounts``, which ``report`` feeds too). The drift stage owns the
-one slide window: it counts each post once and, on every slide close,
-runs keyword promotion and then piggyback detection. Evidence is applied
+tables (``TableCounts``, which ``report`` feeds too). A closing cluster
+window forms its clusters, each holding the features the team scores, read
+off its group as it forms, so no window's posts are scanned again. The drift
+stage owns the one slide window: it counts each post once and, on every
+slide close, runs keyword promotion and then piggyback detection. Evidence is applied
 after stream exhaustion, in arrival order, with retroactive correction:
 each item is tried only against the clusters at its location whose window
-lies within its lag tolerance, and a flip is read off a running tally.
+lies within its lag tolerance, and a flip is read off the running tally
+each cluster holds.
 A count that a stage already records is read off that record, never kept
 twice: the summary's ``tagged`` sums the ``windows.csv`` rows,
 ``promoted_terms`` is the length of the drift audit and ``status_changes``
@@ -56,7 +59,7 @@ from typing import Optional
 
 from ..analytics.correlation import CorrelationResult, correlate_regions, daily_series
 from ..analytics.tables import TableCounts, emit_report, write_csv, write_json, write_jsonl
-from ..corroboration.clusters import cluster_features, form_clusters
+from ..corroboration.clusters import form_clusters
 from ..corroboration.evidence import ClusterStore, MatchRule, load_evidence_feed
 from ..corroboration.team import default_team
 from ..drift.adapter import DriftAdapter
@@ -172,8 +175,7 @@ class PipelineRunner:
         self.counters["records_in"] += 1
         self._advance_watermark(parsed.created_at)
         enriched = clean_post(
-            parsed, self.keywords, self.store, parsed.text.lower(),
-            lexicons=self.lexicons, authoritative=self.authoritative,
+            parsed, self.keywords, self.store, lexicons=self.lexicons, authoritative=self.authoritative
         )
         if enriched is None:
             self.counters["discarded"] += 1
@@ -248,9 +250,8 @@ class PipelineRunner:
                 min_cluster_size=self.config.clusters.min_size,
             )
             for cluster in clusters:
-                features = cluster_features(cluster, posts)
-                cluster.team_score = self.team.predict(features)
-                self.cluster_store.add_cluster(cluster, features)
+                cluster.team_score = self.team.predict(cluster)
+                self.cluster_store.add_cluster(cluster)
             self.counters["clusters"] += len(clusters)
 
     # -- run ----------------------------------------------------------------------

@@ -9,21 +9,17 @@ from collections import defaultdict
 from dataclasses import replace
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
-from driftstream.core.windows import assign_window
-from driftstream.corroboration.clusters import (
-    ClusterFeatures,
-    EventCluster,
-    cluster_features,
-    form_clusters,
-)
+from driftstream.core.windows import assign_window, window_start
+from driftstream.corroboration.clusters import EventCluster, form_clusters
 from driftstream.corroboration.evidence import (
     ClusterStore,
     Evidence,
     MatchRule,
     StatusChange,
+    _status,
     attach_evidence,
     resolve_status,
 )
@@ -117,16 +113,59 @@ class TestFormClusters:
         assert "coronavirus" in cluster.topic_terms
         assert "rally" in cluster.topic_terms
 
-    def test_features_share_the_cluster_terms(self):
-        """A formed cluster holds its terms as one frozenset, and its
-        features reference that object instead of a copy; so does a cluster
-        whose terms were lowercased when it was built."""
-        cluster, posts = _cluster()
+    def test_cluster_terms_are_one_frozenset(self):
+        """A formed cluster holds its terms as one frozenset; so does a
+        cluster whose terms were lowercased when it was built."""
+        cluster, _ = _cluster()
         assert type(cluster.topic_terms) is frozenset
-        assert cluster_features(cluster, posts).topic_terms is cluster.topic_terms
         mixed = EventCluster(id="c", location="sturgis", window=cluster.window, topic_terms={"Rally"})
         assert type(mixed.topic_terms) is frozenset
-        assert cluster_features(mixed, posts).topic_terms is mixed.topic_terms
+
+    @given(st.lists(
+        st.tuples(
+            st.integers(0, 5),  # id: shared across locations and windows
+            st.sampled_from(("sturgis", "madrid", ("sturgis", "madrid"), ())),
+            st.integers(0, 2 * 60),  # minutes after T0: up to three hourly windows
+            st.sampled_from(("twitter", "reddit", "who.int")),
+            st.sampled_from((0.0, 0.25, -0.5, 1.0, -0.1)),
+            st.booleans(),  # misinformation-tagged
+            st.integers(1, 2),  # copies of the post in the window's list
+        ),
+        max_size=30,
+    ), st.integers(1, 3))
+    @example([(0, "sturgis", 0, "twitter", 0.25, False, 2), (1, "sturgis", 1, "twitter", 0.0, False, 1),
+              (1, "madrid", 2, "reddit", 1.0, False, 1)], 2)
+    def test_features_equal_a_recount_of_each_group(self, specs, min_size):
+        """Each cluster's size, channels and mean absolute sentiment are
+        those of the posts of its (location, window) group, in list order:
+        a post listed twice counts once in the size and twice in the mean,
+        and a post elsewhere that shares a member's id counts not at all."""
+        posts = []
+        for post_id, location, minutes, channel, sentiment, misinfo, copies in specs:
+            post = make_enriched(post_id=post_id, text="crowd gathering rally", created_at=T0 + minutes * 60,
+                                 locations=[location] if isinstance(location, str) else list(location),
+                                 misinfo_terms={"plandemic"} if misinfo else set(),
+                                 sentiment=sentiment, channel=channel)
+            posts += [post] * copies
+        clusters = form_clusters(posts, window_length=HOUR, min_cluster_size=min_size)
+
+        groups: dict = defaultdict(list)
+        for post in posts:
+            if not post.misinfo_terms:
+                for location in post.locations:
+                    groups[(location, window_start(post.post.created_at, HOUR))].append(post)
+        expected = {
+            key: (
+                len({p.post.id for p in group}),
+                len({p.post.channel for p in group}),
+                sum(abs(p.sentiment) for p in group) / len(group),
+            )
+            for key, group in groups.items()
+            if len({p.post.id for p in group}) >= min_size
+        }
+        assert {
+            (c.location, c.window.window_start): (c.size, c.channels, c.mean_abs_sentiment) for c in clusters
+        } == expected
 
 
 def _cluster(location="sturgis", window_start=T0 - T0 % HOUR):
@@ -236,9 +275,9 @@ class TestResolveStatus:
 
 class TestRetroactiveCorrect:
     def _store_with_cluster(self):
-        cluster, posts = _cluster()
+        cluster, _ = _cluster()
         store = ClusterStore(rule=MatchRule(lag_tolerance=14 * DAY))
-        store.add_cluster(cluster, cluster_features(cluster, posts))
+        store.add_cluster(cluster)
         return store, cluster
 
     def test_sturgis_flip_to_corroborated(self):
@@ -308,10 +347,8 @@ def _scan_every_cluster(store, ev, classifier):
             continue
         cluster.status = new
         changes.append(StatusChange(cluster_id, old, new, ev.id))
-        features = store.features.get(cluster_id)
-        if features is not None:
-            outcome = 1 if ev.kind == "supporting" else -1
-            classifier.update(classifier.member_votes(features), outcome)
+        outcome = 1 if ev.kind == "supporting" else -1
+        classifier.update(classifier.member_votes(cluster), outcome)
     store.change_log.extend(changes)
     return changes
 
@@ -343,7 +380,7 @@ lag_tolerances = st.sampled_from((0.0, DAY, 0.37 * DAY, math.inf))
 def _spec_cluster(n, place, hours, terms, size, length):
     return EventCluster(
         id=f"c{n}", location=place, window=assign_window(T0 + hours * HOUR, length * HOUR),
-        post_ids=set(range(size)), topic_terms=set(terms),
+        post_ids=set(range(size)), topic_terms=set(terms), channels=1, mean_abs_sentiment=0.5,
     )
 
 
@@ -361,8 +398,7 @@ class TestLocationIndex:
         for _ in range(2):
             store = ClusterStore(rule=MatchRule(lag_tolerance=lag))
             for n, place, hours, terms, size, length in clusters:
-                cluster = _spec_cluster(n, place, hours, terms, size, length)
-                store.add_cluster(cluster, ClusterFeatures(size, 1, 0.5, frozenset(terms)))
+                store.add_cluster(_spec_cluster(n, place, hours, terms, size, length))
             stores.append((store, default_team(("rally",), eta=0.5)))
         (indexed, team), (scanned, oracle_team) = stores
         for i, (kind, place, hours, terms) in enumerate(evidence):
@@ -474,11 +510,9 @@ class TestRepeatedEvidenceIds:
     ), max_size=30), lag_tolerances)
     def test_running_tally_gives_the_status_resolve_status_recounts(self, operations, lag):
         """Attaches, repeated ids and cluster replacements interleaved: the
-        store's running tally of every cluster gives the status that
+        running tally every cluster holds gives the status that
         ``resolve_status`` recounts from the stored evidence, and that
         status is the one the cluster holds."""
-        from driftstream.corroboration.evidence import _status
-
         store = ClusterStore(rule=MatchRule(lag_tolerance=lag))
         for operation, spec in operations:
             if operation == "add":
@@ -487,27 +521,45 @@ class TestRepeatedEvidenceIds:
             else:
                 n, (kind, place, hours, terms) = spec
                 store.ingest_evidence(_spec_evidence(n, kind, place, hours, terms))
-            assert set(store._net) == set(store.clusters)
-            for cluster_id, cluster in store.clusters.items():
+            for cluster in store.clusters.values():
                 expected = resolve_status(cluster, store.evidence)
-                assert _status(store._net[cluster_id]) == cluster.status == expected
+                assert _status(cluster.net) == cluster.status == expected
+
+    def test_a_re_added_cluster_keeps_the_tally_of_its_attachments(self):
+        """Storing the same cluster object again keeps both its attached ids
+        and their tally, so later items go on from the recount."""
+        store = ClusterStore(rule=MatchRule(lag_tolerance=14 * DAY))
+        cluster, _ = _cluster()
+        store.add_cluster(cluster)
+        store.ingest_evidence(_evidence("ev-1", kind="supporting"))
+        store.add_cluster(cluster)
+        for ev_id, kind in (("ev-2", "contradicting"), ("ev-3", "contradicting"), ("ev-4", "supporting")):
+            store.ingest_evidence(_evidence(ev_id, kind=kind))
+            expected = resolve_status(cluster, store.evidence)
+            assert _status(cluster.net) == cluster.status == expected
+        assert [(c.evidence_id, c.new_status) for c in store.change_log] == [
+            ("ev-1", "corroborated"), ("ev-2", "tentative"), ("ev-3", "refuted"), ("ev-4", "tentative"),
+        ]
+
+
+def _scored(size, channels, mean_abs_sentiment, terms):
+    """A cluster holding the features the team scores."""
+    return EventCluster(
+        id="c", location="sturgis", window=assign_window(T0, HOUR), post_ids=set(range(size)),
+        topic_terms=frozenset(terms), channels=channels, mean_abs_sentiment=mean_abs_sentiment,
+    )
 
 
 class TestTeamedClassifier:
-    def _features(self, terms=("bleach",)):
-        cluster, posts = _cluster()
-        cluster.topic_terms = set(terms)
-        return cluster_features(cluster, posts)
-
     def test_single_member_full_vote(self):
         team = TeamedClassifier([Member("one", lambda f: 1.0)])
-        assert team.predict(self._features()) == 1.0
+        assert team.predict(_cluster()[0]) == 1.0
 
     def test_two_members_half_weights(self):
         team = TeamedClassifier(
             [Member("zero", lambda f: 0.0), Member("one", lambda f: 1.0)]
         )
-        assert team.predict(self._features()) == pytest.approx(0.5)
+        assert team.predict(_cluster()[0]) == pytest.approx(0.5)
 
     def test_prediction_matches_hand_weighted_sum(self):
         rng = random.Random(3)
@@ -519,7 +571,7 @@ class TestTeamedClassifier:
             team.update([rng.random() for _ in range(4)], rng.choice([1, -1]))
             weights = team.weights
             expected = sum(w * v for w, v in zip(weights, votes))
-            assert team.predict(self._features()) == pytest.approx(expected)
+            assert team.predict(_cluster()[0]) == pytest.approx(expected)
 
     def test_identical_votes_leave_normalized_weights_unchanged(self):
         team = TeamedClassifier([Member("a", lambda f: 1.0), Member("b", lambda f: 1.0)])
@@ -568,21 +620,21 @@ class TestTeamedClassifier:
             TeamedClassifier([])
 
     @pytest.mark.parametrize(
-        "features, votes",
+        "cluster, votes",
         [
-            (ClusterFeatures(5, 2, 0.3, frozenset({"bleach", "rally"})), [1.0, 0.5, 0.3, 2 / 3]),
-            (ClusterFeatures(30, 5, 1.4, frozenset({"rally"})), [0.0, 1.0, 1.0, 1.0]),
-            (ClusterFeatures(5, 5, 1.4, frozenset({"mask"})), [1.0, 0.5, 1.0, 1.0]),
-            (ClusterFeatures(30, 2, 0.3, frozenset()), [0.0, 1.0, 0.3, 2 / 3]),
+            (_scored(5, 2, 0.3, {"bleach", "rally"}), [1.0, 0.5, 0.3, 2 / 3]),
+            (_scored(30, 5, 1.4, {"rally"}), [0.0, 1.0, 1.0, 1.0]),
+            (_scored(5, 5, 1.4, {"mask"}), [1.0, 0.5, 1.0, 1.0]),
+            (_scored(30, 2, 0.3, ()), [0.0, 1.0, 0.3, 2 / 3]),
         ],
     )
-    def test_default_team_votes(self, features, votes):
+    def test_default_team_votes(self, cluster, votes):
         """The run's team: seed presence (a seed counts once stripped and
         lowercased, a blank one never), size / 10, the mean absolute
         sentiment and channels / 3, each capped at 1."""
         team = default_team([" Bleach ", "MASK", "  "], eta=0.5)
         assert [member.id for member in team.members] == ["keywords", "size", "sentiment", "diversity"]
-        assert team.member_votes(features) == votes
+        assert team.member_votes(cluster) == votes
 
     @given(
         st.lists(st.floats(min_value=0, max_value=1), min_size=3, max_size=3),

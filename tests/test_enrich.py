@@ -55,8 +55,7 @@ class TestCleanPost:
             DEFAULT_SENTIMENT_LEXICON, DEFAULT_GROUP_LEXICONS, MisinfoKeywordSet(),
         )
         enriched = clean_post(
-            post, keywords, None, lowered,
-            lexicons=lexicons, authoritative=AuthoritativeSourceList(["who.int"]),
+            post, keywords, None, lexicons=lexicons, authoritative=AuthoritativeSourceList(["who.int"])
         )
         assert enriched.relevance is True and enriched.matched_terms == {"corona"}
         assert enriched.locations == ["sturgis"]
