@@ -5,11 +5,14 @@ series — social activity on day d is compared with cases on day d+lag.
 The best lag maximizes Pearson r over [-max_lag, +max_lag], ties broken
 toward the smallest |lag| (positive preferred on an exact tie).
 
-Day counts are integers, so r is computed from exact integer sums and lags
-are compared exactly: no float rounding can break a tie. Only the value
-that gets written becomes a float. A day without a count is absent and
-counts as zero in every sum, so each lag costs the days that hold a count,
-not the span between a series' first day and its last.
+A series is a dict from day index ``int(t // DAY)`` to its count: the
+runner counts posts and case reports by that index as they arrive, and
+``TimeSeries.day_counts`` reads a series' points onto it. Day counts are
+integers, so r is computed from exact integer sums and lags are compared
+exactly: no float rounding can break a tie. Only the value that gets
+written becomes a float. A day without a count is absent and counts as
+zero in every sum, so each lag costs the days that hold a count, not the
+span between a series' first day and its last.
 """
 
 from __future__ import annotations
@@ -50,11 +53,6 @@ class TimeSeries:
             day = int(t // DAY)
             counts[day] = counts.get(day, 0) + count
         return counts
-
-
-def daily_series(region: str, day_counts: dict[float, int]) -> TimeSeries:
-    points = [(t // DAY * DAY, int(c)) for t, c in sorted(day_counts.items())]
-    return TimeSeries(region=region, granularity="day", points=points)
 
 
 @dataclass
@@ -109,17 +107,33 @@ def lagged_correlation(
         raise ValueError(
             f"series regions differ: {social.region!r} vs {cases.region!r}"
         )
+    return _best_lag(social.region, social.day_counts(), cases.day_counts(), max_lag)
 
-    s = social.day_counts()
-    c = cases.day_counts()
+
+def correlate_regions(
+    social: dict[str, dict[int, int]],
+    cases: dict[str, dict[int, int]],
+    max_lag: int = DEFAULT_MAX_LAG_DAYS,
+) -> list[CorrelationResult]:
+    """Best-lag correlation of every region that both hold, by region; each
+    maps a region to its counts by day index."""
+    return [
+        _best_lag(region, social[region], cases[region], max_lag)
+        for region in sorted(social.keys() & cases.keys())
+    ]
+
+
+def _best_lag(region: str, s: dict[int, int], c: dict[int, int], max_lag: int) -> CorrelationResult:
+    """Best-lag Pearson correlation of social counts ``s`` against case
+    counts ``c``, both by day index."""
     if not s or not c:
-        return CorrelationResult(social.region, None, None, 0, "insufficient_overlap")
+        return CorrelationResult(region, None, None, 0, "insufficient_overlap")
     s_first, s_end = min(s), max(s) + 1
     c_first, c_end = min(c), max(c) + 1
 
     overlap = min(s_end, c_end) - max(s_first, c_first)
     if overlap < max_lag + MIN_POINTS:
-        return CorrelationResult(social.region, None, None, max(overlap, 0), "insufficient_overlap")
+        return CorrelationResult(region, None, None, max(overlap, 0), "insufficient_overlap")
 
     best: Optional[tuple[tuple[int, int, int], int, int]] = None  # (sums, lag, n)
     saw_zero_variance = False
@@ -144,19 +158,6 @@ def lagged_correlation(
 
     if best is None:
         reason = "zero_variance" if saw_zero_variance else "insufficient_overlap"
-        return CorrelationResult(social.region, None, None, 0, reason)
+        return CorrelationResult(region, None, None, 0, reason)
     sums, lag, n = best
-    return CorrelationResult(social.region, lag, _r(sums), n)
-
-
-def correlate_regions(
-    social_by_region: dict[str, TimeSeries],
-    cases_by_region: dict[str, TimeSeries],
-    max_lag: int = DEFAULT_MAX_LAG_DAYS,
-) -> list[CorrelationResult]:
-    results = []
-    for region in sorted(set(social_by_region) & set(cases_by_region)):
-        results.append(
-            lagged_correlation(social_by_region[region], cases_by_region[region], max_lag)
-        )
-    return results
+    return CorrelationResult(region, lag, _r(sums), n)

@@ -80,6 +80,6 @@ def _case_report(obj: dict, number: int) -> CaseReport:
 
 def _case_count(value) -> int:
     count = int(value)
-    if count < 0:  # would only fail later, in the correlation, after the stream
+    if count < 0:  # nothing downstream checks it: the correlation would read it as is
         raise ValueError(f"negative case count {value!r}")
     return count

@@ -126,21 +126,11 @@ class KeywordSet:
             return {t for t in self.terms if t in lowered} or NO_TAGS
         if tokens is None:
             tokens = TOKEN_RE.findall(lowered)
-        token_set = set(tokens)
-        hits = set()
-        for term in self.terms:
-            parts = term.split()
-            if len(parts) == 1:
-                if parts[0] in token_set:
-                    hits.add(term)
-            elif _contains_phrase(tokens, parts):
-                hits.add(term)
-        return hits or NO_TAGS
-
-
-def _contains_phrase(tokens: list[str], parts: list[str]) -> bool:
-    n = len(parts)
-    return any(tokens[i : i + n] == parts for i in range(len(tokens) - n + 1))
+        # A token holds no space, so a term's words, space-joined and
+        # space-padded, occur in the padded token line exactly when they are
+        # that many consecutive tokens.
+        joined = f" {' '.join(tokens)} "
+        return {t for t in self.terms if f" {' '.join(t.split())} " in joined} or NO_TAGS
 
 
 class RecentMatches:

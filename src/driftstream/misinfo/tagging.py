@@ -42,32 +42,33 @@ class AuthoritativeSourceList:
         return channel.strip().lower() in self.sources
 
 
-def window_tally(
-    posts: Sequence[EnrichedPost], window_length: float = 60.0
-) -> tuple[float, int, Optional[Counter]]:
-    """``(window start, tagged posts, term counts)`` of one window from the
-    misinformation terms its posts hold; the term counts are None when no
-    post is tagged.
+def window_tally(posts: Sequence[EnrichedPost]) -> tuple[int, Optional[Counter]]:
+    """``(tagged posts, term counts)`` of one window from the misinformation
+    terms its posts hold; the term counts are None when no post is tagged.
 
-    All posts must fall in the same window.
+    The caller knows the window: the runner takes its start from the
+    buffer that grouped the posts (``WindowBuffers.pop_ready``).
     """
-    start = window_start(posts[0].post.created_at if posts else 0.0, window_length)
     tagged = 0
     term_counts = None
     for post in posts:
-        if window_start(post.post.created_at, window_length) != start:
-            raise ValueError(f"post {post.post.id} falls outside window starting at {start}")
         if post.misinfo_terms and not post.authoritative:
             tagged += 1
             if term_counts is None:
                 term_counts = Counter()
             term_counts.update(post.misinfo_terms)
-    return start, tagged, term_counts
+    return tagged, term_counts
 
 
 def window_report(posts: Sequence[EnrichedPost], window_length: float = 60.0) -> WindowTagReport:
-    """One window's report (see ``window_tally``)."""
-    start, tagged, term_counts = window_tally(posts, window_length)
+    """One window's report from any list of posts: its window is the first
+    post's, and a post outside it raises ValueError; the tally is
+    ``window_tally``'s."""
+    start = window_start(posts[0].post.created_at if posts else 0.0, window_length)
+    for post in posts:
+        if window_start(post.post.created_at, window_length) != start:
+            raise ValueError(f"post {post.post.id} falls outside window starting at {start}")
+    tagged, term_counts = window_tally(posts)
     return WindowTagReport(
         WindowAssignment(start, float(window_length)), len(posts), tagged, term_counts or Counter()
     )

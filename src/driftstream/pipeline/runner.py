@@ -26,11 +26,15 @@ the clusters count without tokenizing the text again.
 A window reports the misinformation set as it stands at its close: the set
 only grows, so buffered posts are re-tagged only when a refresh adds an
 active term, and a closing window reads the tags its posts hold, through
-``window_tally`` (which ``window_report`` wraps) straight into its row.
+``window_tally``, straight into its row.
 Minute and cluster windows are buffered by window index ``t // length``
 and close once the watermark's index passes theirs; each buffer keeps the
 indexes it holds in a heap and pops its head while that is below the
 watermark's index, so an advance that closes nothing costs one compare.
+The buffer gives each window it closes its start, ``index * length``, so
+a post's window is decided once, where it is buffered. Its day is decided
+once too: social posts and case reports are counted by day index
+``int(t // DAY)``, the key the lagged correlation reads.
 Tagged windows then feed the drift stage, cluster formation and the analytics
 tables (``TableCounts``, which ``report`` feeds too). A closing cluster
 window forms its clusters, each holding the features the team scores, read
@@ -57,7 +61,7 @@ from heapq import heappop, heappush
 from pathlib import Path
 from typing import Optional
 
-from ..analytics.correlation import CorrelationResult, correlate_regions, daily_series
+from ..analytics.correlation import correlate_regions
 from ..analytics.tables import TableCounts, emit_report, write_csv, write_json, write_jsonl
 from ..corroboration.clusters import form_clusters
 from ..corroboration.evidence import ClusterStore, MatchRule, load_evidence_feed
@@ -93,7 +97,9 @@ class WindowBuffers(dict):
 
     The indexes held also sit in a heap: ``add`` pushes an index when it
     opens that window, a late post's included, and ``pop_ready`` pops while
-    the head is below the watermark's index.
+    the head is below the watermark's index. A window's start is
+    ``index * length``, which ``core.windows.window_start`` gives each of
+    its posts.
     """
 
     def __init__(self, length: float):
@@ -110,14 +116,16 @@ class WindowBuffers(dict):
         self[index] = [post]
         heappush(self._indexes, index)
 
-    def pop_ready(self, upto: Optional[float]) -> list[list[EnrichedPost]]:
+    def pop_ready(self, upto: Optional[float]) -> list[tuple[float, list[EnrichedPost]]]:
         """Remove the windows whose index is below that of ``upto`` (all of
-        them when ``upto`` is None) and return their posts, oldest first."""
+        them when ``upto`` is None) and return each one's ``(start, posts)``,
+        oldest first."""
         current = math.inf if upto is None else upto // self.length
         indexes = self._indexes
         popped = []
         while indexes and indexes[0] < current:
-            popped.append(self.pop(heappop(indexes)))
+            index = heappop(indexes)
+            popped.append((float(index * self.length), self.pop(index)))
         return popped
 
 
@@ -166,8 +174,8 @@ class PipelineRunner:
         self.counters: Counter = Counter()
         self.rejections: Counter = Counter()
         self.table_counts = TableCounts()
-        self.social_day_counts: dict[str, Counter] = defaultdict(Counter)  # region -> day epoch -> count
-        self.case_day_counts: dict[str, Counter] = {}  # region -> day epoch -> new cases
+        self.social_day_counts: dict[str, Counter] = defaultdict(Counter)  # region -> day index -> count
+        self.case_day_counts: dict[str, Counter] = {}  # region -> day index -> new cases
 
     # -- per-record path ------------------------------------------------------
 
@@ -222,8 +230,8 @@ class PipelineRunner:
     # -- windowed stages --------------------------------------------------------
 
     def _flush_minute_windows(self, upto: Optional[float]) -> None:
-        for posts in self._minute_buffers.pop_ready(upto):
-            start, tagged, term_counts = window_tally(posts, self.config.misinfo.window)
+        for start, posts in self._minute_buffers.pop_ready(upto):
+            tagged, term_counts = window_tally(posts)
             top = ";".join(top_terms(term_counts)) if term_counts else ""
             self.window_rows.append((start, len(posts), tagged, top))
             for post in posts:
@@ -238,12 +246,12 @@ class PipelineRunner:
 
         self.table_counts.add(enriched.post, enriched.locations, enriched.topic_groups)
         if enriched.relevance and not enriched.misinfo_terms:
-            day_epoch = (created // DAY) * DAY
+            day = int(created // DAY)
             for location in enriched.locations:
-                self.social_day_counts[location][day_epoch] += 1
+                self.social_day_counts[location][day] += 1
 
     def _flush_cluster_windows(self, upto: Optional[float]) -> None:
-        for posts in self._cluster_buffers.pop_ready(upto):
+        for _, posts in self._cluster_buffers.pop_ready(upto):
             clusters = form_clusters(
                 posts,
                 window_length=self.config.clusters.window,
@@ -266,7 +274,7 @@ class PipelineRunner:
                 if report.region:
                     self.counters["case_reports"] += 1
                     cases = self.case_day_counts.setdefault(report.region, Counter())
-                    cases[(report.date // DAY) * DAY] += report.new_cases
+                    cases[int(report.date // DAY)] += report.new_cases
             self.location_cache = case_regions(reports)
             self.lexicons = self._lexicons()
 
@@ -314,18 +322,12 @@ class PipelineRunner:
             ),
             write_jsonl(out / "keywords.jsonl", (event.to_json_obj() for event in self.drift.audit)),
             write_jsonl(out / "piggyback.jsonl", self.drift.piggyback),
-            *emit_report(self.table_counts.as_tables(), self._correlation_results(), out),
+            *emit_report(
+                self.table_counts.as_tables(),
+                correlate_regions(self.social_day_counts, self.case_day_counts, self.config.max_lag_days),
+                out,
+            ),
         ]
-
-    def _correlation_results(self) -> list[CorrelationResult]:
-        if not self.case_day_counts:
-            return []
-        social = {
-            region: daily_series(region, dict(counts))
-            for region, counts in self.social_day_counts.items()
-        }
-        cases_series = {r: daily_series(r, dict(c)) for r, c in self.case_day_counts.items()}
-        return correlate_regions(social, cases_series, max_lag=self.config.max_lag_days)
 
     def _summary(self) -> dict:
         # Deterministic by construction: counts and event-time values only.

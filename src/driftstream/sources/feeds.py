@@ -26,20 +26,24 @@ class FeedError(ValueError):
 def read_feed(path: str | Path, build: Callable[[dict, int], T]) -> list[T]:
     """``build(obj, line_number)`` for every non-blank line of ``path``.
 
-    A line that is not a JSON object, or that ``build`` rejects with a
-    ValueError, raises a FeedError naming the path and the line.
+    A line that is not UTF-8, not a JSON object or nested past the
+    recursion limit, or that ``build`` rejects with a ValueError, raises a
+    FeedError naming the path and the line. Each line is decoded on its
+    own, so a bad byte is named by its line; as in the post archive, a
+    line ends at a newline byte.
     """
     items = []
-    with open(Path(path), "r", encoding="utf-8") as f:
-        for number, line in enumerate(f, 1):
-            if not line.strip():
-                continue
+    with open(Path(path), "rb") as f:
+        for number, raw in enumerate(f, 1):
             try:
+                line = raw.decode("utf-8")
+                if not line.strip():
+                    continue
                 obj = json.loads(line)
                 if not isinstance(obj, dict):
                     raise ValueError("not a JSON object")
                 items.append(build(obj, number))
-            except ValueError as exc:
+            except (ValueError, RecursionError) as exc:  # UnicodeDecodeError is a ValueError
                 raise FeedError(f"{path}, line {number}: {exc}") from None
     return items
 

@@ -22,7 +22,7 @@ from driftstream.analytics.correlation import (
     TimeSeries,
     _beats,
     _r,
-    daily_series,
+    correlate_regions,
     lagged_correlation,
 )
 from driftstream.analytics.tables import DIMENSIONS, TableCounts, emit_report, write_json
@@ -31,6 +31,13 @@ from driftstream.timeutil import DAY, parse_timestamp
 from conftest import make_enriched
 
 T0 = parse_timestamp("2020-03-01T00:00:00Z")
+
+
+# Sparse day counts by day index: days near the epoch, either side of it,
+# and far off (year 1 is about day -719,000, year 9999 about day 2,900,000).
+DAY_COUNTS = st.dictionaries(
+    st.one_of(st.integers(-12, 12), st.integers(-719_200, 2_932_800)), st.integers(0, 5), max_size=10
+)
 
 
 def _series(region: str, counts: list[float], first_day: float = T0) -> TimeSeries:
@@ -293,8 +300,8 @@ class TestLaggedCorrelation:
         with pytest.raises(ValueError, match="unknown granularity"):
             TimeSeries(region="x", granularity=granularity)
 
-    def test_daily_series_fills_gaps_as_zero(self):
-        series = daily_series("m", {T0: 4, T0 + 3 * DAY: 2, T0 + 5 * DAY: 7})
+    def test_day_counts_fill_gaps_as_zero(self):
+        series = TimeSeries("m", points=[(T0, 4), (T0 + 3 * DAY, 2), (T0 + 5 * DAY, 7)])
         first = int(T0 // DAY)
         assert series.day_counts() == {first: 4, first + 3: 2, first + 5: 7}
         assert all(type(count) is int for count in series.day_counts().values())
@@ -303,15 +310,24 @@ class TestLaggedCorrelation:
         assert lagged_correlation(series, cases, max_lag=1) == lagged_correlation(
             _series("m", [4, 0, 0, 2, 0, 7]), cases, max_lag=1
         )
+        # and so do the day counts the runner hands correlate_regions
+        assert correlate_regions({"m": series.day_counts()}, {"m": cases.day_counts()}, max_lag=1) == [
+            lagged_correlation(series, cases, max_lag=1)
+        ]
 
     def test_days_floor_before_the_epoch(self):
         """Half a second either side of the epoch is two days, 1969-12-31
-        and 1970-01-01, as day_key has them; truncating toward zero made
-        them one."""
-        series = daily_series("m", {-0.5: 3, 0.5: 4})
-        assert series.points == [(-DAY, 3), (0.0, 4)]
-        assert series.day_counts() == {-1: 3, 0: 4}
+        and 1970-01-01, both in a series' day counts and in the runner's
+        day index; truncating toward zero made them one."""
+        from driftstream.pipeline.config import PipelineConfig
+        from driftstream.pipeline.runner import PipelineRunner
+
         assert TimeSeries(region="m", points=[(-0.5, 3), (0.5, 4)]).day_counts() == {-1: 3, 0: 4}
+        runner = PipelineRunner(PipelineConfig(archive="unused.jsonl"))
+        for i, t in enumerate([-0.5, -0.5, -0.5, 0.5, 0.5, 0.5, 0.5]):
+            runner._minute_buffers.add(t, make_enriched(post_id=i, created_at=t, locations=["m"]))
+        runner._flush_minute_windows(upto=None)
+        assert runner.social_day_counts == {"m": {-1: 3, 0: 4}}
 
     def test_exact_tie_goes_to_the_smallest_lag(self):
         """Lags 0 and -1 give exactly equal r here; the documented rule picks
@@ -370,6 +386,27 @@ class TestLaggedCorrelation:
             nonzero = {first + i: count for i, count in enumerate(dense) if count}
             assert {day: count for day, count in x.day_counts().items() if count} == nonzero
         assert lagged_correlation(a, b, max_lag) == _dense_lagged_correlation(a, b, max_lag)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        social=st.dictionaries(st.sampled_from("abc"), DAY_COUNTS, max_size=3),
+        cases=st.dictionaries(st.sampled_from("bcd"), DAY_COUNTS, max_size=3),
+        max_lag=st.integers(0, 6),
+    )
+    def test_correlate_regions_equals_lagged_correlation(self, social, cases, max_lag):
+        """The runner's day counts, handed straight to correlate_regions,
+        give what lagged_correlation gives on the equivalent TimeSeries for
+        each region both hold, in region order: negative and far-off day
+        indexes, zero counts, and regions only one side holds."""
+
+        def series(region, counts):
+            return TimeSeries(region, points=[(day * DAY, count) for day, count in sorted(counts.items())])
+
+        expected = [
+            lagged_correlation(series(region, social[region]), series(region, cases[region]), max_lag)
+            for region in sorted(social.keys() & cases.keys())
+        ]
+        assert correlate_regions(social, cases, max_lag) == expected
 
     @pytest.mark.parametrize("years", [(2019, 2020, 2021), (1, 2020, 9999)])
     def test_work_follows_the_points_not_the_span(self, monkeypatch, years):

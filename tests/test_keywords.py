@@ -42,6 +42,37 @@ def test_token_mode_matches_multiword_phrase():
     assert match_keywords(make_post(text="gates bill reversed"), keywords) == set()
 
 
+# Token-mode pieces: inner, doubled, leading and trailing hyphens, dots,
+# ``_``, digits, uppercase and non-ASCII letters, and separators that are
+# whitespace to ``str.split`` (an ideographic space, a tab) but not tokens.
+TOKEN_WORDS = ["a", "b", "ab", "a-b", "a--b", "-a", "b-", "u.s.", "u", "s", "a_b", "_", "5g", "Ab", "é", "aé", "b2"]
+TOKEN_SEPARATORS = [" ", "  ", "\u3000", "\t", "-", "--", ".", ",", "é", ""]
+
+
+def _contiguous_token_terms(terms, text: str) -> set[str]:
+    """Brute force: a term matches when some run of consecutive tokens of
+    the lowered text, space-joined, equals its words space-joined."""
+    from driftstream.keywords import TOKEN_RE
+
+    tokens = TOKEN_RE.findall(text.lower())
+    runs = {" ".join(tokens[i:j]) for i in range(len(tokens)) for j in range(i + 1, len(tokens) + 1)}
+    return {term for term in terms if " ".join(term.split()) in runs}
+
+
+@given(
+    st.lists(
+        st.tuples(st.lists(st.sampled_from(TOKEN_WORDS), min_size=1, max_size=3),
+                  st.sampled_from([" ", "  ", "\u3000", "\t"])).map(lambda words_gap: words_gap[1].join(words_gap[0])),
+        min_size=1, max_size=6,
+    ),
+    st.lists(st.sampled_from(TOKEN_WORDS + TOKEN_SEPARATORS), max_size=16).map("".join),
+)
+@example(["u.s.", "a b", "a-b", "a\u3000b"], "The U.S. said a--b, a b-c a\u3000b")
+def test_token_mode_equals_contiguous_tokens(terms, text):
+    keywords = KeywordSet(seeds=terms, match_mode="token")
+    assert keywords.match(text.lower()) == _contiguous_token_terms(keywords.terms, text)
+
+
 def test_seeds_are_normalized_once():
     keywords = KeywordSet(seeds=(" Mask", "mask"))
     assert len(keywords.active_terms()) == 1

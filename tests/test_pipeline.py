@@ -703,13 +703,51 @@ class TestWindowBuffers:
         for flush, t in ops:
             if flush:
                 ready = sorted(index for index in scanned if index < t // 7.0)
-                assert buffers.pop_ready(t) == [scanned.pop(index) for index in ready]
+                assert buffers.pop_ready(t) == [(index * 7.0, scanned.pop(index)) for index in ready]
             else:
                 buffers.add(t, t)
                 scanned.setdefault(t // 7.0, []).append(t)
             assert buffers == scanned
-        assert buffers.pop_ready(None) == [scanned[index] for index in sorted(scanned)]
+        assert buffers.pop_ready(None) == [(index * 7.0, scanned[index]) for index in sorted(scanned)]
         assert buffers.pop_ready(None) == []
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.tuples(st.booleans(), st.floats(-1e6, 1e6) | st.floats(-200.0, 200.0)), max_size=40),
+        st.sampled_from([0.5, 7.5, 60.0]),
+    )
+    @example([(False, -0.25), (False, 59.75), (True, 60.0), (False, 0.0), (False, -60.0)], 60.0)
+    def test_popped_start_is_each_posts_window_start(self, ops, length):
+        """Every ``(start, posts)`` that ``pop_ready`` returns has the start
+        ``core.windows.window_start`` gives each of its posts: late posts,
+        negative and fractional times, at every length. The windows.csv row
+        takes its start from here, with no per-post check."""
+        from conftest import make_enriched
+
+        from driftstream.core.windows import window_start
+        from driftstream.pipeline.runner import WindowBuffers
+
+        buffers, popped = WindowBuffers(length), []
+        for i, (flush, t) in enumerate(ops):
+            if flush:
+                popped.extend(buffers.pop_ready(t))
+            else:
+                buffers.add(t, make_enriched(post_id=i, created_at=t))
+        popped.extend(buffers.pop_ready(None))
+        assert sum(len(posts) for _, posts in popped) == sum(1 for flush, _ in ops if not flush)
+        for start, posts in popped:
+            assert {window_start(post.post.created_at, length) for post in posts} == {start}
+
+    def test_a_run_decides_no_window_start_per_post(self, tmp_path, monkeypatch):
+        """A whole run, late posts included, takes every minute window's
+        start from its buffer: ``misinfo.tagging`` computes none."""
+        from driftstream.misinfo import tagging
+
+        calls, window_start = [], tagging.window_start
+        monkeypatch.setattr(tagging, "window_start", lambda *args: calls.append(args) or window_start(*args))
+        result = run_pipeline(parse_config(_multiday_data(tmp_path)))
+        assert result.summary["windows"] > 0
+        assert calls == []
 
 
 ROW_TERMS = ["bleach", "hoax", "microchip", "plandemic", "5g towers", "bioweapon", "chlorine"]
@@ -809,7 +847,7 @@ class TestIngestTagging:
 
             def spy_pop_ready(upto):
                 popped = pop_ready(upto)
-                closes.extend((posts, frozenset(runner.misinfo_set.active)) for posts in popped)
+                closes.extend((posts, frozenset(runner.misinfo_set.active)) for _, posts in popped)
                 return popped
 
             def spy_route(post):
@@ -879,6 +917,15 @@ class TestSideFeeds:
                                "time": float("nan"), "terms": ["virus"]}, "time"),
             ("evidence_feed", {"id": "ev-2", "kind": "supporting", "source": "who.int", "location": "madrid",
                                "time": T0, "arrived_at": float("inf"), "terms": ["virus"]}, "arrived_at"),
+            # a raw line is written as is, with the error it raises in place of a field
+            *(
+                pytest.param(feed, line, error, id=f"{feed}-{name}")
+                for feed in ("case_feed", "evidence_feed")
+                for name, line, error in [
+                    ("not-utf8", "\udcff", "'utf-8' codec can't decode byte 0xff"),
+                    ("nested", "[" * 100_000 + "]" * 100_000, "maximum recursion depth exceeded"),
+                ]
+            ),
         ],
     )
     def test_malformed_line_names_file_line_and_field(self, tmp_path, capsys, feed, line, field):
@@ -887,12 +934,15 @@ class TestSideFeeds:
             "evidence_feed": {"id": "ev-1", "kind": "supporting", "source": "who.int",
                               "location": "madrid", "time": "2020-03-01T00:00:00Z", "terms": ["virus"]},
         }[feed]
+        if isinstance(line, dict):
+            line, field = json.dumps(line), f"field {field!r}"
         path = tmp_path / f"{feed}.jsonl"
-        path.write_text(json.dumps(good) + "\n\n" + json.dumps(line) + "\n")
+        path.write_text(json.dumps(good) + "\n\n" + line + "\n", encoding="utf-8", errors="surrogateescape")
         config = self._one_post_config(tmp_path, **{feed: str(path)})
         assert main(["run", "--config", str(config)]) == 3
         err = capsys.readouterr().err
-        assert f"{path}, line 3: field {field!r}" in err
+        assert f"{path}, line 3: {field}" in err
+        assert len(err.splitlines()) == 1
 
     def test_json_config_run_imports_neither_numpy_nor_yaml(self, tmp_path):
         """``driftstream run`` on a JSON config, case feed and correlation
@@ -1802,16 +1852,20 @@ class TestCli:
             (None, "No such file"),
             (['{"term": "x", "promoted_at": NaN}'], "line 1: field 'promoted_at': expected a finite timestamp"),
             (['{"term": "x", "promoted_at": 1%s}' % ("0" * 400)], "line 1: field 'promoted_at': expected a finite"),
+            # written as the byte 0xff
+            (['{"term": "x", "promoted_at": 0}', "\udcff"], "line 2: 'utf-8' codec can't decode byte 0xff"),
+            (["[" * 100_000 + "]" * 100_000], "line 1: maximum recursion depth exceeded"),
         ],
     )
     def test_keywords_show_bad_audit_exits_2(self, tmp_path, capsys, lines, message):
         audit = tmp_path / "keywords.jsonl"
         if lines is not None:
-            audit.write_text("".join(line + "\n" for line in lines))
+            audit.write_text("".join(line + "\n" for line in lines), encoding="utf-8", errors="surrogateescape")
         assert main(["keywords", "show", "--audit", str(audit)]) == 2
         err = capsys.readouterr().err
         assert str(audit) in err
         assert message in err
+        assert len(err.splitlines()) == 1
 
     def test_keywords_show_prints_seeds_as_the_run_holds_them(self, tmp_path, capsys):
         corpus = _fixture_corpus(tmp_path, minutes=5, rate=20)
