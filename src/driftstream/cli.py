@@ -47,7 +47,7 @@ def _load_config(path: str, flags: dict | None = None):
 def _cmd_run(args: argparse.Namespace) -> int:
     from .pipeline.runner import run_pipeline
 
-    config = _load_config(args.config, {"out_dir": args.out_dir, "speed": args.speed, "until": args.until})
+    config = _load_config(args.config, {"out_dir": args.out_dir, "until": args.until})
     if config is None:
         return EXIT_VALIDATION
     try:
@@ -216,7 +216,6 @@ def build_parser() -> argparse.ArgumentParser:
     run = sub.add_parser("run", help="run the full pipeline from a config file")
     run.add_argument("--config", required=True)
     run.add_argument("--out-dir")
-    run.add_argument("--speed", type=_speed_arg)
     run.add_argument("--until", help="stop at this simulated time (ISO-8601)")
     run.set_defaults(func=_cmd_run)
 

@@ -5,7 +5,7 @@ tentative cluster; whether the cluster describes a real physical event is
 decided later by accumulated evidence, not here. Misinformation-tagged
 posts never enter a cluster (they stay in the archive for analysis).
 
-A cluster is the one record of its event: ``form_clusters`` sets the
+A cluster is the one record of its event: ``window_clusters`` sets the
 features the teamed classifier scores as it forms it, and the evidence
 store keeps the attachments and their running tally on it.
 """
@@ -82,12 +82,11 @@ def _topic_terms(members: list[EnrichedPost]) -> frozenset[str]:
     return frozenset(terms)
 
 
-def form_clusters(
-    posts: Iterable[EnrichedPost],
-    window_length: float = DEFAULT_CLUSTER_WINDOW,
-    min_cluster_size: int = DEFAULT_MIN_CLUSTER_SIZE,
+def window_clusters(
+    posts: Iterable[EnrichedPost], start: float, window_length: float, min_cluster_size: int
 ) -> list[EventCluster]:
-    """One cluster per (location, window) with enough members.
+    """One cluster per location with enough members among ``posts``, the
+    posts of the one window that starts at ``start``, in location order.
 
     A post naming k locations joins k candidate groups. Posts without any
     location, and posts carrying misinformation terms, are skipped. A
@@ -95,20 +94,19 @@ def form_clusters(
     group in the order of ``posts``: a post listed twice counts once in
     its ``size`` and twice in the mean.
     """
-    groups: dict[tuple[str, float], list[EnrichedPost]] = defaultdict(list)
+    groups: dict[str, list[EnrichedPost]] = defaultdict(list)
     for post in posts:
         if not post.locations or post.misinfo_terms:
             continue
-        start = window_start(post.post.created_at, window_length)
         for location in post.locations:
-            groups[(location, start)].append(post)
+            groups[location].append(post)
 
     clusters = []
-    for (location, start), members in sorted(groups.items()):
+    window = WindowAssignment(start, window_length)
+    for location, members in sorted(groups.items()):
         unique: dict[int, EnrichedPost] = {p.post.id: p for p in members}
         if len(unique) < min_cluster_size:
             continue
-        window = WindowAssignment(start, window_length)
         member_list = [unique[i] for i in sorted(unique)]
         clusters.append(
             EventCluster(
@@ -122,3 +120,19 @@ def form_clusters(
             )
         )
     return clusters
+
+
+def form_clusters(
+    posts: Iterable[EnrichedPost],
+    window_length: float = DEFAULT_CLUSTER_WINDOW,
+    min_cluster_size: int = DEFAULT_MIN_CLUSTER_SIZE,
+) -> list[EventCluster]:
+    """One cluster per (location, window) with enough members, in that
+    order, from posts of any windows: each window's ``window_clusters``."""
+    windows: dict[float, list[EnrichedPost]] = defaultdict(list)
+    for post in posts:
+        windows[window_start(post.post.created_at, window_length)].append(post)
+    clusters = (
+        c for start, group in windows.items() for c in window_clusters(group, start, window_length, min_cluster_size)
+    )
+    return sorted(clusters, key=lambda cluster: (cluster.location, cluster.window.window_start))

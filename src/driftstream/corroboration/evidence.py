@@ -123,7 +123,7 @@ class StatusChange:
 class ClusterStore:
     """Historical cluster store: single writer, snapshot readers.
 
-    Clusters are added as ``form_clusters`` builds them, without evidence;
+    Clusters are added as ``window_clusters`` builds them, without evidence;
     the store attaches evidence itself and bumps each cluster's ``net``
     count (supporting minus contradicting) with every item it attaches.
     """

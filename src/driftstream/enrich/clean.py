@@ -6,11 +6,11 @@ tagged irrelevant, so downstream consumers can decide what to do with them.
 Every tag comes from one ``TOKEN_RE`` scan of the post's lowered text.
 The tags are read off the terms present of the union of the keyword set
 (in substring mode), the gazetteer, the case regions, the sentiment and
-topic lexicons and the active misinformation terms. A term that is itself
-a whole ``TOKEN_RE`` token (a token term: ``virus``, ``covid-19``) can
-only occur inside one token of the text, so it is read from a memo that
-maps each distinct token to the token terms it contains, and costs
-nothing per term once its tokens have been seen. Every other term (``new
+topic lexicons and the active misinformation terms; only the keyword set
+grows. A term that is itself a whole ``TOKEN_RE`` token (a token term:
+``virus``, ``covid-19``) can only occur inside one token of the text, so
+it is read from a memo that maps each distinct token to the token terms
+it contains, and costs nothing per term once its tokens have been seen. Every other term (``new
 york``, ``死``) keeps one ``in`` on the text. The same token list gives
 the post's drift candidates, the tracked phrases present and, in token
 mode, its keywords. A one-pass automaton (Aho and Corasick, CACM 1975)
@@ -44,14 +44,13 @@ class Lexicons:
     ``last_seen`` until ``region_ttl`` after it. ``sentiment`` maps a term
     to its weight and ``groups`` a topic group to its terms, as
     ``DEFAULT_SENTIMENT_LEXICON`` and ``DEFAULT_GROUP_LEXICONS`` do; every
-    term is lowercase. ``misinfo`` is read as it stands at each post; left
-    out, it is an empty set. ``tracked_phrases`` are the configured
-    multi-word drift candidates, lowercase.
+    term is lowercase. ``misinfo``'s active terms, read once here, are the
+    ``misinfo_terms`` posts are tagged with. ``tracked_phrases`` are the
+    configured multi-word drift candidates, lowercase.
 
-    All of these are fixed but the two term sets, which only grow, each by
-    replacing a snapshot: ``keywords.terms`` and ``misinfo.active``. The
-    union is rebuilt, and the token memo emptied, on the first scan that
-    finds either snapshot is not the one it was built from.
+    All of these are fixed but the keyword set, which only grows, each time
+    by replacing its ``terms`` snapshot: the union is rebuilt, and the token
+    memo emptied, on the first scan that finds a new snapshot.
     """
 
     def __init__(
@@ -73,20 +72,18 @@ class Lexicons:
         self.group_terms = tuple(
             (term, group) for group, terms in (groups or {}).items() for term in terms
         )
-        self.misinfo = MisinfoKeywordSet(seeds=()) if misinfo is None else misinfo
+        self.misinfo_terms = frozenset(misinfo.active if misinfo else ())
         self.tracked_phrases = tuple(dict.fromkeys(tracked_phrases))
         self._fixed = (
             *self.places,
             *self.regions,
             *(term for term, _ in self.sentiment_weights),
             *(term for term, _ in self.group_terms),
+            *self.misinfo_terms,
         )
-        # the term sets the union was last built from
-        self._keyword_terms: Optional[frozenset[str]] = None
-        self._active: tuple[str, ...] = ()
+        self._keyword_terms: Optional[frozenset[str]] = None  # the set the union was last built from
         self._token_terms: tuple[str, ...] = ()  # the union's token terms
         self._other_terms: tuple[str, ...] = ()  # the rest of the union
-        self.misinfo_terms: frozenset[str] = NO_TAGS
         # token -> (the token if it is a drift candidate, else "", the token
         # terms inside it): every token seen since the memo was last emptied.
         # A post's candidates are the memo's own strings, shared by every
@@ -98,9 +95,9 @@ class Lexicons:
         union that ``lowered``, its text already lowercased, contains; its
         distinct drift candidates, in order of first occurrence; and the
         tracked phrases it contains that are not among them. ``tokens`` is
-        ``TOKEN_RE.findall(lowered)``. The union is rebuilt first if a term
-        set grew."""
-        if self.keywords.terms is not self._keyword_terms or self.misinfo.active is not self._active:
+        ``TOKEN_RE.findall(lowered)``. The union is rebuilt first if the
+        keyword set grew."""
+        if self.keywords.terms is not self._keyword_terms:
             self._build()
         memo = self._memo
         present = set()
@@ -135,10 +132,9 @@ class Lexicons:
 
     def _build(self) -> None:
         keywords = self.keywords
-        self._keyword_terms, self._active = keywords.terms, self.misinfo.active
-        self.misinfo_terms = frozenset(self._active)
+        self._keyword_terms = keywords.terms
         scanned = keywords.terms if keywords.match_mode == "substring" else ()
-        union = dict.fromkeys((*scanned, *self._fixed, *self._active))
+        union = dict.fromkeys((*scanned, *self._fixed))
         self._token_terms = tuple(term for term in union if TOKEN_RE.fullmatch(term))
         self._other_terms = tuple(term for term in union if not TOKEN_RE.fullmatch(term))
         self._memo.clear()

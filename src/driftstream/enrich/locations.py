@@ -79,7 +79,7 @@ def _case_report(obj: dict, number: int) -> CaseReport:
 
 
 def _case_count(value) -> int:
-    count = int(value)
-    if count < 0:  # nothing downstream checks it: the correlation would read it as is
-        raise ValueError(f"negative case count {value!r}")
-    return count
+    # a JSON integer >= 0: nothing downstream checks it, and the correlation would read it as is
+    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+        raise ValueError(f"expected a whole number of cases >= 0, got {value!r}")
+    return value

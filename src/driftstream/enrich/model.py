@@ -18,7 +18,7 @@ class EnrichedPost:
     A tag that holds nothing is one shared immutable, never a container of
     the post's own: ``()`` for ``locations`` and ``keywords.NO_TAGS``, the
     empty frozenset, for the three term sets. A buffered post then keeps no
-    empty container alive. No stage mutates a tag; ``_refresh_misinfo``
+    empty container alive. No stage mutates a tag; ``tag_misinformation_window``
     replaces ``misinfo_terms`` whole.
 
     ``candidates`` are the post's drift candidates (``keywords.tokenize``'s

@@ -1,10 +1,10 @@
 """Misinformation keyword set and its external source feeds.
 
-The set starts from a couple of notorious seed terms and grows by polling
-source snapshots: plain term lists, or sectioned documents whose headlines
-are distilled into phrases. Within a run the set only grows; removal is a
-config-level tombstone, never a delete, so tagging coverage of a fixed
-corpus never shrinks mid-run.
+The set starts from a couple of notorious seed terms and grows by reading
+source files: plain term lists, or sectioned documents whose headlines are
+distilled into phrases. A run reads its sources once, before its first
+post, so every post is tagged against the same set. Removal is a
+config-level tombstone, never a delete.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ class MisinfoKeywordSet:
     def __init__(self, seeds: Iterable[str] = DEFAULT_MISINFO_SEEDS, tombstones: Iterable[str] = ()):
         self.terms: set[str] = set()
         self.tombstones = frozenset(map(normalize_term, tombstones))
-        self.active: tuple[str, ...] = ()  # sorted active terms, rebuilt on every add
+        self._active: Optional[tuple[str, ...]] = ()  # sorted; None once an add outdates it
         # (source path, term index or None for the whole source) -> why it was skipped
         self.skipped: dict[tuple[str, Optional[int]], str] = {}
         for term in seeds:
@@ -47,8 +47,15 @@ class MisinfoKeywordSet:
             return False
         self.terms.add(term)
         if term not in self.tombstones:
-            self.active = tuple(sorted(self.active + (term,)))
+            self._active = None
         return True
+
+    @property
+    def active(self) -> tuple[str, ...]:
+        """The terms not tombstoned, sorted once after any run of adds."""
+        if self._active is None:
+            self._active = tuple(sorted(self.terms - self.tombstones))
+        return self._active
 
     def match(self, lowered: str) -> set[str] | frozenset[str]:
         """Active terms found in ``lowered``, a post text already lowercased;
@@ -108,12 +115,12 @@ def extract_misinfo_terms(document: str, sections: tuple[str, ...] = ("conspirac
     return terms
 
 
-def refresh_misinfo_keywords(sources: list[dict], keyword_set: MisinfoKeywordSet) -> list[str]:
-    """Poll source snapshots; returns newly added terms (sorted).
+def refresh_misinfo_keywords(sources: Iterable[dict], keyword_set: MisinfoKeywordSet) -> list[str]:
+    """Read every source into ``keyword_set``; returns the newly added terms (sorted).
 
     A source that cannot be read or parsed, and a term that is blank or not a
     string, is skipped and recorded in ``keyword_set.skipped``; the existing
-    set is always retained. Re-reading an unchanged source adds nothing.
+    set is always retained. A run calls this once, before its first post.
     """
     added: list[str] = []
     for descriptor in sources:

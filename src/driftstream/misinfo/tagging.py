@@ -1,10 +1,10 @@
 """Per-window misinformation reports and the authoritative-source list.
 
 Every post of a minute window is tagged against one snapshot of the keyword
-set: the set as it stands when the window closes. Each window produces a
-statistics report. A post from an authoritative source keeps its matched
-misinformation terms (a debunk quoting the rumor is still worth recording)
-but never counts toward the misinformation tally.
+set; in a run, that is the one set read before the first post. Each window
+produces a statistics report. A post from an authoritative source keeps
+its matched misinformation terms (a debunk quoting the rumor is still
+worth recording) but never counts toward the misinformation tally.
 """
 
 from __future__ import annotations
@@ -82,9 +82,9 @@ def tag_misinformation_window(
     """Tag one window's posts against one snapshot of ``keyword_set``;
     returns them plus the window report.
 
-    The runner tags each post at ingest instead, and re-tags the buffered
-    posts whenever a refresh adds an active term, so a window closes with
-    exactly these tags.
+    The runner tags each post at ingest instead, against the one set it
+    reads before its first post, so a window closes with exactly these
+    tags.
     """
     for post in posts:
         post.misinfo_terms = keyword_set.match(post.post.text.lower())

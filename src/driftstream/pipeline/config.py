@@ -3,11 +3,12 @@
 Each setting is declared once, on its dataclass field below: its key in the
 file, its default in file units, the unit it is scaled by, its converter
 and its range. ``parse_config`` reads every setting through that
-declaration. YAML or JSON; DRIFTSTREAM_ARCHIVE, DRIFTSTREAM_OUT_DIR and
-DRIFTSTREAM_SPEED override the file, and the command-line flags override
-both, before anything is checked, so every value passes the same checks.
-Validation reports every broken setting at once, by name, instead of dying
-on the first. Keys the file sets that no setting declares are ignored.
+declaration. YAML or JSON; DRIFTSTREAM_ARCHIVE and DRIFTSTREAM_OUT_DIR
+override the file, and the command-line flags override both, before
+anything is checked, so every value passes the same checks. Validation
+reports every broken setting at once, by name, instead of dying on the
+first. Keys the file sets that no setting declares, such as the retired
+``speed``, are ignored.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from typing import Any, Callable, Optional
 
 from ..keywords import DEFAULT_SEED_KEYWORDS, TOKEN_RE, normalize_term
 from ..misinfo.keywords import DEFAULT_MISINFO_SEEDS
-from ..sources.archive import parse_speed
 from ..sources.feeds import timestamp
 from ..timeutil import DAY, HOUR, MINUTE
 
@@ -35,7 +35,7 @@ DEFAULT_AUTHORITATIVE_SOURCES = (
 )
 
 # Top-level keys that a DRIFTSTREAM_<KEY> environment variable overrides.
-_ENV_KEYS = ("archive", "out_dir", "speed")
+_ENV_KEYS = ("archive", "out_dir")
 
 
 class ConfigError(ValueError):
@@ -172,7 +172,6 @@ class EnrichmentConfig:
 class MisinfoConfig:
     seeds: tuple[str, ...] = _setting("seeds", DEFAULT_MISINFO_SEEDS, _strings)
     sources: tuple[dict, ...] = ()  # read by parse_config itself
-    refresh_interval: float = _setting("refresh_interval_minutes", 60, _number, MINUTE, gt=0)
     window: float = _setting("window_seconds", 60.0, _finite, gt=0)
     # every score is >= 0, so a threshold <= 0 would flag every trending term
     piggyback_threshold: float = _setting("piggyback_threshold", 0.7, _number, gt=0)
@@ -191,7 +190,6 @@ class ClusterConfig:
 class PipelineConfig:
     archive: str
     out_dir: str = _setting("out_dir", "reports")
-    speed: Any = _setting("speed", "max", parse_speed)
     until: Optional[float] = _setting("until", None, timestamp)
     keywords: KeywordConfig = field(default_factory=KeywordConfig)
     drift: DriftConfig = field(default_factory=DriftConfig)

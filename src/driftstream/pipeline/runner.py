@@ -19,22 +19,23 @@ Each post's text is lowercased once on ingest and scanned once by
 ``TOKEN_RE``: the union of every substring lexicon (``Lexicons``) is read
 off its tokens through a memo of the terms each token contains, plus one
 ``in`` for each term that is not a whole token, and every tag is read off
-the terms present. The union is rebuilt, and the memo emptied, only when a
-term set grows: a promotion, or a refresh that adds an active term. The
-same tokens give the post's drift candidates, which the drift stage and
-the clusters count without tokenizing the text again.
-A window reports the misinformation set as it stands at its close: the set
-only grows, so buffered posts are re-tagged only when a refresh adds an
-active term, and a closing window reads the tags its posts hold, through
-``window_tally``, straight into its row.
+the terms present. The union is rebuilt, and the memo emptied, only when
+the keyword set grows, at a promotion. The same tokens give the post's
+drift candidates, which the drift stage and the clusters count without
+tokenizing the text again.
+The case feed and the misinformation sources are read once, in ``run``,
+before the first post, so every post is tagged against one set, whatever a
+source file holds later, and a closing window reads the tags its posts took
+at ingest, through ``window_tally``, straight into its row.
 Minute and cluster windows are buffered by window index ``t // length``
 and close once the watermark's index passes theirs; each buffer keeps the
 indexes it holds in a heap and pops its head while that is below the
 watermark's index, so an advance that closes nothing costs one compare.
 The buffer gives each window it closes its start, ``index * length``, so
-a post's window is decided once, where it is buffered. Its day is decided
-once too: social posts and case reports are counted by day index
-``int(t // DAY)``, the key the lagged correlation reads.
+a post's window is decided once, where it is buffered, for its minute row
+and its clusters alike. Its day is decided once too: social posts and case
+reports are counted by day index ``int(t // DAY)``, the key the lagged
+correlation reads.
 Tagged windows then feed the drift stage, cluster formation and the analytics
 tables (``TableCounts``, which ``report`` feeds too). A closing cluster
 window forms its clusters, each holding the features the team scores, read
@@ -63,7 +64,7 @@ from typing import Optional
 
 from ..analytics.correlation import correlate_regions
 from ..analytics.tables import TableCounts, emit_report, write_csv, write_json, write_jsonl
-from ..corroboration.clusters import form_clusters
+from ..corroboration.clusters import window_clusters
 from ..corroboration.evidence import ClusterStore, MatchRule, load_evidence_feed
 from ..corroboration.team import default_team
 from ..drift.adapter import DriftAdapter
@@ -167,7 +168,6 @@ class PipelineRunner:
         self._minute_buffers = WindowBuffers(config.misinfo.window)
         self._cluster_buffers = WindowBuffers(config.clusters.window)
         self._watermark: Optional[float] = None
-        self._next_refresh: Optional[float] = None
 
         # outputs
         self.window_rows: list[tuple] = []
@@ -197,7 +197,7 @@ class PipelineRunner:
         self._minute_buffers.add(parsed.created_at, enriched)
 
     def _lexicons(self) -> Lexicons:
-        """The lexicons every post is tagged from, with the case regions held now."""
+        """The lexicons every post is tagged from, with the case regions and misinfo terms held now."""
         enrichment = self.config.enrichment
         return Lexicons(
             self.keywords, Gazetteer(enrichment.gazetteer), self.location_cache, enrichment.location_cache_ttl,
@@ -210,22 +210,8 @@ class PipelineRunner:
             return
         self._watermark = event_time
         self.store.sweep(event_time)
-        if self._next_refresh is None or event_time >= self._next_refresh:
-            self._refresh_misinfo(event_time)
         self._flush_minute_windows(upto=event_time)
         self._flush_cluster_windows(upto=event_time)
-
-    def _refresh_misinfo(self, now: float) -> None:
-        misinfo = self.misinfo_set
-        active = len(misinfo.active)
-        added = refresh_misinfo_keywords(list(self.config.misinfo.sources), misinfo)
-        self.counters["misinfo_terms_added"] += len(added)
-        if len(misinfo.active) > active:  # the set only grows: re-tag what a close will report
-            for posts in self._minute_buffers.values():
-                for post in posts:
-                    post.misinfo_terms = misinfo.match(post.post.text.lower())
-        interval = self.config.misinfo.refresh_interval
-        self._next_refresh = (now // interval + 1) * interval
 
     # -- windowed stages --------------------------------------------------------
 
@@ -251,12 +237,8 @@ class PipelineRunner:
                 self.social_day_counts[location][day] += 1
 
     def _flush_cluster_windows(self, upto: Optional[float]) -> None:
-        for _, posts in self._cluster_buffers.pop_ready(upto):
-            clusters = form_clusters(
-                posts,
-                window_length=self.config.clusters.window,
-                min_cluster_size=self.config.clusters.min_size,
-            )
+        for start, posts in self._cluster_buffers.pop_ready(upto):
+            clusters = window_clusters(posts, start, self.config.clusters.window, self.config.clusters.min_size)
             for cluster in clusters:
                 cluster.team_score = self.team.predict(cluster)
                 self.cluster_store.add_cluster(cluster)
@@ -276,9 +258,10 @@ class PipelineRunner:
                     cases = self.case_day_counts.setdefault(report.region, Counter())
                     cases[int(report.date // DAY)] += report.new_cases
             self.location_cache = case_regions(reports)
-            self.lexicons = self._lexicons()
+        self.counters["misinfo_terms_added"] = len(refresh_misinfo_keywords(config.misinfo.sources, self.misinfo_set))
+        self.lexicons = self._lexicons()
 
-        for post in posts_from_archive(config.archive, self.rejections, config.speed):
+        for post in posts_from_archive(config.archive, self.rejections):
             if config.until is not None and post.created_at > config.until:
                 break
             self.ingest_post(post)

@@ -94,6 +94,7 @@ class TestFormClusters:
             window_start = (post.post.created_at // HOUR) * HOUR
             oracle[(post.locations[0], window_start)].add(post.post.id)
         assert {(c.location, c.window.window_start): c.post_ids for c in clusters} == dict(oracle)
+        assert [(c.location, c.window.window_start) for c in clusters] == sorted(oracle)  # location, then window
         # every member satisfies the (location, window) predicate
         by_id = {p.post.id: p for p in posts}
         for cluster in clusters:

@@ -392,21 +392,24 @@ report_offsets = st.sampled_from([-10 * DAY, -7 * DAY, -DAY, 0.0, DAY])
     places=st.lists(st.sampled_from(PLACE_POOL), max_size=3),
     reports=st.lists(st.tuples(st.sampled_from(REGION_POOL), report_offsets), max_size=4),
     misinfo_seeds=st.lists(st.sampled_from(MISINFO_POOL), max_size=2),
-    refreshed=st.lists(st.sampled_from(MISINFO_POOL), max_size=2),
+    read=st.lists(st.sampled_from(MISINFO_POOL), max_size=2),
     tombstones=st.lists(st.sampled_from(MISINFO_POOL), max_size=2),
     tracked=st.lists(st.sampled_from(TRACKED_POOL), max_size=3),
     texts=st.lists(scan_texts, min_size=1, max_size=4),
     retweet=st.booleans(),
 )
 def test_one_scan_equals_the_per_lexicon_functions(
-    seeds, promoted, mode, places, reports, misinfo_seeds, refreshed, tombstones, tracked, texts, retweet
+    seeds, promoted, mode, places, reports, misinfo_seeds, read, tombstones, tracked, texts, retweet
 ):
     """Every ``EnrichedPost`` field, sentiment by ``==`` and the drift
     candidates and tracked phrases in order, equals the one built from one
-    scan per lexicon and ``tokenize``, while both term sets grow between
-    posts as a promotion and a refresh grow them."""
+    scan per lexicon and ``tokenize``, while the keyword set grows between
+    posts as a promotion grows it. The misinformation set, its seeds and
+    the terms read from its sources, is fixed when the lexicons are built."""
     keywords = KeywordSet(seeds=seeds, match_mode=mode)
     misinfo = MisinfoKeywordSet(seeds=misinfo_seeds, tombstones=tombstones)
+    for term in read:
+        misinfo.add(term)
     gazetteer = Gazetteer(places)
     regions = case_regions(
         CaseReport(date=T0 + offset, region=region, new_cases=1) for region, offset in reports
@@ -435,8 +438,6 @@ def test_one_scan_equals_the_per_lexicon_functions(
                 assert (type(got), got) == (type(want), want), field.name
         if promoted:
             keywords.add(promoted.pop())
-        if refreshed:
-            misinfo.add(refreshed.pop())
 
 
 # -- the token memo -----------------------------------------------------------------
@@ -452,7 +453,7 @@ def _default_lexicons(keywords, misinfo, tracked=()):
 def _union(lexicons):
     keywords = lexicons.keywords
     scanned = keywords.terms if keywords.match_mode == "substring" else ()
-    return {*scanned, *lexicons._fixed, *lexicons.misinfo.active}
+    return {*scanned, *lexicons._fixed}
 
 
 def _assert_scan_is_the_oracle(lexicons, text):
@@ -466,20 +467,24 @@ def _assert_scan_is_the_oracle(lexicons, text):
 @settings(max_examples=200, deadline=None)
 @given(
     texts=st.lists(scan_texts, min_size=1, max_size=5),
-    added=st.lists(st.tuples(st.booleans(), st.sampled_from(KEYWORD_POOL + MISINFO_POOL)), min_size=1, max_size=4),
+    misinfo_terms=st.lists(st.sampled_from(MISINFO_POOL), max_size=3),
+    added=st.lists(st.sampled_from(KEYWORD_POOL + MISINFO_POOL), min_size=1, max_size=4),
     tracked=st.lists(st.sampled_from(TRACKED_POOL), max_size=3),
 )
-def test_memo_sees_a_term_added_between_posts(texts, added, tracked):
-    """A promotion or a refresh between posts is seen by the next scan,
-    for tokens the memo learned before it as well as new ones: every text
-    is scanned before and after each add, and each scan is the oracle's."""
+def test_memo_sees_a_term_added_between_posts(texts, misinfo_terms, added, tracked):
+    """A promotion between posts is seen by the next scan, for tokens the
+    memo learned before it as well as new ones: every text is scanned
+    before and after each add, and each scan is the oracle's. The
+    misinformation terms are fixed when the lexicons are built, and stay
+    in the union through every rebuild."""
     keywords = KeywordSet(seeds=("corona",))
-    misinfo = MisinfoKeywordSet(seeds=())
+    misinfo = MisinfoKeywordSet(seeds=misinfo_terms)
     lexicons = _default_lexicons(keywords, misinfo, tuple(tracked))
+    assert lexicons.misinfo_terms == set(misinfo.active)
     for text in texts:
         _assert_scan_is_the_oracle(lexicons, text)
-    for promote, term in added:
-        (keywords if promote else misinfo).add(term)
+    for term in added:
+        keywords.add(term)
         for text in texts:
             _assert_scan_is_the_oracle(lexicons, text)
 

@@ -45,6 +45,10 @@ Big match tonight
 """
 
 
+# spellings of a few terms: case, outer spaces, a phrase, a tombstone's
+TERM_SPELLINGS = ["bleach", "Bleach ", "5g towers", " 5G Towers", "hoax", "plandemic", "microchip", "a-b"]
+
+
 class TestRefresh:
     def test_terms_file_adds_new_terms(self, tmp_path):
         src = tmp_path / "terms.json"
@@ -124,6 +128,27 @@ class TestRefresh:
                 "microchip vaccine grows",
             ]
         )
+
+    @given(
+        seeds=st.lists(st.sampled_from(TERM_SPELLINGS), max_size=4),
+        tombstones=st.lists(st.sampled_from(TERM_SPELLINGS), max_size=3),
+        adds=st.lists(st.tuples(st.sampled_from(TERM_SPELLINGS) | st.text("abAB -", min_size=1).filter(str.strip),
+                                st.booleans()), max_size=12),
+    )
+    def test_active_is_the_sorted_untombstoned_terms_after_any_adds(self, seeds, tombstones, adds):
+        """``active`` is sorted once after a run of adds, not on each; read
+        after any add, or only at the end, it is every term held that is
+        not tombstoned, sorted."""
+        keyword_set = MisinfoKeywordSet(seeds=seeds, tombstones=tombstones)
+        held = {term.strip().lower() for term in seeds}
+        dead = {term.strip().lower() for term in tombstones}
+        for term, read in adds:
+            assert keyword_set.add(term) is (term.strip().lower() not in held)
+            held.add(term.strip().lower())
+            if read:
+                assert keyword_set.active == tuple(sorted(held - dead))
+        assert keyword_set.active == tuple(sorted(held - dead))
+        assert keyword_set.terms == held
 
     def test_seeded_terms_always_present(self):
         keyword_set = MisinfoKeywordSet()

@@ -39,6 +39,14 @@ def _fixture_corpus(tmp_path, seed=2020, minutes=45, rate=60, drift=True):
     )
 
 
+def _write_archive(path, posts):
+    """An archive of ``(id, seconds after T0, text, channel)`` posts, in the order given."""
+    path.write_text("".join(
+        json.dumps({"id": i, "created_at": format_timestamp(T0 + t), "text": text, "channel": channel}) + "\n"
+        for i, t, text, channel in posts
+    ))
+
+
 def _base_config(tmp_path, corpus, **overrides):
     data = {
         "seed": 1,
@@ -171,9 +179,6 @@ class TestConfigValidation:
     @pytest.mark.parametrize(
         "overrides, error",
         [
-            ({"misinfo": {"refresh_interval_minutes": 0}}, "misinfo.refresh_interval_minutes: must be > 0"),
-            ({"misinfo": {"refresh_interval_minutes": -5}}, "misinfo.refresh_interval_minutes: must be > 0"),
-            ({"misinfo": {"refresh_interval_minutes": "nan"}}, "misinfo.refresh_interval_minutes: must be > 0"),
             ({"clusters": {"lag_tolerance_days": -1}}, "clusters.lag_tolerance_days: must be >= 0"),
             ({"clusters": {"lag_tolerance_days": "nan"}}, "clusters.lag_tolerance_days: must be >= 0"),
             (
@@ -201,10 +206,8 @@ class TestConfigValidation:
         ],
     )
     def test_out_of_range_intervals_named_with_exit_2(self, tmp_path, capsys, overrides, error):
-        """A zero refresh interval divided by zero at run time (exit 3), a
-        negative one re-read every source on every watermark advance, a
-        negative lag tolerance matched no evidence, and a negative location
-        cache TTL kept no case-feed region live. A zero cluster window
+        """A negative lag tolerance matched no evidence, and a negative
+        location cache TTL kept no case-feed region live. A zero cluster window
         divided by zero in setup (exit 3), a negative lag or trending count
         loaded without a word, drift.enabled: "false" left promotion on, and
         an integer beyond every float died with a traceback (exit 1). An
@@ -312,14 +315,21 @@ class TestConfigValidation:
         data["keywords"]["match_mode"] = "substring"
         assert seed in getattr(parse_config(data).keywords, key)
 
-    def test_zero_lag_tolerance_and_fractional_refresh_accepted(self, tmp_path):
+    def test_zero_lag_tolerance_accepted(self, tmp_path):
         corpus = _fixture_corpus(tmp_path, minutes=5, rate=20)
-        config = parse_config(
-            _base_config(
-                tmp_path, corpus, misinfo={"refresh_interval_minutes": 0.5}, clusters={"lag_tolerance_days": 0}
-            )
-        )
-        assert (config.misinfo.refresh_interval, config.clusters.lag_tolerance) == (30.0, 0.0)
+        config = parse_config(_base_config(tmp_path, corpus, clusters={"lag_tolerance_days": 0}))
+        assert config.clusters.lag_tolerance == 0.0
+
+    def test_retired_speed_and_refresh_interval_load_and_are_ignored(self, tmp_path, monkeypatch):
+        """A run reads every input before its first post, so it has no
+        refresh to schedule and no pacing to do: a config that still sets
+        either key, even to a value the old check refused, loads as one
+        that does not, and DRIFTSTREAM_SPEED is no override."""
+        corpus = _fixture_corpus(tmp_path, minutes=5, rate=20)
+        monkeypatch.setenv("DRIFTSTREAM_SPEED", "abc")
+        retired = parse_config(_base_config(tmp_path, corpus, speed="abc", misinfo={"refresh_interval_minutes": 0}))
+        assert retired == parse_config(_base_config(tmp_path, corpus))
+        assert not hasattr(retired, "speed")
 
     @pytest.mark.parametrize(
         "overrides, field",
@@ -749,6 +759,17 @@ class TestWindowBuffers:
         assert result.summary["windows"] > 0
         assert calls == []
 
+    def test_a_run_decides_no_cluster_window_start_per_post(self, tmp_path, monkeypatch):
+        """Each closing hour window's clusters take its start from the
+        buffer: ``corroboration.clusters`` computes none."""
+        from driftstream.corroboration import clusters
+
+        calls, window_start = [], clusters.window_start
+        monkeypatch.setattr(clusters, "window_start", lambda *args: calls.append(args) or window_start(*args))
+        result = run_pipeline(parse_config(_multiday_data(tmp_path)))
+        assert result.summary["clusters"] > 0
+        assert calls == []
+
 
 ROW_TERMS = ["bleach", "hoax", "microchip", "plandemic", "5g towers", "bioweapon", "chlorine"]
 
@@ -801,10 +822,10 @@ MISINFO_PIECES = MISINFO_TERMS + ["BLEACH", "5G Towers", "virus", "news", " ", "
 
 
 class TestIngestTagging:
-    """Each post is tagged once, at ingest, against the live misinformation
-    set, and re-tagged while buffered whenever a refresh adds an active
-    term. Every window must still report what tagging its posts at close,
-    against the set as it then stood, gives."""
+    """Each post is tagged once, at ingest, against the misinformation set
+    read before the first post. Every window must report what tagging its
+    posts at close against that set gives: late posts, authoritative posts
+    and a tombstoned source term included."""
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -813,41 +834,43 @@ class TestIngestTagging:
                 st.integers(0, 300),  # event time after T0: any order, so late posts too
                 st.lists(st.sampled_from(MISINFO_PIECES), max_size=4).map(" ".join),
                 st.booleans(),  # from an authoritative channel
-                st.none() | st.lists(st.sampled_from(MISINFO_TERMS), max_size=3),  # terms file rewrite
             ),
             max_size=30,
         ),
-        st.sampled_from([15.0, 30.0, 45.0, 60.0, 90.0]),
+        st.lists(st.sampled_from(MISINFO_TERMS), max_size=3),  # the terms file
         st.sampled_from([30.0, 60.0]),
     )
-    def test_windows_equal_tagging_at_close(self, events, refresh_interval, window):
+    def test_windows_equal_tagging_at_close(self, events, file_terms, window):
         import tempfile
         from pathlib import Path
 
         from driftstream.pipeline.config import MisinfoConfig, PipelineConfig
         from driftstream.pipeline.runner import PipelineRunner
-        from driftstream.sources.posts import Post
 
         with tempfile.TemporaryDirectory() as tmp:
             terms = Path(tmp) / "terms.json"
-            terms.write_text(json.dumps({"terms": []}))
+            terms.write_text(json.dumps({"terms": file_terms}))
+            archive = Path(tmp) / "archive.jsonl"
+            _write_archive(archive, (
+                (i, t, text, "who.int" if official else "twitter") for i, (t, text, official) in enumerate(events)
+            ))
             config = PipelineConfig(
-                archive=str(Path(tmp) / "unused.jsonl"),
+                archive=str(archive),
+                out_dir=str(Path(tmp) / "reports"),
                 misinfo=MisinfoConfig(
                     seeds=("plandemic",),
                     sources=({"kind": "terms_file", "path": str(terms)},),
-                    refresh_interval=refresh_interval,
                     window=window,
                     tombstones=("microchip",),
                 ),
             )
             runner = PipelineRunner(config)
-            closes, routed = [], []
+            closed, routed = [], []
             pop_ready, route = runner._minute_buffers.pop_ready, runner._route_tagged
 
             def spy_pop_ready(upto):
                 popped = pop_ready(upto)
-                closes.extend((posts, frozenset(runner.misinfo_set.active)) for _, posts in popped)
+                closed.extend(posts for _, posts in popped)
                 return popped
 
             def spy_route(post):
@@ -856,18 +879,15 @@ class TestIngestTagging:
 
             runner._minute_buffers.pop_ready = spy_pop_ready
             runner._route_tagged = spy_route
-            for i, (t, text, official, rewrite) in enumerate(events):
-                if rewrite is not None:
-                    terms.write_text(json.dumps({"terms": rewrite}))
-                channel = "who.int" if official else "twitter"
-                runner.ingest_post(Post(id=i, created_at=T0 + t, text=text, channel=channel))
-            runner._flush_minute_windows(upto=None)
+            runner.run()
 
+        active = {"plandemic", *file_terms} - {"microchip"}
+        assert runner.misinfo_set.active == tuple(sorted(active))
         expected_rows, expected_routed = [], []
-        for posts, snapshot in closes:
+        for posts in closed:
             tagged, counts = 0, {}
             for post in posts:
-                hits = frozenset(term for term in snapshot if term in post.post.text.lower())
+                hits = frozenset(term for term in active if term in post.post.text.lower())
                 expected_routed.append((post, hits))
                 if hits and post.post.channel != "who.int":
                     tagged += 1
@@ -878,7 +898,88 @@ class TestIngestTagging:
             expected_rows.append((start, len(posts), tagged, ";".join(top)))
         assert runner.window_rows == expected_rows
         assert routed == expected_routed
-        assert "microchip" not in runner.misinfo_set.active
+
+
+class TestReadOnce:
+    """A run reads its misinformation sources once, in ``run``, before its
+    first post, next to the case feed: what a source file holds after that
+    reaches no bundle byte."""
+
+    def _bundle(self, out_dir):
+        from pathlib import Path
+
+        return {path.name: path.read_bytes() for path in sorted(Path(out_dir).iterdir())}
+
+    def test_a_multi_day_run_reads_each_source_once(self, tmp_path, monkeypatch):
+        import pathlib
+
+        import driftstream.pipeline.runner as runner_mod
+
+        data = _multiday_data(tmp_path)
+        source = data["misinfo"]["sources"][0]["path"]
+        calls, refresh = [], runner_mod.refresh_misinfo_keywords
+        monkeypatch.setattr(runner_mod, "refresh_misinfo_keywords", lambda *args: calls.append(args) or refresh(*args))
+        opened, read_text = [], pathlib.Path.read_text
+
+        def counted_read_text(path, *args, **kwargs):
+            opened.append(str(path))
+            return read_text(path, *args, **kwargs)
+
+        monkeypatch.setattr(pathlib.Path, "read_text", counted_read_text)
+        result = run_pipeline(parse_config(data))
+        assert result.summary["records_in"] > 1000 and result.summary["misinfo_terms_added"] == 2
+        assert len(calls) == 1
+        assert opened.count(source) == 1
+
+    def test_rewriting_a_source_mid_stream_changes_no_bundle_byte(self, tmp_path, monkeypatch):
+        from pathlib import Path
+
+        import driftstream.pipeline.runner as runner_mod
+
+        data = _multiday_data(tmp_path)
+        source = Path(data["misinfo"]["sources"][0]["path"])
+        rewritten = json.dumps({"terms": ["5g towers", "microchip", "virus", "facemask"]})
+        untouched = self._bundle(run_pipeline(parse_config(data)).out_dir)
+
+        posts_from_archive = runner_mod.posts_from_archive
+
+        def rewriting(*args, **kwargs):
+            for i, post in enumerate(posts_from_archive(*args, **kwargs)):
+                if i == 100:  # hours of event time in
+                    source.write_text(rewritten)
+                yield post
+
+        monkeypatch.setattr(runner_mod, "posts_from_archive", rewriting)
+        data["out_dir"] = str(tmp_path / "rewritten")
+        assert self._bundle(run_pipeline(parse_config(data)).out_dir) == untouched
+        assert source.read_text() == rewritten
+
+        # the rewrite would show, had the run read it: a run that starts
+        # from the rewritten file writes another bundle
+        monkeypatch.setattr(runner_mod, "posts_from_archive", posts_from_archive)
+        data["out_dir"] = str(tmp_path / "from-the-start")
+        assert self._bundle(run_pipeline(parse_config(data)).out_dir) != untouched
+
+    def test_an_empty_archive_reads_its_sources(self, tmp_path, capsys):
+        """With no post, the sources are still read: their terms are
+        counted, and a bad source is reported once."""
+        archive = tmp_path / "archive.jsonl"
+        archive.write_text("")
+        terms = tmp_path / "terms.json"
+        terms.write_text(json.dumps({"terms": ["bleach", "hoax"]}))
+        bad = tmp_path / "bad.json"
+        bad.write_text("not json")
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({
+            "archive": str(archive), "out_dir": str(tmp_path / "reports"),
+            "misinfo": {"sources": [{"kind": "terms_file", "path": str(p)} for p in (terms, bad)]},
+        }))
+        assert main(["run", "--config", str(config)]) == 0
+        captured = capsys.readouterr()
+        summary = json.loads(captured.out)
+        assert (summary["records_in"], summary["misinfo_terms_added"]) == (0, 2)
+        skipped = [line for line in captured.err.splitlines() if line.startswith("misinfo:")]
+        assert skipped == [f'misinfo: skipped {bad}: not a JSON object with a "terms" list']
 
 
 class TestSideFeeds:
@@ -910,6 +1011,12 @@ class TestSideFeeds:
             ("case_feed", {"date": "2020-03-02", "region": 5, "new_cases": 3}, "region"),
             ("case_feed", {"date": "2020-03-02", "region": "madrid", "new_cases": "many"}, "new_cases"),
             ("case_feed", {"date": "2020-03-02", "region": "madrid", "new_cases": -2}, "new_cases"),
+            # a count is a JSON integer, not a bool, a float or a string
+            *(
+                pytest.param("case_feed", {"date": "2020-03-02", "region": "madrid", "new_cases": count},
+                             "new_cases", id=f"case_feed-new_cases-{count!r}")
+                for count in (True, 2.7, "4", 3.0)
+            ),
             ("evidence_feed", {"id": "ev-2", "source": "who.int", "location": "madrid",
                                "time": "2020-03-02T00:00:00Z", "terms": ["virus"]}, "kind"),
             # a NaN time lay within every lag tolerance, and so corroborated any cluster
@@ -1108,14 +1215,12 @@ class TestFarOffEventTimes:
 
 class TestLexiconInvalidation:
     """``clean_post`` scans one union of every term set, built once per
-    change: a growth of either growing set is seen by the next post
-    ingested, and nothing else rebuilds the union."""
+    change: a promotion is seen by the next post ingested, and nothing else
+    rebuilds the union. The misinformation terms, read before the first
+    post, are fixed in it."""
 
-    def _runner(self, tmp_path, monkeypatch):
-        from conftest import make_post
-
+    def _counted_builds(self, monkeypatch):
         from driftstream.enrich.clean import Lexicons
-        from driftstream.pipeline.runner import PipelineRunner
 
         builds = []
         build = Lexicons._build
@@ -1125,32 +1230,38 @@ class TestLexiconInvalidation:
             build(self)
 
         monkeypatch.setattr(Lexicons, "_build", counted_build)
-        archive = tmp_path / "unused.jsonl"
-        archive.write_text("")
+        return builds
+
+    def _data(self, tmp_path, archive):
         terms = tmp_path / "terms.json"
-        terms.write_text(json.dumps({"terms": []}))
-        runner = PipelineRunner(parse_config({
+        terms.write_text(json.dumps({"terms": ["bleach", "microchip", "5g towers"]}))
+        return {
             "archive": str(archive),
-            "out_dir": str(tmp_path / "out"),
+            "out_dir": str(tmp_path / "reports"),
             "keywords": {"seeds": ["virus"]},
             "drift": {"min_count": 3, "slide_minutes": 1, "window_minutes": 1},
             "misinfo": {
                 "seeds": ["plandemic"],
                 "sources": [{"kind": "terms_file", "path": str(terms)}],
-                "refresh_interval_minutes": 1,
                 "tombstones": ["microchip", "5g towers"],
             },
-        }))
+        }
+
+    def test_a_promoted_term_matches_the_next_post_and_its_retweet(self, tmp_path, monkeypatch):
+        from conftest import make_post
+
+        from driftstream.pipeline.runner import PipelineRunner
+
+        builds = self._counted_builds(monkeypatch)
+        archive = tmp_path / "unused.jsonl"
+        archive.write_text("")
+        runner = PipelineRunner(parse_config(self._data(tmp_path, archive)))
 
         def ingest(post_id, text, seconds, retweet_of=None):
             """The post's EnrichedPost, as buffered at ingest."""
             runner.ingest_post(make_post(post_id, text, T0 + seconds, is_retweet_of=retweet_of))
             return runner._minute_buffers[(T0 + seconds) // 60][-1]
 
-        return runner, ingest, builds, terms
-
-    def test_a_promoted_term_matches_the_next_post_and_its_retweet(self, tmp_path, monkeypatch):
-        runner, ingest, builds, _ = self._runner(tmp_path, monkeypatch)
         for k in range(4):  # facemask rides the seed in a third of the posts
             ingest(3 * k, "virus facemask news", 1 + k)
             ingest(3 * k + 1, "weather today", 10 + k)
@@ -1167,18 +1278,24 @@ class TestLexiconInvalidation:
             ingest(post_id, "facemask news", 123)
         assert builds == [["virus"], ["facemask", "news", "virus"]]
 
-    def test_a_refresh_tags_the_next_post_and_a_tombstone_tags_nothing(self, tmp_path, monkeypatch):
-        runner, ingest, builds, terms = self._runner(tmp_path, monkeypatch)
-        assert ingest(1, "drink bleach, plandemic", 1).misinfo_terms == {"plandemic"}
-        terms.write_text(json.dumps({"terms": ["bleach", "microchip"]}))
-        post = ingest(2, "drink bleach, microchip", 61)  # its advance refreshes the set
+    def test_a_tombstoned_source_term_tags_nothing_and_grows_no_active_set(self, tmp_path, monkeypatch):
+        """A source term tags from the first post on; a tombstoned one is
+        held but never tags, and the union is built once."""
+        from driftstream.pipeline.runner import PipelineRunner
+
+        builds = self._counted_builds(monkeypatch)
+        archive = tmp_path / "archive.jsonl"
+        _write_archive(archive, [
+            (1, 1, "drink bleach, plandemic", "twitter"),
+            (2, 61, "drink bleach, microchip", "twitter"),
+            (3, 121, "5g towers, microchip", "twitter"),
+        ])
+        runner = PipelineRunner(parse_config(self._data(tmp_path, archive)))
+        runner.run()
         assert runner.misinfo_set.active == ("bleach", "plandemic")
-        assert post.misinfo_terms == {"bleach"}
-        assert runner._minute_buffers[(T0 + 61) // 60][0] is post
-        terms.write_text(json.dumps({"terms": ["bleach", "microchip", "5g towers"]}))
-        assert ingest(3, "5g towers, microchip", 121).misinfo_terms == frozenset()
-        assert "5g towers" in runner.misinfo_set
-        assert builds == [["virus"], ["virus"]]  # a tombstoned add grows no active set
+        assert "5g towers" in runner.misinfo_set and "microchip" in runner.misinfo_set
+        assert [row[1:] for row in runner.window_rows] == [(1, 1, "bleach;plandemic"), (1, 1, "bleach"), (1, 0, "")]
+        assert builds == [["virus"]]
 
 
 class TestPiggybackOutput:
@@ -1550,15 +1667,14 @@ class TestCli:
     def test_run_reports_each_skipped_misinfo_source_once(self, tmp_path, capsys):
         """A blank term is skipped, not fatal, and the source's other terms
         still count; a source that is not JSON is named on stderr. Each is
-        reported once however often the run refreshes, and none of it
-        reaches the bundle."""
+        reported once, and none of it reaches the bundle."""
         corpus = _fixture_corpus(tmp_path, minutes=5, rate=20)
         terms = tmp_path / "terms.json"
         terms.write_text(json.dumps({"terms": ["", "bleach"]}))
         bad = tmp_path / "bad.json"
         bad.write_text("not json")
         sources = [{"kind": "terms_file", "path": str(terms)}, {"kind": "terms_file", "path": str(bad)}]
-        data = _base_config(tmp_path, corpus, misinfo={"sources": sources, "refresh_interval_minutes": 1})
+        data = _base_config(tmp_path, corpus, misinfo={"sources": sources})
         config = tmp_path / "run.yaml"
         config.write_text(yaml.safe_dump(data))
         assert main(["run", "--config", str(config)]) == 0
@@ -1608,9 +1724,8 @@ class TestCli:
     @pytest.mark.parametrize(
         "argv, named",
         [
-            pytest.param([command, *required, "--speed", speed], "--speed", id=f"{speed}-{command}")
+            pytest.param(["replay", "--archive", "a.jsonl", "--speed", speed], "--speed", id=f"{speed}-replay")
             for speed in ("abc", "0", "-2")
-            for command, required in (("run", ["--config", "c.yaml"]), ("replay", ["--archive", "a.jsonl"]))
         ]
         # argparse refuses an action other than ``show`` before the handler runs
         + [pytest.param(["keywords", "bogus"], "'bogus'", id="keywords-bogus")],
@@ -1620,6 +1735,16 @@ class TestCli:
             main(argv)
         assert exit_info.value.code == 2
         assert named in capsys.readouterr().err
+
+    @pytest.mark.parametrize("speed", ["max", "2", "abc", "0"])
+    def test_run_speed_flag_is_refused(self, capsys, speed):
+        """``run`` reads every input before its first post, so pacing it
+        would change its wall time only: it has no ``--speed``, and argparse
+        refuses the flag (exit 2)."""
+        with pytest.raises(SystemExit) as exit_info:
+            main(["run", "--config", "c.yaml", "--speed", speed])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --speed" in capsys.readouterr().err
 
     def test_replay_out_round_trip(self, tmp_path, capsys):
         from driftstream.core.log import DurableLog
