@@ -15,12 +15,12 @@ from __future__ import annotations
 import csv
 import json
 import math
-from collections import Counter
+from collections import Counter, defaultdict
 from pathlib import Path
 from typing import Iterable, Sequence
 
 from ..sources.posts import Post
-from ..timeutil import DAY, day_key, month_key
+from ..timeutil import DAY, day_key
 
 DIMENSIONS = ("month", "language", "region_day", "topic_region_day")
 
@@ -28,40 +28,52 @@ DIMENSIONS = ("month", "language", "region_day", "topic_region_day")
 class TableCounts:
     """The count tables, fed one post at a time by ``run`` and ``report``.
 
+    A post is counted once by language and once by its topic groups,
+    locations, day index ``t // DAY`` and whether it is social (relevant and
+    untagged). The other tables and the social series are rolled up from
+    that count when read, as in a data cube (Gray et al., 1997).
+
     Every post counts once in every table, so each table sums to the number
     of posts added. A post with several locations counts under its first
     (sorted) one, and a post with no location or topic group under "none".
-    Day and month keys are derived once per UTC day and cached.
     """
 
     def __init__(self):
-        self._day_keys: dict[float, tuple[str, str]] = {}  # epoch // DAY -> (day, month)
-        self.month: Counter = Counter()
         self.language: Counter = Counter()
-        self.region_day: Counter = Counter()
-        self.topic_region_day: Counter = Counter()
+        self.posts: Counter = Counter()  # (topic groups, locations, day index, social) -> posts
 
-    def add(self, post: Post, locations: Sequence[str] = (), topic_groups: Iterable[str] = ()) -> None:
-        created = post.created_at
-        keys = self._day_keys.get(created // DAY)
-        if keys is None:
-            keys = self._day_keys[created // DAY] = (day_key(created), month_key(created))
-        day, month = keys
-        self.month[month] += 1
+    def add(self, post: Post, locations: Sequence[str] = (), topic_groups: Iterable[str] = (), social=False) -> None:
         self.language[post.lang] += 1
-        region = locations[0] if locations else "none"
-        self.region_day[(region, day)] += 1
-        groups = "+".join(sorted(topic_groups)) if topic_groups else "none"
-        self.topic_region_day[(groups, region, day)] += 1
+        self.posts[(frozenset(topic_groups), tuple(locations), post.created_at // DAY, social)] += 1
 
     def as_tables(self, names: Iterable[str] = DIMENSIONS) -> dict[str, dict]:
         """The named tables as plain dicts, in the form ``emit_report`` takes."""
-        tables = {}
-        for name in names:
-            if name not in DIMENSIONS:
-                raise ValueError(f"unknown dimension {name!r}, expected one of {DIMENSIONS}")
-            tables[name] = dict(getattr(self, name))
-        return tables
+        tables = {"month": Counter(), "language": self.language, "region_day": Counter(), "topic_region_day": Counter()}
+        days, groups = {}, {}  # each day index and topic-group set, rendered once
+        for (topic_groups, locations, day_index, _), count in self.posts.items():
+            if day_index not in days:
+                days[day_index] = day_key(day_index * DAY)
+            if topic_groups not in groups:
+                groups[topic_groups] = "+".join(sorted(topic_groups)) or "none"
+            day, region = days[day_index], locations[0] if locations else "none"
+            tables["month"][day[:7]] += count
+            tables["region_day"][(region, day)] += count
+            tables["topic_region_day"][(groups[topic_groups], region, day)] += count
+        try:
+            return {name: dict(tables[name]) for name in names}
+        except KeyError as exc:
+            raise ValueError(f"unknown dimension {exc.args[0]!r}, expected one of {DIMENSIONS}") from None
+
+    def social_days(self) -> dict[str, Counter]:
+        """Social posts by region and day index ``int(t // DAY)``, under each
+        of a post's locations: the series ``correlate_regions`` pairs with
+        the case counts."""
+        days: dict[str, Counter] = defaultdict(Counter)
+        for (_, locations, day, social), count in self.posts.items():
+            if social:
+                for location in locations:
+                    days[location][int(day)] += count
+        return dict(days)
 
 
 def write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence]) -> Path:

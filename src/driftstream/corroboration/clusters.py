@@ -31,7 +31,8 @@ class EventCluster:
     when the cluster is built: attach_evidence and the store's location
     index compare it as it is with normalized evidence locations. ``net``
     is the number of supporting minus contradicting items attached, which
-    ``ClusterStore.ingest_evidence`` bumps with each attachment."""
+    ``ClusterStore.ingest_evidence`` bumps with each attachment; ``status``
+    is corroborated above zero, refuted below and tentative at zero."""
 
     id: str
     location: str
@@ -40,7 +41,6 @@ class EventCluster:
     topic_terms: frozenset[str] = frozenset()
     channels: int = 0
     mean_abs_sentiment: float = 0.0
-    status: str = "tentative"  # tentative | corroborated | refuted
     evidence_ids: set[str] = field(default_factory=set)
     net: int = 0
     team_score: float = 0.0
@@ -56,6 +56,14 @@ class EventCluster:
     @property
     def size(self) -> int:
         return len(self.post_ids)
+
+    @property
+    def status(self) -> str:
+        if self.net >= 1:
+            return "corroborated"
+        if self.net <= -1:
+            return "refuted"
+        return "tentative"
 
     def to_json_obj(self) -> dict:
         return {

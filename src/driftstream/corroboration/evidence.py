@@ -15,9 +15,9 @@ teamed classifier, signed by the kind of evidence that caused the flip.
 The store keeps each status current incrementally (Gupta and Mumick,
 "Maintenance of Materialized Views", 1995): each cluster holds a running
 count of supporting minus contradicting items (``EventCluster.net``),
-bumped once per new attachment, so applying an item costs the clusters it
-can match, not every attachment those clusters ever received.
-``resolve_status`` recounts every attachment and gives the same status.
+bumped once per new attachment and read as its status, so applying an item
+costs the clusters it can match, not every attachment those clusters ever
+received. ``resolve_status`` recounts every attachment and agrees.
 """
 
 from __future__ import annotations
@@ -102,16 +102,6 @@ def resolve_status(cluster: EventCluster, evidence_store: dict[str, Evidence]) -
     return "tentative"
 
 
-def _status(net: int) -> str:
-    """``resolve_status`` for a cluster whose supporting items outnumber its
-    contradicting ones by ``net``."""
-    if net >= 1:
-        return "corroborated"
-    if net <= -1:
-        return "refuted"
-    return "tentative"
-
-
 @dataclass
 class StatusChange:
     cluster_id: str
@@ -190,11 +180,11 @@ class ClusterStore:
             cluster = self.clusters[cluster_id]
             if not attach_evidence(cluster, ev, self.rule):
                 continue
+            old = cluster.status
             cluster.net += step
-            old, new = cluster.status, _status(cluster.net)
+            new = cluster.status
             if new == old:
                 continue
-            cluster.status = new
             changes.append(StatusChange(cluster_id, old, new, ev.id))
             if classifier is not None:
                 classifier.update(classifier.member_votes(cluster), step)

@@ -203,14 +203,13 @@ def clean_post(
     is_authoritative = authoritative is not None and authoritative.matches(raw.channel)
     if not present:  # every lexicon tag is empty: 60% of firehose posts, 35% of multiday's
         return EnrichedPost(
-            raw, (), 0.0, NO_TAGS, bool(matched), matched, NO_TAGS, is_authoritative, candidates, phrases
+            raw, (), 0.0, NO_TAGS, matched, NO_TAGS, is_authoritative, candidates, phrases
         )
     return EnrichedPost(  # positional, in field order
         raw,
         lexicons.locations(present, raw.created_at),
         lexicons.sentiment(present, lowered),
         lexicons.topic_groups(present),
-        bool(matched),
         matched,
         present & lexicons.misinfo_terms or NO_TAGS,
         is_authoritative,

@@ -24,19 +24,22 @@ class EnrichedPost:
     ``candidates`` are the post's drift candidates (``keywords.tokenize``'s
     set, in order of first occurrence) and ``phrases`` the tracked phrases
     its text contains that are not among them; drift counts both, clusters
-    the candidates alone.
+    the candidates alone. ``relevance`` is read off ``matched_terms``.
     """
 
     post: Post
     locations: list[str] | tuple[str, ...] = ()
     sentiment: float = 0.0
     topic_groups: set[str] | frozenset[str] = NO_TAGS
-    relevance: bool = False
     matched_terms: set[str] | frozenset[str] = NO_TAGS
     misinfo_terms: set[str] | frozenset[str] = NO_TAGS
     authoritative: bool = False
     candidates: tuple[str, ...] = ()
     phrases: tuple[str, ...] = ()
+
+    @property
+    def relevance(self) -> bool:
+        return bool(self.matched_terms)
 
     def __post_init__(self):
         if not _KNOWN_GROUPS.issuperset(self.topic_groups):

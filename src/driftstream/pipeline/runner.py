@@ -33,11 +33,11 @@ indexes it holds in a heap and pops its head while that is below the
 watermark's index, so an advance that closes nothing costs one compare.
 The buffer gives each window it closes its start, ``index * length``, so
 a post's window is decided once, where it is buffered, for its minute row
-and its clusters alike. Its day is decided once too: social posts and case
-reports are counted by day index ``int(t // DAY)``, the key the lagged
-correlation reads.
+and its clusters alike.
 Tagged windows then feed the drift stage, cluster formation and the analytics
-tables (``TableCounts``, which ``report`` feeds too). A closing cluster
+tables (``TableCounts``, which ``report`` feeds too): one count per post by
+day index ``t // DAY``, off which the report tables and the social series
+the lagged correlation reads are summed at report time. A closing cluster
 window forms its clusters, each holding the features the team scores, read
 off its group as it forms, so no window's posts are scanned again. The drift
 stage owns the one slide window: it counts each post once and, on every
@@ -48,15 +48,15 @@ lies within its lag tolerance, and a flip is read off the running tally
 each cluster holds.
 A count that a stage already records is read off that record, never kept
 twice: the summary's ``tagged`` sums the ``windows.csv`` rows,
-``promoted_terms`` is the length of the drift audit and ``status_changes``
-that of the cluster store's change log.
+``promoted_terms`` is the length of the drift audit, and ``clusters`` and
+``status_changes`` those of the cluster store and its change log.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from collections import Counter, defaultdict
+from collections import Counter
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
 from pathlib import Path
@@ -174,7 +174,6 @@ class PipelineRunner:
         self.counters: Counter = Counter()
         self.rejections: Counter = Counter()
         self.table_counts = TableCounts()
-        self.social_day_counts: dict[str, Counter] = defaultdict(Counter)  # region -> day index -> count
         self.case_day_counts: dict[str, Counter] = {}  # region -> day index -> new cases
 
     # -- per-record path ------------------------------------------------------
@@ -224,17 +223,11 @@ class PipelineRunner:
                 self._route_tagged(post)
 
     def _route_tagged(self, enriched: EnrichedPost) -> None:
-        created = enriched.post.created_at
         self.drift.observe(enriched)
-
-        if enriched.relevance and enriched.locations and not enriched.misinfo_terms:
-            self._cluster_buffers.add(created, enriched)
-
-        self.table_counts.add(enriched.post, enriched.locations, enriched.topic_groups)
-        if enriched.relevance and not enriched.misinfo_terms:
-            day = int(created // DAY)
-            for location in enriched.locations:
-                self.social_day_counts[location][day] += 1
+        social = enriched.relevance and not enriched.misinfo_terms
+        if social and enriched.locations:
+            self._cluster_buffers.add(enriched.post.created_at, enriched)
+        self.table_counts.add(enriched.post, enriched.locations, enriched.topic_groups, social)
 
     def _flush_cluster_windows(self, upto: Optional[float]) -> None:
         for start, posts in self._cluster_buffers.pop_ready(upto):
@@ -242,7 +235,6 @@ class PipelineRunner:
             for cluster in clusters:
                 cluster.team_score = self.team.predict(cluster)
                 self.cluster_store.add_cluster(cluster)
-            self.counters["clusters"] += len(clusters)
 
     # -- run ----------------------------------------------------------------------
 
@@ -307,7 +299,7 @@ class PipelineRunner:
             write_jsonl(out / "piggyback.jsonl", self.drift.piggyback),
             *emit_report(
                 self.table_counts.as_tables(),
-                correlate_regions(self.social_day_counts, self.case_day_counts, self.config.max_lag_days),
+                correlate_regions(self.table_counts.social_days(), self.case_day_counts, self.config.max_lag_days),
                 out,
             ),
         ]
@@ -322,7 +314,7 @@ class PipelineRunner:
             "authoritative": self.counters.get("authoritative", 0),
             "tagged": sum(row[2] for row in self.window_rows),
             "windows": len(self.window_rows),
-            "clusters": self.counters.get("clusters", 0),
+            "clusters": len(self.cluster_store.clusters),
             "promoted_terms": len(self.drift.audit),
             "misinfo_terms_added": self.counters.get("misinfo_terms_added", 0),
             # a repeated evidence id changes nothing, so the store holds

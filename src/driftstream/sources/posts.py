@@ -6,7 +6,7 @@ JSON document, which is every well-formed line the archive reader passes
 (it strips the newline). Any other line, with surrounding whitespace, a
 BOM, a CR, trailing data or a malformed document, is decoded again by
 ``json.loads``. The fast path thus changes no outcome: a line decodes to
-the object ``json.loads`` gives, or is rejected with its error text. A
+the object ``json.loads`` gives, or is rejected where it raises. A
 line is tested for blankness only once it has failed to decode.
 
 Field types have one rule. ``id`` is a JSON integer or a string that
@@ -67,7 +67,6 @@ class Rejection:
     """Why an archive line did not become a Post."""
 
     reason: str  # empty | bad_utf8 | bad_json | missing_field | bad_id | bad_timestamp
-    detail: str = ""
 
 
 def parse_post(line: Union[str, bytes]) -> Union[Post, Rejection]:
@@ -80,42 +79,42 @@ def parse_post(line: Union[str, bytes]) -> Union[Post, Rejection]:
     if isinstance(line, bytes):
         try:
             line = line.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            return Rejection("bad_utf8", str(exc))
+        except UnicodeDecodeError:
+            return Rejection("bad_utf8")
     try:
         obj = decode_json(line)
-    except (ValueError, RecursionError) as exc:
-        return Rejection("bad_json", str(exc)) if line.strip() else Rejection("empty")
+    except (ValueError, RecursionError):
+        return Rejection("bad_json") if line.strip() else Rejection("empty")
     if not isinstance(obj, dict):
-        return Rejection("bad_json", "line is not a JSON object")
+        return Rejection("bad_json")
 
     post_id = obj.get("id")
     if post_id is None or post_id == "":
-        return Rejection("missing_field", "id")
+        return Rejection("missing_field")
     text = obj.get("text")
     if text is None or text == "":
-        return Rejection("missing_field", "text")
+        return Rejection("missing_field")
     created_at = obj.get("created_at")
     if created_at is None or created_at == "":
-        return Rejection("missing_field", "created_at")
+        return Rejection("missing_field")
 
     if type(post_id) is str:
         try:
             post_id = int(post_id)
         except ValueError:
-            return Rejection("bad_id", repr(post_id))
+            return Rejection("bad_id")
     elif type(post_id) is not int:  # a bool, a float, an array or an object
-        return Rejection("bad_id", repr(post_id))
+        return Rejection("bad_id")
 
     if not isinstance(text, str):
-        return Rejection("missing_field", "text")
+        return Rejection("missing_field")
 
     try:
         created = parse_timestamp(created_at)
-    except TimestampError as exc:
-        return Rejection("bad_timestamp", str(exc))
+    except TimestampError:
+        return Rejection("bad_timestamp")
     if not FIRST_EPOCH <= created < END_EPOCH:  # no date to write it under
-        return Rejection("bad_timestamp", f"outside years 1-9999 UTC: {created_at!r}")
+        return Rejection("bad_timestamp")
 
     retweeted = obj.get("retweeted_id")
     if retweeted is not None and type(retweeted) is not int:

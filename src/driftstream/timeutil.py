@@ -164,7 +164,3 @@ def day_key(epoch: float) -> str:
     """The UTC day of ``epoch`` as "YYYY-MM-DD", the year zero-padded."""
     return format_timestamp(epoch // DAY * DAY)[:10]
 
-
-def month_key(epoch: float) -> str:
-    """The UTC month of ``epoch`` as "YYYY-MM", the year zero-padded."""
-    return day_key(epoch)[:7]

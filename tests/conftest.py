@@ -45,13 +45,14 @@ def make_enriched(
     tracked_phrases: tuple[str, ...] = (),
 ) -> EnrichedPost:
     """An EnrichedPost with the tags given; its drift candidates and tracked
-    phrases are the oracle's, as ``clean_post`` would read them off ``text``."""
+    phrases are the oracle's, as ``clean_post`` would read them off ``text``.
+    ``relevance`` only picks the default ``matched_terms``, which the post's
+    relevance is read off."""
     candidates, phrases = drift_candidates(text, tracked_phrases)
     return EnrichedPost(
         post=make_post(post_id, text, created_at, lang=lang, channel=channel),
         locations=locations or [],
         sentiment=sentiment,
-        relevance=relevance,
         matched_terms=matched_terms if matched_terms is not None else ({"coronavirus"} if relevance else set()),
         misinfo_terms=misinfo_terms or set(),
         candidates=candidates,

@@ -90,7 +90,6 @@ def clean_post(
         extract_locations(lowered, gazetteer, regions, region_ttl, raw.created_at) or (),
         score_sentiment(lowered, sentiment or {}),
         assign_topic_groups(lowered, groups or {}),
-        bool(matched),
         matched,
         NO_TAGS if misinfo is None else misinfo.match(lowered),
         authoritative is not None and authoritative.matches(raw.channel),

@@ -6,8 +6,8 @@ import json
 import math
 import random
 import tempfile
-from collections import Counter
-from datetime import datetime, timezone
+from collections import Counter, defaultdict
+from datetime import date, datetime, timezone
 from fractions import Fraction
 from pathlib import Path
 
@@ -26,7 +26,7 @@ from driftstream.analytics.correlation import (
     lagged_correlation,
 )
 from driftstream.analytics.tables import DIMENSIONS, TableCounts, emit_report, write_json
-from driftstream.timeutil import DAY, parse_timestamp
+from driftstream.timeutil import DAY, END_EPOCH, FIRST_EPOCH, parse_timestamp
 
 from conftest import make_enriched
 
@@ -66,7 +66,7 @@ def _recount(posts) -> dict[str, dict]:
     tables: dict[str, Counter] = {name: Counter() for name in DIMENSIONS}
     for p in posts:
         utc = datetime.fromtimestamp(p.post.created_at, tz=timezone.utc)
-        day = utc.strftime("%Y-%m-%d")
+        day = f"{utc.year:04d}-{utc.month:02d}-{utc.day:02d}"  # strftime leaves year 1 unpadded
         region = p.locations[0] if p.locations else "none"
         groups = "+".join(sorted(p.topic_groups)) or "none"
         tables["month"][day[:7]] += 1
@@ -157,6 +157,34 @@ class TestBucketCounts:
             ("madrid", "2020-04-02"): 1,
             ("madrid", "2020-04-03"): 1,
         }
+
+    @given(st.lists(st.tuples(
+        st.one_of(  # quarter seconds either side of the epoch, and on the first and last days a bundle can date
+            st.integers(-8 * DAY, 8 * DAY),
+            st.integers(4 * FIRST_EPOCH, 4 * (FIRST_EPOCH + 2 * DAY)),
+            st.integers(4 * (END_EPOCH - 2 * DAY), 4 * END_EPOCH - 1),
+        ).map(lambda quarters: quarters / 4),
+        st.lists(st.sampled_from(("hubei", "madrid", "sturgis")), max_size=3, unique=True).map(sorted),
+        st.sets(st.sampled_from(("deaths_hospitalizations", "positive_tests", "symptomatic")), max_size=3),
+        st.booleans(),  # social: relevant and untagged
+        st.sampled_from(("en", "es")),
+    ), max_size=30))
+    def test_every_table_and_the_social_series_equal_a_recount(self, specs):
+        """All four tables and ``social_days`` are summed from one count per
+        post; each equals a recount of the posts themselves."""
+        counts, posts = TableCounts(), []
+        social = defaultdict(Counter)
+        for i, (t, locations, groups, is_social, lang) in enumerate(specs):
+            post = make_enriched(post_id=i, created_at=t, locations=locations, lang=lang)
+            post.topic_groups = groups
+            counts.add(post.post, post.locations, post.topic_groups, is_social)
+            posts.append(post)
+            if is_social:
+                day = (datetime.fromtimestamp(t, tz=timezone.utc).date() - date(1970, 1, 1)).days
+                for location in locations:
+                    social[location][day] += 1
+        assert counts.as_tables() == _recount(posts)
+        assert counts.social_days() == social
 
 
 class TestEmitReport:
@@ -327,7 +355,7 @@ class TestLaggedCorrelation:
         for i, t in enumerate([-0.5, -0.5, -0.5, 0.5, 0.5, 0.5, 0.5]):
             runner._minute_buffers.add(t, make_enriched(post_id=i, created_at=t, locations=["m"]))
         runner._flush_minute_windows(upto=None)
-        assert runner.social_day_counts == {"m": {-1: 3, 0: 4}}
+        assert runner.table_counts.social_days() == {"m": {-1: 3, 0: 4}}
 
     def test_exact_tie_goes_to_the_smallest_lag(self):
         """Lags 0 and -1 give exactly equal r here; the documented rule picks

@@ -19,7 +19,6 @@ from driftstream.corroboration.evidence import (
     Evidence,
     MatchRule,
     StatusChange,
-    _status,
     attach_evidence,
     resolve_status,
 )
@@ -343,10 +342,13 @@ def _scan_every_cluster(store, ev, classifier):
         cluster = store.clusters[cluster_id]
         if not attach_evidence(cluster, ev, store.rule):
             continue
-        old, new = cluster.status, resolve_status(cluster, store.evidence)
+        old = cluster.status
+        kinds = [store.evidence[ev_id].kind for ev_id in cluster.evidence_ids]
+        cluster.net = kinds.count("supporting") - kinds.count("contradicting")
+        new = cluster.status
+        assert new == resolve_status(cluster, store.evidence)
         if new == old:
             continue
-        cluster.status = new
         changes.append(StatusChange(cluster_id, old, new, ev.id))
         outcome = 1 if ev.kind == "supporting" else -1
         classifier.update(classifier.member_votes(cluster), outcome)
@@ -511,9 +513,8 @@ class TestRepeatedEvidenceIds:
     ), max_size=30), lag_tolerances)
     def test_running_tally_gives_the_status_resolve_status_recounts(self, operations, lag):
         """Attaches, repeated ids and cluster replacements interleaved: the
-        running tally every cluster holds gives the status that
-        ``resolve_status`` recounts from the stored evidence, and that
-        status is the one the cluster holds."""
+        status read off the running tally every cluster holds is the one
+        ``resolve_status`` recounts from the stored evidence."""
         store = ClusterStore(rule=MatchRule(lag_tolerance=lag))
         for operation, spec in operations:
             if operation == "add":
@@ -524,7 +525,7 @@ class TestRepeatedEvidenceIds:
                 store.ingest_evidence(_spec_evidence(n, kind, place, hours, terms))
             for cluster in store.clusters.values():
                 expected = resolve_status(cluster, store.evidence)
-                assert _status(cluster.net) == cluster.status == expected
+                assert cluster.status == expected
 
     def test_a_re_added_cluster_keeps_the_tally_of_its_attachments(self):
         """Storing the same cluster object again keeps both its attached ids
@@ -537,7 +538,7 @@ class TestRepeatedEvidenceIds:
         for ev_id, kind in (("ev-2", "contradicting"), ("ev-3", "contradicting"), ("ev-4", "supporting")):
             store.ingest_evidence(_evidence(ev_id, kind=kind))
             expected = resolve_status(cluster, store.evidence)
-            assert _status(cluster.net) == cluster.status == expected
+            assert cluster.status == expected
         assert [(c.evidence_id, c.new_status) for c in store.change_log] == [
             ("ev-1", "corroborated"), ("ev-2", "tentative"), ("ev-3", "refuted"), ("ev-4", "tentative"),
         ]

@@ -425,6 +425,42 @@ class TestConfigValidation:
 
 
 class TestRunnerIntegration:
+    def test_a_late_re_formed_cluster_counts_once(self, tmp_path):
+        """Three late posts re-open a closed hour window and form its
+        cluster again, which replaces the first one: the summary counts the
+        clusters ``clusters.json`` holds."""
+        madrid = "corona outbreak in madrid"
+        archive = tmp_path / "archive.jsonl"
+        _write_archive(archive, [
+            (1, 600, madrid, "twitter"), (2, 1200, madrid, "twitter"), (3, 1800, madrid, "twitter"),
+            (4, 3630, "weather", "twitter"),  # closes hour 0 and its cluster
+            (5, 3540, madrid, "twitter"), (6, 3545, madrid, "twitter"), (7, 3550, madrid, "twitter"),
+            (8, 3900, "weather", "twitter"),  # closes hour 0 again
+        ])
+        result = run_pipeline(parse_config({
+            "archive": str(archive), "out_dir": str(tmp_path / "reports"),
+            "enrichment": {"gazetteer": ["madrid"]},
+        }))
+        clusters = json.loads((result.out_dir / "clusters.json").read_text())
+        assert result.summary["clusters"] == len(clusters) == 1
+
+    def test_a_run_renders_no_day_before_its_reports(self, tmp_path, monkeypatch):
+        """Posts are counted by day index; each day the tables show is
+        rendered once, when the reports are written."""
+        import driftstream.analytics.tables as tables_mod
+        from driftstream.pipeline.runner import PipelineRunner
+
+        rendered, before_reports = [], []
+        day_key, write_reports = tables_mod.day_key, PipelineRunner._write_reports
+        monkeypatch.setattr(tables_mod, "day_key", lambda epoch: rendered.append(epoch) or day_key(epoch))
+        monkeypatch.setattr(
+            PipelineRunner, "_write_reports", lambda self: before_reports.append(len(rendered)) or write_reports(self)
+        )
+        result = run_pipeline(_multiday_config(tmp_path))
+        assert before_reports == [0]
+        days = {line.split(",")[1] for line in (result.out_dir / "region_day.csv").read_text().splitlines()[1:]}
+        assert len(rendered) == len(days) > 1
+
     def test_window_conservation_and_counts(self, tmp_path):
         corpus = _fixture_corpus(tmp_path, minutes=30, rate=50)
         config = parse_config(_base_config(tmp_path, corpus))
