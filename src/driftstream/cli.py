@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from collections import Counter
@@ -20,7 +21,7 @@ from pathlib import Path
 # own modules, so a short replay job does not load the pipeline.
 from .core.log import DurableLog, LogAppendError
 from .core.records import encode_post_record
-from .sources.archive import Speed, parse_speed, posts_from_archive
+from .sources.archive import posts_from_archive
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -72,7 +73,11 @@ def _cmd_synth(args: argparse.Namespace) -> int:
     except (ValueError, TypeError) as exc:  # SyntheticConfigError is a ValueError
         print(f"synth config error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    corpus = generate_synthetic(config, args.out)
+    try:
+        corpus = generate_synthetic(config, args.out)
+    except OSError as exc:
+        print(f"synth: --out: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
     print(
         json.dumps(
             {
@@ -99,13 +104,19 @@ def _cmd_replay(args: argparse.Namespace) -> int:
         except OSError as exc:
             print(f"replay: --out: {exc}", file=sys.stderr)
             return EXIT_VALIDATION
-    # Paced, each record is committed before the pause ahead of the next post.
-    limit = REPLAY_BATCH if args.speed == "max" else 1
+    # Paced, the pause before a post is its event-time gap from the previous
+    # post over the speed, and each record is committed before that pause.
+    paced = args.speed != "max"
+    limit = 1 if paced else REPLAY_BATCH
     batch: list[bytes] = []
     records = appended = 0  # posts read, records acked by the log
+    previous = math.inf  # the event time of the post before; none before the first
     rejections: Counter = Counter()
     try:
-        for post in posts_from_archive(args.archive, rejections, args.speed):
+        for post in posts_from_archive(args.archive, rejections):
+            if paced and post.created_at > previous:
+                time.sleep((post.created_at - previous) / args.speed)
+            previous = post.created_at
             records += 1
             if log is None:
                 continue
@@ -140,10 +151,10 @@ def _cmd_report(args: argparse.Namespace) -> int:
         for post in posts_from_archive(args.archive):
             if not is_blank(post):  # run discards these too
                 counts.add(post)
+        paths = emit_report(counts.as_tables(("month", "language")), [], args.out)
     except OSError as exc:
         print(f"report: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    paths = emit_report(counts.as_tables(("month", "language")), [], args.out)
     for path in paths:
         print(path)
     return EXIT_OK
@@ -189,21 +200,28 @@ def _cmd_keywords(args: argparse.Namespace) -> int:
 
 def _cmd_clusters(args: argparse.Namespace) -> int:
     path = Path(args.report_dir) / "clusters.json"
-    if not path.is_file():
+    try:
+        clusters = json.loads(path.read_text())
+    except OSError:  # missing, a directory, or a name the OS refuses
         print(f"no cluster export at {path}", file=sys.stderr)
         return EXIT_VALIDATION
-    clusters = json.loads(path.read_text())
     if args.status:
         clusters = [c for c in clusters if c["status"] == args.status]
     print(json.dumps(clusters, indent=2, sort_keys=True))
     return EXIT_OK
 
 
-def _speed_arg(value: str) -> Speed:
+def _speed_arg(value: str) -> float | str:
+    """``replay --speed``: ``"max"``, or a positive multiple of event time."""
+    if value == "max":
+        return value
     try:
-        return parse_speed(value)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
+        speed = float(value)
+    except ValueError:
+        speed = 0.0
+    if not speed > 0:  # also rejects NaN
+        raise argparse.ArgumentTypeError(f"must be a positive number or 'max', got {value!r}")
+    return speed
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -12,9 +12,12 @@ from __future__ import annotations
 import json
 import re
 from pathlib import Path
-from typing import Iterable, Optional
+from typing import TYPE_CHECKING, Iterable, Optional
 
 from ..keywords import DEFAULT_STOPWORDS, NO_TAGS, normalize_term
+
+if TYPE_CHECKING:  # pipeline.config imports this module
+    from ..pipeline.config import MisinfoSource
 
 DEFAULT_MISINFO_SEEDS = ("bioweapon", "plandemic")
 
@@ -115,7 +118,7 @@ def extract_misinfo_terms(document: str, sections: tuple[str, ...] = ("conspirac
     return terms
 
 
-def refresh_misinfo_keywords(sources: Iterable[dict], keyword_set: MisinfoKeywordSet) -> list[str]:
+def refresh_misinfo_keywords(sources: Iterable[MisinfoSource], keyword_set: MisinfoKeywordSet) -> list[str]:
     """Read every source into ``keyword_set``; returns the newly added terms (sorted).
 
     A source that cannot be read or parsed, and a term that is blank or not a
@@ -123,9 +126,8 @@ def refresh_misinfo_keywords(sources: Iterable[dict], keyword_set: MisinfoKeywor
     set is always retained. A run calls this once, before its first post.
     """
     added: list[str] = []
-    for descriptor in sources:
-        path = str(descriptor["path"])
-        kind = descriptor.get("kind", "terms_file")
+    for source in sources:
+        path = source.path
         try:
             text = Path(path).read_text(encoding="utf-8")
         except OSError as exc:
@@ -134,7 +136,7 @@ def refresh_misinfo_keywords(sources: Iterable[dict], keyword_set: MisinfoKeywor
         except UnicodeDecodeError:
             keyword_set.skipped[(path, None)] = "not UTF-8"
             continue
-        if kind == "terms_file":
+        if source.kind == "terms_file":
             try:
                 terms = json.loads(text).get("terms", [])
             except (json.JSONDecodeError, AttributeError):
@@ -142,11 +144,8 @@ def refresh_misinfo_keywords(sources: Iterable[dict], keyword_set: MisinfoKeywor
             if not isinstance(terms, list):
                 keyword_set.skipped[(path, None)] = 'not a JSON object with a "terms" list'
                 continue
-        elif kind == "headlines":
-            terms = extract_misinfo_terms(text, tuple(descriptor.get("sections", ("conspiracy",))))
-        else:
-            keyword_set.skipped[(path, None)] = f"unknown kind {kind!r}"
-            continue
+        else:  # "headlines"
+            terms = extract_misinfo_terms(text, source.sections)
         for index, term in enumerate(terms):
             if not isinstance(term, str):
                 keyword_set.skipped[(path, index)] = f"not a string: {json.dumps(term)}"

@@ -9,6 +9,10 @@ anything is checked, so every value passes the same checks. Validation
 reports every broken setting at once, by name, instead of dying on the
 first. Keys the file sets that no setting declares, such as the retired
 ``speed``, are ignored.
+
+Every input file of a run is such a setting: the required ``archive``, the
+two feeds, and each entry of ``misinfo.sources``, a ``MisinfoSource``
+record whose fields are declared the same way.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, field, fields, is_dataclass
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from functools import partial
 from pathlib import Path
 from typing import Any, Callable, Optional
@@ -50,6 +54,8 @@ class ConfigError(ValueError):
 
 def _number(value) -> float:
     try:
+        if isinstance(value, bool):  # true and YAML's yes would read as 1
+            raise TypeError
         return float(value)
     except (TypeError, ValueError, OverflowError):  # OverflowError: an int beyond every float
         raise ValueError(f"must be a number, got {value!r}") from None
@@ -65,8 +71,8 @@ def _finite(value) -> float:
 
 
 def _whole(value) -> int:
-    """An int, an integral float, or a string of either."""
-    if isinstance(value, int):
+    """An int, an integral float, or a string of either; not a bool."""
+    if isinstance(value, int) and not isinstance(value, bool):
         return int(value)
     number = _number(value)
     if not number.is_integer():
@@ -117,15 +123,18 @@ def _file(value) -> str:
 
 def _setting(
     key: str,
-    default: Any = None,
+    default: Any = MISSING,
     convert: Callable[[Any], Any] = str,
     unit: Optional[float] = None,
     gt: Optional[float] = None,
     ge: Optional[float] = None,
 ):
     """The one declaration of a setting: its ``key`` in the file, its
-    ``default`` in file units, the ``unit`` (seconds) a file value is scaled
-    by, the converter of a file value, and its range (``> gt``, ``>= ge``)."""
+    ``default`` in file units (none: the setting is required, and an unset
+    or empty value is refused), the ``unit`` (seconds) a file value is
+    scaled by, the converter of a file value, and its range (``> gt``,
+    ``>= ge``). A dataclass as the converter makes the setting a list of
+    mappings, each read into one such record."""
     return field(
         default=default if unit is None else default * unit,
         metadata={"key": key, "convert": convert, "unit": unit, "gt": gt, "ge": ge},
@@ -169,9 +178,19 @@ class EnrichmentConfig:
 
 
 @dataclass
+class MisinfoSource:
+    """One file of misinformation terms: a JSON ``{"terms": [...]}``, or a
+    document whose headlines in ``sections`` are distilled into phrases."""
+
+    path: str = _setting("path", convert=_file)
+    kind: str = _setting("kind", "terms_file", _one_of("terms_file", "headlines"))
+    sections: tuple[str, ...] = _setting("sections", ("conspiracy",), _strings)
+
+
+@dataclass
 class MisinfoConfig:
     seeds: tuple[str, ...] = _setting("seeds", DEFAULT_MISINFO_SEEDS, _strings)
-    sources: tuple[dict, ...] = ()  # read by parse_config itself
+    sources: tuple[MisinfoSource, ...] = _setting("sources", (), MisinfoSource)
     window: float = _setting("window_seconds", 60.0, _finite, gt=0)
     # every score is >= 0, so a threshold <= 0 would flag every trending term
     piggyback_threshold: float = _setting("piggyback_threshold", 0.7, _number, gt=0)
@@ -188,7 +207,7 @@ class ClusterConfig:
 
 @dataclass
 class PipelineConfig:
-    archive: str
+    archive: str = _setting("archive", convert=_file)
     out_dir: str = _setting("out_dir", "reports")
     until: Optional[float] = _setting("until", None, timestamp)
     keywords: KeywordConfig = field(default_factory=KeywordConfig)
@@ -224,16 +243,35 @@ def parse_config(
             return None
 
     def existing(value) -> str:
-        path = Path(str(value))
-        path = path if path.is_absolute() else base / path
-        if not path.is_file():
+        path = base / str(value)  # an absolute value replaces base
+        try:
+            found = path.is_file()
+        except OSError as exc:  # a name the OS refuses, such as one too long
+            raise ValueError(f"unusable path ({exc.strerror}): {path}") from None
+        if not found:
             raise ValueError(f"file not found: {path}")
         return str(path)
+
+    def records(cls, name: str, items) -> tuple:
+        """Each mapping of the list ``items`` read into a ``cls``; a broken
+        one is reported by its index."""
+        if not isinstance(items, (list, tuple)):
+            raise ValueError(f"must be a list of mappings, got {items!r}")
+        read_items = []
+        for i, item in enumerate(items):
+            if not isinstance(item, dict):
+                errors.append(f"{name}[{i}]: must be a mapping, got {item!r}")
+                continue
+            values = read(cls, item, f"{name}[{i}].")
+            if not errors:  # else parse_config raises, and builds no record
+                read_items.append(cls(**values))
+        return tuple(read_items)
 
     def read(cls, raw: dict, prefix: str = "") -> dict:
         """The declared settings of ``cls`` that ``raw`` sets, each read as
         declared; a section is read into its own dataclass. A broken
-        setting is reported by name and its default stands."""
+        setting is reported by name and its default stands; a required one
+        that is unset or empty is reported as required."""
         values = {}
         for f in fields(cls):
             if is_dataclass(f.default_factory):
@@ -242,19 +280,22 @@ def parse_config(
                     errors.append(f"{f.name}: must be a mapping, got {section!r}")
                     section = {}
                 values[f.name] = f.default_factory(**read(f.default_factory, section, f"{f.name}."))
-            elif "key" in f.metadata and raw.get(f.metadata["key"]) is not None:
+            elif "key" in f.metadata:
                 spec = f.metadata
-                reader = existing if spec["convert"] is _file else partial(_value, spec)
-                value = checked(prefix + spec["key"], reader, raw[spec["key"]])
-                if value is not None:
-                    values[f.name] = value
+                name, value = prefix + spec["key"], raw.get(spec["key"])
+                if f.default is MISSING and not value:
+                    errors.append(f"{name}: required")
+                elif value is not None:
+                    if spec["convert"] is _file:
+                        reader = existing
+                    elif is_dataclass(spec["convert"]):
+                        reader = partial(records, spec["convert"], name)
+                    else:
+                        reader = partial(_value, spec)
+                    value = checked(name, reader, value)
+                    if value is not None:
+                        values[f.name] = value
         return values
-
-    archive = data.get("archive")
-    if not archive:
-        errors.append("archive: required")
-    else:
-        archive = checked("archive", existing, archive)
 
     values = read(PipelineConfig, data)
 
@@ -274,34 +315,9 @@ def parse_config(
     if not (drift.window > 0 and drift.slide > 0 and drift.window % drift.slide == 0):  # also rejects NaN
         errors.append("drift: window_minutes must be a positive multiple of slide_minutes")
 
-    misinfo = data.get("misinfo")
-    sources = misinfo.get("sources") if isinstance(misinfo, dict) else None
-    if sources is None:
-        sources = []
-    elif not isinstance(sources, (list, tuple)):
-        errors.append(f"misinfo.sources: must be a list of mappings, got {sources!r}")
-        sources = []
-    descriptors = []
-    for i, src in enumerate(sources):
-        name = f"misinfo.sources[{i}]"
-        if not isinstance(src, dict):
-            errors.append(f"{name}: must be a mapping, got {src!r}")
-            continue
-        src = dict(src)
-        checked(f"{name}.kind", _one_of("terms_file", "headlines"), src.get("kind", "terms_file"))
-        if not src.get("path"):
-            errors.append(f"{name}.path: required")
-        else:
-            src["path"] = checked(f"{name}.path", existing, src["path"])
-        sections = src.pop("sections", None)
-        if sections is not None:
-            src["sections"] = checked(f"{name}.sections", _strings, sections)
-        descriptors.append(src)
-    values["misinfo"].sources = tuple(descriptors)
-
     if errors:
         raise ConfigError(errors)
-    return PipelineConfig(archive=archive, **values)
+    return PipelineConfig(**values)
 
 
 def read_document(path: Path):

@@ -31,6 +31,7 @@ from driftstream.enrich.topics import DEFAULT_GROUP_LEXICONS
 from driftstream.keywords import TOKEN_RE, KeywordSet, RecentMatches, match_keywords
 from driftstream.misinfo.keywords import MisinfoKeywordSet, refresh_misinfo_keywords
 from driftstream.misinfo.tagging import AuthoritativeSourceList, tag_misinformation_window
+from driftstream.pipeline.config import MisinfoSource
 from driftstream.timeutil import DAY
 
 import lexicon_oracle as oracle
@@ -326,7 +327,7 @@ def test_refreshed_misinfo_term_tags_the_next_window(tmp_path):
 
     feed = tmp_path / "terms.json"
     feed.write_text(json.dumps({"terms": ["bleach"]}))
-    assert refresh_misinfo_keywords([{"path": str(feed)}], keyword_set) == ["bleach"]
+    assert refresh_misinfo_keywords([MisinfoSource(str(feed))], keyword_set) == ["bleach"]
 
     second = [make_enriched(post_id=2, text="drink bleach now", created_at=T0 + 60)]
     tagged, after = tag_misinformation_window(second, keyword_set)

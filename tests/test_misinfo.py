@@ -18,6 +18,7 @@ from driftstream.misinfo.keywords import (
     refresh_misinfo_keywords,
 )
 from driftstream.misinfo.piggyback import detect_piggyback
+from driftstream.pipeline.config import MisinfoSource
 from driftstream.enrich.clean import clean_post
 from driftstream.misinfo.tagging import (
     AuthoritativeSourceList,
@@ -54,7 +55,7 @@ class TestRefresh:
         src = tmp_path / "terms.json"
         src.write_text(json.dumps({"terms": ["bleach"]}))
         keyword_set = MisinfoKeywordSet()
-        added = refresh_misinfo_keywords([{"kind": "terms_file", "path": str(src)}], keyword_set)
+        added = refresh_misinfo_keywords([MisinfoSource(str(src))], keyword_set)
         assert added == ["bleach"]
         assert "bleach" in keyword_set
 
@@ -62,14 +63,14 @@ class TestRefresh:
         src = tmp_path / "terms.json"
         src.write_text(json.dumps({"terms": ["bleach"]}))
         keyword_set = MisinfoKeywordSet()
-        sources = [{"kind": "terms_file", "path": str(src)}]
+        sources = [MisinfoSource(str(src))]
         refresh_misinfo_keywords(sources, keyword_set)
         assert refresh_misinfo_keywords(sources, keyword_set) == []
 
     def test_unreadable_source_skipped_and_counted(self, tmp_path):
         keyword_set = MisinfoKeywordSet()
         added = refresh_misinfo_keywords(
-            [{"kind": "terms_file", "path": str(tmp_path / "missing.json")}],
+            [MisinfoSource(str(tmp_path / "missing.json"))],
             keyword_set,
         )
         assert added == []
@@ -80,7 +81,7 @@ class TestRefresh:
         src = tmp_path / "terms.json"
         src.write_text(json.dumps({"terms": ["", "bleach", "  ", None, 5]}))
         keyword_set = MisinfoKeywordSet()
-        added = refresh_misinfo_keywords([{"kind": "terms_file", "path": str(src)}], keyword_set)
+        added = refresh_misinfo_keywords([MisinfoSource(str(src))], keyword_set)
         assert added == ["bleach"]
         assert keyword_set.skipped == {
             (str(src), 0): "blank term",
@@ -104,7 +105,7 @@ class TestRefresh:
         src = tmp_path / "terms.json"
         src.write_bytes(content)
         keyword_set = MisinfoKeywordSet()
-        sources = [{"kind": "terms_file", "path": str(src)}]
+        sources = [MisinfoSource(str(src))]
         for _ in range(2):  # a source skipped at every refresh is recorded once
             assert refresh_misinfo_keywords(sources, keyword_set) == []
         assert keyword_set.skipped == {(str(src), None): reason}
@@ -115,7 +116,7 @@ class TestRefresh:
         src.write_text(HEADLINE_DOC)
         keyword_set = MisinfoKeywordSet(seeds=())
         added = refresh_misinfo_keywords(
-            [{"kind": "headlines", "path": str(src), "sections": ["conspiracy"]}],
+            [MisinfoSource(str(src), kind="headlines", sections=("conspiracy",))],
             keyword_set,
         )
         # manual parse of the fixture, one phrase per conspiracy headline
@@ -303,7 +304,7 @@ class TestWindowTagging:
         _, before = tag_misinformation_window(posts, keyword_set)
         src = tmp_path / "terms.json"
         src.write_text(json.dumps({"terms": ["bleach"]}))
-        refresh_misinfo_keywords([{"kind": "terms_file", "path": str(src)}], keyword_set)
+        refresh_misinfo_keywords([MisinfoSource(str(src))], keyword_set)
         _, after = tag_misinformation_window(posts, keyword_set)
         assert after.tagged >= before.tagged
         assert after.tagged == 2

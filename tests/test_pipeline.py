@@ -12,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from driftstream.cli import main
-from driftstream.pipeline.config import ConfigError, load_config, parse_config
+from driftstream.pipeline.config import ConfigError, PipelineConfig, load_config, parse_config
 from driftstream.pipeline.runner import run_pipeline
 from driftstream.sources.synthetic import (
     DriftTermSchedule,
@@ -24,6 +24,23 @@ from driftstream.timeutil import format_timestamp, parse_timestamp
 T0 = parse_timestamp("2020-03-01T00:00:00Z")
 
 GAZETTEER = ["california", "new york", "hubei", "lombardy", "sturgis", "madrid"]
+
+NUMERIC_SETTINGS = [
+    "keywords.retweet_ttl_hours",
+    "drift.window_minutes",
+    "drift.slide_minutes",
+    "drift.min_count",
+    "drift.min_score",
+    "drift.trending_k",
+    "enrichment.location_cache_ttl_days",
+    "misinfo.window_seconds",
+    "misinfo.piggyback_threshold",
+    "clusters.window_minutes",
+    "clusters.min_size",
+    "clusters.lag_tolerance_days",
+    "clusters.eta",
+    "max_lag_days",
+]
 
 
 def _fixture_corpus(tmp_path, seed=2020, minutes=45, rate=60, drift=True):
@@ -373,7 +390,7 @@ class TestConfigValidation:
         path.write_text(yaml.safe_dump(data))
         config = load_config(path)
         assert config.enrichment.gazetteer == tuple(GAZETTEER)
-        assert config.misinfo.sources[0]["sections"] == ("rumours",)
+        assert config.misinfo.sources[0].sections == ("rumours",)
         # "plandemic" is a seed already, so only "microchip vaccine" is new
         assert run_pipeline(config).summary["misinfo_terms_added"] == 1
 
@@ -422,6 +439,93 @@ class TestConfigValidation:
         path.write_text(yaml.safe_dump(_base_config(tmp_path, corpus)))
         config = load_config(path)
         assert config.archive == str(corpus.archive_path)
+
+    @pytest.mark.parametrize("setting", NUMERIC_SETTINGS)
+    def test_a_boolean_number_named_with_exit_2(self, tmp_path, capsys, setting):
+        """A bool is no number: ``clusters.min_size: true`` loaded as 1,
+        ``max_lag_days: true`` as 1 and ``keywords.retweet_ttl_hours: true``
+        as 3600 s, and YAML's ``yes`` alike. Each exits 2 with one line
+        naming the setting, from a JSON and from a YAML config."""
+        archive = tmp_path / "a.jsonl"
+        archive.write_text("")
+        section, _, key = setting.rpartition(".")
+        data = {"archive": str(archive), "out_dir": str(tmp_path / "reports")}
+        (data.setdefault(section, {}) if section else data)[key] = True
+        as_json = tmp_path / "bool.json"
+        as_json.write_text(json.dumps(data))
+        as_yaml = tmp_path / "bool.yaml"
+        yes = f"{section}:\n  {key}: yes\n" if section else f"{key}: yes\n"
+        as_yaml.write_text(f"archive: {json.dumps(str(archive))}\nout_dir: {json.dumps(data['out_dir'])}\n{yes}")
+        for path in (as_json, as_yaml):
+            assert main(["run", "--config", str(path)]) == 2
+            assert capsys.readouterr().err.splitlines() == [f"config error: {setting}: must be a number, got True"]
+        assert not (tmp_path / "reports").exists()
+
+
+def _declared_keys(cls) -> dict:
+    """The file keys ``cls`` declares: None for a value, a dict of the keys
+    of a section, and a one-item list of a record's keys for a list of records."""
+    from dataclasses import fields, is_dataclass
+
+    keys = {}
+    for f in fields(cls):
+        if is_dataclass(f.default_factory):
+            keys[f.name] = _declared_keys(f.default_factory)
+        elif "key" in f.metadata:
+            convert = f.metadata["convert"]
+            keys[f.metadata["key"]] = [_declared_keys(convert)] if is_dataclass(convert) else None
+    return keys
+
+
+# A file that exists, so that a path setting is sometimes valid.
+EXISTING_FILE = os.path.abspath(__file__)
+
+FUZZ_VALUES = st.recursive(
+    st.one_of(
+        st.booleans(),
+        st.none(),
+        st.sampled_from([10**400, -(10**400), math.nan, math.inf, -math.inf, "", "x" * 300, EXISTING_FILE]),
+        st.integers(-3, 100),
+        st.floats(),
+        st.text(max_size=8),
+    ),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=8), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def _fuzz_mapping(keys: dict):
+    """Mappings that set up to three of ``keys``, each to a value of its
+    shape or to any other."""
+
+    def at(sub):
+        if sub is None:
+            return FUZZ_VALUES
+        if isinstance(sub, list):
+            return st.lists(_fuzz_mapping(sub[0]) | FUZZ_VALUES, max_size=3) | FUZZ_VALUES
+        return _fuzz_mapping(sub) | FUZZ_VALUES
+
+    entry = st.sampled_from(sorted(keys)).flatmap(lambda key: st.tuples(st.just(key), at(keys[key])))
+    return st.lists(entry, max_size=3).map(dict)
+
+
+class TestConfigFuzz:
+    @settings(max_examples=300, deadline=None)
+    @given(_fuzz_mapping(_declared_keys(PipelineConfig)))
+    @example({"archive": "x" * 300})
+    @example({"case_feed": "x" * 300})
+    @example({"misinfo": {"sources": [{"path": "x" * 300}]}})
+    def test_any_mapping_loads_or_is_refused_by_name(self, data):
+        """At every declared key, ``misinfo.sources`` records included, a
+        bool, an int past every float, NaN, an infinity, an empty or a
+        300-character string, or a nested list or mapping gives a
+        PipelineConfig or a ConfigError, and no other exception: a path
+        the OS refuses (too long a name) once ended in an ``OSError``."""
+        try:
+            # over a valid archive, so that the other settings decide
+            assert isinstance(parse_config({"archive": EXISTING_FILE, **data}), PipelineConfig)
+        except ConfigError as exc:
+            assert exc.errors
 
 
 class TestRunnerIntegration:
@@ -880,7 +984,7 @@ class TestIngestTagging:
         import tempfile
         from pathlib import Path
 
-        from driftstream.pipeline.config import MisinfoConfig, PipelineConfig
+        from driftstream.pipeline.config import MisinfoConfig, MisinfoSource, PipelineConfig
         from driftstream.pipeline.runner import PipelineRunner
 
         with tempfile.TemporaryDirectory() as tmp:
@@ -895,7 +999,7 @@ class TestIngestTagging:
                 out_dir=str(Path(tmp) / "reports"),
                 misinfo=MisinfoConfig(
                     seeds=("plandemic",),
-                    sources=({"kind": "terms_file", "path": str(terms)},),
+                    sources=(MisinfoSource(str(terms)),),
                     window=window,
                     tombstones=("microchip",),
                 ),
@@ -1761,7 +1865,7 @@ class TestCli:
         "argv, named",
         [
             pytest.param(["replay", "--archive", "a.jsonl", "--speed", speed], "--speed", id=f"{speed}-replay")
-            for speed in ("abc", "0", "-2")
+            for speed in ("abc", "0", "-2", "nan")
         ]
         # argparse refuses an action other than ``show`` before the handler runs
         + [pytest.param(["keywords", "bogus"], "'bogus'", id="keywords-bogus")],
@@ -1771,6 +1875,42 @@ class TestCli:
             main(argv)
         assert exit_info.value.code == 2
         assert named in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "where",
+        ["archive", "case_feed", "evidence_feed", "misinfo.sources[0].path", "clusters", "report --out", "synth --out"],
+    )
+    def test_a_path_the_os_refuses_is_one_line_with_exit_2(self, tmp_path, capsys, where):
+        """A 300-character file name, longer than a file system takes, ended
+        in an ``OSError`` traceback (exit 1) in ``run`` for each input file
+        of its config, in ``clusters`` and in ``report --out`` and ``synth
+        --out``. Each now exits 2 with one line, as ``replay --out`` does;
+        ``run`` names the setting."""
+        long = str(tmp_path / ("x" * 300))
+        archive = tmp_path / "a.jsonl"
+        _write_archive(archive, [(1, 0, "corona news", "twitter")])
+        if where == "clusters":
+            argv = ["clusters", long]
+        elif where == "report --out":
+            argv = ["report", "--archive", str(archive), "--out", long]
+        elif where == "synth --out":
+            synth = tmp_path / "synth.json"
+            synth.write_text(json.dumps({"seed": 1, "duration_minutes": 1}))
+            argv = ["synth", "--config", str(synth), "--out", long]
+        else:
+            data = {"archive": str(archive), "out_dir": str(tmp_path / "reports")}
+            if where.startswith("misinfo."):
+                data["misinfo"] = {"sources": [{"path": long}]}
+            else:
+                data[where] = long
+            config = tmp_path / "run.json"
+            config.write_text(json.dumps(data))
+            argv = ["run", "--config", str(config)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        if argv[0] == "run":
+            assert err[0].startswith(f"config error: {where}: ")
 
     @pytest.mark.parametrize("speed", ["max", "2", "abc", "0"])
     def test_run_speed_flag_is_refused(self, capsys, speed):
@@ -1869,8 +2009,8 @@ class TestCli:
         assert [r.payload for r in records] == [p.to_payload() for p in posts[:REPLAY_BATCH]]
 
     def test_paced_replay_commits_each_record_before_the_pause(self, tmp_path, monkeypatch, capsys):
-        """At a numeric speed the pause before a post happens inside
-        ``posts_from_archive``; every post it has yielded is durable by then."""
+        """At a numeric speed ``replay`` pauses before a post once it has
+        read it; every post read before that one is durable by then."""
         import driftstream.cli as cli
         import driftstream.sources.archive as archive
         from driftstream.core.log import DurableLog
@@ -1893,7 +2033,7 @@ class TestCli:
 
         monkeypatch.setattr(DurableLog, "append_many", append_many)
         monkeypatch.setattr(cli, "posts_from_archive", counted)
-        monkeypatch.setattr(archive.time, "sleep", lambda seconds: pauses.append((yielded, committed)))
+        monkeypatch.setattr(cli.time, "sleep", lambda seconds: pauses.append((yielded - 1, committed)))
         corpus = _fixture_corpus(tmp_path, minutes=2, rate=20)
         out = tmp_path / "log"
         assert main(["replay", "--archive", str(corpus.archive_path), "--speed", "60", "--out", str(out)]) == 0
@@ -1911,7 +2051,6 @@ class TestCli:
         fractional timestamps, strings JSON escapes and malformed lines."""
         import time
 
-        import driftstream.sources.archive as archive
         from driftstream.cli import REPLAY_BATCH
         from driftstream.core.log import DurableLog
         from driftstream.core.records import StreamRecord
@@ -1937,7 +2076,7 @@ class TestCli:
 
         now = 1583020800.625
         monkeypatch.setattr(time, "time", lambda: now)
-        monkeypatch.setattr(archive.time, "sleep", lambda seconds: None)
+        monkeypatch.setattr(time, "sleep", lambda seconds: None)
         out = tmp_path / "log"
         assert main(["replay", "--archive", str(path), "--speed", speed, "--out", str(out)]) == 0
         assert json.loads(capsys.readouterr().out)["records_out"] == len(posts)

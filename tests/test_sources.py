@@ -11,10 +11,10 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from driftstream import cli
 from driftstream.cli import main
 from driftstream.core.log import DurableLog
 from driftstream.core.records import decode_json
-from driftstream.sources import archive as archive_module
 from driftstream.sources.posts import Post, Rejection, parse_post
 from driftstream.sources.archive import posts_from_archive
 from driftstream.sources.synthetic import (
@@ -520,7 +520,7 @@ class TestReplayArchive:
         ]
         archive.write_text("\n".join(lines) + "\n")
         rejections = Counter()
-        posts = list(posts_from_archive(archive, rejections, speed="max"))
+        posts = list(posts_from_archive(archive, rejections))
         assert [p.id for p in posts] == [1233829273691049984, 2]
         assert rejections == {"empty": 1, "bad_json": 1}
 
@@ -542,13 +542,6 @@ class TestReplayArchive:
         with pytest.raises(FileNotFoundError):
             list(posts_from_archive(tmp_path / "nope.jsonl"))
 
-    def test_bad_speed_rejected(self, tmp_path):
-        archive = tmp_path / "a.jsonl"
-        archive.write_text("\n")
-        for speed in (0, -2, "abc", float("nan")):
-            with pytest.raises(ValueError):
-                list(posts_from_archive(archive, speed=speed))
-
     def test_emitted_count_matches_offline_parse_oracle(self, tmp_path):
         corpus = generate_synthetic(
             SyntheticConfig(seed=21, duration_minutes=90, base_rate_per_minute=110),
@@ -561,7 +554,7 @@ class TestReplayArchive:
                     oracle += 1
         assert sum(1 for _ in posts_from_archive(corpus.archive_path)) == oracle == corpus.post_count
 
-    def test_pacing_sleeps_event_gap_over_speed(self, tmp_path, monkeypatch):
+    def test_pacing_sleeps_event_gap_over_speed(self, tmp_path, monkeypatch, capsys):
         archive = tmp_path / "a.jsonl"
         archive.write_text(
             "\n".join(
@@ -571,11 +564,13 @@ class TestReplayArchive:
             + "\n"
         )
         sleeps: list[float] = []
-        monkeypatch.setattr(archive_module.time, "sleep", sleeps.append)
-        assert len(list(posts_from_archive(archive, speed=2))) == 4
+        monkeypatch.setattr(cli.time, "sleep", sleeps.append)
+        assert main(["replay", "--archive", str(archive), "--speed", "2"]) == 0
+        assert json.loads(capsys.readouterr().out)["records_in"] == 4
         assert sleeps == [5.0, 5.0, 5.0]
         sleeps.clear()
-        assert len(list(posts_from_archive(archive, speed="max"))) == 4
+        assert main(["replay", "--archive", str(archive), "--speed", "max"]) == 0
+        assert json.loads(capsys.readouterr().out)["records_in"] == 4
         assert sleeps == []
 
 
