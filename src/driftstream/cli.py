@@ -27,9 +27,11 @@ EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_RUNTIME = 3
 
-# Records per group commit in `replay --out`: one fsync acknowledges a batch,
-# and the batch is all the replay holds in memory.
-REPLAY_BATCH = 256
+# Encoded body bytes per group commit in `replay --out`: one fsync acknowledges
+# a batch, and the batch is all the replay holds in memory. At about 240 bytes
+# a post, 1 MiB is some 4,300 records, so the parse and encode time of a batch
+# dwarfs even a slow disk's fsync.
+REPLAY_BATCH_BYTES = 1 << 20
 
 
 def _load_config(path: str, flags: dict | None = None):
@@ -105,10 +107,12 @@ def _cmd_replay(args: argparse.Namespace) -> int:
             print(f"replay: --out: {exc}", file=sys.stderr)
             return EXIT_VALIDATION
     # Paced, the pause before a post is its event-time gap from the previous
-    # post over the speed, and each record is committed before that pause.
+    # post over the speed, and each record is committed before that pause: a
+    # budget of one byte commits every record, as no body is empty.
     paced = args.speed != "max"
-    limit = 1 if paced else REPLAY_BATCH
+    budget = 1 if paced else REPLAY_BATCH_BYTES
     batch: list[bytes] = []
+    batch_bytes = 0  # encoded body bytes in batch
     records = appended = 0  # posts read, records acked by the log
     previous = math.inf  # the event time of the post before; none before the first
     rejections: Counter = Counter()
@@ -120,10 +124,12 @@ def _cmd_replay(args: argparse.Namespace) -> int:
             records += 1
             if log is None:
                 continue
-            batch.append(encode_post_record(post, time.time()))
-            if len(batch) == limit:
+            body = encode_post_record(post, time.time())
+            batch.append(body)
+            batch_bytes += len(body)
+            if batch_bytes >= budget:
                 appended += len(log.append_many(batch))
-                batch = []
+                batch, batch_bytes = [], 0
         if log is not None:
             appended += len(log.append_many(batch))
     except LogAppendError as exc:
@@ -201,9 +207,14 @@ def _cmd_keywords(args: argparse.Namespace) -> int:
 def _cmd_clusters(args: argparse.Namespace) -> int:
     path = Path(args.report_dir) / "clusters.json"
     try:
-        clusters = json.loads(path.read_text())
+        clusters = json.loads(path.read_bytes())
+        if not isinstance(clusters, list) or not all(isinstance(c, dict) and "status" in c for c in clusters):
+            raise ValueError("not a list of clusters, each with a status")
     except OSError:  # missing, a directory, or a name the OS refuses
         print(f"no cluster export at {path}", file=sys.stderr)
+        return EXIT_VALIDATION
+    except (ValueError, RecursionError) as exc:  # not JSON, not UTF-8, or not clusters
+        print(f"{path}: not a cluster export: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     if args.status:
         clusters = [c for c in clusters if c["status"] == args.status]

@@ -6,10 +6,10 @@ arbitrary offset. Records are length-prefixed and checksummed; recovery
 truncates a torn tail back to the last valid record, so a replay never
 surfaces a corrupt or partial record.
 
-Appends are group-committed: ``append_many`` writes a batch's frames with
-one write per segment, flushes and fsyncs each such segment once, and only
-then returns the batch's offsets. The returned offsets are the ack. The
-crash contract:
+Appends are group-committed: ``append_many`` packs a batch's frames into
+one buffer per segment they land in, writes each buffer in one write,
+flushes and fsyncs each such segment once, and only then returns the
+batch's offsets. The returned offsets are the ack. The crash contract:
 
 - acknowledged records always survive;
 - of an unacknowledged batch, at most an in-order prefix of complete frames
@@ -131,52 +131,51 @@ class DurableLog:
     def append_many(self, records: Iterable[StreamRecord | bytes]) -> range:
         """Append ``records`` in order and make them durable; returns their offsets.
 
-        Every body is checked and framed first. The frames are then written
-        with one write per segment they land in, and each such segment is
-        flushed and fsynced (when ``sync``) once, before the offsets are
-        returned, so the returned range is the ack. An empty batch appends
-        nothing and returns the empty range at ``next_offset``. Any I/O
-        failure raises ``LogAppendError``, and so does every later append,
-        until the log is reopened and recovery has rescanned what reached
-        disk.
+        Every body is checked first. The frames are then packed into one
+        buffer per segment they land in, each buffer is written in one
+        write, and each such segment is flushed and fsynced (when ``sync``)
+        once, before the offsets are returned, so the returned range is the
+        ack. An empty batch appends nothing and returns the empty range at
+        ``next_offset``. Any I/O failure raises ``LogAppendError``, and so
+        does every later append, until the log is reopened and recovery has
+        rescanned what reached disk.
 
         A record is a ``StreamRecord`` or its body already encoded: the bytes
         its ``to_bytes`` gives, which ``records.encode_post_record`` writes
         for a post. An empty body, which recovery would read as a torn
         write, raises ``ValueError`` before anything is written.
         """
-        frames = []
-        for record in records:
-            body = record if isinstance(record, bytes) else record.to_bytes()
-            if not body:
-                raise ValueError("an empty record body cannot be told from a torn write")
-            frames.append(FRAME_HEADER.pack(len(body), zlib.crc32(body)) + body)
+        bodies = [record if isinstance(record, bytes) else record.to_bytes() for record in records]
+        if not all(bodies):
+            raise ValueError("an empty record body cannot be told from a torn write")
         with self._lock:
             if self._failed:
                 raise LogAppendError(f"append to {self.path} refused: an earlier append failed")
             first = self.next_offset
-            if not frames:
+            if not bodies:
                 return range(first, first)
-            start = 0  # the first frame of the active segment's run
+            buffer = bytearray()  # the frames of the active segment's run
             positions: list[int] = []  # of the frames in that run
             try:
-                for i, frame in enumerate(frames):
+                for body in bodies:
                     if self._position and self._position >= self.segment_bytes:  # never roll an empty segment
-                        self._commit(frames[start:i], positions)
-                        start, positions = i, []
+                        self._commit(buffer, positions)
+                        buffer, positions = bytearray(), []
                         self._roll()
                     positions.append(self._position)
-                    self._position += len(frame)
-                self._commit(frames[start:], positions)
+                    buffer += FRAME_HEADER.pack(len(body), zlib.crc32(body))
+                    buffer += body
+                    self._position += FRAME_HEADER.size + len(body)
+                self._commit(buffer, positions)
             except OSError as exc:
                 self._failed = True
                 raise LogAppendError(f"append to {self.path} failed: {exc}") from exc
-            return range(first, first + len(frames))
+            return range(first, first + len(bodies))
 
-    def _commit(self, frames: list[bytes], positions: list[int]) -> None:
+    def _commit(self, frames: bytearray, positions: list[int]) -> None:
         """Write ``frames`` to the active segment in one write, make it
         durable, then index the frames at ``positions``."""
-        self._writer.write(b"".join(frames))
+        self._writer.write(frames)
         self._writer.flush()
         if self.sync:
             os.fsync(self._writer.fileno())

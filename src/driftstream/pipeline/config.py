@@ -247,9 +247,9 @@ def parse_config(
         try:
             found = path.is_file()
         except OSError as exc:  # a name the OS refuses, such as one too long
-            raise ValueError(f"unusable path ({exc.strerror}): {path}") from None
+            raise ValueError(f"unusable path ({exc.strerror}): {str(path)!r}") from None
         if not found:
-            raise ValueError(f"file not found: {path}")
+            raise ValueError(f"file not found: {str(path)!r}")
         return str(path)
 
     def records(cls, name: str, items) -> tuple:

@@ -32,9 +32,9 @@ def _record(i: int) -> StreamRecord:
     return StreamRecord(payload={"i": i, "text": f"record-{i}"}, event_time=float(i))
 
 
-def _frame_bytes(record: StreamRecord) -> bytes:
+def _frame_bytes(record: StreamRecord | bytes) -> bytes:
     # independent framing oracle: length + crc32 header, then the body
-    body = record.to_bytes()
+    body = record if isinstance(record, bytes) else record.to_bytes()
     return struct.pack("<II", len(body), zlib.crc32(body)) + body
 
 
@@ -463,6 +463,115 @@ def test_empty_batch_appends_nothing(tmp_path, monkeypatch):
     assert (fsyncs.files, fsyncs.dirs) == ([], 0)
     log.close()
     assert next(path.glob("*.seg")).stat().st_size == size
+
+
+@pytest.mark.parametrize("records_per_batch", [None, 64, 7])
+def test_replay_out_makes_one_fsync_per_byte_budget(tmp_path, monkeypatch, records_per_batch):
+    """``replay --out`` commits once its batch holds ``REPLAY_BATCH_BYTES``
+    of bodies: bodies of B bytes in all make ceil(B / REPLAY_BATCH_BYTES)
+    segment fsyncs, and the new log's directory one. Every body here has
+    the same length, and a budget of a whole number of bodies closes each
+    batch at exactly the budget; None keeps the default budget, which the
+    archive does not fill."""
+    import time
+
+    import driftstream.cli as cli
+    from driftstream.timeutil import format_timestamp
+
+    archive = tmp_path / "archive.jsonl"
+    archive.write_text("".join(
+        json.dumps({"id": 100000 + i, "text": "corona news", "created_at": format_timestamp(1583020800 + i)}) + "\n"
+        for i in range(200)
+    ))
+    monkeypatch.setattr(time, "time", lambda: 1583020800.625)
+    body_bytes = len(encode_post_record(Post(100000, 1583020800.0, "corona news"), time.time()))
+    if records_per_batch:
+        monkeypatch.setattr(cli, "REPLAY_BATCH_BYTES", records_per_batch * body_bytes)
+    fsyncs = _FsyncCounter(monkeypatch)
+    out = tmp_path / "log"
+    assert cli.main(["replay", "--archive", str(archive), "--out", str(out)]) == 0
+    with DurableLog(out, sync=False) as log:
+        bodies = [r.to_bytes() for r in log.replay_from(0)]
+    assert {len(body) for body in bodies} == {body_bytes} and len(bodies) == 200
+    total = sum(map(len, bodies))
+    assert total == next(out.glob("*.seg")).stat().st_size - FRAME_HEADER.size * len(bodies)
+    expected = -(-total // cli.REPLAY_BATCH_BYTES)
+    assert expected == (1 if records_per_batch is None else -(-200 // records_per_batch))
+    assert (len(fsyncs.files), fsyncs.dirs) == (expected, 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    batches=st.lists(st.lists(st.text(max_size=120), max_size=10), min_size=1, max_size=5),
+    segment_bytes=st.integers(1, 1500),
+    empty_at=st.integers(0, 10),
+)
+def test_packed_batches_write_the_old_framing(tmp_path_factory, batches, segment_bytes, empty_at):
+    """``append_many`` packs a batch's frames into one buffer per segment
+    run: the segment files are byte-equal to the frames ``header + body``
+    laid out as before, however the bodies are batched and wherever a
+    segment rolls mid-batch; every offset reads back its body; and a batch
+    with an empty body anywhere is refused with no byte written."""
+    path = tmp_path_factory.mktemp("log")
+    bodies = [[StreamRecord({"text": text}, None, float(len(text))).to_bytes() for text in batch] for batch in batches]
+    flat = [body for batch in bodies for body in batch]
+    log = DurableLog(path, segment_bytes=segment_bytes, sync=False)
+    first = 0
+    for batch in bodies:
+        assert log.append_many(batch) == range(first, first + len(batch))
+        first += len(batch)
+    files = {p.name: p.read_bytes() for p in path.iterdir()}
+    assert files == _segments_oracle([_frame_bytes(body) for body in flat], segment_bytes)
+    for offset, body in enumerate(flat):
+        records = log.replay_from(offset)
+        record = next(records)
+        records.close()
+        assert (record.offset, record.to_bytes()) == (offset, body)
+    refused = list(bodies[-1])
+    refused.insert(min(empty_at, len(refused)), b"")
+    with pytest.raises(ValueError):
+        log.append_many(refused)
+    assert log.next_offset == len(flat)
+    log.close()
+    assert {p.name: p.read_bytes() for p in path.iterdir()} == files
+
+
+@settings(max_examples=30, deadline=None)
+@given(acked=st.lists(st.integers(1, 5), max_size=3), cut=st.floats(0, 1, exclude_max=True))
+def test_a_torn_write_inside_one_large_batch_keeps_an_in_order_prefix(tmp_path_factory, acked, cut):
+    """A crash inside a batch as large as ``replay --out`` commits, with
+    the segment cut at any byte of that batch: recovery keeps every record
+    acked before it, then the batch's complete frames in order, and drops
+    the rest."""
+    from driftstream.cli import REPLAY_BATCH_BYTES
+
+    path = tmp_path_factory.mktemp("large") / "log"
+    bodies, held = [], 0
+    while held < REPLAY_BATCH_BYTES:
+        i = len(bodies)
+        bodies.append(encode_post_record(Post(i, 1583020800.0 + i, f"corona news {'x' * (i % 97)}"), 1583020800.625))
+        held += len(bodies[-1])
+    records_acked = [_record(i) for i in range(sum(acked))]
+    with DurableLog(path, sync=False) as log:
+        first = 0
+        for size in acked:
+            log.append_many(records_acked[first:first + size])
+            first += size
+        segment = next(path.glob("*.seg"))
+        batch_start = segment.stat().st_size
+        assert log.append_many(bodies) == range(first, first + len(bodies))
+    data = segment.read_bytes()
+    torn_at = batch_start + int(cut * (len(data) - batch_start))
+    segment.write_bytes(data[:torn_at])
+    complete, end = 0, batch_start
+    while complete < len(bodies) and end + FRAME_HEADER.size + len(bodies[complete]) <= torn_at:
+        end += FRAME_HEADER.size + len(bodies[complete])
+        complete += 1
+    with DurableLog(path, sync=False) as recovered:
+        replayed = list(recovered.replay_from(0))
+        assert recovered.truncated_bytes == torn_at - end
+    assert [r.offset for r in replayed] == list(range(len(records_acked) + complete))
+    assert [r.to_bytes() for r in replayed] == [r.to_bytes() for r in records_acked] + bodies[:complete]
 
 
 class _CountedFile:

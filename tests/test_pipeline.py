@@ -56,6 +56,19 @@ def _fixture_corpus(tmp_path, seed=2020, minutes=45, rate=60, drift=True):
     )
 
 
+def _byte_batches(bodies: list[bytes], budget: int) -> list[int]:
+    """The record counts of the batches ``replay --out`` commits ``bodies``
+    in: a batch closes once its bodies hold ``budget`` bytes, and whatever
+    is left at the end is the last one."""
+    batches, count, held = [], 0, 0
+    for body in bodies:
+        count, held = count + 1, held + len(body)
+        if held >= budget:
+            batches.append(count)
+            count = held = 0
+    return batches + [count] if count else batches
+
+
 def _write_archive(path, posts):
     """An archive of ``(id, seconds after T0, text, channel)`` posts, in the order given."""
     path.write_text("".join(
@@ -515,17 +528,22 @@ class TestConfigFuzz:
     @example({"archive": "x" * 300})
     @example({"case_feed": "x" * 300})
     @example({"misinfo": {"sources": [{"path": "x" * 300}]}})
+    @example({"case_feed": "\n"})
+    @example({"evidence_feed": "a\rb", "misinfo": {"sources": [{"path": "\n", "kind": "\r"}]}})
     def test_any_mapping_loads_or_is_refused_by_name(self, data):
         """At every declared key, ``misinfo.sources`` records included, a
         bool, an int past every float, NaN, an infinity, an empty or a
         300-character string, or a nested list or mapping gives a
         PipelineConfig or a ConfigError, and no other exception: a path
-        the OS refuses (too long a name) once ended in an ``OSError``."""
+        the OS refuses (too long a name) once ended in an ``OSError``.
+        Each error is one line, as ``run`` prints it: a path that holds a
+        line break once broke its error in two."""
         try:
             # over a valid archive, so that the other settings decide
             assert isinstance(parse_config({"archive": EXISTING_FILE, **data}), PipelineConfig)
         except ConfigError as exc:
             assert exc.errors
+            assert not [error for error in exc.errors if "\n" in error or "\r" in error]
 
 
 class TestRunnerIntegration:
@@ -1983,8 +2001,11 @@ class TestCli:
         assert "disk full" in capsys.readouterr().err
 
     def test_replay_second_batch_failure_exits_3_keeping_the_first(self, tmp_path, monkeypatch, capsys):
-        from driftstream.cli import REPLAY_BATCH
+        import time
+
+        import driftstream.cli as cli
         from driftstream.core.log import DurableLog, LogAppendError
+        from driftstream.core.records import StreamRecord
         from driftstream.sources.archive import posts_from_archive
 
         real = DurableLog.append_many
@@ -1997,16 +2018,21 @@ class TestCli:
             return real(self, records)
 
         monkeypatch.setattr(DurableLog, "append_many", fail_second)
+        now = 1583020800.625
+        monkeypatch.setattr(time, "time", lambda: now)
+        budget = 32 * 1024
+        monkeypatch.setattr(cli, "REPLAY_BATCH_BYTES", budget)
         corpus = _fixture_corpus(tmp_path, minutes=10, rate=60)
         posts = list(posts_from_archive(corpus.archive_path))
-        assert len(posts) > 2 * REPLAY_BATCH
+        batches = _byte_batches([StreamRecord(p.to_payload(), None, p.created_at, now).to_bytes() for p in posts], budget)
+        assert len(batches) >= 3
         out = tmp_path / "log"
         assert main(["replay", "--archive", str(corpus.archive_path), "--out", str(out)]) == 3
         assert "disk full" in capsys.readouterr().err
-        assert calls == [REPLAY_BATCH, REPLAY_BATCH]
+        assert calls == batches[:2]
         with DurableLog(out) as log:
             records = list(log.replay_from(0))
-        assert [r.payload for r in records] == [p.to_payload() for p in posts[:REPLAY_BATCH]]
+        assert [r.payload for r in records] == [p.to_payload() for p in posts[:batches[0]]]
 
     def test_paced_replay_commits_each_record_before_the_pause(self, tmp_path, monkeypatch, capsys):
         """At a numeric speed ``replay`` pauses before a post once it has
@@ -2046,12 +2072,14 @@ class TestCli:
     def test_replay_out_writes_the_bytes_of_the_general_codec(self, tmp_path, monkeypatch, capsys, speed):
         """With the clock pinned, ``replay --out`` leaves the segment bytes that
         appending each post's ``StreamRecord(post.to_payload(), ...)`` in the
-        same batches leaves: batches of ``REPLAY_BATCH`` at ``max``, one
-        record per commit when paced. The archive holds retweets, legacy and
-        fractional timestamps, strings JSON escapes and malformed lines."""
+        same batches leaves: a batch closes once its bodies hold
+        ``REPLAY_BATCH_BYTES`` at ``max`` (made small here, so that the
+        archive spans several), and each record is its own commit when
+        paced. The archive holds retweets, legacy and fractional timestamps,
+        strings JSON escapes and malformed lines."""
         import time
 
-        from driftstream.cli import REPLAY_BATCH
+        import driftstream.cli as cli
         from driftstream.core.log import DurableLog
         from driftstream.core.records import StreamRecord
         from driftstream.sources.posts import Post, parse_post
@@ -2072,18 +2100,26 @@ class TestCli:
         path = tmp_path / "mixed.jsonl"
         path.write_bytes(b"\n".join(lines) + b"\n")
         posts = [p for p in map(parse_post, lines) if isinstance(p, Post)]
-        assert REPLAY_BATCH < len(posts) == len(lines) - 4
+        assert len(posts) == len(lines) - 4
 
         now = 1583020800.625
+        monkeypatch.setattr(cli, "REPLAY_BATCH_BYTES", 16 * 1024)
+        expected = [StreamRecord(p.to_payload(), None, p.created_at, now) for p in posts]
+        batches = _byte_batches([r.to_bytes() for r in expected], cli.REPLAY_BATCH_BYTES if speed == "max" else 1)
+        if speed == "max":
+            assert 1 < len(batches) < len(posts)
+        else:
+            assert batches == [1] * len(posts)
         monkeypatch.setattr(time, "time", lambda: now)
         monkeypatch.setattr(time, "sleep", lambda seconds: None)
         out = tmp_path / "log"
         assert main(["replay", "--archive", str(path), "--speed", speed, "--out", str(out)]) == 0
         assert json.loads(capsys.readouterr().out)["records_out"] == len(posts)
-        limit = REPLAY_BATCH if speed == "max" else 1
         with DurableLog(tmp_path / "expected") as log:
-            for start in range(0, len(posts), limit):
-                log.append_many([StreamRecord(p.to_payload(), None, p.created_at, now) for p in posts[start:start + limit]])
+            start = 0
+            for size in batches:
+                log.append_many(expected[start:start + size])
+                start += size
         assert {p.name: p.read_bytes() for p in out.iterdir()} == {
             p.name: p.read_bytes() for p in (tmp_path / "expected").iterdir()
         }
@@ -2187,7 +2223,7 @@ class TestCli:
         assert main(["keywords", "show", "--config", str(config)]) == 2
         err = capsys.readouterr().err
         assert err.splitlines() == [
-            "config error: archive: file not found: /ghost.jsonl",
+            "config error: archive: file not found: '/ghost.jsonl'",
             "config error: clusters.window_minutes: must be > 0",
         ]
         assert main(["run", "--config", str(config)]) == 2
@@ -2260,6 +2296,30 @@ class TestCli:
     def test_clusters_without_an_export_exits_2(self, tmp_path, capsys):
         assert main(["clusters", str(tmp_path)]) == 2
         assert capsys.readouterr().err == f"no cluster export at {tmp_path / 'clusters.json'}\n"
+
+    @pytest.mark.parametrize(
+        "content, status",
+        [
+            (b"{not json", None),
+            (b'[{"id": "a", "status": "tentative"}, "\xff"]', None),
+            (b"[" * 100000 + b"]" * 100000, None),
+            (b'{"id": 1, "status": "refuted"}', None),
+            (b'[{"id": 1}]', "refuted"),
+            (b'[{"id": 1}]', None),
+        ],
+        ids=["bad-json", "not-utf8", "too-deep", "not-a-list", "no-status-filtered", "no-status"],
+    )
+    def test_clusters_on_a_malformed_export_is_one_line_with_exit_2(self, tmp_path, capsys, content, status):
+        """An export that is not JSON, not UTF-8, nested past the recursion
+        limit, not a list, or holds a cluster without a status ended in a
+        traceback (exit 1); it is one line naming the file, with exit 2."""
+        (tmp_path / "clusters.json").write_bytes(content)
+        argv = ["clusters", str(tmp_path)] + (["--status", status] if status else [])
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith(f"{tmp_path / 'clusters.json'}: not a cluster export: ")
 
     def test_clusters_command_filters_by_status(self, tmp_path, capsys):
         report_dir = tmp_path / "reports"
